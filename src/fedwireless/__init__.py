@@ -11,7 +11,6 @@ from .phy import (
     FadingExpectation,
     NetworkParams,
     UserProfile,
-    channel_gain,
     expected_downlink_rate,
     expected_uplink_rate,
     downlink_delay,
@@ -29,7 +28,6 @@ from .assignment import (
     baseline_random_all,
     brute_force_assign,
     build_edge_weights,
-    edge_weight,
     feasible_power_interval,
     hungarian_assign,
     optimal_power,

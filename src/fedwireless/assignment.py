@@ -13,17 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phy import (
-    NetworkParams,
-    UserProfile,
-    FadingExpectation,
-    expected_uplink_rate,
-    downlink_delay,
-    uplink_delay,
-    packet_error_rate,
-    training_energy,
-    user_energy,
-)
+from . import phy
+from .phy import downlink_delay, packet_error_rate, uplink_delay, user_energy
 
 __all__ = [
     "OptimalPower",
@@ -31,7 +22,6 @@ __all__ = [
     "AllocationDecision",
     "optimal_power",
     "feasible_power_interval",
-    "edge_weight",
     "build_edge_weights",
     "hungarian_assign",
     "brute_force_assign",
@@ -52,6 +42,50 @@ class OptimalPower:
     feasible_energy: bool
 
 
+def _bisect(lo, hi, below_root):
+    """Lock-step bisection of many edges for a predicate that holds below
+    each edge's root and fails above it.
+
+    Edges whose root lies outside [lo, hi] collapse onto that endpoint.  The
+    rest halve [lo, hi] at mid = 0.5*(lo+hi), lo moving up where the
+    predicate holds and hi down elsewhere, each until its mid rounds onto an
+    endpoint (at most _BISECT_ITERS rounds).  Returns the final (lo, hi) and
+    whether the predicate held at the initial lo and at the initial hi.
+    """
+    holds_lo, holds_hi = below_root(lo), below_root(hi)
+    lo = np.where(holds_hi, hi, lo)
+    hi = np.where(holds_lo, hi, lo)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        moving = (mid != lo) & (mid != hi)
+        if not moving.any():
+            break
+        up = below_root(mid)
+        lo = np.where(moving & up, mid, lo)
+        hi = np.where(moving & ~up, mid, hi)
+    return lo, hi, holds_lo, holds_hi
+
+
+def _optimal_powers(users, rb_index, params, fexp):
+    """Array form of optimal_power over a ``phy._Users`` cohort on one RB;
+    0 marks an edge with no feasible power."""
+    budget, p_max = params.energy_budget_j, params.max_user_power_w
+    todo = np.flatnonzero(users.training_j < budget)
+    cohort = users.take(todo)
+
+    def fits(power):
+        rate = phy._uplink_rate(cohort, rb_index, power, params, fexp)
+        return phy._energy(cohort, power, phy._delay(cohort.payload_bits, rate)) <= budget
+
+    lo, _, fits_lo, fits_hi = _bisect(
+        np.full(todo.size, p_max * 1e-12), np.full(todo.size, p_max), fits
+    )
+    power = np.zeros(users.gain.shape)
+    # Where transmit energy per bit does not vanish with P, not even lo fits.
+    power[todo] = np.where(fits_lo | fits_hi, lo, 0.0)
+    return power
+
+
 def optimal_power(user, rb_index, params, fexp) -> OptimalPower:
     """Largest transmit power on one RB that respects the energy budget.
 
@@ -62,84 +96,34 @@ def optimal_power(user, rb_index, params, fexp) -> OptimalPower:
     False when even a vanishing transmit power (or training alone) exceeds
     the budget.
     """
-    budget = params.energy_budget_j
-    if training_energy(user) >= budget:
-        return OptimalPower(0.0, False)
-    p_max = params.max_user_power_w
-    if user_energy(user, rb_index, p_max, params, fexp) <= budget:
-        return OptimalPower(p_max, True)
-    lo = p_max * 1e-12
-    if user_energy(user, rb_index, lo, params, fexp) > budget:
-        # Transmit energy per bit does not vanish with P; no feasible power.
-        return OptimalPower(0.0, False)
-    hi = p_max
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if user_energy(user, rb_index, mid, params, fexp) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return OptimalPower(lo, True)
+    power = float(_optimal_powers(phy._Users.of([user], params), rb_index, params, fexp)[0])
+    return OptimalPower(power, power > 0)
 
 
-def _min_power_for_rate(user, rb_index, target_rate, p_hi, params, fexp):
-    """Smallest power in (0, p_hi] whose expected rate reaches target_rate.
+def feasible_power_interval(users, rb_index, params, fexp):
+    """Per-user power interval [P_lo, P_hi] on one RB where both the delay
+    and energy gates hold.
 
-    Returns None when even p_hi falls short.  The returned power sits on the
-    feasible side (rate >= target).
+    Returns (p_lo, p_hi, feasible) arrays over ``users``; both bounds are 0
+    where the edge is infeasible at any power.  P_lo is the smallest power
+    whose expected rate still meets the delay budget.
     """
-    if expected_uplink_rate(user, rb_index, p_hi, params, fexp) < target_rate:
-        return None
-    lo, hi = p_hi * 1e-15, p_hi
-    if expected_uplink_rate(user, rb_index, lo, params, fexp) >= target_rate:
-        return lo
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if expected_uplink_rate(user, rb_index, mid, params, fexp) >= target_rate:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def feasible_power_interval(user, rb_index, params, fexp):
-    """Power interval [P_lo, P_hi] where both the delay and energy gates hold.
-
-    Returns None when the edge is infeasible at any power.
-    """
-    opt = optimal_power(user, rb_index, params, fexp)
-    if not opt.feasible_energy:
-        return None
-    down = downlink_delay(user, params, fexp)
+    cohort = phy._Users.of(users, params)
+    p_hi = _optimal_powers(cohort, rb_index, params, fexp)
+    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
     slack = params.delay_budget_s - down
-    if slack <= 0:
-        return None
-    if user.payload_bits == 0:
-        return (opt.power_w * 1e-15, opt.power_w)
-    target_rate = user.payload_bits / slack
-    p_lo = _min_power_for_rate(user, rb_index, target_rate, opt.power_w, params, fexp)
-    if p_lo is None:
-        return None
-    return (p_lo, opt.power_w)
+    todo = np.flatnonzero((p_hi > 0) & (slack > 0))
+    sub, target = cohort.take(todo), cohort.payload_bits[todo] / slack[todo]
 
+    def short(power):
+        return phy._uplink_rate(sub, rb_index, power, params, fexp) < target
 
-def edge_weight(user, rb_index, params, fexp) -> float:
-    """Matching weight of one (user, RB) edge: sample_count * (error_rate - 1)
-    if the edge is feasible at its optimal power, else 0 (edge disabled)."""
-    opt = optimal_power(user, rb_index, params, fexp)
-    if not opt.feasible_energy:
-        return 0.0
-    total_delay = uplink_delay(user, rb_index, opt.power_w, params, fexp) + downlink_delay(
-        user, params, fexp
-    )
-    if total_delay > params.delay_budget_s:
-        return 0.0
-    q = packet_error_rate(user, rb_index, opt.power_w, params, fexp)
-    return user.sample_count * (q - 1.0)
+    # A zero payload has target rate 0, which the bottom of the range reaches.
+    _, hi, _, short_hi = _bisect(p_hi[todo] * 1e-15, p_hi[todo], short)
+    p_lo = np.zeros_like(p_hi)
+    p_lo[todo] = np.where(short_hi, 0.0, hi)
+    feasible = p_lo > 0
+    return p_lo, np.where(feasible, p_hi, 0.0), feasible
 
 
 @dataclass
@@ -156,34 +140,29 @@ class EdgeWeightMatrix:
 
 
 def build_edge_weights(users, params, fexp) -> EdgeWeightMatrix:
-    """Evaluate optimal power, gates, and weight for every (user, RB) edge."""
-    n_users, n_rbs = len(users), params.rb_count
-    shape = (n_users, n_rbs)
-    weights = np.zeros(shape)
-    feasible = np.zeros(shape, dtype=bool)
-    power = np.zeros(shape)
-    error = np.ones(shape)
-    delay = np.full(shape, np.inf)
-    energy = np.full(shape, np.inf)
-    for i, user in enumerate(users):
-        down = downlink_delay(user, params, fexp)
-        for n in range(n_rbs):
-            opt = optimal_power(user, n, params, fexp)
-            if not opt.feasible_energy:
-                continue
-            p = opt.power_w
-            total_delay = uplink_delay(user, n, p, params, fexp) + down
-            e = user_energy(user, n, p, params, fexp)
-            if total_delay > params.delay_budget_s or e > params.energy_budget_j:
-                continue
-            q = packet_error_rate(user, n, p, params, fexp)
-            feasible[i, n] = True
-            power[i, n] = p
-            error[i, n] = q
-            delay[i, n] = total_delay
-            energy[i, n] = e
-            weights[i, n] = user.sample_count * (q - 1.0)
+    """Evaluate optimal power, gates, and weight for every (user, RB) edge.
+
+    Works one RB column at a time over all users (see the ``phy`` array
+    contract), with one downlink delay per user.
+    """
+    cohort = phy._Users.of(users, params)
     sample_counts = np.array([u.sample_count for u in users], dtype=float)
+    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    shape = (len(users), params.rb_count)
+    feasible = np.zeros(shape, dtype=bool)
+    weights, power, error, delay, energy = (np.empty(shape) for _ in range(5))
+    for n in range(params.rb_count):
+        p = _optimal_powers(cohort, n, params, fexp)
+        up = phy._delay(cohort.payload_bits, phy._uplink_rate(cohort, n, p, params, fexp))
+        total_delay, e = up + down, phy._energy(cohort, p, up)
+        q = phy._error_rate(cohort, n, p, params, fexp)
+        ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
+        feasible[:, n] = ok
+        weights[:, n] = np.where(ok, sample_counts * (q - 1.0), 0.0)
+        power[:, n] = np.where(ok, p, 0.0)
+        error[:, n] = np.where(ok, q, 1.0)
+        delay[:, n] = np.where(ok, total_delay, np.inf)
+        energy[:, n] = np.where(ok, e, np.inf)
     return EdgeWeightMatrix(weights, feasible, power, error, delay, energy, sample_counts)
 
 
@@ -377,13 +356,11 @@ def baseline_random_all(rng, users, params, fexp) -> AllocationDecision:
     chosen_users = rng.permutation(n_users)[:k]
     chosen_rbs = rng.permutation(n_rbs)[:k]
     entries = []
-    for i, n in zip(chosen_users, chosen_rbs):
-        i, n = int(i), int(n)
-        interval = feasible_power_interval(users[i], n, params, fexp)
-        if interval is None:
-            continue
-        p = float(rng.uniform(interval[0], interval[1]))
-        entries.append(_evaluate_entry(users[i], i, n, p, params, fexp))
+    for i, n in zip(chosen_users.tolist(), chosen_rbs.tolist()):
+        (p_lo,), (p_hi,), (feasible,) = feasible_power_interval([users[i]], n, params, fexp)
+        if feasible:
+            p = float(rng.uniform(p_lo, p_hi))
+            entries.append(_evaluate_entry(users[i], i, n, p, params, fexp))
     counts = [u.sample_count for u in users]
     return _finalize_decision(counts, n_rbs, entries)
 

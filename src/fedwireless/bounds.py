@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _hungarian_square, feasible_power_interval
-from .phy import packet_error_rate
+from . import assignment, phy
 
 __all__ = [
     "CurvatureEstimate",
@@ -243,24 +242,18 @@ def worst_case_error_sum(users, params, fexp) -> float:
     attained at its minimum feasible power; the worst assignment is then a
     max-weight matching over those per-edge values.
     """
-    n_users, n_rbs = len(users), params.rb_count
-    gains = np.zeros((n_users, n_rbs))
-    for i, user in enumerate(users):
-        for n in range(n_rbs):
-            interval = feasible_power_interval(user, n, params, fexp)
-            if interval is None:
-                continue
-            q_worst = packet_error_rate(user, n, interval[0], params, fexp)
-            gains[i, n] = user.sample_count * q_worst
-    size = max(n_users, n_rbs)
-    cost = np.zeros((size, size))
-    cost[:n_users, :n_rbs] = -gains
-    col_of_row, _ = _hungarian_square(cost, counted_rows=0)
+    cohort = phy._Users.of(users, params)
+    sample_counts = np.array([u.sample_count for u in users], dtype=float)
+    gains = np.zeros((len(users), params.rb_count))
+    for n in range(params.rb_count):
+        p_lo, _, feasible = assignment.feasible_power_interval(users, n, params, fexp)
+        q_worst = phy._error_rate(cohort, n, p_lo, params, fexp)
+        gains[:, n] = np.where(feasible, sample_counts * q_worst, 0.0)
+    # Pairs matched at gain 0 are dropped by the solver; they only added 0.0.
+    pairs, _ = assignment._solve_matching(-gains, counted_rows=0)
     total = 0.0
-    for i in range(n_users):
-        n = col_of_row[i]
-        if n < n_rbs:
-            total += gains[i, n]
+    for i, n in pairs:
+        total += gains[i, n]
     return total
 
 

@@ -4,6 +4,16 @@ All quantities are deterministic functions of (user, resource block, transmit
 power): expected Shannon rate under Rayleigh fading, transmission delay,
 packet error rate under the waterfall approximation, and per-round energy.
 Everything is computed in linear SI units (W, Hz, s, J, bits).
+
+Array contract: one private kernel (``_Users``, ``_uplink_rate``,
+``_downlink_rate``, ``_delay``, ``_energy``, ``_error_rate``) works on
+broadcast arrays whose leading axes are edges (user, power pairs on one RB)
+and whose last axis is always the fading nodes, so each edge reduces its own
+contiguous row in one fixed order, alone or in any batch.  Per-user constants
+(gain d**-alpha, fading scale, payload, training energy) come from Python
+float math, once per user.  Callers pass one RB column at a time: a whole
+(users, RBs, nodes) block holds R times the memory for no fewer operations.
+The public scalar functions are one-element calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +30,6 @@ __all__ = [
     "NetworkParams",
     "UserProfile",
     "FadingExpectation",
-    "channel_gain",
     "expected_uplink_rate",
     "expected_downlink_rate",
     "uplink_delay",
@@ -160,24 +170,27 @@ class FadingExpectation:
         if self.point_mass is not None and not self.point_mass > 0:
             raise ValueError(f"point_mass must be strictly positive, got {self.point_mass!r}")
 
-    def expect(self, integrand, scale: float = 1.0):
-        """E[integrand(o)] for fading power o with mean ``scale``.
+    def expect(self, integrand, scale=1.0):
+        """E[integrand(o)] per edge for fading power o with mean ``scale``.
 
-        ``integrand`` must accept a 1-d array of fading draws and may return
-        extra leading axes (used to vectorize over transmit power); the
-        fading axis is always the last one.
+        ``scale`` is a float or one mean per edge (the leading axes); the
+        integrand gets fading values of shape ``scale.shape + (nodes,)`` and
+        returns the node axis last, which the result drops.  Callers pass one
+        RB column at a time.  Monte Carlo holds (edges x count) draws per call:
+        one fresh-seeded standard exponential sample, scaled per edge.
         """
         if self.point_mass is not None:
             values = np.asarray(integrand(np.array([self.point_mass])), dtype=float)
             return values[..., 0]
+        scale = np.asarray(scale, dtype=float)[..., None]
         if self.method == "quadrature":
             nodes, weights = _fading_nodes(self.node_or_sample_count)
             values = np.asarray(integrand(scale * nodes), dtype=float)
-            # sum (not dot) keeps the reduction order identical for scalar
-            # and vectorized calls, so results are bit-identical either way
+            # sum (not dot) reduces each edge's row in the same order whatever
+            # the batch, so scalar and column calls are bit-identical
             return np.sum(values * weights, axis=-1)
-        draws = np.random.default_rng(self.seed).exponential(scale, self.node_or_sample_count)
-        return np.asarray(integrand(draws), dtype=float).mean(axis=-1)
+        draws = np.random.default_rng(self.seed).standard_exponential(self.node_or_sample_count)
+        return np.asarray(integrand(scale * draws), dtype=float).mean(axis=-1)
 
 
 def _as_result(value):
@@ -186,24 +199,88 @@ def _as_result(value):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _check_rb(rb_index: int, params: NetworkParams) -> None:
-    if not 0 <= rb_index < params.rb_count:
-        raise ValueError(f"rb_index must be in [0, {params.rb_count}), got {rb_index}")
+class _Users(NamedTuple):
+    """Per-user constants of the kernel, one entry per edge (or 0-d for one user)."""
+
+    gain: np.ndarray            # d ** -alpha
+    fading_scale: np.ndarray
+    payload_bits: np.ndarray
+    training_j: np.ndarray
+
+    @classmethod
+    def of(cls, users, params: NetworkParams) -> "_Users":
+        alpha = params.pathloss_exponent
+        rows = [(u.distance_m ** -alpha, u.fading_scale, u.payload_bits, training_energy(u))
+                for u in users]
+        return cls(*np.array(rows, dtype=float).reshape(-1, 4).T)
+
+    def take(self, index) -> "_Users":
+        return _Users(*(column[index] for column in self))
+
+
+def _one(user: UserProfile, params: NetworkParams) -> _Users:
+    return _Users.of([user], params).take(0)
 
 
 def _rb_noise_w(rb_index: int, params: NetworkParams) -> float:
+    if not 0 <= rb_index < params.rb_count:
+        raise ValueError(f"rb_index must be in [0, {params.rb_count}), got {rb_index}")
     return (
         params.uplink_interference_w[rb_index]
         + params.rb_bandwidth_hz * params.noise_density_w_per_hz
     )
 
 
-def channel_gain(user: UserProfile, fading_draw, params: NetworkParams):
-    """Instantaneous channel gain o * d^-alpha for one fading realization."""
-    draw = np.asarray(fading_draw, dtype=float)
-    if np.any(draw <= 0):
-        raise ValueError("fading_draw must be strictly positive")
-    return _as_result(draw * user.distance_m ** -params.pathloss_exponent)
+def _expected_rate(bandwidth_hz, snr_scale, fading_scale, fexp):
+    """bandwidth * E[log2(1 + snr_scale * o)] per edge."""
+    snr_scale = np.asarray(snr_scale)[..., None]
+    # log1p keeps precision in the low-SNR regime probed by bisection.
+    return bandwidth_hz * fexp.expect(lambda o: np.log1p(snr_scale * o) / _LN2, fading_scale)
+
+
+def _uplink_rate(users: _Users, rb_index, power_w, params, fexp):
+    snr_scale = power_w * users.gain / _rb_noise_w(rb_index, params)
+    return _expected_rate(params.rb_bandwidth_hz, snr_scale, users.fading_scale, fexp)
+
+
+def _downlink_rate(users: _Users, params, fexp):
+    noise_w = params.downlink_interference_w + (
+        params.downlink_bandwidth_hz * params.noise_density_w_per_hz
+    )
+    snr_scale = params.bs_power_w * users.gain / noise_w
+    return _expected_rate(params.downlink_bandwidth_hz, snr_scale, users.fading_scale, fexp)
+
+
+def _delay(payload_bits, rate):
+    """Seconds to send the payload at ``rate``: 0 for no payload, inf at rate 0."""
+    safe = np.where(rate > 0, rate, 1.0)
+    return np.where(payload_bits == 0, 0.0, np.where(rate > 0, payload_bits / safe, np.inf))
+
+
+def _energy(users: _Users, power_w, delay):
+    """Training plus transmit energy; zero power with a payload costs inf."""
+    with np.errstate(invalid="ignore"):
+        transmit = np.where((power_w > 0) | (users.payload_bits == 0), power_w * delay, np.inf)
+    return users.training_j + transmit
+
+
+def _error_rate(users: _Users, rb_index, power_w, params, fexp):
+    """Waterfall packet error rate per edge, clamped to [0, 1]."""
+    power = np.asarray(power_w, dtype=float)
+    threshold_w = params.waterfall_threshold * _rb_noise_w(rb_index, params) / users.gain
+    with np.errstate(divide="ignore"):
+        exponents = np.where(power > 0, threshold_w / np.where(power > 0, power, 1.0), np.inf)
+    exponents = exponents[..., None]
+    # -expm1(-x) = 1 - exp(-x), accurate for the tiny-error regime.
+    values = fexp.expect(lambda o: -np.expm1(-exponents / o), users.fading_scale)
+    return np.clip(values, 0.0, 1.0)
+
+
+def _nonnegative_power(power_w):
+    power = np.asarray(power_w, dtype=float)
+    if np.any(power < 0):
+        raise ValueError(f"power_w must be >= 0, got {power_w!r}")
+    return power
 
 
 def expected_uplink_rate(user, rb_index, power_w, params, fexp):
@@ -211,55 +288,29 @@ def expected_uplink_rate(user, rb_index, power_w, params, fexp):
 
     Accepts a scalar or an array of powers (vectorized over the leading axis).
     """
-    _check_rb(rb_index, params)
     power = np.asarray(power_w, dtype=float)
     if np.any(power < 0) or np.any(power > params.max_user_power_w * (1 + 1e-12)):
         raise ValueError(
             f"power_w must lie in [0, {params.max_user_power_w}], got {power_w!r}"
         )
-    noise_w = _rb_noise_w(rb_index, params)
-    gain = user.distance_m ** -params.pathloss_exponent
-    snr_scale = power[..., None] * gain / noise_w
-
-    def integrand(o):
-        # log1p keeps precision in the low-SNR regime probed by bisection.
-        return np.log1p(snr_scale * o) / _LN2
-
-    return _as_result(params.rb_bandwidth_hz * fexp.expect(integrand, user.fading_scale))
+    return _as_result(_uplink_rate(_one(user, params), rb_index, power, params, fexp))
 
 
 def expected_downlink_rate(user, params, fexp):
     """Expected downlink broadcast rate in bits/s for one user."""
-    noise_w = params.downlink_interference_w + (
-        params.downlink_bandwidth_hz * params.noise_density_w_per_hz
-    )
-    gain = user.distance_m ** -params.pathloss_exponent
-    snr_scale = params.bs_power_w * gain / noise_w
-
-    def integrand(o):
-        return np.log1p(snr_scale * o) / _LN2
-
-    return _as_result(params.downlink_bandwidth_hz * fexp.expect(integrand, user.fading_scale))
-
-
-def _payload_over_rate(payload_bits, rate):
-    rate_arr = np.asarray(rate, dtype=float)
-    if payload_bits == 0:
-        return _as_result(np.zeros_like(rate_arr))
-    safe = np.where(rate_arr > 0, rate_arr, 1.0)
-    return _as_result(np.where(rate_arr > 0, payload_bits / safe, np.inf))
+    return _as_result(_downlink_rate(_one(user, params), params, fexp))
 
 
 def uplink_delay(user, rb_index, power_w, params, fexp):
     """Uplink transmission delay in seconds; infinite when the rate is zero."""
     rate = expected_uplink_rate(user, rb_index, power_w, params, fexp)
-    return _payload_over_rate(user.payload_bits, rate)
+    return _as_result(_delay(user.payload_bits, rate))
 
 
 def downlink_delay(user, params, fexp):
     """Downlink broadcast delay in seconds for one user."""
     rate = expected_downlink_rate(user, params, fexp)
-    return _payload_over_rate(user.payload_bits, rate)
+    return _as_result(_delay(user.payload_bits, rate))
 
 
 def packet_error_rate(user, rb_index, power_w, params, fexp):
@@ -270,23 +321,8 @@ def packet_error_rate(user, rb_index, power_w, params, fexp):
     threshold-scaled inverse SNR.  Zero transmit power returns exactly 1
     (certain failure).  Non-increasing in power.
     """
-    _check_rb(rb_index, params)
-    power = np.asarray(power_w, dtype=float)
-    if np.any(power < 0):
-        raise ValueError(f"power_w must be >= 0, got {power_w!r}")
-    noise_w = _rb_noise_w(rb_index, params)
-    gain = user.distance_m ** -params.pathloss_exponent
-    threshold_w = params.waterfall_threshold * noise_w / gain
-    with np.errstate(divide="ignore"):
-        exponents = np.where(power > 0, threshold_w / np.where(power > 0, power, 1.0), np.inf)
-    exponents = exponents[..., None]
-
-    def integrand(o):
-        # -expm1(-x) = 1 - exp(-x), accurate for the tiny-error regime.
-        return -np.expm1(-exponents / o)
-
-    values = fexp.expect(integrand, user.fading_scale)
-    return _as_result(np.clip(values, 0.0, 1.0))
+    power = _nonnegative_power(power_w)
+    return _as_result(_error_rate(_one(user, params), rb_index, power, params, fexp))
 
 
 def training_energy(user: UserProfile) -> float:
@@ -306,12 +342,8 @@ def user_energy(user, rb_index, power_w, params, fexp):
     nonzero payload is treated as infeasible (infinite transmit energy);
     a zero payload costs nothing at any power.
     """
-    power = np.asarray(power_w, dtype=float)
-    if np.any(power < 0):
-        raise ValueError(f"power_w must be >= 0, got {power_w!r}")
+    power = _nonnegative_power(power_w)
     if user.payload_bits == 0:
         return _as_result(np.zeros_like(power))
-    delay = np.asarray(uplink_delay(user, rb_index, power_w, params, fexp), dtype=float)
-    with np.errstate(invalid="ignore"):
-        transmit = np.where(power > 0, power * delay, np.inf)
-    return _as_result(training_energy(user) + transmit)
+    delay = uplink_delay(user, rb_index, power, params, fexp)
+    return _as_result(_energy(_one(user, params), power, delay))

@@ -6,12 +6,12 @@ import pytest
 from fedwireless.assignment import (
     AllocationDecision,
     EdgeWeightMatrix,
+    OptimalPower,
     baseline_min_sum_per,
     baseline_optselect_randomrb,
     baseline_random_all,
     brute_force_assign,
     build_edge_weights,
-    edge_weight,
     feasible_power_interval,
     hungarian_assign,
     optimal_power,
@@ -21,6 +21,7 @@ from fedwireless.phy import (
     FadingExpectation,
     NetworkParams,
     UserProfile,
+    expected_uplink_rate,
     packet_error_rate,
     training_energy,
     uplink_delay,
@@ -80,9 +81,8 @@ class TestFeasiblePowerInterval:
     def test_interval_respects_both_gates(self):
         params = NetworkParams(uplink_interference_w=(5e-8,) * 12)
         user = user_at(400.0)
-        interval = feasible_power_interval(user, 0, params, QUAD)
-        assert interval is not None
-        lo, hi = interval
+        (lo,), (hi,), (feasible,) = feasible_power_interval([user], 0, params, QUAD)
+        assert feasible
         assert 0 < lo <= hi <= params.max_user_power_w
         down = downlink_delay(user, params, QUAD)
         assert uplink_delay(user, 0, lo, params, QUAD) + down <= params.delay_budget_s * (1 + 1e-9)
@@ -91,11 +91,125 @@ class TestFeasiblePowerInterval:
     def test_returns_none_when_energy_infeasible(self):
         user = user_at(100.0)
         params = NetworkParams(energy_budget_j=training_energy(user) * 0.5)
-        assert feasible_power_interval(user, 0, params, QUAD) is None
+        lo, hi, feasible = feasible_power_interval([user], 0, params, QUAD)
+        assert not feasible[0] and lo[0] == 0.0 and hi[0] == 0.0
 
     def test_returns_none_when_delay_unreachable(self):
         params = NetworkParams(delay_budget_s=1e-6)
-        assert feasible_power_interval(user_at(500.0), 0, params, QUAD) is None
+        lo, hi, feasible = feasible_power_interval([user_at(500.0)], 0, params, QUAD)
+        assert not feasible[0] and lo[0] == 0.0 and hi[0] == 0.0
+
+    def test_batch_matches_scalar_reference(self):
+        users, params = binding_budget_topology()
+        for n in range(params.rb_count):
+            p_lo, p_hi, feasible = feasible_power_interval(users, n, params, QUAD)
+            for i, user in enumerate(users):
+                slack = params.delay_budget_s - downlink_delay(user, params, QUAD)
+                want_hi = reference_optimal_power(user, n, params, QUAD)
+                want_lo = reference_min_power(
+                    user, n, user.payload_bits / slack, want_hi, params, QUAD
+                ) if want_hi > 0 and slack > 0 else 0.0
+                assert (p_lo[i], feasible[i]) == (want_lo, want_lo > 0)
+                assert p_hi[i] == (want_hi if want_lo > 0 else 0.0)
+
+
+def scalar_bisect(lo, hi, below_root):
+    """Reference for the lock-step search: one edge, the same rules."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if below_root(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def reference_optimal_power(user, n, params, fexp):
+    """Scalar energy-budget search through the public phy calls; 0 if none."""
+    budget, p_max = params.energy_budget_j, params.max_user_power_w
+
+    def fits(p):
+        return user_energy(user, n, p, params, fexp) <= budget
+
+    if training_energy(user) >= budget:
+        return 0.0
+    if fits(p_max):
+        return p_max
+    lo = p_max * 1e-12
+    return scalar_bisect(lo, p_max, fits)[0] if fits(lo) else 0.0
+
+
+def reference_min_power(user, n, target_rate, p_hi, params, fexp):
+    """Scalar search for the least power in (0, p_hi] reaching target_rate; 0 if none."""
+    def short(p):
+        return expected_uplink_rate(user, n, p, params, fexp) < target_rate
+
+    if short(p_hi):
+        return 0.0
+    lo = p_hi * 1e-15
+    return scalar_bisect(lo, p_hi, short)[1] if short(lo) else lo
+
+
+EDGE_FIELDS = ("weights", "feasible", "power_w", "error_rate", "delay_s", "energy_j")
+
+
+def one_user_edge(user, params, fexp):
+    """Edge (0, RB 0) of an edge build over a one-user topology."""
+    edges = build_edge_weights([user], params, fexp)
+    return {name: getattr(edges, name)[0, 0] for name in EDGE_FIELDS}
+
+
+def binding_budget_topology():
+    """12 users x 8 RBs in a 1000 m cell with a binding energy budget, so
+    many edges bisect; more users than RBs, and user 3 sends nothing."""
+    rng = np.random.default_rng([11, 0])
+    distances = 1000.0 * np.sqrt(1.0 - rng.random(12))
+    users = [
+        user_at(float(d), samples=(12, 10, 8, 4, 2)[i % 5],
+                payload_bits=0.0 if i == 3 else 5e4, fading_scale=0.6 + 0.2 * (i % 4))
+        for i, d in enumerate(distances)
+    ]
+    params = NetworkParams(
+        rb_count=8, uplink_interference_w=tuple(np.logspace(-9, -7, 8)), energy_budget_j=0.0022
+    )
+    return users, params
+
+
+def assert_build_matches_scalar_calls(fexp):
+    """Every array of the column-batched build equals, bit for bit, the
+    public scalar calls at the recorded power."""
+    users, params = binding_budget_topology()
+    edges = build_edge_weights(users, params, fexp)
+    p_max = params.max_user_power_w
+    assert np.any(edges.feasible & (edges.power_w < p_max))     # bisected edges
+    assert np.any(~edges.feasible) and edges.feasible[3].all()
+    for i, user in enumerate(users):
+        down = downlink_delay(user, params, fexp)
+        for n in range(params.rb_count):
+            opt = optimal_power(user, n, params, fexp)
+            p = opt.power_w
+            assert p == reference_optimal_power(user, n, params, fexp)
+            if not edges.feasible[i, n]:
+                assert (edges.weights[i, n], edges.power_w[i, n], edges.error_rate[i, n],
+                        edges.delay_s[i, n], edges.energy_j[i, n]) == (0.0, 0.0, 1.0, np.inf, np.inf)
+                assert not opt.feasible_energy or (
+                    uplink_delay(user, n, p, params, fexp) + down > params.delay_budget_s
+                    or user_energy(user, n, p, params, fexp) > params.energy_budget_j
+                )
+                continue
+            assert p == edges.power_w[i, n]
+            q = packet_error_rate(user, n, p, params, fexp)
+            want = {
+                "weights": user.sample_count * (q - 1.0),
+                "error_rate": q,
+                "delay_s": uplink_delay(user, n, p, params, fexp) + down,
+                "energy_j": user_energy(user, n, p, params, fexp),
+            }
+            for name, value in want.items():
+                got = getattr(edges, name)[i, n]
+                assert np.float64(got).view(np.int64) == np.float64(value).view(np.int64), name
 
 
 class TestEdgeWeight:
@@ -109,7 +223,9 @@ class TestEdgeWeight:
         )
         user = user_at(500.0, samples=10, payload_bits=1.0)
         assert packet_error_rate(user, 0, 0.01, params, fexp) == 1.0
-        assert edge_weight(user, 0, params, fexp) == 0.0
+        edge = one_user_edge(user, params, fexp)
+        assert edge["feasible"]
+        assert edge["weights"] == 0.0
 
     def test_perfect_link_contributes_minus_k(self):
         # q is negligible on a near-noiseless point-mass channel, so the
@@ -118,28 +234,45 @@ class TestEdgeWeight:
         params = NetworkParams()
         user = user_at(1e-3, samples=12)
         assert packet_error_rate(user, 0, 0.01, params, fexp) < 1e-18
-        assert edge_weight(user, 0, params, fexp) == -12.0
+        assert one_user_edge(user, params, fexp)["weights"] == -12.0
 
     def test_infeasible_edge_disabled(self):
         user = user_at(100.0)
         params = NetworkParams(energy_budget_j=training_energy(user))
-        assert edge_weight(user, 0, params, QUAD) == 0.0
+        edge = one_user_edge(user, params, QUAD)
+        assert not edge["feasible"]
+        assert edge["weights"] == 0.0
 
     def test_weight_tracks_per_oracle(self):
         mc = FadingExpectation(method="monte_carlo", node_or_sample_count=10**6, seed=20240915)
         params = NetworkParams()
         user = user_at(100.0, samples=12)
-        got = edge_weight(user, 0, params, QUAD)
+        got = one_user_edge(user, params, QUAD)["weights"]
         opt = optimal_power(user, 0, params, QUAD)
         q_mc = packet_error_rate(user, 0, opt.power_w, params, mc)
         assert got == pytest.approx(12.0 * (q_mc - 1.0), abs=12e-3)
 
     def test_build_matches_scalar_op(self):
-        users, params = table_topology(seed=5, n_users=4)
-        edges = build_edge_weights(users, params, QUAD)
-        for i, user in enumerate(users):
-            for n in (0, 5, 11):
-                assert edges.weights[i, n] == edge_weight(user, n, params, QUAD)
+        assert_build_matches_scalar_calls(QUAD)
+
+    def test_build_matches_scalar_op_monte_carlo(self):
+        assert_build_matches_scalar_calls(
+            FadingExpectation(method="monte_carlo", node_or_sample_count=256, seed=7)
+        )
+
+    def test_edge_exactly_on_energy_budget(self):
+        user = user_at(900.0)
+        p_max = NetworkParams().max_user_power_w
+        budget = user_energy(user, 0, p_max, NetworkParams(), QUAD)
+        on = NetworkParams(energy_budget_j=budget)
+        edge = one_user_edge(user, on, QUAD)
+        assert edge["feasible"] and edge["power_w"] == p_max
+        assert optimal_power(user, 0, on, QUAD) == OptimalPower(p_max, True)
+        below = NetworkParams(energy_budget_j=float(np.nextafter(budget, 0.0)))
+        opt = optimal_power(user, 0, below, QUAD)
+        assert opt.feasible_energy and 0 < opt.power_w < p_max
+        assert user_energy(user, 0, opt.power_w, below, QUAD) <= below.energy_budget_j
+        assert one_user_edge(user, below, QUAD)["power_w"] == opt.power_w
 
     def test_weights_bounded_by_sample_count(self):
         users, params = table_topology(seed=9)

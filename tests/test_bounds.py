@@ -277,9 +277,9 @@ class TestZeta2Feasible:
             for k in (3, 5, 7)
         ]
         for user in users:
-            interval = feasible_power_interval(user, 0, params, fexp)
-            assert interval is not None
-            assert packet_error_rate(user, 0, interval[0], params, fexp) == 1.0
+            (p_lo,), _, (feasible,) = feasible_power_interval([user], 0, params, fexp)
+            assert feasible
+            assert packet_error_rate(user, 0, p_lo, params, fexp) == 1.0
         assert convergence_slope_limit(users, params, fexp) == pytest.approx(0.25, rel=1e-12)
         assert slope_guarantees_convergence(0.2499, users, params, fexp)
         assert not slope_guarantees_convergence(0.25, users, params, fexp)
@@ -304,10 +304,10 @@ class TestZeta2Feasible:
         gains = np.zeros((5, 4))
         for i, user in enumerate(users):
             for n in range(4):
-                interval = feasible_power_interval(user, n, params, QUAD)
-                if interval is not None:
+                (p_lo,), _, (feasible,) = feasible_power_interval([user], n, params, QUAD)
+                if feasible:
                     gains[i, n] = user.sample_count * packet_error_rate(
-                        user, n, interval[0], params, QUAD
+                        user, n, p_lo, params, QUAD
                     )
         best = 0.0
         for k in range(1, 5):

@@ -11,7 +11,6 @@ from fedwireless.phy import (
     FadingExpectation,
     NetworkParams,
     UserProfile,
-    channel_gain,
     expected_downlink_rate,
     expected_uplink_rate,
     downlink_delay,
@@ -47,21 +46,39 @@ def exact_log_rate(bandwidth, snr_scale):
     return bandwidth * math.exp(z) * special.exp1(z) / math.log(2.0)
 
 
+def point_mass_rate(distance, params, power=0.01):
+    """Uplink rate on RB 0 with the fading pinned to 1, so the channel gain
+    is the path loss alone."""
+    fexp = FadingExpectation(point_mass=1.0)
+    return expected_uplink_rate(user_at(distance), 0, power, params, fexp)
+
+
+def rate_for_gain(gain, params, power=0.01):
+    noise_w = params.rb_bandwidth_hz * params.noise_density_w_per_hz
+    return closed_form_rate(params.rb_bandwidth_hz, power, gain, noise_w)
+
+
 class TestChannelGain:
     def test_identity_case(self):
-        assert channel_gain(user_at(1.0), 1.0, PARAMS) == 1.0
+        assert point_mass_rate(1.0, PARAMS) == pytest.approx(rate_for_gain(1.0, PARAMS), rel=1e-12)
 
     def test_power_law(self):
-        assert channel_gain(user_at(10.0), 1.0, PARAMS) == pytest.approx(0.01, rel=1e-12)
+        assert point_mass_rate(10.0, PARAMS) == pytest.approx(
+            rate_for_gain(0.01, PARAMS), rel=1e-12
+        )
 
     def test_pathloss_exponent_comes_from_params(self):
         steep = NetworkParams(pathloss_exponent=3.0)
-        assert channel_gain(user_at(10.0), 1.0, steep) == pytest.approx(1e-3, rel=1e-12)
+        assert point_mass_rate(10.0, steep) == pytest.approx(rate_for_gain(1e-3, steep), rel=1e-12)
 
     def test_monte_carlo_mean_at_cell_edge(self):
-        draws = np.random.default_rng(77).exponential(1.0, 10**6)
-        mean = float(np.mean(channel_gain(user_at(500.0), draws, PARAMS)))
-        assert mean == pytest.approx(4e-6, rel=0.01)
+        # At low SNR the rate is linear in the mean gain E[o] * d^-alpha = 4e-6.
+        power = 1e-12
+        mc = FadingExpectation(method="monte_carlo", node_or_sample_count=10**6, seed=77)
+        rate = expected_uplink_rate(user_at(500.0), 0, power, PARAMS, mc)
+        noise_w = PARAMS.rb_bandwidth_hz * PARAMS.noise_density_w_per_hz
+        mean_gain = rate * math.log(2.0) * noise_w / (PARAMS.rb_bandwidth_hz * power)
+        assert mean_gain == pytest.approx(4e-6, rel=0.01)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +88,7 @@ class TestChannelGain:
 
     def test_nonpositive_draw_rejected(self):
         with pytest.raises(ValueError):
-            channel_gain(user_at(10.0), 0.0, PARAMS)
+            FadingExpectation(point_mass=0.0)
 
 
 class TestUplinkRate:
