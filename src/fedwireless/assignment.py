@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy
-from .phy import downlink_delay, packet_error_rate, uplink_delay, user_energy
+from .phy import downlink_delay, uplink_delay, user_energy
 
 __all__ = [
     "OptimalPower",
@@ -66,15 +66,15 @@ def _bisect(lo, hi, below_root):
     return lo, hi, holds_lo, holds_hi
 
 
-def _optimal_powers(users, rb_index, params, fexp):
-    """Array form of optimal_power over a ``phy._Users`` cohort on one RB;
+def _optimal_powers(users, params, fexp):
+    """Array form of optimal_power over a ``phy._Users`` cohort of edges;
     0 marks an edge with no feasible power."""
     budget, p_max = params.energy_budget_j, params.max_user_power_w
     todo = np.flatnonzero(users.training_j < budget)
     cohort = users.take(todo)
 
     def fits(power):
-        rate = phy._uplink_rate(cohort, rb_index, power, params, fexp)
+        rate = phy._uplink_rate(cohort, power, params, fexp)
         return phy._energy(cohort, power, phy._delay(cohort.payload_bits, rate)) <= budget
 
     lo, _, fits_lo, fits_hi = _bisect(
@@ -96,27 +96,28 @@ def optimal_power(user, rb_index, params, fexp) -> OptimalPower:
     False when even a vanishing transmit power (or training alone) exceeds
     the budget.
     """
-    power = float(_optimal_powers(phy._Users.of([user], params), rb_index, params, fexp)[0])
+    cohort = phy._Users.of([user], params).on(rb_index, params)
+    power = float(_optimal_powers(cohort, params, fexp)[0])
     return OptimalPower(power, power > 0)
 
 
 def feasible_power_interval(users, rb_index, params, fexp):
-    """Per-user power interval [P_lo, P_hi] on one RB where both the delay
-    and energy gates hold.
+    """Per-user power interval [P_lo, P_hi] where both the delay and energy
+    gates hold, on one RB or with user i on ``rb_index[i]``.
 
     Returns (p_lo, p_hi, feasible) arrays over ``users``; both bounds are 0
     where the edge is infeasible at any power.  P_lo is the smallest power
     whose expected rate still meets the delay budget.
     """
-    cohort = phy._Users.of(users, params)
-    p_hi = _optimal_powers(cohort, rb_index, params, fexp)
+    cohort = phy._Users.of(users, params).on(rb_index, params)
+    p_hi = _optimal_powers(cohort, params, fexp)
     down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
     slack = params.delay_budget_s - down
     todo = np.flatnonzero((p_hi > 0) & (slack > 0))
     sub, target = cohort.take(todo), cohort.payload_bits[todo] / slack[todo]
 
     def short(power):
-        return phy._uplink_rate(sub, rb_index, power, params, fexp) < target
+        return phy._uplink_rate(sub, power, params, fexp) < target
 
     # A zero payload has target rate 0, which the bottom of the range reaches.
     _, hi, _, short_hi = _bisect(p_hi[todo] * 1e-15, p_hi[todo], short)
@@ -139,6 +140,13 @@ class EdgeWeightMatrix:
     sample_counts: np.ndarray    # (U,)
 
 
+def _link(users, power, down, params, fexp):
+    """(error rate, uplink + downlink delay, energy) of each edge of a
+    ``phy._Users`` cohort at ``power``, given each edge's downlink delay."""
+    up = phy._delay(users.payload_bits, phy._uplink_rate(users, power, params, fexp))
+    return phy._error_rate(users, power, params, fexp), up + down, phy._energy(users, power, up)
+
+
 def build_edge_weights(users, params, fexp) -> EdgeWeightMatrix:
     """Evaluate optimal power, gates, and weight for every (user, RB) edge.
 
@@ -152,10 +160,9 @@ def build_edge_weights(users, params, fexp) -> EdgeWeightMatrix:
     feasible = np.zeros(shape, dtype=bool)
     weights, power, error, delay, energy = (np.empty(shape) for _ in range(5))
     for n in range(params.rb_count):
-        p = _optimal_powers(cohort, n, params, fexp)
-        up = phy._delay(cohort.payload_bits, phy._uplink_rate(cohort, n, p, params, fexp))
-        total_delay, e = up + down, phy._energy(cohort, p, up)
-        q = phy._error_rate(cohort, n, p, params, fexp)
+        column = cohort.on(n, params)
+        p = _optimal_powers(column, params, fexp)
+        q, total_delay, e = _link(column, p, down, params, fexp)
         ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
         feasible[:, n] = ok
         weights[:, n] = np.where(ok, sample_counts * (q - 1.0), 0.0)
@@ -185,22 +192,17 @@ class AllocationDecision:
     solver_iterations: int = 0
 
 
-def _finalize_decision(sample_counts, n_rbs, entries, solver_iterations=0):
-    """Assemble an AllocationDecision from (user, rb, power, q, delay, energy) rows."""
+def _finalize_decision(sample_counts, n_rbs, rows, rbs, stats, solver_iterations=0):
+    """Assemble an AllocationDecision: user ``rows[j]`` on RB ``rbs[j]``, with
+    ``stats`` the (power, error rate, delay, energy) arrays over j."""
     n_users = len(sample_counts)
     selection = np.zeros(n_users, dtype=int)
+    selection[rows] = 1
     rb_assignment = np.zeros((n_users, n_rbs), dtype=int)
-    power = np.zeros(n_users)
-    error = np.zeros(n_users)
-    delay = np.zeros(n_users)
-    energy = np.zeros(n_users)
-    for i, n, p, q, d, e in entries:
-        selection[i] = 1
-        rb_assignment[i, n] = 1
-        power[i] = p
-        error[i] = q
-        delay[i] = d
-        energy[i] = e
+    rb_assignment[rows, rbs] = 1
+    power, error, delay, energy = (np.zeros(n_users) for _ in range(4))
+    for per_user, values in zip((power, error, delay, energy), stats):
+        per_user[rows] = values
     counts = np.asarray(sample_counts, dtype=float)
     objective = float(np.sum(counts * (1.0 - selection + selection * error)))
     return AllocationDecision(
@@ -215,12 +217,14 @@ def _finalize_decision(sample_counts, n_rbs, entries, solver_iterations=0):
     )
 
 
-def _entries_from_edges(edges, pairs):
-    return [
-        (i, n, edges.power_w[i, n], edges.error_rate[i, n],
-         edges.delay_s[i, n], edges.energy_j[i, n])
-        for i, n in pairs
-    ]
+def _decide_on_edges(edges, match, solver_iterations):
+    """AllocationDecision for the (rows, rbs) edges of an EdgeWeightMatrix."""
+    rows, rbs = match
+    stats = (edges.power_w, edges.error_rate, edges.delay_s, edges.energy_j)
+    return _finalize_decision(
+        edges.sample_counts, edges.weights.shape[1], rows, rbs,
+        [values[rows, rbs] for values in stats], solver_iterations,
+    )
 
 
 def _hungarian_square(cost: np.ndarray, counted_rows: int):
@@ -282,18 +286,20 @@ def _hungarian_square(cost: np.ndarray, counted_rows: int):
 
 
 def _solve_matching(weight_matrix, counted_rows):
-    """Min-weight matching of a (U, R) matrix padded to a zero-cost square."""
+    """Min-weight matching of a (U, R) matrix padded to a zero-cost square.
+
+    Returns ((rows, rbs), iterations): the matched edges of negative weight,
+    in row order, and the solver's iteration count.
+    """
     n_users, n_rbs = weight_matrix.shape
     n = max(n_users, n_rbs)
     cost = np.zeros((n, n))
     cost[:n_users, :n_rbs] = weight_matrix
     col_of_row, iterations = _hungarian_square(cost, counted_rows=counted_rows)
-    pairs = []
-    for i in range(n_users):
-        n_rb = col_of_row[i]
-        if n_rb < n_rbs and weight_matrix[i, n_rb] < 0.0:
-            pairs.append((i, n_rb))
-    return pairs, iterations
+    rbs = np.array(col_of_row[:n_users], dtype=int)
+    # Padding columns cost 0, so a user matched to one is dropped too.
+    rows = np.flatnonzero(cost[np.arange(n_users), rbs] < 0.0)
+    return (rows, rbs[rows]), iterations
 
 
 def hungarian_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
@@ -304,13 +310,8 @@ def hungarian_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
     through a weight-0 edge (infeasible, or error-certain) are reported
     unselected; the objective is unchanged by that convention.
     """
-    pairs, iterations = _solve_matching(edges.weights, counted_rows=edges.weights.shape[0])
-    return _finalize_decision(
-        edges.sample_counts,
-        edges.weights.shape[1],
-        _entries_from_edges(edges, pairs),
-        solver_iterations=iterations,
-    )
+    match, iterations = _solve_matching(edges.weights, counted_rows=edges.weights.shape[0])
+    return _decide_on_edges(edges, match, iterations)
 
 
 def brute_force_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
@@ -338,10 +339,9 @@ def brute_force_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
         search(i + 1, used_mask, total, pairs)
 
     search(0, 0, 0.0, ())
-    pairs = [(i, n) for (i, n) in best_pairs[0] if weights[i, n] < 0.0]
-    return _finalize_decision(
-        edges.sample_counts, n_rbs, _entries_from_edges(edges, pairs)
-    )
+    rows, rbs = np.array(best_pairs[0], dtype=int).reshape(-1, 2).T
+    kept = weights[rows, rbs] < 0.0
+    return _decide_on_edges(edges, (rows[kept], rbs[kept]), 0)
 
 
 def baseline_random_all(rng, users, params, fexp) -> AllocationDecision:
@@ -355,21 +355,18 @@ def baseline_random_all(rng, users, params, fexp) -> AllocationDecision:
     k = min(n_users, n_rbs)
     chosen_users = rng.permutation(n_users)[:k]
     chosen_rbs = rng.permutation(n_rbs)[:k]
-    entries = []
-    for i, n in zip(chosen_users.tolist(), chosen_rbs.tolist()):
-        (p_lo,), (p_hi,), (feasible,) = feasible_power_interval([users[i]], n, params, fexp)
-        if feasible:
-            p = float(rng.uniform(p_lo, p_hi))
-            entries.append(_evaluate_entry(users[i], i, n, p, params, fexp))
+    p_lo, p_hi, ok = feasible_power_interval(
+        [users[i] for i in chosen_users], chosen_rbs, params, fexp
+    )
+    # One draw per feasible pair, in pair order: the stream of per-pair draws.
+    power = rng.uniform(p_lo[ok], p_hi[ok])
+    rows, rbs = chosen_users[ok], chosen_rbs[ok]
+    cohort = phy._Users.of([users[i] for i in rows], params).on(rbs, params)
+    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
     counts = [u.sample_count for u in users]
-    return _finalize_decision(counts, n_rbs, entries)
-
-
-def _evaluate_entry(user, i, n, power, params, fexp):
-    q = packet_error_rate(user, n, power, params, fexp)
-    delay = uplink_delay(user, n, power, params, fexp) + downlink_delay(user, params, fexp)
-    energy = user_energy(user, n, power, params, fexp)
-    return (i, n, power, q, delay, energy)
+    return _finalize_decision(
+        counts, n_rbs, rows, rbs, (power, *_link(cohort, power, down, params, fexp))
+    )
 
 
 def baseline_optselect_randomrb(rng, users, params, fexp, edges=None) -> AllocationDecision:
@@ -379,21 +376,13 @@ def baseline_optselect_randomrb(rng, users, params, fexp, edges=None) -> Allocat
     users beyond the RB supply, or whose assigned edge is infeasible at its
     optimal power, stay unselected.
     """
-    n_users, n_rbs = len(users), params.rb_count
     if edges is None:
         edges = build_edge_weights(users, params, fexp)
-    rb_order = rng.permutation(n_rbs)
-    user_order = sorted(range(n_users), key=lambda i: (-users[i].sample_count, i))
-    pairs = []
-    for rank, i in enumerate(user_order):
-        if rank >= n_rbs:
-            break
-        n = int(rb_order[rank])
-        if edges.feasible[i, n]:
-            pairs.append((i, n))
-    return _finalize_decision(
-        edges.sample_counts, n_rbs, _entries_from_edges(edges, pairs)
-    )
+    rb_order = rng.permutation(params.rb_count)
+    rows = np.argsort(-edges.sample_counts, kind="stable")[:rb_order.size]
+    rbs = rb_order[:rows.size]
+    ok = edges.feasible[rows, rbs]
+    return _decide_on_edges(edges, (rows[ok], rbs[ok]), 0)
 
 
 def baseline_min_sum_per(users, params, fexp, edges=None) -> AllocationDecision:
@@ -407,13 +396,8 @@ def baseline_min_sum_per(users, params, fexp, edges=None) -> AllocationDecision:
     if edges is None:
         edges = build_edge_weights(users, params, fexp)
     per_weights = np.where(edges.feasible, edges.error_rate - 1.0, 0.0)
-    pairs, iterations = _solve_matching(per_weights, counted_rows=per_weights.shape[0])
-    return _finalize_decision(
-        edges.sample_counts,
-        per_weights.shape[1],
-        _entries_from_edges(edges, pairs),
-        solver_iterations=iterations,
-    )
+    match, iterations = _solve_matching(per_weights, counted_rows=per_weights.shape[0])
+    return _decide_on_edges(edges, match, iterations)
 
 
 def verify_allocation(decision, users, params, fexp, energy_slack_j=1e-9):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assignment, phy
+from . import assignment, phy, training
 
 __all__ = [
     "CurvatureEstimate",
@@ -57,14 +57,7 @@ def curvature(dataset) -> CurvatureEstimate:
     standing assumption of the analysis.
     """
     x, _ = dataset.pooled()
-    dim = x.shape[1]
-    # Each Gram entry is one fixed-order sum of elementwise products, so the
-    # bits do not depend on the BLAS kernel, as x.T @ x would.
-    gram = np.empty((dim, dim))
-    for a in range(dim):
-        for b in range(a, dim):
-            gram[a, b] = gram[b, a] = np.sum(x[:, a] * x[:, b])
-    hessian = gram / dataset.total_samples
+    hessian = training._gram(x) / dataset.total_samples
     eigenvalues = np.linalg.eigvalsh(hessian)
     lipschitz = float(eigenvalues[-1])
     mu = float(eigenvalues[0])
@@ -91,14 +84,19 @@ class GradientBoundFit:
 
 
 def _gradient_norm_profiles(dataset, models):
-    """Per-trajectory-point max per-sample gradient norm^2 and global gradient norm^2."""
+    """Per-trajectory-point max per-sample gradient norm^2 and global gradient norm^2.
+
+    Residuals and gradients are fixed-order column sums, as in the training
+    loop, so the bits do not depend on the BLAS kernel.
+    """
     models = np.atleast_2d(np.asarray(models, dtype=float))
     x, y = dataset.pooled()
-    residuals = x @ models.T - y[:, None]                  # (K, T)
+    # (K, dim, 1) features against (dim, T) models predict every point at once.
+    residuals = training._predict(x[:, :, None], models.T) - y[:, None]    # (K, T)
     x_norm2 = np.sum(x * x, axis=1)                        # (K,)
     per_sample_max = np.max(residuals ** 2 * x_norm2[:, None], axis=0)   # (T,)
-    grad_f = x.T @ residuals / dataset.total_samples       # (dim, T)
-    grad_f_norm2 = np.sum(grad_f ** 2, axis=0)             # (T,)
+    grad_f = np.array([np.sum(x[:, j, None] * residuals, axis=0) for j in range(x.shape[1])])
+    grad_f_norm2 = np.sum((grad_f / dataset.total_samples) ** 2, axis=0)   # (T,)
     return per_sample_max, grad_f_norm2
 
 
@@ -254,13 +252,13 @@ def worst_case_error_sum(users, params, fexp) -> float:
     gains = np.zeros((len(users), params.rb_count))
     for n in range(params.rb_count):
         p_lo, _, feasible = assignment.feasible_power_interval(users, n, params, fexp)
-        q_worst = phy._error_rate(cohort, n, p_lo, params, fexp)
+        q_worst = phy._error_rate(cohort.on(n, params), p_lo, params, fexp)
         gains[:, n] = np.where(feasible, sample_counts * q_worst, 0.0)
     # Pairs matched at gain 0 are dropped by the solver; they only added 0.0.
-    pairs, _ = assignment._solve_matching(-gains, counted_rows=0)
+    (rows, rbs), _ = assignment._solve_matching(-gains, counted_rows=0)
     total = 0.0
-    for i, n in pairs:
-        total += gains[i, n]
+    for gain in gains[rows, rbs]:
+        total += gain
     return total
 
 
@@ -283,11 +281,9 @@ def slope_guarantees_convergence(slope, users, params, fexp) -> bool:
 
 def empirical_gap(trajectories, optimal_model, dataset):
     """Per-step mean excess loss F(g_t) - F(g*) over seeded runs."""
-    from .training import global_loss  # local import avoids a cycle
-
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    optimal_loss = global_loss(dataset, optimal_model)
+    optimal_loss = training.global_loss(dataset, optimal_model)
     lengths = {len(run) for run in trajectories}
     if len(lengths) != 1:
         raise ValueError("all trajectories must have the same length")

@@ -47,6 +47,9 @@ _STREAM_TRANSMIT = 3
 
 CSV_HEADER = "algorithm,seed,round,loss,bound,allocation_digest"
 
+# Algorithms that allocate on the shared per-seed edge build.
+_EDGE_ALGORITHMS = ("proposed", "baseline_a", "baseline_c")
+
 
 def place_users(rng, count, radius_m):
     """Distances of users dropped uniformly over a disc of the given radius.
@@ -96,7 +99,7 @@ def build_topology(config: ExperimentConfig, seed: int):
 def compute_allocation(algorithm, users, config, seed, edges=None):
     """Dispatch one allocation algorithm; edges may be shared across calls."""
     params, fexp = config.network, config.fading
-    if edges is None and algorithm in ("proposed", "baseline_a", "baseline_c"):
+    if edges is None and algorithm in _EDGE_ALGORITHMS:
         edges = assignment.build_edge_weights(users, params, fexp)
     if algorithm == "proposed":
         return assignment.hungarian_assign(edges)
@@ -119,7 +122,13 @@ def resolve_learning_rate(config: ExperimentConfig, dataset) -> float:
 
 @dataclass
 class RunRecord:
-    """One (algorithm, seed) cell: allocation summary plus the loss trajectory."""
+    """One (algorithm, seed) cell: allocation summary plus the loss trajectory.
+
+    ``wall_clock_s`` is the cell's allocation plus training time, including
+    the power searches its allocation needs: for proposed, baseline_a and
+    baseline_c that is the seed's shared edge build (counted in full for
+    each of them), for baseline_b its own interval search.
+    """
 
     algorithm: str
     seed: int
@@ -202,12 +211,14 @@ def run_experiment(config: ExperimentConfig):
     topologies = {}
     for seed in config.seeds:
         users, dataset = build_topology(config, seed)
+        start = time.perf_counter()
         edges = assignment.build_edge_weights(users, config.network, config.fading)
+        edge_build_s = time.perf_counter() - start
         lr = resolve_learning_rate(config, dataset)
-        topologies[seed] = (users, dataset, edges, lr)
+        topologies[seed] = (users, dataset, edges, edge_build_s, lr)
     for algorithm in config.algorithms:
         for seed in config.seeds:
-            users, dataset, edges, lr = topologies[seed]
+            users, dataset, edges, edge_build_s, lr = topologies[seed]
             start = time.perf_counter()
             decision = compute_allocation(algorithm, users, config, seed, edges=edges)
             transmit_rng = np.random.default_rng([seed, _STREAM_TRANSMIT])
@@ -216,6 +227,8 @@ def run_experiment(config: ExperimentConfig):
                 initial_model=np.asarray(config.initial_model),
             )
             elapsed = time.perf_counter() - start
+            if algorithm in _EDGE_ALGORITHMS:
+                elapsed += edge_build_s
             records.append(
                 _record_from_run(algorithm, seed, decision, outcomes, lr, elapsed)
             )
@@ -350,8 +363,11 @@ def bound_report(config: ExperimentConfig):
     users, dataset = build_topology(config, seed0)
     edges = assignment.build_edge_weights(users, config.network, config.fading)
     decision = assignment.hungarian_assign(edges)
-    lr = resolve_learning_rate(config, dataset)
     curv = bounds.curvature(dataset)
+    if config.learning_rate == "one_over_L":
+        lr = 1.0 / curv.lipschitz_l
+    else:
+        lr = float(config.learning_rate)
 
     trajectories = []
     records = []

@@ -7,13 +7,16 @@ Everything is computed in linear SI units (W, Hz, s, J, bits).
 
 Array contract: one private kernel (``_Users``, ``_uplink_rate``,
 ``_downlink_rate``, ``_delay``, ``_energy``, ``_error_rate``) works on
-broadcast arrays whose leading axes are edges (user, power pairs on one RB)
-and whose last axis is always the fading nodes, so each edge reduces its own
-contiguous row in one fixed order, alone or in any batch.  Per-user constants
-(gain d**-alpha, fading scale, payload, training energy) come from Python
-float math, once per user.  Callers pass one RB column at a time: a whole
-(users, RBs, nodes) block holds R times the memory for no fewer operations.
-The public scalar functions are one-element calls of the same kernel.
+broadcast arrays whose leading axes are edges and whose last axis is always
+the fading nodes, so each edge reduces its own contiguous row in one fixed
+order, alone or in any batch.  An edge is a (user, RB) pair: ``_Users`` holds
+per-user constants (gain d**-alpha, fading scale, payload, training energy,
+from Python float math once per user) and, once ``on`` has placed it, the
+uplink noise of each edge's RB.  A cohort is therefore any edge set: one RB
+column over many users, or a list of (user, RB) pairs.  The edge build still
+goes one column at a time, because a whole (users, RBs, nodes) block holds R
+times the memory for no fewer operations.  The public scalar functions are
+one-element calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -175,9 +178,11 @@ class FadingExpectation:
 
         ``scale`` is a float or one mean per edge (the leading axes); the
         integrand gets fading values of shape ``scale.shape + (nodes,)`` and
-        returns the node axis last, which the result drops.  Callers pass one
-        RB column at a time.  Monte Carlo holds (edges x count) draws per call:
-        one fresh-seeded standard exponential sample, scaled per edge.
+        returns the node axis last, which the result drops.  The edges are
+        any cohort (one RB column, or a list of (user, RB) pairs); the edge
+        build passes one column at a time to bound the (edges x nodes)
+        temporaries.  Monte Carlo holds (edges x count) draws per call: one
+        fresh-seeded standard exponential sample, scaled per edge.
         """
         if self.point_mass is not None:
             values = np.asarray(integrand(np.array([self.point_mass])), dtype=float)
@@ -200,12 +205,13 @@ def _as_result(value):
 
 
 class _Users(NamedTuple):
-    """Per-user constants of the kernel, one entry per edge (or 0-d for one user)."""
+    """Constants of the kernel, one entry per edge (or 0-d for one user)."""
 
     gain: np.ndarray            # d ** -alpha
     fading_scale: np.ndarray
     payload_bits: np.ndarray
     training_j: np.ndarray
+    noise_w: np.ndarray | None = None   # uplink interference + noise of the edge's RB
 
     @classmethod
     def of(cls, users, params: NetworkParams) -> "_Users":
@@ -214,21 +220,22 @@ class _Users(NamedTuple):
                 for u in users]
         return cls(*np.array(rows, dtype=float).reshape(-1, 4).T)
 
+    def on(self, rb_index, params: NetworkParams) -> "_Users":
+        """These users on one RB, or edge i on ``rb_index[i]``."""
+        rb = np.asarray(rb_index)
+        if np.any((rb < 0) | (rb >= params.rb_count)):
+            raise ValueError(f"rb_index must be in [0, {params.rb_count}), got {rb_index}")
+        noise_w = np.asarray(params.uplink_interference_w)[rb] + (
+            params.rb_bandwidth_hz * params.noise_density_w_per_hz
+        )
+        return self._replace(noise_w=np.broadcast_to(noise_w, self.gain.shape))
+
     def take(self, index) -> "_Users":
-        return _Users(*(column[index] for column in self))
+        return _Users(*(None if column is None else column[index] for column in self))
 
 
 def _one(user: UserProfile, params: NetworkParams) -> _Users:
     return _Users.of([user], params).take(0)
-
-
-def _rb_noise_w(rb_index: int, params: NetworkParams) -> float:
-    if not 0 <= rb_index < params.rb_count:
-        raise ValueError(f"rb_index must be in [0, {params.rb_count}), got {rb_index}")
-    return (
-        params.uplink_interference_w[rb_index]
-        + params.rb_bandwidth_hz * params.noise_density_w_per_hz
-    )
 
 
 def _expected_rate(bandwidth_hz, snr_scale, fading_scale, fexp):
@@ -238,8 +245,8 @@ def _expected_rate(bandwidth_hz, snr_scale, fading_scale, fexp):
     return bandwidth_hz * fexp.expect(lambda o: np.log1p(snr_scale * o) / _LN2, fading_scale)
 
 
-def _uplink_rate(users: _Users, rb_index, power_w, params, fexp):
-    snr_scale = power_w * users.gain / _rb_noise_w(rb_index, params)
+def _uplink_rate(users: _Users, power_w, params, fexp):
+    snr_scale = power_w * users.gain / users.noise_w
     return _expected_rate(params.rb_bandwidth_hz, snr_scale, users.fading_scale, fexp)
 
 
@@ -264,10 +271,10 @@ def _energy(users: _Users, power_w, delay):
     return users.training_j + transmit
 
 
-def _error_rate(users: _Users, rb_index, power_w, params, fexp):
+def _error_rate(users: _Users, power_w, params, fexp):
     """Waterfall packet error rate per edge, clamped to [0, 1]."""
     power = np.asarray(power_w, dtype=float)
-    threshold_w = params.waterfall_threshold * _rb_noise_w(rb_index, params) / users.gain
+    threshold_w = params.waterfall_threshold * users.noise_w / users.gain
     with np.errstate(divide="ignore"):
         exponents = np.where(power > 0, threshold_w / np.where(power > 0, power, 1.0), np.inf)
     exponents = exponents[..., None]
@@ -293,7 +300,7 @@ def expected_uplink_rate(user, rb_index, power_w, params, fexp):
         raise ValueError(
             f"power_w must lie in [0, {params.max_user_power_w}], got {power_w!r}"
         )
-    return _as_result(_uplink_rate(_one(user, params), rb_index, power, params, fexp))
+    return _as_result(_uplink_rate(_one(user, params).on(rb_index, params), power, params, fexp))
 
 
 def expected_downlink_rate(user, params, fexp):
@@ -322,7 +329,7 @@ def packet_error_rate(user, rb_index, power_w, params, fexp):
     (certain failure).  Non-increasing in power.
     """
     power = _nonnegative_power(power_w)
-    return _as_result(_error_rate(_one(user, params), rb_index, power, params, fexp))
+    return _as_result(_error_rate(_one(user, params).on(rb_index, params), power, params, fexp))
 
 
 def training_energy(user: UserProfile) -> float:

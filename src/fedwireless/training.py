@@ -142,7 +142,7 @@ def _predict(features, model):
     """
     prediction = features[:, 0] * model[0]
     for j in range(1, features.shape[1]):
-        prediction = prediction + features[:, j] * model[j]
+        prediction += features[:, j] * model[j]
     return prediction
 
 
@@ -156,10 +156,23 @@ def global_loss(dataset, model):
     return _mean_loss(_predict(x, np.asarray(model, dtype=float)) - y)
 
 
+def _gram(x):
+    """x.T @ x with each entry one fixed-order sum of a column product, so
+    the bits do not depend on the BLAS kernel, as a matrix product's do."""
+    dim = x.shape[1]
+    gram = np.empty((dim, dim))
+    for a in range(dim):
+        for b in range(a, dim):
+            gram[a, b] = gram[b, a] = np.sum(x[:, a] * x[:, b])
+    return gram
+
+
 def least_squares_model(dataset):
-    """Closed-form minimizer of the pooled loss via the normal equations."""
+    """Closed-form minimizer of the pooled loss via the normal equations,
+    built from fixed-order sums like the curvature constants."""
     x, y = dataset.pooled()
-    return np.linalg.solve(x.T @ x, x.T @ y)
+    moment = np.array([np.sum(x[:, a] * y) for a in range(x.shape[1])])
+    return np.linalg.solve(_gram(x), moment)
 
 
 @dataclass

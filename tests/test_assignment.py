@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedwireless.assignment import (
     AllocationDecision,
@@ -111,6 +113,29 @@ class TestFeasiblePowerInterval:
                 ) if want_hi > 0 and slack > 0 else 0.0
                 assert (p_lo[i], feasible[i]) == (want_lo, want_lo > 0)
                 assert p_hi[i] == (want_hi if want_lo > 0 else 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_pair_list_matches_column_calls(self, data):
+        # Any (user, RB) pair list gives each pair the bits of its RB column.
+        users, params = binding_budget_topology()
+        users = users + [user_at(100.0), user_at(200.0, payload_bits=0.0)]
+        params = NetworkParams(
+            rb_count=params.rb_count,
+            uplink_interference_w=params.uplink_interference_w,
+            energy_budget_j=params.energy_budget_j,
+            delay_budget_s=data.draw(st.sampled_from([params.delay_budget_s, 0.05])),
+        )
+        k = data.draw(st.integers(1, params.rb_count))
+        rows = data.draw(st.permutations(range(len(users))))[:k]
+        rbs = np.array(data.draw(st.permutations(range(params.rb_count)))[:k])
+        chosen = [users[i] for i in rows]
+        got = feasible_power_interval(chosen, rbs, params, QUAD)
+        columns = {n: feasible_power_interval(chosen, n, params, QUAD) for n in set(rbs.tolist())}
+        for j, n in enumerate(rbs.tolist()):
+            for batched, column in zip(got, columns[n]):
+                bits = [np.float64(values[j]).view(np.int64) for values in (batched, column)]
+                assert bits[0] == bits[1]
 
 
 def scalar_bisect(lo, hi, below_root):
@@ -317,6 +342,30 @@ class TestHungarian:
             edges = synthetic_edges(rng, n_users, n_rbs)
             assert hungarian_assign(edges).objective == brute_force_assign(edges).objective
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_objective_equals_brute_force_on_ties_and_zeros(self, n_users, n_rbs, data):
+        # Weights from a small grid, so ties and zero (infeasible) edges are common.
+        grid = st.sampled_from([-6.0, -2.5, -1.0, -1.0 / 3.0, 0.0])
+        weights = np.array(
+            data.draw(st.lists(grid, min_size=n_users * n_rbs, max_size=n_users * n_rbs))
+        ).reshape(n_users, n_rbs)
+        counts = np.array(data.draw(st.lists(st.integers(6, 12), min_size=n_users,
+                                             max_size=n_users)), dtype=float)
+        feasible = weights < 0
+        edges = EdgeWeightMatrix(
+            weights=weights,
+            feasible=feasible,
+            power_w=np.where(feasible, 0.01, 0.0),
+            error_rate=1.0 + weights / counts[:, None],
+            delay_s=np.where(feasible, 0.1, np.inf),
+            energy_j=np.where(feasible, 1e-3, np.inf),
+            sample_counts=counts,
+        )
+        assert hungarian_assign(edges).objective == pytest.approx(
+            brute_force_assign(edges).objective, rel=1e-12
+        )
+
     def test_matches_scipy_reference(self):
         from scipy.optimize import linear_sum_assignment
 
@@ -387,7 +436,79 @@ class TestPowerOptimality:
             assert np.all(q_star <= q_grid + 1e-15)
 
 
+def reference_baseline_b(rng, users, params, fexp):
+    """Baseline b as a per-pair loop over public scalar calls: one interval
+    search and, where feasible, one uniform power draw per chosen pair."""
+    k = min(len(users), params.rb_count)
+    chosen_users = rng.permutation(len(users))[:k]
+    chosen_rbs = rng.permutation(params.rb_count)[:k]
+    rows = []
+    for i, n in zip(chosen_users.tolist(), chosen_rbs.tolist()):
+        user = users[i]
+        down = downlink_delay(user, params, fexp)
+        slack = params.delay_budget_s - down
+        p_hi = reference_optimal_power(user, n, params, fexp)
+        p_lo = reference_min_power(
+            user, n, user.payload_bits / slack, p_hi, params, fexp
+        ) if p_hi > 0 and slack > 0 else 0.0
+        if p_lo > 0:
+            p = float(rng.uniform(p_lo, p_hi))
+            rows.append((i, n, p, packet_error_rate(user, n, p, params, fexp),
+                         uplink_delay(user, n, p, params, fexp) + down,
+                         user_energy(user, n, p, params, fexp)))
+    return rows
+
+
+def assert_baseline_b_matches_pair_loop(users, params, fexp, seeds):
+    """Batched baseline b equals the per-pair reference bit for bit and
+    leaves the generator in the same state; returns the selected counts."""
+    selected = []
+    for seed in seeds:
+        rng, ref_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+        decision = baseline_random_all(rng, users, params, fexp)
+        rows = reference_baseline_b(ref_rng, users, params, fexp)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        want = {name: np.zeros(len(users))
+                for name in ("power_w", "error_rate", "delay_s", "energy_j")}
+        rb_assignment = np.zeros((len(users), params.rb_count), dtype=int)
+        for i, n, *stats in rows:
+            rb_assignment[i, n] = 1
+            for name, value in zip(want, stats):
+                want[name][i] = value
+        assert np.array_equal(decision.rb_assignment, rb_assignment)
+        assert np.array_equal(decision.selection, rb_assignment.sum(axis=1))
+        for name, values in want.items():
+            got = getattr(decision, name)
+            assert np.array_equal(got.view(np.int64), values.view(np.int64)), name
+        counts = np.array([u.sample_count for u in users], dtype=float)
+        a = decision.selection
+        assert decision.objective == float(np.sum(counts * (1.0 - a + a * want["error_rate"])))
+        selected.append(len(rows))
+    return selected
+
+
 class TestBaselines:
+    def test_random_all_matches_pair_loop(self):
+        users, params = binding_budget_topology()
+        selected = assert_baseline_b_matches_pair_loop(users, params, QUAD, range(6))
+        assert 0 < min(selected) and max(selected) < params.rb_count   # some pairs gated out
+
+    def test_random_all_matches_pair_loop_monte_carlo(self):
+        users, params = binding_budget_topology()
+        mc = FadingExpectation(method="monte_carlo", node_or_sample_count=256, seed=7)
+        assert sum(assert_baseline_b_matches_pair_loop(users, params, mc, range(3))) > 0
+
+    def test_random_all_matches_pair_loop_more_rbs_than_users(self):
+        users, params = table_topology(seed=5, n_users=5)
+        assert len(users) < params.rb_count
+        assert min(assert_baseline_b_matches_pair_loop(users, params, QUAD, range(4))) > 0
+
+    def test_random_all_matches_pair_loop_all_infeasible(self):
+        users, params = table_topology(seed=5)
+        params = NetworkParams(uplink_interference_w=params.uplink_interference_w,
+                               delay_budget_s=1e-6)
+        assert assert_baseline_b_matches_pair_loop(users, params, QUAD, range(3)) == [0, 0, 0]
+
     def test_single_feasible_edge_selected_by_everyone(self):
         users = [user_at(150.0, samples=9)]
         params = NetworkParams(rb_count=1, uplink_interference_w=(1e-9,))

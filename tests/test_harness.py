@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,23 @@ class TestRunExperiment:
         for record in records:
             assert sum(record.selection) == 0
             assert record.losses == [record.losses[0]] * len(record.losses)
+
+    def test_wall_clock_includes_the_shared_edge_build(self, monkeypatch):
+        from fedwireless import assignment
+
+        build = assignment.build_edge_weights
+
+        def slow_build(*args):
+            time.sleep(0.05)
+            return build(*args)
+
+        monkeypatch.setattr(assignment, "build_edge_weights", slow_build)
+        algorithms = ("proposed", "baseline_a", "baseline_b", "baseline_c")
+        records = run_experiment(mini_config(algorithms=algorithms, seeds=(3,)))
+        assert [r.algorithm for r in records] == list(algorithms)
+        for record in records:
+            if record.algorithm != "baseline_b":
+                assert record.wall_clock_s >= 0.05, record.algorithm
 
     def test_rerun_bit_identical(self):
         config = mini_config()
@@ -320,12 +338,16 @@ def _skip_unless_cpu_runs(kernel):
 
 
 @pytest.fixture(scope="module")
-def in_process_reference_csv(tmp_path_factory):
+def in_process_reference_outputs(tmp_path_factory):
+    """The reference config's runs.csv and bound.csv, written in this process."""
     from fedwireless.config import load_config
 
-    path = tmp_path_factory.mktemp("reference") / "runs.csv"
-    export_csv(run_experiment(load_config(REFERENCE)), path)
-    return path
+    out = tmp_path_factory.mktemp("reference")
+    export_csv(run_experiment(load_config(REFERENCE)), out / "runs.csv")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(cli.OUTDIR_ENV, raising=False)
+        assert cli.main(["bound", str(REFERENCE), "--outdir", str(out)]) == cli.EXIT_OK
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -333,17 +355,30 @@ def default_kernel_curvature():
     return _run_with_kernel(None, ["-c", CURVATURE_PROBE]).stdout.splitlines()
 
 
+# The CSV each subcommand writes; the simulate cases are named by the kernel alone.
+REFERENCE_CSVS = {"simulate": "runs.csv", "bound": "bound.csv"}
+
+
 @blas_kernels
-@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
-def test_reference_csv_independent_of_blas_kernel(kernel, in_process_reference_csv, tmp_path):
+@pytest.mark.parametrize("kernel, command", [
+    pytest.param(kernel, command, id=kernel if command == "simulate" else f"{kernel}-{command}")
+    for command in REFERENCE_CSVS for kernel in sorted(BLAS_KERNELS)
+])
+def test_reference_csv_independent_of_blas_kernel(
+    kernel, command, in_process_reference_outputs, tmp_path
+):
     _skip_unless_cpu_runs(kernel)
     out = tmp_path / kernel
     _run_with_kernel(
-        kernel, ["-m", "fedwireless.cli", "simulate", str(REFERENCE), "--outdir", str(out)]
+        kernel, ["-m", "fedwireless.cli", command, str(REFERENCE), "--outdir", str(out)]
     )
-    written = out / "runs.csv"
-    expected = in_process_reference_csv
-    assert written.read_bytes() == expected.read_bytes(), csv_drift_report(expected, written)
+    name = REFERENCE_CSVS[command]
+    written, expected = out / name, in_process_reference_outputs / name
+    if command == "simulate":
+        report = csv_drift_report(expected, written)
+    else:
+        report = f"{name} written under {kernel} differs from the in-process bytes"
+    assert written.read_bytes() == expected.read_bytes(), report
 
 
 @blas_kernels
