@@ -228,61 +228,83 @@ def _decide_on_edges(edges, match, solver_iterations):
 
 
 def _hungarian_square(cost: np.ndarray, counted_rows: int):
-    """Min-cost perfect matching on a square matrix via the potentials method.
+    """Min-cost perfect matching of an n x n square via the potentials method.
 
-    Returns (col_of_row, iterations) where iterations counts the column
-    settles performed while inserting the first ``counted_rows`` rows (the
-    rows that correspond to real users; padding rows are excluded from the
-    count but still matched).
+    ``cost`` is (n+1, n+1): the square sits at ``cost[1:, 1:]`` behind a
+    border, so that entry j of a cost row lines up with column j of the
+    potentials, column 0 being the method's virtual start column.
+
+    Row i is inserted by settling one column at a time.  A settle of the
+    column j0, matched to row i0, is a fixed sequence of whole-row numpy
+    operations:
+
+    1. ``cur = (cost[i0] - u[i0]) - v``, in that order;
+    2. ``cur`` of every settled column set to +inf;
+    3. ``minv`` and ``way`` updated where ``cur < minv`` (strict);
+    4. ``j1 = argmin(minv)``, the first minimal column, and ``delta`` its
+       ``minv``;
+    5. ``delta`` added to ``u`` of the settled rows and subtracted from
+       ``v`` of the settled columns;
+    6. ``minv -= delta``.
+
+    A settled column's ``minv`` is held at +inf, so the argmin skips it.
+    Nothing reads ``u`` of a settled row or ``v`` of a settled column again
+    before row i is in, so step 5 updates copies of them kept in settle
+    order (one slice each) and they are written back once row i is in.
+    Every comparison, tie and rounding is that of a scalar scan over the
+    columns: ``<`` keeps the first of equal values as the argmin does, and
+    each potential takes one addition per settle, never a deferred sum
+    (float addition is not associative, and an ulp can flip a tie).  So the
+    matching and the settle count are the scalar method's.
+
+    Returns (col_of_row, iterations): the column of each of the n rows, and
+    the settles performed while inserting the first ``counted_rows`` rows
+    (the rows that correspond to real users; padding rows are excluded from
+    the count but still matched).
     """
-    n = cost.shape[0]
-    INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
+    n = cost.shape[0] - 1
+    inf = np.inf
+    u, v, minv, cur = (np.zeros(n + 1) for _ in range(4))
+    better = np.zeros(n + 1, dtype=bool)
+    way = np.zeros(n + 1, dtype=np.intp)
+    settled_cols = np.zeros(n + 1, dtype=np.intp)
+    settled_rows = np.zeros(n + 1, dtype=np.intp)
+    settled_u, settled_v = np.zeros(n + 1), np.zeros(n + 1)
     match = [0] * (n + 1)      # match[j] = row currently assigned to column j (1-based)
-    way = [0] * (n + 1)
     iterations = 0
     for i in range(1, n + 1):
         match[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        j0 = k = 0
+        minv.fill(inf)
         while True:
-            used[j0] = True
             i0 = match[j0]
-            delta = INF
-            j1 = 0
-            row = cost[i0 - 1]
-            ui0 = u[i0]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - ui0 - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if i <= counted_rows:
-                iterations += 1
+            settled_cols[k], settled_rows[k] = j0, i0
+            settled_u[k], settled_v[k] = u[i0], v[j0]
+            k += 1
+            np.subtract(cost[i0], u[i0], out=cur)
+            cur -= v
+            cur[settled_cols[:k]] = inf
+            minv[j0] = inf
+            np.less(cur, minv, out=better)
+            np.copyto(minv, cur, where=better)
+            np.copyto(way, j0, where=better)
+            j0 = int(minv.argmin())
+            delta = minv[j0]
+            settled_u[:k] += delta
+            settled_v[:k] -= delta
+            minv -= delta
             if match[j0] == 0:
                 break
+        u[settled_rows[:k]] = settled_u[:k]
+        v[settled_cols[:k]] = settled_v[:k]
+        if i <= counted_rows:
+            iterations += k
         while j0 != 0:
-            j1 = way[j0]
+            j1 = int(way[j0])
             match[j0] = match[j1]
             j0 = j1
-    col_of_row = [-1] * n
-    for j in range(1, n + 1):
-        if match[j] > 0:
-            col_of_row[match[j] - 1] = j - 1
-    return col_of_row, iterations
+    # match[1:] is a permutation of the rows 1..n; its inverse is col_of_row.
+    return np.argsort(match[1:]), iterations
 
 
 def _solve_matching(weight_matrix, counted_rows):
@@ -293,12 +315,12 @@ def _solve_matching(weight_matrix, counted_rows):
     """
     n_users, n_rbs = weight_matrix.shape
     n = max(n_users, n_rbs)
-    cost = np.zeros((n, n))
-    cost[:n_users, :n_rbs] = weight_matrix
+    cost = np.zeros((n + 1, n + 1))
+    cost[1:n_users + 1, 1:n_rbs + 1] = weight_matrix
     col_of_row, iterations = _hungarian_square(cost, counted_rows=counted_rows)
-    rbs = np.array(col_of_row[:n_users], dtype=int)
+    rbs = col_of_row[:n_users]
     # Padding columns cost 0, so a user matched to one is dropped too.
-    rows = np.flatnonzero(cost[np.arange(n_users), rbs] < 0.0)
+    rows = np.flatnonzero(cost[np.arange(1, n_users + 1), rbs + 1] < 0.0)
     return (rows, rbs[rows]), iterations
 
 

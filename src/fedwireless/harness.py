@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import time
 from dataclasses import dataclass, replace
 
@@ -334,11 +335,27 @@ def read_csv_rows(path):
     return rows
 
 
+def _environment() -> dict:
+    """What the determinism contract depends on: Python, numpy, numpy's BLAS
+    build and the SIMD targets numpy compiled in and dispatches to here."""
+    numpy_config = np.show_config(mode="dicts")
+    blas = numpy_config.get("Build Dependencies", {}).get("blas", {})
+    simd = numpy_config.get("SIMD Extensions", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "simd_baseline": simd.get("baseline", []),
+        "simd_dispatch": simd.get("found", []),
+    }
+
+
 def write_manifest(records, path, config: ExperimentConfig | None = None) -> None:
-    """Lossless JSON store of the run records (and optionally the config text)."""
+    """Lossless JSON store of the run records (and optionally the config
+    text), with the environment that produced them."""
     from .config import serialize_config
 
-    payload = {"records": [record.to_dict() for record in records]}
+    payload = {"environment": _environment(), "records": [record.to_dict() for record in records]}
     if config is not None:
         payload["config"] = serialize_config(config)
     with open(path, "w", encoding="utf-8") as handle:
@@ -346,6 +363,7 @@ def write_manifest(records, path, config: ExperimentConfig | None = None) -> Non
 
 
 def load_manifest(path):
+    """The run records of a manifest; its environment block is not read."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     return [RunRecord.from_dict(item) for item in payload["records"]]

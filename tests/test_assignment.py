@@ -1,10 +1,14 @@
 """Allocation tests: optimal power, edge gating, matching, baselines."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedwireless import assignment, bounds
 from fedwireless.assignment import (
     AllocationDecision,
     EdgeWeightMatrix,
@@ -34,6 +38,7 @@ from fedwireless.phy import (
 from util import oracle_min_matching_sum, synthetic_edges, table_topology
 
 QUAD = FadingExpectation()
+REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
 
 def user_at(distance, samples=12, **kwargs):
@@ -393,6 +398,139 @@ class TestHungarian:
                 n = int(np.argmax(decision.rb_assignment[i]))
                 assert edges.feasible[i, n]
                 assert edges.weights[i, n] < 0
+
+
+def scalar_hungarian_square(cost, counted_rows):
+    """The potentials method with a scalar scan over the columns of an n x n
+    cost: the reference ``_hungarian_square`` must match bit for bit."""
+    n = cost.shape[0]
+    INF = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match = [0] * (n + 1)
+    way = [0] * (n + 1)
+    iterations = 0
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = INF
+            j1 = 0
+            row = cost[i0 - 1]
+            ui0 = u[i0]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui0 - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if i <= counted_rows:
+                iterations += 1
+            if match[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    col_of_row = [-1] * n
+    for j in range(1, n + 1):
+        if match[j] > 0:
+            col_of_row[match[j] - 1] = j - 1
+    return col_of_row, iterations
+
+
+def assert_square_matches_scalar_scan(weights, counted_rows):
+    """``_hungarian_square`` on the bordered zero-padded square of ``weights``
+    gives the scalar scan's columns and settle count."""
+    n_users, n_rbs = weights.shape
+    n = max(n_users, n_rbs)
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[1:n_users + 1, 1:n_rbs + 1] = weights
+    col_of_row, iterations = assignment._hungarian_square(bordered, counted_rows)
+    reference = scalar_hungarian_square(bordered[1:, 1:], counted_rows)
+    assert (col_of_row.tolist(), iterations) == reference
+
+
+# A small grid of weights: ties, exact zeros and a third that rounds.
+WEIGHT_GRID = (0.0, -1.0 / 3.0, -1.0, -2.5, -6.0)
+
+
+@st.composite
+def grid_weights(draw, max_side=10):
+    """(weights, counted_rows): a grid matrix with some rows and columns set
+    to zero, and a counted_rows anywhere from 0 to its padded side."""
+    n_users, n_rbs = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    cells = draw(st.lists(st.sampled_from(WEIGHT_GRID), min_size=n_users * n_rbs,
+                          max_size=n_users * n_rbs))
+    weights = np.array(cells).reshape(n_users, n_rbs)
+    weights[sorted(draw(st.sets(st.integers(0, n_users - 1), max_size=2))), :] = 0.0
+    weights[:, sorted(draw(st.sets(st.integers(0, n_rbs - 1), max_size=2)))] = 0.0
+    return weights, draw(st.integers(0, max(n_users, n_rbs)))
+
+
+class TestHungarianSquare:
+    # The examples flip a tie when the potentials take a deferred sum of the
+    # settles' deltas instead of one addition per settle.
+    @settings(max_examples=200, deadline=None)
+    @given(grid_weights())
+    @example((np.array([[0.0, 0.0, -1 / 3], [-6.0, -6.0, 0.0], [-6.0, 0.0, -1.0],
+                        [0.0, -6.0, 0.0], [0.0, 0.0, -2.5]]), 5))
+    @example((np.array([[-1 / 3], [-2.5], [0.0]]), 0))
+    def test_matches_scalar_scan_on_ties_zeros_and_padding(self, case):
+        assert_square_matches_scalar_scan(*case)
+
+    def test_matches_scalar_scan_on_reference_edges(self, monkeypatch):
+        from fedwireless.config import load_config
+        from fedwireless.harness import build_topology
+
+        solved = []
+        solve = assignment._solve_matching
+
+        def capture(weights, counted_rows):
+            solved.append((weights.copy(), counted_rows))
+            return solve(weights, counted_rows)
+
+        monkeypatch.setattr(assignment, "_solve_matching", capture)
+        config = load_config(REFERENCE)
+        for seed in config.seeds:
+            users, _ = build_topology(config, seed)
+            edges = build_edge_weights(users, config.network, config.fading)
+            hungarian_assign(edges)
+            baseline_min_sum_per(users, config.network, config.fading, edges=edges)
+            # The worst-case error sum solves with counted_rows=0.
+            bounds.worst_case_error_sum(users, config.network, config.fading)
+        assert [counted for _, counted in solved] == [15, 15, 0] * len(config.seeds)
+        for weights, counted_rows in solved:
+            assert_square_matches_scalar_scan(weights, counted_rows)
+
+    @pytest.mark.parametrize("n_users, n_rbs", [(200, 100), (300, 20), (20, 300), (1, 50)])
+    def test_large_instances_reach_the_scipy_optimum(self, n_users, n_rbs):
+        from scipy.optimize import linear_sum_assignment
+
+        edges = synthetic_edges(np.random.default_rng([n_users, n_rbs]), n_users, n_rbs)
+        per_weights = np.where(edges.feasible, edges.error_rate - 1.0, 0.0)
+        for decision, weights in (
+            (hungarian_assign(edges), edges.weights),
+            (baseline_min_sum_per(None, None, None, edges=edges), per_weights),
+        ):
+            rows, cols = linear_sum_assignment(weights)
+            optimum = math.fsum(weights[rows, cols])
+            matched = math.fsum(weights[decision.rb_assignment == 1])
+            assert matched == pytest.approx(min(optimum, 0.0), abs=1e-12)
 
 
 class TestBruteForce:

@@ -1,7 +1,9 @@
 """Orchestration tests: runs, persistence, sweeps, and the CLI surface."""
 
 import hashlib
+import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -186,6 +188,23 @@ class TestPersistence:
         reloaded = load_manifest(path)
         assert [r.to_dict() for r in reloaded] == [r.to_dict() for r in records]
 
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(REFERENCE), "--outdir", str(out)]) == cli.EXIT_OK
+        environment = json.loads((out / "manifest.json").read_text())["environment"]
+        numpy_config = np.show_config(mode="dicts")
+        assert environment == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": {key: numpy_config["Build Dependencies"]["blas"].get(key)
+                     for key in ("name", "version", "openblas configuration")},
+            "simd_baseline": numpy_config["SIMD Extensions"]["baseline"],
+            "simd_dispatch": numpy_config["SIMD Extensions"]["found"],
+        }
+        assert len(load_manifest(out / "manifest.json")) == 8
+        assert (out / "runs.csv").read_bytes() == REFERENCE_CSV.read_bytes()
+
     def test_export_refuses_empty(self, tmp_path):
         with pytest.raises(ValueError):
             export_csv([], tmp_path / "x.csv")
@@ -314,6 +333,21 @@ for seed in range(90):
 """
 
 
+# Both gradient-norm profiles of 400 models on each of 30 datasets, one line
+# per (dataset, profile), as exact hex floats.
+GRADIENT_PROFILE_PROBE = """
+import numpy as np
+from fedwireless.bounds import _gradient_norm_profiles
+from fedwireless.training import generate_regression_data
+for seed in range(30):
+    rng = np.random.default_rng([seed, 2])
+    dataset = generate_regression_data(rng, rng.integers(1, 60, int(rng.integers(5, 40))))
+    models = 3.0 * rng.standard_normal((400, 2))
+    for profile in _gradient_norm_profiles(dataset, models):
+        print(" ".join(value.hex() for value in profile))
+"""
+
+
 def _run_with_kernel(kernel, args):
     """Run the package's Python with OPENBLAS_CORETYPE set (None: the default)."""
     env = {k: v for k, v in os.environ.items() if k not in (cli.OUTDIR_ENV, "OPENBLAS_CORETYPE")}
@@ -391,6 +425,27 @@ def test_curvature_independent_of_blas_kernel(kernel, default_kernel_curvature):
     assert len(default_kernel_curvature) == len(named) == 450
     differing = sum(a != b for a, b in zip(default_kernel_curvature, named))
     assert differing == 0, f"{differing} of 450 (L, mu) pairs differ under {kernel}"
+
+
+@pytest.fixture(scope="module")
+def default_kernel_gradient_profiles():
+    return _run_with_kernel(None, ["-c", GRADIENT_PROFILE_PROBE]).stdout.splitlines()
+
+
+@blas_kernels
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
+def test_gradient_profiles_independent_of_blas_kernel(kernel, default_kernel_gradient_profiles):
+    # The reference bound fit does not move under any kernel even where
+    # these profiles would, so the reference bound.csv alone cannot show it.
+    _skip_unless_cpu_runs(kernel)
+    named = _run_with_kernel(kernel, ["-c", GRADIENT_PROFILE_PROBE]).stdout.splitlines()
+    assert len(default_kernel_gradient_profiles) == len(named) == 60
+    differing = sum(
+        a != b
+        for line_a, line_b in zip(default_kernel_gradient_profiles, named)
+        for a, b in zip(line_a.split(), line_b.split())
+    )
+    assert differing == 0, f"{differing} of 24000 profile values differ under {kernel}"
 
 
 class TestSweep:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from fedwireless.phy import (
@@ -251,6 +253,40 @@ class TestEnergy:
 
     def test_zero_power_infeasible_for_transmission(self):
         assert user_energy(user_at(100.0), 0, 0.0, PARAMS, QUAD) == math.inf
+
+
+FADING_METHODS = {
+    "quadrature": QUAD,
+    "point mass": FadingExpectation(point_mass=0.6),
+    "monte carlo": FadingExpectation(method="monte_carlo", node_or_sample_count=256, seed=9),
+}
+
+
+class TestMonotoneInPower:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        distance=st.floats(1.0, 1500.0),
+        fading_scale=st.floats(0.2, 3.0),
+        payload=st.sampled_from([0.0, 1e3, 5e4, 4e5]),
+        interference=st.lists(st.floats(0.0, 1e-6), min_size=12, max_size=12),
+        rb=st.integers(0, 11),
+        method=st.sampled_from(sorted(FADING_METHODS)),
+        # Powers P_max * 10**(-k/10): neighbours at least a factor 1.26 apart.
+        steps=st.lists(st.integers(0, 80), min_size=2, max_size=8, unique=True),
+    )
+    def test_per_energy_and_rate_monotone(
+        self, distance, fading_scale, payload, interference, rb, method, steps
+    ):
+        params = NetworkParams(uplink_interference_w=tuple(interference))
+        user = user_at(distance, fading_scale=fading_scale, payload_bits=payload)
+        fexp = FADING_METHODS[method]
+        powers = params.max_user_power_w * 10.0 ** (-np.sort(steps)[::-1] / 10.0)
+        rate = expected_uplink_rate(user, rb, powers, params, fexp)
+        error = packet_error_rate(user, rb, powers, params, fexp)
+        energy = user_energy(user, rb, powers, params, fexp)
+        assert np.all(np.diff(rate) > 0), rate
+        assert np.all(np.diff(error) <= 0), error
+        assert np.all(np.diff(energy) >= 0), energy
 
 
 class TestFadingExpectation:
