@@ -37,14 +37,10 @@ from .training import (
     Dataset,
     RoundOutcome,
     TrainingDiverged,
-    aggregate,
     generate_regression_data,
     global_loss,
     least_squares_model,
-    local_loss_and_gradient,
-    local_update,
     run_training,
-    transmit,
 )
 from .bounds import (
     BoundSeries,

@@ -83,20 +83,33 @@ class GradientBoundFit:
             raise ValueError("intercept and slope must be >= 0")
 
 
+# Models per evaluation in _gradient_norm_profiles: bounds its (samples x
+# models) temporaries to a few MB however many trajectory points are fitted.
+_PROFILE_CHUNK = 4096
+
+
 def _gradient_norm_profiles(dataset, models):
     """Per-trajectory-point max per-sample gradient norm^2 and global gradient norm^2.
 
     Residuals and gradients are fixed-order column sums, as in the training
-    loop, so the bits do not depend on the BLAS kernel.
+    loop, so the bits do not depend on the BLAS kernel.  Each model's values
+    depend on that model alone, so evaluating the models in chunks of
+    ``_PROFILE_CHUNK`` gives the same bits as one call over all of them.
     """
     models = np.atleast_2d(np.asarray(models, dtype=float))
     x, y = dataset.pooled()
-    # (K, dim, 1) features against (dim, T) models predict every point at once.
-    residuals = training._predict(x[:, :, None], models.T) - y[:, None]    # (K, T)
     x_norm2 = np.sum(x * x, axis=1)                        # (K,)
-    per_sample_max = np.max(residuals ** 2 * x_norm2[:, None], axis=0)   # (T,)
-    grad_f = np.array([np.sum(x[:, j, None] * residuals, axis=0) for j in range(x.shape[1])])
-    grad_f_norm2 = np.sum((grad_f / dataset.total_samples) ** 2, axis=0)   # (T,)
+    per_sample_max = np.empty(models.shape[0])
+    grad_f_norm2 = np.empty(models.shape[0])
+    for start in range(0, models.shape[0], _PROFILE_CHUNK):
+        chunk = slice(start, start + _PROFILE_CHUNK)
+        # (K, 1, dim) features against (dim, T) models predict every point at once.
+        residuals = training._predict(x[:, None, :], models[chunk].T) - y[:, None]   # (K, T)
+        per_sample_max[chunk] = np.max(residuals ** 2 * x_norm2[:, None], axis=0)
+        grad_f = np.array(
+            [np.sum(x[:, j, None] * residuals, axis=0) for j in range(x.shape[1])]
+        )
+        grad_f_norm2[chunk] = np.sum((grad_f / dataset.total_samples) ** 2, axis=0)
     return per_sample_max, grad_f_norm2
 
 
@@ -279,13 +292,17 @@ def slope_guarantees_convergence(slope, users, params, fexp) -> bool:
     return slope < convergence_slope_limit(users, params, fexp)
 
 
-def empirical_gap(trajectories, optimal_model, dataset):
-    """Per-step mean excess loss F(g_t) - F(g*) over seeded runs."""
-    if not trajectories:
+def empirical_gap(losses, optimal_model, dataset):
+    """Per-step mean excess loss F(g_t) - F(g*) over seeded runs.
+
+    ``losses`` holds one recorded loss trajectory per run (step 0 first),
+    all of the same length: a (runs, steps) array such as the losses of a
+    ``training._train_cells`` batch, or one loss list per ``run_training``
+    run.
+    """
+    if len(losses) == 0:
         raise ValueError("need at least one trajectory")
-    optimal_loss = training.global_loss(dataset, optimal_model)
-    lengths = {len(run) for run in trajectories}
-    if len(lengths) != 1:
+    if len({len(run) for run in losses}) != 1:
         raise ValueError("all trajectories must have the same length")
-    losses = np.array([[outcome.loss for outcome in run] for run in trajectories])
-    return losses.mean(axis=0) - optimal_loss
+    optimal_loss = training.global_loss(dataset, optimal_model)
+    return np.asarray(losses, dtype=float).mean(axis=0) - optimal_loss

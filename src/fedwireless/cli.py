@@ -161,6 +161,24 @@ def _cmd_validate(args) -> int:
     check("training is seed deterministic",
           all(x.loss == y.loss for x, y in zip(run_a, run_b)))
 
+    # A two-cell batch (other learning rate and delivery stream in cell 2)
+    # must equal the two runs trained one at a time, bit for bit.
+    run_c = training.run_training(dataset, decision, 0.5 * lr, 10,
+                                  np.random.default_rng([2, 3]))
+    x, y = dataset.pooled()
+    losses, models, _ = training._train_cells(
+        x, y, dataset.sample_counts, [decision.selection] * 2, [lr, 0.5 * lr],
+        np.stack([training._delivery_draws(decision.error_rate, 10,
+                                           np.random.default_rng([seed, 3]))
+                  for seed in (1, 2)]),
+        np.zeros(x.shape[1]),
+    )
+    check("a two-cell batch equals two single-cell runs bit for bit", all(
+        losses[b].tobytes() == np.array([o.loss for o in run]).tobytes()
+        and models[b].tobytes() == np.array([o.global_model for o in run]).tobytes()
+        for b, run in enumerate((run_a, run_c))
+    ))
+
     g_star = training.least_squares_model(dataset)
     check("pooled solution beats the trajectory",
           all(outcome.loss >= training.global_loss(dataset, g_star) for outcome in run_a))

@@ -128,7 +128,10 @@ class RunRecord:
     ``wall_clock_s`` is the cell's allocation plus training time, including
     the power searches its allocation needs: for proposed, baseline_a and
     baseline_c that is the seed's shared edge build (counted in full for
-    each of them), for baseline_b its own interval search.
+    each of them), for baseline_b its own interval search.  Cells train in
+    batches (one per algorithm in ``run_experiment``, one over all seeds in
+    ``bound_report``), and a batch's training time is split equally over its
+    cells.
     """
 
     algorithm: str
@@ -179,11 +182,11 @@ class RunRecord:
         return cls(**data)
 
 
-def _record_from_run(algorithm, seed, decision, outcomes, learning_rate, wall_clock_s):
+def _record_from_run(algorithm, seed, decision, losses, learning_rate, wall_clock_s):
     rb_index = [
         int(np.argmax(row)) if row.any() else -1 for row in np.asarray(decision.rb_assignment)
     ]
-    losses = [outcome.loss for outcome in outcomes]
+    losses = losses.tolist()
     return RunRecord(
         algorithm=algorithm,
         seed=int(seed),
@@ -205,33 +208,53 @@ def _record_from_run(algorithm, seed, decision, outcomes, learning_rate, wall_cl
 def run_experiment(config: ExperimentConfig):
     """Run every (algorithm, seed) cell; deterministic order and content.
 
-    A topology where no user is schedulable still produces a record (the
-    global model never moves); it is a degenerate run, not an error.
+    The seeds of one algorithm train as one ``training._train_cells`` batch
+    in seed order; every seed has the same sample layout, so the per-seed
+    data is stacked once and shared by the batches.  A topology where no
+    user is schedulable still produces a record (the global model never
+    moves); it is a degenerate run, not an error.
     """
-    records = []
-    topologies = {}
+    topologies, datasets = [], []
     for seed in config.seeds:
         users, dataset = build_topology(config, seed)
         start = time.perf_counter()
         edges = assignment.build_edge_weights(users, config.network, config.fading)
-        edge_build_s = time.perf_counter() - start
-        lr = resolve_learning_rate(config, dataset)
-        topologies[seed] = (users, dataset, edges, edge_build_s, lr)
+        topologies.append((seed, users, edges, time.perf_counter() - start))
+        datasets.append(dataset)
+    learning_rates = [resolve_learning_rate(config, dataset) for dataset in datasets]
+    pooled = [dataset.pooled() for dataset in datasets]
+    features = np.stack([x for x, _ in pooled])
+    targets = np.stack([y for _, y in pooled])
+
+    records = []
     for algorithm in config.algorithms:
-        for seed in config.seeds:
-            users, dataset, edges, edge_build_s, lr = topologies[seed]
+        decisions, delivery, elapsed = [], [], []
+        for seed, users, edges, edge_build_s in topologies:
             start = time.perf_counter()
             decision = compute_allocation(algorithm, users, config, seed, edges=edges)
             transmit_rng = np.random.default_rng([seed, _STREAM_TRANSMIT])
-            outcomes = training.run_training(
-                dataset, decision, lr, config.rounds, transmit_rng,
-                initial_model=np.asarray(config.initial_model),
+            delivery.append(
+                training._delivery_draws(decision.error_rate, config.rounds, transmit_rng)
             )
-            elapsed = time.perf_counter() - start
+            decisions.append(decision)
+            seconds = time.perf_counter() - start
             if algorithm in _EDGE_ALGORITHMS:
-                elapsed += edge_build_s
+                seconds += edge_build_s
+            elapsed.append(seconds)
+        start = time.perf_counter()
+        losses, _, _ = training._train_cells(
+            features, targets, datasets[0].sample_counts,
+            [decision.selection for decision in decisions], learning_rates,
+            np.stack(delivery), config.initial_model,
+        )
+        training_share = (time.perf_counter() - start) / len(decisions)
+        for (seed, *_), decision, cell_losses, lr, seconds in zip(
+            topologies, decisions, losses, learning_rates, elapsed
+        ):
             records.append(
-                _record_from_run(algorithm, seed, decision, outcomes, lr, elapsed)
+                _record_from_run(
+                    algorithm, seed, decision, cell_losses, lr, seconds + training_share
+                )
             )
     return records
 
@@ -290,27 +313,30 @@ def export_csv(records, path) -> None:
     """Plot-ready long-format CSV: one row per (record, round >= 1).
 
     The bound column is empty unless a bound series was attached to the
-    record; floats are written with repr so re-importing is lossless.
+    record; floats are written with repr so re-importing is lossless.  The
+    rows are written one record at a time.
     """
     if not records:
         raise ValueError("records must be non-empty")
-    lines = [CSV_HEADER]
-    for record in records:
-        digest = record.allocation_digest()
-        for step in range(1, len(record.losses)):
-            bound = ""
-            if record.bound is not None and step < len(record.bound):
-                bound = repr(float(record.bound[step]))
-            lines.append(
-                f"{record.algorithm},{record.seed},{step},"
-                f"{repr(float(record.losses[step]))},{bound},{digest}"
-            )
-    payload = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(payload)
+            handle.write(CSV_HEADER + "\n")
+            for record in records:
+                handle.write("".join(_csv_rows(record)))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+
+
+def _csv_rows(record):
+    digest = record.allocation_digest()
+    for step in range(1, len(record.losses)):
+        bound = ""
+        if record.bound is not None and step < len(record.bound):
+            bound = repr(float(record.bound[step]))
+        yield (
+            f"{record.algorithm},{record.seed},{step},"
+            f"{repr(float(record.losses[step]))},{bound},{digest}\n"
+        )
 
 
 def read_csv_rows(path):
@@ -375,7 +401,9 @@ def bound_report(config: ExperimentConfig):
     The topology and dataset come from the first seed; every configured seed
     contributes one training run that differs only in its packet-loss draws,
     matching the analysis where the expectation runs over packet errors.
-    One RunRecord per seed is returned with the bound series attached.
+    The runs train as one ``training._train_cells`` batch, and every
+    trajectory model feeds the gradient-bound fit.  One RunRecord per seed
+    is returned with the bound series attached.
     """
     seed0 = config.seeds[0]
     users, dataset = build_topology(config, seed0)
@@ -387,33 +415,36 @@ def bound_report(config: ExperimentConfig):
     else:
         lr = float(config.learning_rate)
 
-    trajectories = []
-    records = []
-    for seed in config.seeds:
-        rng = np.random.default_rng([seed, _STREAM_TRANSMIT])
-        start = time.perf_counter()
-        outcomes = training.run_training(
-            dataset, decision, lr, config.rounds, rng,
-            initial_model=np.asarray(config.initial_model),
+    start = time.perf_counter()
+    delivery = np.stack([
+        training._delivery_draws(
+            decision.error_rate, config.rounds,
+            np.random.default_rng([seed, _STREAM_TRANSMIT]),
         )
-        trajectories.append(outcomes)
-        records.append(
-            _record_from_run(
-                "proposed", seed, decision, outcomes, lr, time.perf_counter() - start
-            )
-        )
+        for seed in config.seeds
+    ])
+    x, y = dataset.pooled()
+    n_runs = len(config.seeds)
+    losses, models, _ = training._train_cells(
+        x, y, dataset.sample_counts, [decision.selection] * n_runs, [lr] * n_runs,
+        delivery, config.initial_model,
+    )
+    training_share = (time.perf_counter() - start) / n_runs
+    records = [
+        _record_from_run("proposed", seed, decision, run_losses, lr, training_share)
+        for seed, run_losses in zip(config.seeds, losses)
+    ]
 
     g_star = training.least_squares_model(dataset)
-    mean_excess = bounds.empirical_gap(trajectories, g_star, dataset)
+    mean_excess = bounds.empirical_gap(losses, g_star, dataset)
 
-    all_models = np.vstack(
-        [[outcome.global_model for outcome in run] for run in trajectories]
-    )
     error_sum = bounds.wireless_error_sum(
         decision.selection, decision.error_rate, dataset.sample_counts
     )
-    fit = bounds.fit_gradient_bound(dataset, all_models, error_sum=error_sum, curv=curv)
-    initial_gap = trajectories[0][0].loss - training.global_loss(dataset, g_star)
+    fit = bounds.fit_gradient_bound(
+        dataset, models.reshape(-1, models.shape[-1]), error_sum=error_sum, curv=curv
+    )
+    initial_gap = losses[0, 0] - training.global_loss(dataset, g_star)
     steps = np.arange(config.rounds + 1)
     series = bounds.bound_series(
         steps, curv, fit,

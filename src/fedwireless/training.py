@@ -5,6 +5,21 @@ gradient step on their own data, uplink packets are lost independently with
 each user's packet error rate, and the surviving local models are averaged
 with data-size weights.  A round in which nothing arrives leaves the global
 model unchanged.
+
+Every training run goes through one kernel, ``_train_cells``, which advances
+a batch of cells (runs that share the sample layout and model dimension) in
+lock step: one numpy pass per round for the whole batch.  A cell's bits do
+not depend on the batch it runs in, on the BLAS kernel or on the thread
+count, because every value is a fixed-order elementwise product or sum:
+
+- one prediction per round, summed feature column by feature column;
+- per-user gradients from ``np.add.reduceat`` over the sample axis;
+- the loss summed over each cell's contiguous sample axis;
+- the aggregation summed over users in user order;
+- no matrix product (``@``, ``dot``, ``einsum``).
+
+A cell's delivery flags are ``rng.random((rounds, U)) >= q``: the same PCG64
+stream as one ``rng.random(U)`` per round, kept as a bool array.
 """
 
 from __future__ import annotations
@@ -18,10 +33,6 @@ __all__ = [
     "RoundOutcome",
     "TrainingDiverged",
     "generate_regression_data",
-    "local_loss_and_gradient",
-    "local_update",
-    "transmit",
-    "aggregate",
     "run_training",
     "global_loss",
     "least_squares_model",
@@ -82,78 +93,29 @@ def generate_regression_data(rng, sample_counts, slope=-2.0, intercept=1.0, nois
     return Dataset(features, targets)
 
 
-def local_loss_and_gradient(model, features, targets):
-    """Sum-of-squares loss of one user and its exact gradient.
-
-    Loss is sum_k (1/2)(x_k^T w - y_k)^2; the gradient is X^T (Xw - y).
-    """
-    model = np.asarray(model, dtype=float)
-    if features.shape[1] != model.shape[0]:
-        raise ValueError(
-            f"model dimension {model.shape[0]} != feature dimension {features.shape[1]}"
-        )
-    residual = features @ model - targets
-    loss = 0.5 * float(residual @ residual)
-    gradient = features.T @ residual
-    return loss, gradient
-
-
-def local_update(global_model, features, targets, learning_rate):
-    """One full-batch gradient step from the broadcast global model."""
-    if learning_rate < 0:
-        raise ValueError("learning_rate must be >= 0")
-    _, gradient = local_loss_and_gradient(global_model, features, targets)
-    return np.asarray(global_model, dtype=float) - (learning_rate / len(targets)) * gradient
-
-
-def transmit(selection, error_rates, rng):
-    """Per-user delivery flags: selected users deliver with probability one
-    minus their error rate.
-
-    Draws one uniform per user regardless of selection so the random stream
-    depends only on the user count.
-    """
-    selection = np.asarray(selection)
-    q = np.asarray(error_rates, dtype=float)
-    if np.any(q < 0) or np.any(q > 1):
-        raise ValueError("error rates must lie in [0, 1]")
-    draws = rng.random(selection.shape[0])
-    return (selection == 1) & (draws >= q)
-
-
-def aggregate(local_models, delivered, sample_counts, previous_global):
-    """Data-size-weighted average of the delivered local models.
-
-    Falls back to the previous global model when nothing was delivered.
-    """
-    delivered = np.asarray(delivered, dtype=bool)
-    if not delivered.any():
-        return np.asarray(previous_global, dtype=float).copy()
-    weights = np.asarray(sample_counts, dtype=float) * delivered
-    stacked = np.asarray(local_models, dtype=float)
-    return (weights[:, None] * stacked).sum(axis=0) / weights.sum()
-
-
 def _predict(features, model):
     """features @ model as elementwise products summed column by column.
 
-    The sum runs in a fixed order (column 0 first), so the bits do not depend
-    on which BLAS kernel numpy dispatches; a matrix-vector product's do.
+    ``features[..., j]`` is multiplied by ``model[j]`` with broadcasting, so
+    one call predicts a batch of models.  The sum runs in a fixed order
+    (column 0 first), so the bits do not depend on which BLAS kernel numpy
+    dispatches; a matrix-vector product's do.
     """
-    prediction = features[:, 0] * model[0]
-    for j in range(1, features.shape[1]):
-        prediction += features[:, j] * model[j]
+    prediction = features[..., 0] * model[0]
+    for j in range(1, features.shape[-1]):
+        prediction += features[..., j] * model[j]
     return prediction
 
 
 def _mean_loss(residual):
-    return 0.5 * float((residual * residual).sum()) / residual.shape[0]
+    """(1/2K) sum of squared residuals over the last (sample) axis."""
+    return 0.5 * (residual * residual).sum(axis=-1) / residual.shape[-1]
 
 
 def global_loss(dataset, model):
     """Mean loss over the pooled data: (1/K) sum_i sum_k f(w, x_ik, y_ik)."""
     x, y = dataset.pooled()
-    return _mean_loss(_predict(x, np.asarray(model, dtype=float)) - y)
+    return float(_mean_loss(_predict(x, np.asarray(model, dtype=float)) - y))
 
 
 def _gram(x):
@@ -185,57 +147,104 @@ class RoundOutcome:
     loss: float
 
 
+def _delivery_draws(error_rates, rounds, rng):
+    """(rounds, U) flags draw >= error rate, before selection: one uniform
+    per user and round regardless of selection, so the random stream
+    depends only on the user count and the number of rounds."""
+    q = np.asarray(error_rates, dtype=float)
+    if np.any(q < 0) or np.any(q > 1):
+        raise ValueError("error rates must lie in [0, 1]")
+    return rng.random((rounds, q.shape[0])) >= q
+
+
+def _train_cells(features, targets, sample_counts, selections, learning_rates,
+                 delivery, initial_model):
+    """Train B cells in lock step.
+
+    ``features`` is (K, dim) shared by every cell or (B, K, dim), ``targets``
+    (K,) or (B, K); ``sample_counts`` (U,) splits the K samples into users in
+    order.  ``selections`` is (B, U), ``learning_rates`` (B,), ``delivery``
+    (B, T, U) delivery flags before selection (see ``_delivery_draws``), and
+    ``initial_model`` (dim,) the step-0 global model of every cell.
+
+    Returns losses (B, T+1), global models (B, T+1, dim) and delivered
+    (B, T, U).  If any loss after step 0 is non-finite, raises
+    TrainingDiverged for the first such cell in batch order, at its first
+    non-finite step, as training the cells one after another would.
+    """
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    counts = np.asarray(sample_counts)
+    selected = np.asarray(selections) == 1                           # (B, U)
+    delivered = np.asarray(delivery, dtype=bool) & selected[:, None, :]
+    n_cells, rounds, _ = delivered.shape
+    dim = x.shape[-1]
+    g = np.array(initial_model, dtype=float)
+    if g.shape != (dim,):
+        raise ValueError(f"model dimension {g.shape[0]} != feature dimension {dim}")
+    g = np.tile(g, (n_cells, 1))                                     # (B, dim)
+
+    step_size = np.asarray(learning_rates, dtype=float)[:, None] / counts      # (B, U)
+    weights = counts.astype(float)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+
+    losses = np.empty((n_cells, rounds + 1))
+    models = np.empty((n_cells, rounds + 1, dim))
+    models[:, 0] = g
+    # The residual behind round t's loss is the one round t+1's gradient
+    # needs, so each round predicts once.
+    residual = _predict(x, g.T[:, :, None]) - y                       # (B, K)
+    losses[:, 0] = _mean_loss(residual)
+    # Overflow to inf is the divergence signal; a diverged cell runs on
+    # (as nan) until the batch ends.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(rounds):
+            grads = np.add.reduceat(x * residual[..., None], offsets, axis=-2)   # (B, U, dim)
+            broadcast = g[:, None, :]
+            local = np.where(
+                selected[..., None], broadcast - step_size[..., None] * grads, broadcast
+            )                                                                    # (B, U, dim)
+            arrived = delivered[:, t]
+            w = weights * arrived                                                # (B, U)
+            total = (w[..., None] * local).sum(axis=1)
+            any_arrived = arrived.any(axis=1)
+            mean = total / np.where(any_arrived, w.sum(axis=1), 1.0)[:, None]
+            g = np.where(any_arrived[:, None], mean, g)
+            models[:, t + 1] = g
+            residual = _predict(x, g.T[:, :, None]) - y
+            losses[:, t + 1] = _mean_loss(residual)
+
+    diverged = ~np.isfinite(losses[:, 1:])
+    if diverged.any():
+        cell = int(np.argmax(diverged.any(axis=1)))
+        step = int(np.argmax(diverged[cell])) + 1
+        raise TrainingDiverged(
+            f"loss became non-finite at step {step} "
+            f"(learning_rate={learning_rates[cell]})"
+        )
+    return losses, models, delivered
+
+
 def run_training(dataset, decision, learning_rate, rounds, rng, initial_model=None):
     """Run the full loop for a fixed allocation; returns one outcome per step.
 
     The trajectory (including step 0) is fully determined by the dataset,
-    the allocation, the learning rate, and the generator state.  Its bits
-    do not depend on the BLAS kernel or thread count: predictions, gradients,
-    the aggregation and the loss are fixed-order elementwise products and
-    sums.  Aborts with TrainingDiverged if the loss stops being finite.
+    the allocation, the learning rate, and the generator state; it is one
+    cell of ``_train_cells``.  Aborts with TrainingDiverged if the loss stops
+    being finite.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    n_users = dataset.user_count
-    dim = dataset.features[0].shape[1]
-    selection = np.asarray(decision.selection)
-    error_rates = np.asarray(decision.error_rate, dtype=float)
-
-    # Pooled views let each round run as one prediction plus a segment
-    # reduction.  The residual behind round t's loss is the one round t+1's
-    # gradient needs, so each round predicts once.
-    x_pool, y_pool = dataset.pooled()
-    counts = dataset.sample_counts
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-
-    g = np.zeros(dim) if initial_model is None else np.asarray(initial_model, dtype=float).copy()
-    residual = _predict(x_pool, g) - y_pool
-    outcomes = [
-        RoundOutcome(
-            step=0,
-            delivered=np.zeros(n_users, dtype=bool),
-            global_model=g.copy(),
-            loss=_mean_loss(residual),
-        )
+    x, y = dataset.pooled()
+    if initial_model is None:
+        initial_model = np.zeros(x.shape[1])
+    delivery = _delivery_draws(decision.error_rate, rounds, rng)
+    losses, models, delivered = _train_cells(
+        x, y, dataset.sample_counts, [decision.selection], [learning_rate],
+        delivery[None], initial_model,
+    )
+    delivered = np.concatenate([np.zeros((1, dataset.user_count), dtype=bool), delivered[0]])
+    return [
+        RoundOutcome(step=step, delivered=delivered[step], global_model=models[0, step], loss=loss)
+        for step, loss in enumerate(losses[0].tolist())
     ]
-    selected_idx = np.flatnonzero(selection == 1)
-    for step in range(1, rounds + 1):
-        per_user_grad = np.add.reduceat(x_pool * residual[:, None], offsets, axis=0)
-        locals_ = np.tile(g, (n_users, 1))
-        if selected_idx.size:
-            locals_[selected_idx] -= (
-                learning_rate / counts[selected_idx, None]
-            ) * per_user_grad[selected_idx]
-        delivered = transmit(selection, error_rates, rng)
-        g = aggregate(locals_, delivered, counts, g)
-        with np.errstate(over="ignore"):   # overflow to inf is the divergence signal
-            residual = _predict(x_pool, g) - y_pool
-            loss = _mean_loss(residual)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(
-                f"loss became non-finite at step {step} (learning_rate={learning_rate})"
-            )
-        outcomes.append(
-            RoundOutcome(step=step, delivered=delivered, global_model=g.copy(), loss=loss)
-        )
-    return outcomes

@@ -171,7 +171,9 @@ def test_criterion_04_bound_dominance():
         for seed in range(100)
     ]
     g_star = least_squares_model(dataset)
-    mean_excess = empirical_gap(trajectories, g_star, dataset)
+    mean_excess = empirical_gap(
+        [[o.loss for o in run] for run in trajectories], g_star, dataset
+    )
     assert np.all(mean_excess >= -1e-15)
 
     models = np.vstack([[o.global_model for o in run] for run in trajectories])

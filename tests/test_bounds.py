@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from fedwireless import bounds
 from fedwireless.bounds import (
     CurvatureEstimate,
     asymptotic_gap,
@@ -81,6 +82,17 @@ class TestCurvature:
 
 
 class TestFitZeta:
+    def test_chunked_profiles_equal_one_whole_call(self, monkeypatch):
+        ds = make_dataset()
+        count = 2 * bounds._PROFILE_CHUNK + 123
+        models = 3.0 * np.random.default_rng(4).standard_normal((count, 2))
+        chunked = bounds._gradient_norm_profiles(ds, models)
+        monkeypatch.setattr(bounds, "_PROFILE_CHUNK", count)
+        whole = bounds._gradient_norm_profiles(ds, models)
+        for a, b in zip(chunked, whole):
+            assert a.shape == (count,)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
     def test_all_gradients_zero(self):
         ds = Dataset([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
         fit = fit_gradient_bound(ds, np.zeros((3, 2)))
@@ -328,7 +340,7 @@ class TestEmpiricalGap:
         decision = manual_decision(np.ones(15), np.zeros(15))
         outcomes = run_training(ds, decision, 0.5, 30, np.random.default_rng(2))
         g_star = least_squares_model(ds)
-        gap = empirical_gap([outcomes], g_star, ds)
+        gap = empirical_gap([[o.loss for o in outcomes]], g_star, ds)
         optimal = global_loss(ds, g_star)
         expected = np.array([o.loss for o in outcomes]) - optimal
         assert np.allclose(gap, expected, rtol=0, atol=0)
@@ -341,7 +353,7 @@ class TestEmpiricalGap:
             for seed in range(3)
         ]
         g_star = least_squares_model(ds)
-        gap = empirical_gap(runs, g_star, ds)
+        gap = empirical_gap([[o.loss for o in run] for run in runs], g_star, ds)
         initial = runs[0][0].loss - global_loss(ds, g_star)
         assert np.allclose(gap, initial, rtol=1e-12)
 
@@ -351,4 +363,6 @@ class TestEmpiricalGap:
         a = run_training(ds, decision, 0.5, 5, np.random.default_rng(0))
         b = run_training(ds, decision, 0.5, 6, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            empirical_gap([a, b], least_squares_model(ds), ds)
+            empirical_gap(
+                [[o.loss for o in a], [o.loss for o in b]], least_squares_model(ds), ds
+            )

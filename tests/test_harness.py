@@ -263,6 +263,28 @@ class TestPersistence:
         for row in rows:
             assert row["bound"] == float(series.per_step_bound[row["round"]])
 
+    def test_streamed_export_equals_one_joined_payload(self, tmp_path):
+        from fedwireless.harness import bound_report
+
+        config = mini_config(algorithms=("proposed",), seeds=(3, 4), rounds=5)
+        records = bound_report(config)["records"]
+        records[1].bound = records[1].bound[:3]       # shorter than the losses
+        records.append(run_experiment(config)[0])     # no bound at all
+        # The whole file built as one string, as a list of every row.
+        lines = ["algorithm,seed,round,loss,bound,allocation_digest"]
+        for record in records:
+            for step in range(1, len(record.losses)):
+                bound = ""
+                if record.bound is not None and step < len(record.bound):
+                    bound = repr(float(record.bound[step]))
+                lines.append(
+                    f"{record.algorithm},{record.seed},{step},"
+                    f"{repr(float(record.losses[step]))},{bound},{record.allocation_digest()}"
+                )
+        path = tmp_path / "runs.csv"
+        export_csv(records, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -1,25 +1,184 @@
-"""Training-loop tests: data generation, gradients, delivery, aggregation."""
+"""Training-loop tests: data generation, gradients, delivery, aggregation,
+and the lock-step kernel against a one-cell, one-round-at-a-time oracle."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedwireless.bounds import curvature
+from fedwireless.config import load_config
+from fedwireless.harness import build_topology, compute_allocation, resolve_learning_rate
 from fedwireless.training import (
     Dataset,
     TrainingDiverged,
-    aggregate,
+    _delivery_draws,
+    _train_cells,
     generate_regression_data,
     global_loss,
     least_squares_model,
-    local_loss_and_gradient,
-    local_update,
     run_training,
-    transmit,
 )
 
 from util import manual_decision
 
 TABLE_COUNTS = [12, 10, 8, 4, 2] * 3
+REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+
+
+# ---------------------------------------------------------------------------
+# Test-side references.  local_loss_and_gradient and local_update are the
+# textbook forms (BLAS products).  sequential_training is the oracle: one
+# cell, one round at a time, with per-round transmit and aggregate steps;
+# the kernel must reproduce its bits.
+
+
+def local_loss_and_gradient(model, features, targets):
+    """Sum-of-squares loss of one user and its exact gradient.
+
+    Loss is sum_k (1/2)(x_k^T w - y_k)^2; the gradient is X^T (Xw - y).
+    """
+    model = np.asarray(model, dtype=float)
+    if features.shape[1] != model.shape[0]:
+        raise ValueError(
+            f"model dimension {model.shape[0]} != feature dimension {features.shape[1]}"
+        )
+    residual = features @ model - targets
+    loss = 0.5 * float(residual @ residual)
+    gradient = features.T @ residual
+    return loss, gradient
+
+
+def local_update(global_model, features, targets, learning_rate):
+    """One full-batch gradient step from the broadcast global model."""
+    if learning_rate < 0:
+        raise ValueError("learning_rate must be >= 0")
+    _, gradient = local_loss_and_gradient(global_model, features, targets)
+    return np.asarray(global_model, dtype=float) - (learning_rate / len(targets)) * gradient
+
+
+def transmit(selection, error_rates, rng):
+    """Per-user delivery flags: selected users deliver with probability one
+    minus their error rate.
+
+    Draws one uniform per user regardless of selection so the random stream
+    depends only on the user count.
+    """
+    selection = np.asarray(selection)
+    q = np.asarray(error_rates, dtype=float)
+    if np.any(q < 0) or np.any(q > 1):
+        raise ValueError("error rates must lie in [0, 1]")
+    draws = rng.random(selection.shape[0])
+    return (selection == 1) & (draws >= q)
+
+
+def aggregate(local_models, delivered, sample_counts, previous_global):
+    """Data-size-weighted average of the delivered local models.
+
+    Falls back to the previous global model when nothing was delivered.
+    """
+    delivered = np.asarray(delivered, dtype=bool)
+    if not delivered.any():
+        return np.asarray(previous_global, dtype=float).copy()
+    weights = np.asarray(sample_counts, dtype=float) * delivered
+    stacked = np.asarray(local_models, dtype=float)
+    return (weights[:, None] * stacked).sum(axis=0) / weights.sum()
+
+
+def _predict(features, model):
+    """features @ model as elementwise products summed column by column.
+
+    The sum runs in a fixed order (column 0 first), so the bits do not depend
+    on which BLAS kernel numpy dispatches; a matrix-vector product's do.
+    """
+    prediction = features[:, 0] * model[0]
+    for j in range(1, features.shape[1]):
+        prediction += features[:, j] * model[j]
+    return prediction
+
+
+def _mean_loss(residual):
+    return 0.5 * float((residual * residual).sum()) / residual.shape[0]
+
+
+def sequential_training(dataset, decision, learning_rate, rounds, rng, initial_model=None):
+    """The per-round loop: (losses, models, delivered) of one cell."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    n_users = dataset.user_count
+    dim = dataset.features[0].shape[1]
+    selection = np.asarray(decision.selection)
+    error_rates = np.asarray(decision.error_rate, dtype=float)
+
+    # Pooled views let each round run as one prediction plus a segment
+    # reduction.  The residual behind round t's loss is the one round t+1's
+    # gradient needs, so each round predicts once.
+    x_pool, y_pool = dataset.pooled()
+    counts = dataset.sample_counts
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+
+    g = np.zeros(dim) if initial_model is None else np.asarray(initial_model, dtype=float).copy()
+    residual = _predict(x_pool, g) - y_pool
+    losses, models, delivered_rounds = [_mean_loss(residual)], [g.copy()], []
+    selected_idx = np.flatnonzero(selection == 1)
+    for step in range(1, rounds + 1):
+        per_user_grad = np.add.reduceat(x_pool * residual[:, None], offsets, axis=0)
+        locals_ = np.tile(g, (n_users, 1))
+        if selected_idx.size:
+            locals_[selected_idx] -= (
+                learning_rate / counts[selected_idx, None]
+            ) * per_user_grad[selected_idx]
+        delivered = transmit(selection, error_rates, rng)
+        g = aggregate(locals_, delivered, counts, g)
+        with np.errstate(over="ignore"):   # overflow to inf is the divergence signal
+            residual = _predict(x_pool, g) - y_pool
+            loss = _mean_loss(residual)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(
+                f"loss became non-finite at step {step} (learning_rate={learning_rate})"
+            )
+        losses.append(loss)
+        models.append(g.copy())
+        delivered_rounds.append(delivered)
+    return np.array(losses), np.array(models), np.array(delivered_rounds)
+
+
+# ---------------------------------------------------------------------------
+# Probes of the kernel.
+
+
+def kernel_loss_and_gradient(model, features, targets):
+    """Sum-of-squares loss and gradient X^T (Xw - y) of one user as the
+    kernel computes them: its step-0 mean loss times the sample count, and
+    its delivered unit-rate step model - (1/n) * gradient solved back."""
+    n = len(targets)
+    losses, models, _ = _train_cells(
+        features, targets, [n], [[1]], [1.0], np.ones((1, 1, 1), dtype=bool), model
+    )
+    return losses[0, 0] * n, (np.asarray(model, dtype=float) - models[0, 1]) * n
+
+
+def kernel_local_update(global_model, features, targets, learning_rate):
+    """The kernel's global model after one delivered round of one user."""
+    _, models, _ = _train_cells(
+        features, targets, [len(targets)], [[1]], [learning_rate],
+        np.ones((1, 1, 1), dtype=bool), global_model,
+    )
+    return models[0, 1]
+
+
+def kernel_aggregate(points, sample_counts, arrived, previous=(0.0, 0.0)):
+    """The kernel's global model after one round whose local models are
+    ``points``: user i holds sample_counts[i] copies of the sample
+    (points[i], 1), so one unit-rate step from the zero model lands on
+    points[i]."""
+    points = np.asarray(points, dtype=float)
+    features = np.repeat(points, sample_counts, axis=0)
+    _, models, _ = _train_cells(
+        features, np.ones(len(features)), sample_counts, [np.ones(len(points))], [1.0],
+        np.asarray(arrived, dtype=bool)[None, None], previous,
+    )
+    return models[0, 1]
 
 
 class TestDataGeneration:
@@ -60,14 +219,14 @@ class TestDataGeneration:
 class TestLossAndGradient:
     def test_true_model_on_noiseless_data(self):
         ds = generate_regression_data(np.random.default_rng(2), [8], noise_std=0.0)
-        loss, grad = local_loss_and_gradient(np.array([-2.0, 1.0]), ds.features[0], ds.targets[0])
+        loss, grad = kernel_loss_and_gradient(np.array([-2.0, 1.0]), ds.features[0], ds.targets[0])
         assert loss == pytest.approx(0.0, abs=1e-25)
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_zero_everything(self):
         x = np.array([[1.0, 1.0]])
         y = np.array([0.0])
-        loss, grad = local_loss_and_gradient(np.zeros(2), x, y)
+        loss, grad = kernel_loss_and_gradient(np.zeros(2), x, y)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros(2))
 
@@ -76,56 +235,62 @@ class TestLossAndGradient:
         ds = generate_regression_data(rng, [7])
         x, y = ds.features[0], ds.targets[0]
         w = rng.standard_normal(2)
-        _, grad = local_loss_and_gradient(w, x, y)
+        _, grad = kernel_loss_and_gradient(w, x, y)
+        assert grad == pytest.approx(local_loss_and_gradient(w, x, y)[1], rel=1e-12)
         eps = 1e-6
         for k in range(2):
             delta = np.zeros(2)
             delta[k] = eps
-            hi, _ = local_loss_and_gradient(w + delta, x, y)
-            lo, _ = local_loss_and_gradient(w - delta, x, y)
+            hi, _ = kernel_loss_and_gradient(w + delta, x, y)
+            lo, _ = kernel_loss_and_gradient(w - delta, x, y)
             numeric = (hi - lo) / (2 * eps)
             assert numeric == pytest.approx(grad[k], rel=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            local_loss_and_gradient(np.zeros(3), np.ones((2, 2)), np.ones(2))
+            kernel_loss_and_gradient(np.zeros(3), np.ones((2, 2)), np.ones(2))
 
 
 class TestLocalUpdate:
     def test_zero_rate_is_identity(self):
         ds = generate_regression_data(np.random.default_rng(4), [5])
         g = np.array([0.3, -0.7])
-        assert np.array_equal(local_update(g, ds.features[0], ds.targets[0], 0.0), g)
+        assert np.array_equal(kernel_local_update(g, ds.features[0], ds.targets[0], 0.0), g)
 
     def test_fixed_point_at_optimum_noiseless(self):
         ds = generate_regression_data(np.random.default_rng(5), [9], noise_std=0.0)
         g = np.array([-2.0, 1.0])
-        w = local_update(g, ds.features[0], ds.targets[0], 0.5)
+        w = kernel_local_update(g, ds.features[0], ds.targets[0], 0.5)
         assert np.allclose(w, g, atol=1e-12)
 
     def test_hand_computed_step(self):
         x = np.array([[1.0, 1.0], [0.5, 1.0], [0.0, 1.0]])
         y = np.array([0.0, 1.0, 2.0])
-        w = local_update(np.array([1.0, 1.0]), x, y, 0.1)
+        w = kernel_local_update(np.array([1.0, 1.0]), x, y, 0.1)
         # grad = X^T(Xw - y) = [2.25, 1.5]; w - (0.1/3)*grad
         assert w == pytest.approx([0.925, 0.95], rel=1e-12)
+        assert w == pytest.approx(local_update(np.array([1.0, 1.0]), x, y, 0.1), rel=1e-12)
+
+
+def all_flags(n_users, error_rate, selection=None, rounds=20, seed=6):
+    """Delivered flags of every round of a run_training run."""
+    ds = generate_regression_data(np.random.default_rng(seed), [3] * n_users)
+    selection = np.ones(n_users) if selection is None else np.asarray(selection)
+    decision = manual_decision(selection, np.broadcast_to(error_rate, n_users))
+    outcomes = run_training(ds, decision, 0.1, rounds, np.random.default_rng(seed))
+    return np.array([outcome.delivered for outcome in outcomes[1:]])
 
 
 class TestTransmit:
     def test_error_free_always_delivers(self):
-        rng = np.random.default_rng(6)
-        delivered = transmit(np.ones(5, dtype=int), np.zeros(5), rng)
-        assert delivered.all()
+        assert all_flags(5, 0.0).all()
 
     def test_certain_failure_never_delivers(self):
-        rng = np.random.default_rng(6)
-        delivered = transmit(np.ones(5, dtype=int), np.ones(5), rng)
-        assert not delivered.any()
+        assert not all_flags(5, 1.0).any()
 
     def test_unselected_never_delivers(self):
-        rng = np.random.default_rng(6)
-        delivered = transmit(np.array([1, 0, 1]), np.zeros(3), rng)
-        assert delivered.tolist() == [True, False, True]
+        flags = all_flags(3, 0.0, selection=[1, 0, 1])
+        assert flags.tolist() == [[True, False, True]] * len(flags)
 
     def test_binomial_concentration(self):
         rng = np.random.default_rng(7)
@@ -133,36 +298,41 @@ class TestTransmit:
         trials = 10**6
         draws = rng.random(trials)
         hits = np.sum(draws >= 0.3)
-        # same Bernoulli construction as transmit(); empirical rate 0.7 +- 0.0015
+        # same Bernoulli construction as the kernel's; empirical rate 0.7 +- 0.0015
         assert abs(hits / trials - 0.7) < 0.0015
-        sample = transmit(np.ones(10**6, dtype=int), np.full(10**6, 0.3),
-                          np.random.default_rng(8))
-        assert abs(sample.mean() - 0.7) < 0.0015
+        n_users, rounds = 100, 10**4
+        _, _, delivered = _train_cells(
+            np.ones((n_users, 2)), np.zeros(n_users), [1] * n_users, [np.ones(n_users)],
+            [0.0], _delivery_draws(np.full(n_users, 0.3), rounds, np.random.default_rng(8))[None],
+            np.zeros(2),
+        )
+        assert delivered.size == 10**6
+        assert abs(delivered.mean() - 0.7) < 0.0015
 
     def test_rejects_bad_error_rates(self):
+        ds = generate_regression_data(np.random.default_rng(0), [3, 3])
+        decision = manual_decision(np.ones(2), np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
-            transmit(np.ones(2, dtype=int), np.array([0.5, 1.5]), np.random.default_rng(0))
+            run_training(ds, decision, 0.1, 5, np.random.default_rng(0))
 
 
 class TestAggregate:
     def test_equal_counts_arithmetic_mean(self):
-        locals_ = np.array([[1.0, 0.0], [3.0, 2.0]])
-        out = aggregate(locals_, [True, True], [5, 5], np.zeros(2))
+        out = kernel_aggregate([[1.0, 0.0], [3.0, 2.0]], [5, 5], [True, True])
         assert np.allclose(out, [2.0, 1.0])
 
     def test_single_delivery_wins(self):
-        locals_ = np.array([[1.0, 0.0], [3.0, 2.0]])
-        out = aggregate(locals_, [False, True], [5, 5], np.zeros(2))
+        out = kernel_aggregate([[1.0, 0.0], [3.0, 2.0]], [5, 5], [False, True])
         assert np.array_equal(out, [3.0, 2.0])
 
     def test_hand_weighted_average(self):
         w1, w2 = np.array([1.0, -1.0]), np.array([0.0, 3.0])
-        out = aggregate(np.array([w1, w2]), [True, True], [12, 10], np.zeros(2))
+        out = kernel_aggregate([w1, w2], [12, 10], [True, True])
         assert np.allclose(out, (12 * w1 + 10 * w2) / 22, atol=1e-15)
 
     def test_empty_delivery_keeps_previous(self):
         previous = np.array([0.4, -0.2])
-        out = aggregate(np.zeros((3, 2)), [False] * 3, [1, 2, 3], previous)
+        out = kernel_aggregate(np.zeros((3, 2)), [1, 2, 3], [False] * 3, previous)
         assert np.array_equal(out, previous)
 
     def test_result_in_convex_hull(self):
@@ -173,7 +343,7 @@ class TestAggregate:
             delivered = rng.random(4) < 0.7
             if not delivered.any():
                 continue
-            out = aggregate(locals_, delivered, counts, np.zeros(2))
+            out = kernel_aggregate(locals_, counts, delivered)
             low = locals_[delivered].min(axis=0) - 1e-12
             high = locals_[delivered].max(axis=0) + 1e-12
             assert np.all(out >= low) and np.all(out <= high)
@@ -257,3 +427,105 @@ class TestRunTraining:
 GOLDEN_LOSS0 = 0.24780992434682542
 GOLDEN_LOSS1 = 0.22860461592027972
 GOLDEN_LOSS100 = 0.06659499804507868
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def assert_cells_match_oracle(cells, rounds, shared=True):
+    """Train ``cells`` [(dataset, decision, lr, seed)] as one kernel batch and
+    one by one through the oracle; losses, models, delivered flags and the
+    generators' end states must agree bit for bit."""
+    initial_model = np.array([0.25, -0.5])
+    rngs = [np.random.default_rng([seed, 3]) for *_, seed in cells]
+    pooled = [dataset.pooled() for dataset, *_ in cells]
+    features = pooled[0][0] if shared else np.stack([x for x, _ in pooled])
+    targets = pooled[0][1] if shared else np.stack([y for _, y in pooled])
+    losses, models, delivered = _train_cells(
+        features, targets, cells[0][0].sample_counts,
+        [decision.selection for _, decision, *_ in cells], [lr for _, _, lr, _ in cells],
+        np.stack([
+            _delivery_draws(decision.error_rate, rounds, rng)
+            for (_, decision, *_), rng in zip(cells, rngs)
+        ]),
+        initial_model,
+    )
+    assert losses.shape == (len(cells), rounds + 1)
+    for b, ((dataset, decision, lr, seed), rng) in enumerate(zip(cells, rngs)):
+        oracle_rng = np.random.default_rng([seed, 3])
+        expected = sequential_training(dataset, decision, lr, rounds, oracle_rng, initial_model)
+        assert np.array_equal(bits(losses[b]), bits(expected[0])), b
+        assert np.array_equal(bits(models[b]), bits(expected[1])), b
+        assert np.array_equal(delivered[b], expected[2]), b
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state, b
+    return delivered
+
+
+class TestTrainCells:
+    def make_dataset(self, seed=7):
+        return generate_regression_data(np.random.default_rng([seed, 1]), TABLE_COUNTS)
+
+    def test_reference_cells_bit_identical(self):
+        config = load_config(REFERENCE)
+        cells = []
+        for algorithm in config.algorithms:
+            for seed in config.seeds:
+                users, dataset = build_topology(config, seed)
+                decision = compute_allocation(algorithm, users, config, seed)
+                cells.append((dataset, decision, resolve_learning_rate(config, dataset), seed))
+        assert len(cells) == 8
+        assert_cells_match_oracle(cells, config.rounds, shared=False)
+
+    def test_mixed_batch_bit_identical(self):
+        ds = self.make_dataset()
+        rng = np.random.default_rng(11)
+        cells = []
+        for seed, lr in enumerate([0.05, 0.2, 0.45, 0.7, 0.3]):
+            selection = (rng.random(15) < 0.6).astype(int)
+            decision = manual_decision(selection, rng.random(15) * 0.5)
+            cells.append((ds, decision, lr, seed))
+        assert_cells_match_oracle(cells, 60)
+
+    def test_cell_without_selected_users(self):
+        ds = self.make_dataset()
+        cells = [
+            (ds, manual_decision(np.zeros(15), np.full(15, 0.2)), 0.3, 1),
+            (ds, manual_decision(np.ones(15), np.full(15, 0.2)), 0.3, 2),
+        ]
+        delivered = assert_cells_match_oracle(cells, 20)
+        assert not delivered[0].any()
+
+    def test_round_with_nothing_delivered(self):
+        ds = self.make_dataset()
+        decision = manual_decision(np.array([1, 1] + [0] * 13), np.full(15, 0.7))
+        delivered = assert_cells_match_oracle([(ds, decision, 0.4, 5)], 30)
+        arrived = delivered[0].any(axis=1)
+        assert not arrived.all() and arrived.any()
+
+    def test_single_cell_bit_identical(self):
+        ds = self.make_dataset()
+        decision = manual_decision(np.array([1, 0] * 7 + [1]), np.full(15, 0.25))
+        assert_cells_match_oracle([(ds, decision, 0.35, 9)], 100)
+
+    def test_divergence_names_the_first_cell_in_batch_order(self):
+        # Cell 1 diverges at step 254, cell 2 earlier, at step 112: trained one
+        # after another, cell 1 raises first, so the batch must name it.
+        ds = self.make_dataset()
+        decision = manual_decision(np.ones(15), np.zeros(15))
+        rates = [0.3, 4.0, 20.0]
+        with pytest.raises(TrainingDiverged) as sequential:
+            for seed, lr in enumerate(rates):
+                sequential_training(ds, decision, lr, 400, np.random.default_rng([seed, 3]))
+        with pytest.raises(TrainingDiverged) as batched:
+            x, y = ds.pooled()
+            _train_cells(
+                x, y, ds.sample_counts, [decision.selection] * 3, rates,
+                np.stack([
+                    _delivery_draws(decision.error_rate, 400, np.random.default_rng([seed, 3]))
+                    for seed in range(3)
+                ]),
+                np.zeros(2),
+            )
+        assert str(batched.value) == str(sequential.value)
+        assert str(batched.value) == "loss became non-finite at step 254 (learning_rate=4.0)"
