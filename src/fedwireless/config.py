@@ -3,40 +3,25 @@
 Every key has a default matching the standard system parameters, so an empty
 file is a valid configuration.  Parsing and validation errors always name the
 offending ``section.key``.
+
+``_KEYS`` is the one declaration of the keys: each entry names the key, the
+dataclass field it sets and how its text parses, and the table drives
+parsing, the unknown-key check and ``serialize_config``.  A key that is
+absent is not passed on, so it takes its field's dataclass default.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .phy import NOISE_DENSITY_W_PER_HZ, FadingExpectation, NetworkParams
+from .phy import FadingExpectation, NetworkParams, UserProfile
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "loads_config",
            "serialize_config", "save_config"]
 
 KNOWN_ALGORITHMS = ("proposed", "baseline_a", "baseline_b", "baseline_c")
-
-_KNOWN_KEYS = {
-    "network": {
-        "rb_count", "rb_bandwidth_hz", "downlink_bandwidth_hz",
-        "noise_density_w_per_hz", "noise_density_dbm_per_hz", "bs_power_w",
-        "max_user_power_w", "waterfall_threshold", "uplink_interference_w",
-        "downlink_interference_w", "delay_budget_s", "energy_budget_j",
-        "pathloss_exponent",
-    },
-    "users": {
-        "count", "cell_radius_m", "sample_count_cycle", "fading_scale",
-        "payload_bits", "payload_bits_per_param", "cpu_cycles_per_bit",
-        "cpu_freq_hz", "energy_coeff",
-    },
-    "task": {"slope", "intercept", "noise_std"},
-    "training": {"learning_rate", "rounds", "initial_model"},
-    "experiment": {"algorithms", "seeds"},
-    "fading": {"method", "count", "seed"},
-}
 
 MODEL_DIMENSION = 2  # slope and intercept
 
@@ -71,16 +56,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.user_count < 1:
             raise ConfigError(f"users.count must be >= 1, got {self.user_count}")
-        if self.cell_radius_m <= 0:
+        if not self.cell_radius_m > 0:
             raise ConfigError(f"users.cell_radius_m must be positive, got {self.cell_radius_m}")
         if not self.sample_count_cycle or any(k < 1 for k in self.sample_count_cycle):
             raise ConfigError("users.sample_count_cycle entries must be >= 1")
+        # One user at the cell edge checks the device constants with the
+        # same rules every built user is held to.
+        try:
+            self.user_profile(self.cell_radius_m, self.sample_count_cycle[0])
+        except ValueError as exc:
+            raise ConfigError(f"users: {exc}") from exc
         if self.rounds < 1:
             raise ConfigError(f"training.rounds must be >= 1, got {self.rounds}")
         if not self.seeds:
             raise ConfigError("experiment.seeds must list at least one seed")
-        if self.noise_std < 0:
-            raise ConfigError(f"task.noise_std must be >= 0, got {self.noise_std}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"experiment.seeds must be >= 0, got {min(self.seeds)}")
+        for name in ("slope", "intercept"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"task.{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"task.noise_std must be finite and >= 0, got {self.noise_std}")
         for name in self.algorithms:
             if name not in KNOWN_ALGORITHMS:
                 raise ConfigError(
@@ -99,39 +95,93 @@ class ExperimentConfig:
                 f"training.initial_model must have {MODEL_DIMENSION} entries"
             )
 
+    def user_profile(self, distance_m, sample_count) -> UserProfile:
+        """A user at ``distance_m`` holding ``sample_count`` samples, with the
+        configured device constants."""
+        return UserProfile(
+            distance_m, sample_count, fading_scale=self.fading_scale,
+            payload_bits=self.payload_bits, cpu_cycles_per_bit=self.cpu_cycles_per_bit,
+            cpu_freq_hz=self.cpu_freq_hz, energy_coeff=self.energy_coeff,
+        )
+
     def sample_counts(self):
         """Per-user data sizes: the configured cycle repeated across users."""
         cycle = self.sample_count_cycle
         return [int(cycle[i % len(cycle)]) for i in range(self.user_count)]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _int(raw):
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(value)
 
 
-def _get(parser, section, key, convert, default, errors):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return default
+def _list(parse):
+    return lambda raw: tuple(parse(token) for token in raw.split())
+
+
+def _learning_rate(raw):
+    if raw == "one_over_L":
+        return raw
     try:
-        return convert(raw)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"{section}.{key}: {exc}")
-        return default
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"not a number or 'one_over_L': {raw!r}") from None
 
 
-def _parse_float_list(raw):
-    return tuple(float(tok) for tok in raw.split())
+#: (section, key, owner, field, parse) per key, in the order
+#: ``serialize_config`` writes them.  The owner is the ``ExperimentConfig``
+#: attribute holding the field, or None for the config itself.
+_KEYS = (
+    ("network", "rb_count", "network", "rb_count", _int),
+    ("network", "rb_bandwidth_hz", "network", "rb_bandwidth_hz", float),
+    ("network", "downlink_bandwidth_hz", "network", "downlink_bandwidth_hz", float),
+    ("network", "noise_density_w_per_hz", "network", "noise_density_w_per_hz", float),
+    ("network", "bs_power_w", "network", "bs_power_w", float),
+    ("network", "max_user_power_w", "network", "max_user_power_w", float),
+    ("network", "waterfall_threshold", "network", "waterfall_threshold", float),
+    ("network", "uplink_interference_w", "network", "uplink_interference_w", _list(float)),
+    ("network", "downlink_interference_w", "network", "downlink_interference_w", float),
+    ("network", "delay_budget_s", "network", "delay_budget_s", float),
+    ("network", "energy_budget_j", "network", "energy_budget_j", float),
+    ("network", "pathloss_exponent", "network", "pathloss_exponent", float),
+    ("users", "count", None, "user_count", _int),
+    ("users", "cell_radius_m", None, "cell_radius_m", float),
+    ("users", "sample_count_cycle", None, "sample_count_cycle", _list(int)),
+    ("users", "fading_scale", None, "fading_scale", float),
+    ("users", "payload_bits", None, "payload_bits", float),
+    ("users", "cpu_cycles_per_bit", None, "cpu_cycles_per_bit", float),
+    ("users", "cpu_freq_hz", None, "cpu_freq_hz", float),
+    ("users", "energy_coeff", None, "energy_coeff", float),
+    ("task", "slope", None, "slope", float),
+    ("task", "intercept", None, "intercept", float),
+    ("task", "noise_std", None, "noise_std", float),
+    ("training", "learning_rate", None, "learning_rate", _learning_rate),
+    ("training", "rounds", None, "rounds", _int),
+    ("training", "initial_model", None, "initial_model", _list(float)),
+    ("experiment", "algorithms", None, "algorithms", _list(str)),
+    ("experiment", "seeds", None, "seeds", _list(int)),
+    ("fading", "method", "fading", "method", str),
+    ("fading", "count", "fading", "node_or_sample_count", _int),
+    ("fading", "seed", "fading", "seed", _int),
+)
 
+#: (section, alias, key, parse): another unit for a key, exclusive with it.
+_ALIASES = (
+    ("network", "noise_density_dbm_per_hz", "noise_density_w_per_hz",
+     lambda raw: 10.0 ** ((float(raw) - 30.0) / 10.0)),
+    ("users", "payload_bits_per_param", "payload_bits",
+     lambda raw: MODEL_DIMENSION * float(raw)),
+)
 
-def _parse_int_list(raw):
-    return tuple(int(tok) for tok in raw.split())
-
-
-def _parse_str_list(raw):
-    return tuple(raw.split())
+#: (section, key or alias) -> (owner, field, parse)
+_ACCEPTED = {(section, key): rest for section, key, *rest in _KEYS}
+_ACCEPTED.update(
+    ((section, alias), [*_ACCEPTED[section, key][:2], parse])
+    for section, alias, key, parse in _ALIASES
+)
+_SECTIONS = {section for section, *_ in _KEYS}
 
 
 def loads_config(text: str) -> ExperimentConfig:
@@ -142,107 +192,37 @@ def loads_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
 
+    kwargs = {"network": {}, "fading": {}, None: {}}
+    errors: list[str] = []
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if (section, key) not in _ACCEPTED:
                 raise ConfigError(f"unknown key {section}.{key}")
-
-    errors: list[str] = []
-    g = lambda sec, key, conv, default: _get(parser, sec, key, conv, default, errors)
-
-    noise_w = g("network", "noise_density_w_per_hz", float, None)
-    noise_dbm = g("network", "noise_density_dbm_per_hz", float, None)
-    if noise_w is not None and noise_dbm is not None:
-        errors.append(
-            "network.noise_density_w_per_hz and network.noise_density_dbm_per_hz "
-            "are mutually exclusive"
-        )
-    if noise_w is None:
-        noise_w = (
-            10.0 ** ((noise_dbm - 30.0) / 10.0) if noise_dbm is not None
-            else NOISE_DENSITY_W_PER_HZ
-        )
-
-    rb_count = g("network", "rb_count", lambda r: int(float(r)), 12)
-    interference = g("network", "uplink_interference_w", _parse_float_list, None)
-    if interference is not None and len(interference) == 1:
-        interference = interference * rb_count
-
-    network_kwargs = dict(
-        rb_count=rb_count,
-        rb_bandwidth_hz=g("network", "rb_bandwidth_hz", float, 1e6),
-        downlink_bandwidth_hz=g("network", "downlink_bandwidth_hz", float, 20e6),
-        noise_density_w_per_hz=noise_w,
-        bs_power_w=g("network", "bs_power_w", float, 1.0),
-        max_user_power_w=g("network", "max_user_power_w", float, 0.01),
-        waterfall_threshold=g("network", "waterfall_threshold", float, 0.023),
-        uplink_interference_w=interference,
-        downlink_interference_w=g("network", "downlink_interference_w", float, 0.0),
-        delay_budget_s=g("network", "delay_budget_s", float, 0.5),
-        energy_budget_j=g("network", "energy_budget_j", float, 0.003),
-        pathloss_exponent=g("network", "pathloss_exponent", float, 2.0),
-    )
-
-    payload = g("users", "payload_bits", float, None)
-    bits_per_param = g("users", "payload_bits_per_param", float, None)
-    if payload is not None and bits_per_param is not None:
-        errors.append(
-            "users.payload_bits and users.payload_bits_per_param are mutually exclusive"
-        )
-    if payload is None:
-        payload = MODEL_DIMENSION * bits_per_param if bits_per_param is not None else 5e4
-
-    lr_raw = parser.get("training", "learning_rate", fallback="one_over_L")
-    if lr_raw == "one_over_L":
-        learning_rate = "one_over_L"
-    else:
-        try:
-            learning_rate = float(lr_raw)
-        except ValueError:
-            errors.append(f"training.learning_rate: not a number or 'one_over_L': {lr_raw!r}")
-            learning_rate = "one_over_L"
-
-    method = g("fading", "method", str, "quadrature")
-    fading_kwargs = dict(
-        method=method,
-        node_or_sample_count=g("fading", "count", lambda r: int(float(r)), 64),
-        seed=g("fading", "seed", lambda r: int(float(r)), 0),
-    )
-
+            owner, name, parse = _ACCEPTED[section, key]
+            try:
+                kwargs[owner][name] = parse(parser.get(section, key))
+            except (ValueError, TypeError, configparser.Error) as exc:
+                errors.append(f"{section}.{key}: {exc}")
+    for section, alias, key, _ in _ALIASES:
+        if parser.has_option(section, key) and parser.has_option(section, alias):
+            errors.append(f"{section}.{key} and {section}.{alias} are mutually exclusive")
     if errors:
         raise ConfigError("; ".join(errors))
 
-    try:
-        network = NetworkParams(**network_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"network: {exc}") from exc
-    try:
-        fading = FadingExpectation(**fading_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"fading: {exc}") from exc
+    # One interference value applies to every RB.
+    network = kwargs["network"]
+    if len(network.get("uplink_interference_w", ())) == 1:
+        network["uplink_interference_w"] *= network.get("rb_count", NetworkParams.rb_count)
 
-    return ExperimentConfig(
-        network=network,
-        user_count=g("users", "count", lambda r: int(float(r)), 15),
-        cell_radius_m=g("users", "cell_radius_m", float, 500.0),
-        sample_count_cycle=g("users", "sample_count_cycle", _parse_int_list, (12, 10, 8, 4, 2)),
-        fading_scale=g("users", "fading_scale", float, 1.0),
-        payload_bits=payload,
-        cpu_cycles_per_bit=g("users", "cpu_cycles_per_bit", float, 40.0),
-        cpu_freq_hz=g("users", "cpu_freq_hz", float, 1e9),
-        energy_coeff=g("users", "energy_coeff", float, 1e-27),
-        slope=g("task", "slope", float, -2.0),
-        intercept=g("task", "intercept", float, 1.0),
-        noise_std=g("task", "noise_std", float, 0.4),
-        learning_rate=learning_rate,
-        rounds=g("training", "rounds", lambda r: int(float(r)), 200),
-        initial_model=g("training", "initial_model", _parse_float_list, (0.0, 0.0)),
-        algorithms=g("experiment", "algorithms", _parse_str_list, KNOWN_ALGORITHMS),
-        seeds=g("experiment", "seeds", _parse_int_list, (1, 2, 3)),
-        fading=fading,
-    )
+    parts = {}
+    for owner, cls in (("network", NetworkParams), ("fading", FadingExpectation)):
+        try:
+            parts[owner] = cls(**kwargs[owner])
+        except ValueError as exc:
+            raise ConfigError(f"{owner}: {exc}") from exc
+    return ExperimentConfig(**parts, **kwargs[None])
 
 
 def load_config(path) -> ExperimentConfig:
@@ -255,59 +235,24 @@ def load_config(path) -> ExperimentConfig:
     return loads_config(text)
 
 
+def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(_fmt(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def serialize_config(config: ExperimentConfig) -> str:
     """Render a configuration as text that reparses to an equal configuration."""
-    net = config.network
-    lines = [
-        "[network]",
-        f"rb_count = {net.rb_count}",
-        f"rb_bandwidth_hz = {_fmt(net.rb_bandwidth_hz)}",
-        f"downlink_bandwidth_hz = {_fmt(net.downlink_bandwidth_hz)}",
-        f"noise_density_w_per_hz = {_fmt(net.noise_density_w_per_hz)}",
-        f"bs_power_w = {_fmt(net.bs_power_w)}",
-        f"max_user_power_w = {_fmt(net.max_user_power_w)}",
-        f"waterfall_threshold = {_fmt(net.waterfall_threshold)}",
-        "uplink_interference_w = " + " ".join(_fmt(v) for v in net.uplink_interference_w),
-        f"downlink_interference_w = {_fmt(net.downlink_interference_w)}",
-        f"delay_budget_s = {_fmt(net.delay_budget_s)}",
-        f"energy_budget_j = {_fmt(net.energy_budget_j)}",
-        f"pathloss_exponent = {_fmt(net.pathloss_exponent)}",
-        "",
-        "[users]",
-        f"count = {config.user_count}",
-        f"cell_radius_m = {_fmt(config.cell_radius_m)}",
-        "sample_count_cycle = " + " ".join(str(k) for k in config.sample_count_cycle),
-        f"fading_scale = {_fmt(config.fading_scale)}",
-        f"payload_bits = {_fmt(config.payload_bits)}",
-        f"cpu_cycles_per_bit = {_fmt(config.cpu_cycles_per_bit)}",
-        f"cpu_freq_hz = {_fmt(config.cpu_freq_hz)}",
-        f"energy_coeff = {_fmt(config.energy_coeff)}",
-        "",
-        "[task]",
-        f"slope = {_fmt(config.slope)}",
-        f"intercept = {_fmt(config.intercept)}",
-        f"noise_std = {_fmt(config.noise_std)}",
-        "",
-        "[training]",
-        "learning_rate = " + (
-            config.learning_rate
-            if isinstance(config.learning_rate, str)
-            else _fmt(float(config.learning_rate))
-        ),
-        f"rounds = {config.rounds}",
-        "initial_model = " + " ".join(_fmt(float(v)) for v in config.initial_model),
-        "",
-        "[experiment]",
-        "algorithms = " + " ".join(config.algorithms),
-        "seeds = " + " ".join(str(s) for s in config.seeds),
-        "",
-        "[fading]",
-        f"method = {config.fading.method}",
-        f"count = {config.fading.node_or_sample_count}",
-        f"seed = {config.fading.seed}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines, current = [], None
+    for section, key, owner, name, _ in _KEYS:
+        if section != current:
+            lines += ["", f"[{section}]"]
+            current = section
+        value = getattr(config if owner is None else getattr(config, owner), name)
+        lines.append(f"{key} = {_fmt(value)}")
+    return "\n".join(lines[1:] + [""])
 
 
 def save_config(config: ExperimentConfig, path) -> None:

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import assignment, bounds, training
 from .config import ExperimentConfig
-from .phy import UserProfile
 
 __all__ = [
     "RunRecord",
@@ -67,18 +66,7 @@ def place_users(rng, count, radius_m):
 
 def build_users(config: ExperimentConfig, distances):
     counts = config.sample_counts()
-    return [
-        UserProfile(
-            distance_m=float(d),
-            sample_count=counts[i],
-            fading_scale=config.fading_scale,
-            payload_bits=config.payload_bits,
-            cpu_cycles_per_bit=config.cpu_cycles_per_bit,
-            cpu_freq_hz=config.cpu_freq_hz,
-            energy_coeff=config.energy_coeff,
-        )
-        for i, d in enumerate(distances)
-    ]
+    return [config.user_profile(float(d), counts[i]) for i, d in enumerate(distances)]
 
 
 def build_topology(config: ExperimentConfig, seed: int):
@@ -130,8 +118,8 @@ class RunRecord:
     baseline_c that is the seed's shared edge build (counted in full for
     each of them), for baseline_b its own interval search.  Cells train in
     batches (one per algorithm in ``run_experiment``, one over all seeds in
-    ``bound_report``), and a batch's training time is split equally over its
-    cells.
+    ``bound_report``), and a batch's time, its cells' packet-loss draws and
+    the training, is split equally over its cells.
     """
 
     algorithm: str
@@ -205,6 +193,35 @@ def _record_from_run(algorithm, seed, decision, losses, learning_rate, wall_cloc
     )
 
 
+def _train_batch(config, algorithm, cells, learning_rates, features, targets,
+                 sample_counts):
+    """Train ``cells``, (seed, decision, allocation seconds) each, as one
+    ``training._train_cells`` batch and return (records, losses, models).
+
+    Each cell's packet losses come from its seed's transmit stream.  The
+    draws and the training are timed together, and each record's wall clock
+    is its allocation seconds plus an equal share of that time.
+    """
+    start = time.perf_counter()
+    delivery = np.stack([
+        training._delivery_draws(
+            decision.error_rate, config.rounds,
+            np.random.default_rng([seed, _STREAM_TRANSMIT]),
+        )
+        for seed, decision, _ in cells
+    ])
+    losses, models, _ = training._train_cells(
+        features, targets, sample_counts, [decision.selection for _, decision, _ in cells],
+        learning_rates, delivery, config.initial_model,
+    )
+    share = (time.perf_counter() - start) / len(cells)
+    records = [
+        _record_from_run(algorithm, seed, decision, cell_losses, lr, seconds + share)
+        for (seed, decision, seconds), cell_losses, lr in zip(cells, losses, learning_rates)
+    ]
+    return records, losses, models
+
+
 def run_experiment(config: ExperimentConfig):
     """Run every (algorithm, seed) cell; deterministic order and content.
 
@@ -228,34 +245,18 @@ def run_experiment(config: ExperimentConfig):
 
     records = []
     for algorithm in config.algorithms:
-        decisions, delivery, elapsed = [], [], []
+        cells = []
         for seed, users, edges, edge_build_s in topologies:
             start = time.perf_counter()
             decision = compute_allocation(algorithm, users, config, seed, edges=edges)
-            transmit_rng = np.random.default_rng([seed, _STREAM_TRANSMIT])
-            delivery.append(
-                training._delivery_draws(decision.error_rate, config.rounds, transmit_rng)
-            )
-            decisions.append(decision)
             seconds = time.perf_counter() - start
             if algorithm in _EDGE_ALGORITHMS:
                 seconds += edge_build_s
-            elapsed.append(seconds)
-        start = time.perf_counter()
-        losses, _, _ = training._train_cells(
+            cells.append((seed, decision, seconds))
+        records += _train_batch(
+            config, algorithm, cells, learning_rates,
             features, targets, datasets[0].sample_counts,
-            [decision.selection for decision in decisions], learning_rates,
-            np.stack(delivery), config.initial_model,
-        )
-        training_share = (time.perf_counter() - start) / len(decisions)
-        for (seed, *_), decision, cell_losses, lr, seconds in zip(
-            topologies, decisions, losses, learning_rates, elapsed
-        ):
-            records.append(
-                _record_from_run(
-                    algorithm, seed, decision, cell_losses, lr, seconds + training_share
-                )
-            )
+        )[0]
     return records
 
 
@@ -415,25 +416,11 @@ def bound_report(config: ExperimentConfig):
     else:
         lr = float(config.learning_rate)
 
-    start = time.perf_counter()
-    delivery = np.stack([
-        training._delivery_draws(
-            decision.error_rate, config.rounds,
-            np.random.default_rng([seed, _STREAM_TRANSMIT]),
-        )
-        for seed in config.seeds
-    ])
     x, y = dataset.pooled()
-    n_runs = len(config.seeds)
-    losses, models, _ = training._train_cells(
-        x, y, dataset.sample_counts, [decision.selection] * n_runs, [lr] * n_runs,
-        delivery, config.initial_model,
+    records, losses, models = _train_batch(
+        config, "proposed", [(seed, decision, 0.0) for seed in config.seeds],
+        [lr] * len(config.seeds), x, y, dataset.sample_counts,
     )
-    training_share = (time.perf_counter() - start) / n_runs
-    records = [
-        _record_from_run("proposed", seed, decision, run_losses, lr, training_share)
-        for seed, run_losses in zip(config.seeds, losses)
-    ]
 
     g_star = training.least_squares_model(dataset)
     mean_excess = bounds.empirical_gap(losses, g_star, dataset)

@@ -1,9 +1,16 @@
 """Configuration parsing, defaults, validation, and round-trip tests."""
 
+import configparser
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fedwireless import cli
 from fedwireless.config import (
+    _ALIASES,
+    _KEYS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -11,7 +18,59 @@ from fedwireless.config import (
     serialize_config,
 )
 from fedwireless.harness import place_users
-from fedwireless.phy import NOISE_DENSITY_W_PER_HZ
+from fedwireless.phy import NOISE_DENSITY_W_PER_HZ, FadingExpectation, NetworkParams
+
+REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+
+# Every key, each set to a value other than its default.
+ALL_KEYS = """
+[network]
+rb_count = 5
+rb_bandwidth_hz = 2e6
+downlink_bandwidth_hz = 10e6
+noise_density_w_per_hz = 1e-20
+bs_power_w = 2.0
+max_user_power_w = 0.02
+waterfall_threshold = 0.05
+uplink_interference_w = 1e-9 2e-9 3e-9 4e-9 5e-9
+downlink_interference_w = 1e-12
+delay_budget_s = 0.25
+energy_budget_j = 0.004
+pathloss_exponent = 3.0
+
+[users]
+count = 9
+cell_radius_m = 300.0
+sample_count_cycle = 5 3
+fading_scale = 2.0
+payload_bits = 6e4
+cpu_cycles_per_bit = 20.0
+cpu_freq_hz = 2e9
+energy_coeff = 2e-27
+
+[task]
+slope = 1.5
+intercept = -0.5
+noise_std = 0.1
+
+[training]
+learning_rate = 0.125
+rounds = 42
+initial_model = 0.5 -0.25
+
+[experiment]
+algorithms = proposed baseline_b
+seeds = 11 12 13
+
+[fading]
+method = monte_carlo
+count = 32
+seed = 5
+"""
+
+
+def _value(config, owner, name):
+    return getattr(config if owner is None else getattr(config, owner), name)
 
 
 class TestDefaults:
@@ -77,6 +136,61 @@ class TestValidation:
     def test_bad_learning_rate(self):
         with pytest.raises(ConfigError, match="learning_rate"):
             loads_config("[training]\nlearning_rate = fast\n")
+
+    @pytest.mark.parametrize("section, key", [
+        ("network", "rb_count"),
+        ("users", "count"),
+        ("training", "rounds"),
+        ("fading", "count"),
+        ("fading", "seed"),
+    ])
+    @pytest.mark.parametrize("raw", ["12.7", "0.5", "nan", "inf"])
+    def test_integer_key_rejects_non_integral_value(self, section, key, raw):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: not an integer: '{raw}'"):
+            loads_config(f"[{section}]\n{key} = {raw}\n")
+
+    def test_integral_float_text_still_reads_as_integer(self):
+        config = loads_config("[network]\nrb_count = 6.0\n[users]\ncount = 1e1\n")
+        assert config.network.rb_count == 6 and isinstance(config.network.rb_count, int)
+        assert config.user_count == 10
+
+    @pytest.mark.parametrize("section, key, raw, message", [
+        ("users", "cell_radius_m", "nan", "users.cell_radius_m must be positive"),
+        ("users", "fading_scale", "0", "users: fading_scale must be strictly positive"),
+        ("users", "payload_bits", "-1", "users: payload_bits must be >= 0"),
+        ("users", "payload_bits_per_param", "-1", "users: payload_bits must be >= 0"),
+        ("users", "cpu_cycles_per_bit", "nan", "users: cpu_cycles_per_bit must be strictly"),
+        ("users", "cpu_freq_hz", "-1", "users: cpu_freq_hz must be strictly positive"),
+        ("users", "energy_coeff", "0", "users: energy_coeff must be strictly positive"),
+        ("task", "slope", "nan", "task.slope must be finite"),
+        ("task", "intercept", "inf", "task.intercept must be finite"),
+        ("task", "noise_std", "nan", "task.noise_std must be finite and >= 0"),
+        ("task", "noise_std", "inf", "task.noise_std must be finite and >= 0"),
+        ("experiment", "seeds", "3 -1", "experiment.seeds must be >= 0"),
+    ])
+    def test_bad_value_fails_at_load(self, section, key, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            loads_config(f"[{section}]\n{key} = {raw}\n")
+
+    # Every text is a string, so fading.method is checked by FadingExpectation.
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, key, *_ in _KEYS if key != "method"
+    ])
+    def test_unparsable_value_names_its_key(self, section, key):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            loads_config(f"[{section}]\n{key} = 1 x\n")
+
+    def test_interpolation_error_names_the_key(self):
+        with pytest.raises(ConfigError, match="users.count: '%' must be followed"):
+            loads_config("[users]\ncount = 5%\n")
+
+    def test_simulate_exits_with_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[users]\ncpu_freq_hz = -1\n")
+        code = cli.main(["simulate", str(path), "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "users: cpu_freq_hz must be strictly positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestParsing:
@@ -145,9 +259,42 @@ seeds = 11 12 13
         assert config.user_count == 15
         assert config.network.rb_count == 12
 
+    def test_all_keys_config_round_trips_with_every_field_changed(self):
+        config = loads_config(ALL_KEYS)
+        assert loads_config(serialize_config(config)) == config
+        default = ExperimentConfig()
+        for section, key, owner, name, _ in _KEYS:
+            assert _value(config, owner, name) != _value(default, owner, name), f"{section}.{key}"
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "missing.cfg")
+
+
+class TestKeyTable:
+    def test_every_field_is_reached_by_exactly_one_key(self):
+        reached = [(owner, name) for _, _, owner, name, _ in _KEYS]
+        expected = (
+            [("network", f.name) for f in fields(NetworkParams)]
+            + [("fading", f.name) for f in fields(FadingExpectation) if f.name != "point_mass"]
+            + [(None, f.name) for f in fields(ExperimentConfig)
+               if f.name not in ("network", "fading")]
+        )
+        assert sorted(reached, key=str) == sorted(expected, key=str)
+
+    def test_each_key_is_declared_once(self):
+        spellings = [(section, key) for section, key, *_ in _KEYS]
+        spellings += [(section, alias) for section, alias, *_ in _ALIASES]
+        assert len(set(spellings)) == len(spellings)
+
+    def test_reference_config_sets_every_key(self):
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(REFERENCE.read_text())
+        aliases = {(section, key): alias for section, alias, key, _ in _ALIASES}
+        for section, key, *_ in _KEYS:
+            assert parser.has_option(section, key) or parser.has_option(
+                section, aliases.get((section, key), key)
+            ), f"{section}.{key}"
 
 
 class TestPlaceUsers:
