@@ -2,9 +2,10 @@
 
 The proposed allocator computes a per-edge optimal power (largest power that
 respects the energy budget), gates each (user, RB) edge on the delay and
-energy budgets, and solves a min-weight bipartite matching with a Hungarian
-solver.  Three reference baselines and an exhaustive matching oracle are
-included for comparison and testing.
+energy budgets, and solves a min-weight bipartite matching on the (user, RB)
+rectangle with a shortest-augmenting-path potentials solver, in which
+leaving a user unassigned costs 0.  Three reference baselines and an
+exhaustive matching oracle are included for comparison and testing.
 """
 
 from __future__ import annotations
@@ -227,112 +228,106 @@ def _decide_on_edges(edges, match, solver_iterations):
     )
 
 
-def _hungarian_square(cost: np.ndarray, counted_rows: int):
-    """Min-cost perfect matching of an n x n square via the potentials method.
+def _hungarian_square(cost: np.ndarray):
+    """Min-cost matching of a (U, R) ``cost`` in which any row may stay
+    unassigned at cost 0: the shortest-augmenting-path potentials method
+    (Jonker & Volgenant 1987; Crouse 2016) on the U x (R+U) problem in
+    which row i also owns a zero-cost dummy column that only it reaches.
 
-    ``cost`` is (n+1, n+1): the square sits at ``cost[1:, 1:]`` behind a
-    border, so that entry j of a cost row lines up with column j of the
-    potentials, column 0 being the method's virtual start column.
+    The dummies are implicit.  Reaching one ends an insertion, so none is
+    settled and its potential stays 0; a row left on its dummy is never
+    reached again.  Rows are inserted one at a time from a virtual start
+    column; a settle of row i0, reached through column j0, is a fixed
+    sequence of operations:
 
-    Row i is inserted by settling one column at a time.  A settle of the
-    column j0, matched to row i0, is a fixed sequence of whole-row numpy
-    operations:
-
-    1. ``cur = (cost[i0] - u[i0]) - v``, in that order;
-    2. ``cur`` of every settled column set to +inf;
-    3. ``minv`` and ``way`` updated where ``cur < minv`` (strict);
+    1. ``cur = (cost[i0] - u[i0]) - v`` over the R real columns, in that
+       order, with +inf on the settled columns;
+    2. ``minv`` and ``way`` updated where ``cur < minv`` (strict);
+    3. the dummy of i0, ``-u[i0]``, kept as the best dummy if strictly lower;
     4. ``j1 = argmin(minv)``, the first minimal column, and ``delta`` its
-       ``minv``;
+       ``minv``, unless the best dummy is at or below it (a tie ends the
+       insertion);
     5. ``delta`` added to ``u`` of the settled rows and subtracted from
-       ``v`` of the settled columns;
-    6. ``minv -= delta``.
+       ``v`` of the settled columns, from ``minv`` and from the best dummy.
 
-    A settled column's ``minv`` is held at +inf, so the argmin skips it.
-    Nothing reads ``u`` of a settled row or ``v`` of a settled column again
-    before row i is in, so step 5 updates copies of them kept in settle
-    order (one slice each) and they are written back once row i is in.
-    Every comparison, tie and rounding is that of a scalar scan over the
-    columns: ``<`` keeps the first of equal values as the argmin does, and
-    each potential takes one addition per settle, never a deferred sum
-    (float addition is not associative, and an ulp can flip a tie).  So the
-    matching and the settle count are the scalar method's.
-
-    Returns (col_of_row, iterations): the column of each of the n rows, and
-    the settles performed while inserting the first ``counted_rows`` rows
-    (the rows that correspond to real users; padding rows are excluded from
-    the count but still matched).
+    Step 5 updates settle-order copies of ``u`` and ``v``, written back
+    once the row is in (nothing reads them before); each takes one addition
+    per settle, never a deferred sum (an ulp can flip a tie).  An insertion
+    settles the start and each column at most once: at most U * (R + 1)
+    settles per solve.  ``bench/layers.py`` looks this name and
+    ``_solve_matching`` up with ``getattr``.  Returns (col_of_row,
+    iterations): each row's column (-1: unassigned) and the settle count.
     """
-    n = cost.shape[0] - 1
-    inf = np.inf
-    u, v, minv, cur = (np.zeros(n + 1) for _ in range(4))
-    better = np.zeros(n + 1, dtype=bool)
-    way = np.zeros(n + 1, dtype=np.intp)
-    settled_cols = np.zeros(n + 1, dtype=np.intp)
-    settled_rows = np.zeros(n + 1, dtype=np.intp)
-    settled_u, settled_v = np.zeros(n + 1), np.zeros(n + 1)
-    match = [0] * (n + 1)      # match[j] = row currently assigned to column j (1-based)
+    n_rows, n_cols = cost.shape
+    u, v, minv = np.zeros(n_rows), np.zeros(n_cols), np.zeros(n_cols)
+    way = np.zeros(n_cols, dtype=np.intp)          # -1 is the virtual start column
+    # In settle order: settled_rows[k] was reached through settled_cols[k - 1].
+    settled_rows, settled_u = np.zeros(n_cols + 1, dtype=np.intp), np.zeros(n_cols + 1)
+    settled_cols, settled_v = np.zeros(n_cols, dtype=np.intp), np.zeros(n_cols)
+    col_of_row, row_of_col = [-1] * n_rows, [-1] * n_cols
     iterations = 0
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = k = 0
-        minv.fill(inf)
+    for i in range(n_rows):
+        minv.fill(np.inf)
+        i0, j0, k = i, -1, 0
+        exit_value, exit_row = np.inf, -1          # best dummy candidate and its row
         while True:
-            i0 = match[j0]
-            settled_cols[k], settled_rows[k] = j0, i0
-            settled_u[k], settled_v[k] = u[i0], v[j0]
-            k += 1
-            np.subtract(cost[i0], u[i0], out=cur)
-            cur -= v
-            cur[settled_cols[:k]] = inf
-            minv[j0] = inf
-            np.less(cur, minv, out=better)
+            ui0 = u[i0]
+            settled_rows[k], settled_u[k] = i0, ui0
+            cur = (cost[i0] - ui0) - v
+            cur[settled_cols[:k]] = np.inf
+            better = cur < minv
             np.copyto(minv, cur, where=better)
             np.copyto(way, j0, where=better)
-            j0 = int(minv.argmin())
-            delta = minv[j0]
-            settled_u[:k] += delta
+            if -ui0 < exit_value:
+                exit_value, exit_row = -ui0, i0
+            j1 = int(minv.argmin())
+            delta = minv[j1]
+            if exit_value <= delta:
+                j1, delta = -1, exit_value
+            settled_u[:k + 1] += delta
             settled_v[:k] -= delta
             minv -= delta
-            if match[j0] == 0:
+            exit_value -= delta
+            k += 1
+            if j1 < 0 or row_of_col[j1] < 0:
                 break
+            settled_cols[k - 1], settled_v[k - 1] = j1, v[j1]
+            minv[j1] = np.inf
+            j0, i0 = j1, row_of_col[j1]
         u[settled_rows[:k]] = settled_u[:k]
-        v[settled_cols[:k]] = settled_v[:k]
-        if i <= counted_rows:
-            iterations += k
-        while j0 != 0:
-            j1 = int(way[j0])
-            match[j0] = match[j1]
-            j0 = j1
-    # match[1:] is a permutation of the rows 1..n; its inverse is col_of_row.
-    return np.argsort(match[1:]), iterations
+        v[settled_cols[:k - 1]] = settled_v[:k - 1]
+        iterations += k
+        if j1 < 0:                                 # exit_row gives up its column
+            j1, col_of_row[exit_row] = col_of_row[exit_row], -1
+        while j1 >= 0:
+            j0 = int(way[j1])
+            row = i if j0 < 0 else row_of_col[j0]
+            row_of_col[j1], col_of_row[row] = row, j1
+            j1 = j0
+    return np.array(col_of_row, dtype=np.intp), iterations
 
 
-def _solve_matching(weight_matrix, counted_rows):
-    """Min-weight matching of a (U, R) matrix padded to a zero-cost square.
+def _solve_matching(weight_matrix):
+    """Min-weight matching of a (U, R) matrix in which leaving a user
+    unassigned costs 0.
 
     Returns ((rows, rbs), iterations): the matched edges of negative weight,
-    in row order, and the solver's iteration count.
+    in row order, and the solver's settle count.
     """
-    n_users, n_rbs = weight_matrix.shape
-    n = max(n_users, n_rbs)
-    cost = np.zeros((n + 1, n + 1))
-    cost[1:n_users + 1, 1:n_rbs + 1] = weight_matrix
-    col_of_row, iterations = _hungarian_square(cost, counted_rows=counted_rows)
-    rbs = col_of_row[:n_users]
-    # Padding columns cost 0, so a user matched to one is dropped too.
-    rows = np.flatnonzero(cost[np.arange(1, n_users + 1), rbs + 1] < 0.0)
-    return (rows, rbs[rows]), iterations
+    col_of_row, iterations = _hungarian_square(weight_matrix)
+    rows = np.flatnonzero(col_of_row >= 0)
+    rows = rows[weight_matrix[rows, col_of_row[rows]] < 0.0]
+    return (rows, col_of_row[rows]), iterations
 
 
 def hungarian_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
     """Globally optimal allocation: min-weight matching over feasible edges.
 
-    The weight matrix is padded to a square with zero-cost dummies, so
-    leaving a user unmatched is always available at cost 0.  Users matched
+    Leaving a user unassigned is always available at cost 0.  Users matched
     through a weight-0 edge (infeasible, or error-certain) are reported
     unselected; the objective is unchanged by that convention.
     """
-    match, iterations = _solve_matching(edges.weights, counted_rows=edges.weights.shape[0])
+    match, iterations = _solve_matching(edges.weights)
     return _decide_on_edges(edges, match, iterations)
 
 
@@ -418,7 +413,7 @@ def baseline_min_sum_per(users, params, fexp, edges=None) -> AllocationDecision:
     if edges is None:
         edges = build_edge_weights(users, params, fexp)
     per_weights = np.where(edges.feasible, edges.error_rate - 1.0, 0.0)
-    match, iterations = _solve_matching(per_weights, counted_rows=per_weights.shape[0])
+    match, iterations = _solve_matching(per_weights)
     return _decide_on_edges(edges, match, iterations)
 
 

@@ -268,7 +268,7 @@ def worst_case_error_sum(users, params, fexp) -> float:
         q_worst = phy._error_rate(cohort.on(n, params), p_lo, params, fexp)
         gains[:, n] = np.where(feasible, sample_counts * q_worst, 0.0)
     # Pairs matched at gain 0 are dropped by the solver; they only added 0.0.
-    (rows, rbs), _ = assignment._solve_matching(-gains, counted_rows=0)
+    (rows, rbs), _ = assignment._solve_matching(-gains)
     total = 0.0
     for gain in gains[rows, rbs]:
         total += gain

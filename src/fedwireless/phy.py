@@ -99,9 +99,10 @@ class NetworkParams:
                 f"uplink_interference_w must have rb_count={self.rb_count} entries, "
                 f"got {len(interference)}"
             )
-        if any(v < 0 for v in interference):
+        # Negated ``>= 0`` tests, so that NaN fails them too.
+        if not all(v >= 0 for v in interference):
             raise ValueError("uplink_interference_w entries must be >= 0")
-        if self.downlink_interference_w < 0:
+        if not self.downlink_interference_w >= 0:
             raise ValueError("downlink_interference_w must be >= 0")
         object.__setattr__(self, "uplink_interference_w", interference)
 
@@ -124,7 +125,7 @@ class UserProfile:
             raise ValueError(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
         _require_positive("fading_scale", self.fading_scale)
         # payload_bits == 0 is allowed as the degenerate "nothing to send" case.
-        if self.payload_bits < 0:
+        if not self.payload_bits >= 0:
             raise ValueError(f"payload_bits must be >= 0, got {self.payload_bits!r}")
         for name in ("cpu_cycles_per_bit", "cpu_freq_hz", "energy_coeff"):
             _require_positive(name, getattr(self, name))
@@ -170,6 +171,9 @@ class FadingExpectation:
             raise ValueError(
                 f"node_or_sample_count must be >= 16, got {self.node_or_sample_count!r}"
             )
+        # Only Monte Carlo seeds a generator, which refuses a negative seed.
+        if self.method == "monte_carlo" and not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0 with method 'monte_carlo', got {self.seed!r}")
         if self.point_mass is not None and not self.point_mass > 0:
             raise ValueError(f"point_mass must be strictly positive, got {self.point_mass!r}")
 

@@ -342,10 +342,10 @@ def test_criterion_09_simulate_determinism(tmp_path):
 def test_criterion_10_hungarian_scaling():
     """Solver effort grows with the user count and stays within c * U^2 * R.
 
-    Each user-row insertion settles at most max(U, R) + 1 columns, so
-    iterations <= U * (max(U, R) + 1) <= U^2 * R for every R >= 2; the
-    fitted constant must therefore stay at or below 1, and here it is far
-    below.  Mean effort must also be non-decreasing in the user count.
+    Each user-row insertion settles at most R + 1 columns, so
+    iterations <= U * (R + 1) <= U^2 * R for every U >= 2; the fitted
+    constant must therefore stay at or below 1, and here it is far below.
+    Mean effort must also be non-decreasing in the user count.
     """
     rng = np.random.default_rng(1010)
     user_counts = [5, 10, 15, 20, 25]
@@ -358,6 +358,7 @@ def test_criterion_10_hungarian_scaling():
             for _ in range(30):
                 edges = synthetic_edges(rng, n_users, n_rbs, feasible_prob=0.9)
                 iters.append(hungarian_assign(edges).solver_iterations)
+                assert iters[-1] <= n_users * (n_rbs + 1)
             mean_iters[(n_users, n_rbs)] = float(np.mean(iters))
             max_ratio = max(max_ratio, max(iters) / (n_users**2 * n_rbs))
     for n_rbs in rb_counts:

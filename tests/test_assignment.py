@@ -400,69 +400,74 @@ class TestHungarian:
                 assert edges.weights[i, n] < 0
 
 
-def scalar_hungarian_square(cost, counted_rows):
-    """The potentials method with a scalar scan over the columns of an n x n
-    cost: the reference ``_hungarian_square`` must match bit for bit."""
-    n = cost.shape[0]
+def scalar_rectangular_matching(cost):
+    """The rectangular potentials method with a scalar scan over the real
+    columns, each row also owning an implicit zero-cost "unassigned" column:
+    ``_hungarian_square`` must match it bit for bit."""
+    n_rows, n_cols = cost.shape
     INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match = [0] * (n + 1)
-    way = [0] * (n + 1)
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    way = [-1] * n_cols
+    col_of_row = [-1] * n_rows
+    row_of_col = [-1] * n_cols
     iterations = 0
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+    for i in range(n_rows):
+        minv = [INF] * n_cols
+        used = [False] * n_cols
+        used_rows = [i]
+        i0, j0 = i, -1
+        exit_value, exit_row = INF, -1
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = INF
-            j1 = 0
-            row = cost[i0 - 1]
+            iterations += 1
+            row = cost[i0]
             ui0 = u[i0]
-            for j in range(1, n + 1):
+            for j in range(n_cols):
                 if not used[j]:
-                    cur = row[j - 1] - ui0 - v[j]
+                    cur = row[j] - ui0 - v[j]
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
+            if -ui0 < exit_value:
+                exit_value, exit_row = -ui0, i0
+            delta, j1 = INF, -1
+            for j in range(n_cols):
+                if not used[j] and minv[j] < delta:
+                    delta, j1 = minv[j], j
+            if exit_value <= delta:
+                delta, j1 = exit_value, -1
+            for r in used_rows:
+                u[r] += delta
+            for j in range(n_cols):
                 if used[j]:
-                    u[match[j]] += delta
                     v[j] -= delta
                 else:
                     minv[j] -= delta
-            j0 = j1
-            if i <= counted_rows:
-                iterations += 1
-            if match[j0] == 0:
+            exit_value -= delta
+            if j1 < 0 or row_of_col[j1] < 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    col_of_row = [-1] * n
-    for j in range(1, n + 1):
-        if match[j] > 0:
-            col_of_row[match[j] - 1] = j - 1
+            used[j1] = True
+            j0, i0 = j1, row_of_col[j1]
+            used_rows.append(i0)
+        if j1 < 0:
+            j1 = col_of_row[exit_row]
+            col_of_row[exit_row] = -1
+        while j1 >= 0:
+            j0 = way[j1]
+            r = i if j0 < 0 else row_of_col[j0]
+            row_of_col[j1] = r
+            col_of_row[r] = j1
+            j1 = j0
     return col_of_row, iterations
 
 
-def assert_square_matches_scalar_scan(weights, counted_rows):
-    """``_hungarian_square`` on the bordered zero-padded square of ``weights``
-    gives the scalar scan's columns and settle count."""
+def assert_solver_matches_scalar_scan(weights):
+    """``_hungarian_square`` on ``weights`` gives the scalar scan's columns
+    and settle count, and at most R + 1 settles per row."""
+    col_of_row, iterations = assignment._hungarian_square(weights)
+    assert (col_of_row.tolist(), iterations) == scalar_rectangular_matching(weights)
     n_users, n_rbs = weights.shape
-    n = max(n_users, n_rbs)
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[1:n_users + 1, 1:n_rbs + 1] = weights
-    col_of_row, iterations = assignment._hungarian_square(bordered, counted_rows)
-    reference = scalar_hungarian_square(bordered[1:, 1:], counted_rows)
-    assert (col_of_row.tolist(), iterations) == reference
+    assert iterations <= n_users * (n_rbs + 1)
 
 
 # A small grid of weights: ties, exact zeros and a third that rounds.
@@ -471,27 +476,33 @@ WEIGHT_GRID = (0.0, -1.0 / 3.0, -1.0, -2.5, -6.0)
 
 @st.composite
 def grid_weights(draw, max_side=10):
-    """(weights, counted_rows): a grid matrix with some rows and columns set
-    to zero, and a counted_rows anywhere from 0 to its padded side."""
+    """A grid matrix of any shape up to ``max_side`` with some rows and
+    columns set to zero."""
     n_users, n_rbs = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     cells = draw(st.lists(st.sampled_from(WEIGHT_GRID), min_size=n_users * n_rbs,
                           max_size=n_users * n_rbs))
     weights = np.array(cells).reshape(n_users, n_rbs)
     weights[sorted(draw(st.sets(st.integers(0, n_users - 1), max_size=2))), :] = 0.0
     weights[:, sorted(draw(st.sets(st.integers(0, n_rbs - 1), max_size=2)))] = 0.0
-    return weights, draw(st.integers(0, max(n_users, n_rbs)))
+    return weights
 
 
 class TestHungarianSquare:
-    # The examples flip a tie when the potentials take a deferred sum of the
-    # settles' deltas instead of one addition per settle.
+    # The first two examples flip a column or the settle count when the
+    # potentials take a deferred sum of the settles' deltas instead of one
+    # addition per settle.
     @settings(max_examples=200, deadline=None)
     @given(grid_weights())
-    @example((np.array([[0.0, 0.0, -1 / 3], [-6.0, -6.0, 0.0], [-6.0, 0.0, -1.0],
-                        [0.0, -6.0, 0.0], [0.0, 0.0, -2.5]]), 5))
-    @example((np.array([[-1 / 3], [-2.5], [0.0]]), 0))
-    def test_matches_scalar_scan_on_ties_zeros_and_padding(self, case):
-        assert_square_matches_scalar_scan(*case)
+    @example(np.array([[-6.0, 0.0, -1 / 3, 0.0], [0.0, -1 / 3, -1.0, -1 / 3],
+                       [0.0, 0.0, -6.0, -1 / 3], [-6.0, -2.5, -6.0, 0.0],
+                       [-1.0, -2.5, -2.5, -1 / 3]]))
+    @example(np.array([[0.0], [-1 / 3], [-1.0], [-1 / 3], [-1 / 3], [-2.5]]))
+    @example(np.array([[-1.0, -1 / 3, 0.0, -6.0, -2.5]]))
+    @example(np.array([[-1.0, -1.0, 0.0, -2.5, -1 / 3, -6.0],
+                       [-6.0, 0.0, -6.0, -1.0, -1.0, -1 / 3]]))
+    @example(np.zeros((4, 3)))
+    def test_matches_scalar_scan_on_ties_zeros_and_shapes(self, weights):
+        assert_solver_matches_scalar_scan(weights)
 
     def test_matches_scalar_scan_on_reference_edges(self, monkeypatch):
         from fedwireless.config import load_config
@@ -500,9 +511,9 @@ class TestHungarianSquare:
         solved = []
         solve = assignment._solve_matching
 
-        def capture(weights, counted_rows):
-            solved.append((weights.copy(), counted_rows))
-            return solve(weights, counted_rows)
+        def capture(weights):
+            solved.append(weights.copy())
+            return solve(weights)
 
         monkeypatch.setattr(assignment, "_solve_matching", capture)
         config = load_config(REFERENCE)
@@ -511,11 +522,11 @@ class TestHungarianSquare:
             edges = build_edge_weights(users, config.network, config.fading)
             hungarian_assign(edges)
             baseline_min_sum_per(users, config.network, config.fading, edges=edges)
-            # The worst-case error sum solves with counted_rows=0.
+            # The worst-case error sum solves the same (U, R) shape.
             bounds.worst_case_error_sum(users, config.network, config.fading)
-        assert [counted for _, counted in solved] == [15, 15, 0] * len(config.seeds)
-        for weights, counted_rows in solved:
-            assert_square_matches_scalar_scan(weights, counted_rows)
+        assert [w.shape for w in solved] == [(15, 12)] * 3 * len(config.seeds)
+        for weights in solved:
+            assert_solver_matches_scalar_scan(weights)
 
     @pytest.mark.parametrize("n_users, n_rbs", [(200, 100), (300, 20), (20, 300), (1, 50)])
     def test_large_instances_reach_the_scipy_optimum(self, n_users, n_rbs):

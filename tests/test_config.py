@@ -158,6 +158,13 @@ class TestValidation:
         ("users", "cell_radius_m", "nan", "users.cell_radius_m must be positive"),
         ("users", "fading_scale", "0", "users: fading_scale must be strictly positive"),
         ("users", "payload_bits", "-1", "users: payload_bits must be >= 0"),
+        ("users", "payload_bits", "nan", "users: payload_bits must be >= 0"),
+        ("network", "downlink_interference_w", "nan",
+         "network: downlink_interference_w must be >= 0"),
+        ("network", "uplink_interference_w", "nan",
+         "network: uplink_interference_w entries must be >= 0"),
+        ("network", "uplink_interference_w", "1e-9 " * 11 + "nan",
+         "network: uplink_interference_w entries must be >= 0"),
         ("users", "payload_bits_per_param", "-1", "users: payload_bits must be >= 0"),
         ("users", "cpu_cycles_per_bit", "nan", "users: cpu_cycles_per_bit must be strictly"),
         ("users", "cpu_freq_hz", "-1", "users: cpu_freq_hz must be strictly positive"),
@@ -171,6 +178,20 @@ class TestValidation:
     def test_bad_value_fails_at_load(self, section, key, raw, message):
         with pytest.raises(ConfigError, match=message):
             loads_config(f"[{section}]\n{key} = {raw}\n")
+
+    def test_negative_fading_seed_rejected_with_monte_carlo(self):
+        with pytest.raises(ConfigError, match="fading: seed must be >= 0 with method"):
+            loads_config("[fading]\nmethod = monte_carlo\nseed = -1\n")
+
+    def test_negative_fading_seed_runs_with_quadrature(self, tmp_path):
+        path = tmp_path / "quadrature.cfg"
+        path.write_text(
+            "[users]\ncount = 4\n[training]\nrounds = 3\n"
+            "[experiment]\nseeds = 1\n[fading]\nmethod = quadrature\nseed = -1\n"
+        )
+        assert load_config(path).fading.seed == -1
+        assert cli.main(["simulate", str(path), "--outdir", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "runs.csv").is_file()
 
     # Every text is a string, so fading.method is checked by FadingExpectation.
     @pytest.mark.parametrize("section, key", [
