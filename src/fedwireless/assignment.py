@@ -47,23 +47,29 @@ def _bisect(lo, hi, below_root):
     """Lock-step bisection of many edges for a predicate that holds below
     each edge's root and fails above it.
 
-    Edges whose root lies outside [lo, hi] collapse onto that endpoint.  The
-    rest halve [lo, hi] at mid = 0.5*(lo+hi), lo moving up where the
-    predicate holds and hi down elsewhere, each until its mid rounds onto an
-    endpoint (at most _BISECT_ITERS rounds).  Returns the final (lo, hi) and
-    whether the predicate held at the initial lo and at the initial hi.
+    ``below_root(x, index)`` gets the points of edges ``index`` (None: all
+    edges).  Edges whose root lies outside [lo, hi] collapse onto that
+    endpoint.  The rest halve [lo, hi] at mid = 0.5*(lo+hi), lo moving up
+    where the predicate holds and hi down elsewhere, each until its mid
+    rounds onto an endpoint (at most _BISECT_ITERS rounds).  Such an edge's
+    lo and hi never change again, so each round evaluates only the edges
+    still moving.  Returns the final (lo, hi) and whether the predicate held
+    at the initial lo and at the initial hi.
     """
-    holds_lo, holds_hi = below_root(lo), below_root(hi)
+    holds_lo, holds_hi = below_root(lo, None), below_root(hi, None)
     lo = np.where(holds_hi, hi, lo)
     hi = np.where(holds_lo, hi, lo)
+    active = np.arange(lo.size)
     for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        moving = (mid != lo) & (mid != hi)
-        if not moving.any():
+        a_lo, a_hi = lo[active], hi[active]
+        mid = 0.5 * (a_lo + a_hi)
+        moving = (mid != a_lo) & (mid != a_hi)
+        active, mid = active[moving], mid[moving]
+        if not active.size:
             break
-        up = below_root(mid)
-        lo = np.where(moving & up, mid, lo)
-        hi = np.where(moving & ~up, mid, hi)
+        up = below_root(mid, active)
+        lo[active[up]] = mid[up]
+        hi[active[~up]] = mid[~up]
     return lo, hi, holds_lo, holds_hi
 
 
@@ -74,9 +80,10 @@ def _optimal_powers(users, params, fexp):
     todo = np.flatnonzero(users.training_j < budget)
     cohort = users.take(todo)
 
-    def fits(power):
-        rate = phy._uplink_rate(cohort, power, params, fexp)
-        return phy._energy(cohort, power, phy._delay(cohort.payload_bits, rate)) <= budget
+    def fits(power, index):
+        edges = cohort if index is None else cohort.take(index)
+        rate = phy._uplink_rate(edges, power, params, fexp)
+        return phy._energy(edges, power, phy._delay(edges.payload_bits, rate)) <= budget
 
     lo, _, fits_lo, fits_hi = _bisect(
         np.full(todo.size, p_max * 1e-12), np.full(todo.size, p_max), fits
@@ -110,15 +117,20 @@ def feasible_power_interval(users, rb_index, params, fexp):
     where the edge is infeasible at any power.  P_lo is the smallest power
     whose expected rate still meets the delay budget.
     """
-    cohort = phy._Users.of(users, params).on(rb_index, params)
+    return _power_interval(phy._Users.of(users, params).on(rb_index, params), params, fexp)
+
+
+def _power_interval(cohort, params, fexp):
+    """feasible_power_interval over a placed ``phy._Users`` cohort of edges."""
     p_hi = _optimal_powers(cohort, params, fexp)
     down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
     slack = params.delay_budget_s - down
     todo = np.flatnonzero((p_hi > 0) & (slack > 0))
     sub, target = cohort.take(todo), cohort.payload_bits[todo] / slack[todo]
 
-    def short(power):
-        return phy._uplink_rate(sub, power, params, fexp) < target
+    def short(power, index):
+        edges, goal = (sub, target) if index is None else (sub.take(index), target[index])
+        return phy._uplink_rate(edges, power, params, fexp) < goal
 
     # A zero payload has target rate 0, which the bottom of the range reaches.
     _, hi, _, short_hi = _bisect(p_hi[todo] * 1e-15, p_hi[todo], short)
@@ -126,6 +138,32 @@ def feasible_power_interval(users, rb_index, params, fexp):
     p_lo[todo] = np.where(short_hi, 0.0, hi)
     feasible = p_lo > 0
     return p_lo, np.where(feasible, p_hi, 0.0), feasible
+
+
+# Edges x fading nodes per cohort of the (user, RB) edge build: blocks of
+# whole RB columns up to this size bound the (edges x nodes) temporaries, and
+# so peak memory, while small topologies still make one cohort.
+_COHORT_ELEMENTS = 32768
+
+
+def _over_column_blocks(cohort, params, fexp, evaluate):
+    """(U, R) arrays of per-edge values over every (user, RB) edge.
+
+    ``cohort`` holds the U users unplaced.  Each block of whole RB columns,
+    ``max(1, _COHORT_ELEMENTS // (U * nodes))`` wide, is one cohort of edges
+    in user-major order; ``evaluate(block, rows)`` returns a tuple of arrays
+    over its edges, ``rows`` being each edge's user.  An edge's values depend
+    on that edge alone, so any block width gives the same bits.
+    """
+    n_users = cohort.gain.size
+    width = max(1, _COHORT_ELEMENTS // max(1, n_users * fexp.node_or_sample_count))
+    blocks = []
+    for start in range(0, params.rb_count, width):
+        rbs = np.arange(start, min(start + width, params.rb_count))
+        rows = np.repeat(np.arange(n_users), rbs.size)
+        block = cohort.take(rows).on(np.tile(rbs, n_users), params)
+        blocks.append([part.reshape(n_users, rbs.size) for part in evaluate(block, rows)])
+    return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
 
 
 @dataclass
@@ -151,27 +189,29 @@ def _link(users, power, down, params, fexp):
 def build_edge_weights(users, params, fexp) -> EdgeWeightMatrix:
     """Evaluate optimal power, gates, and weight for every (user, RB) edge.
 
-    Works one RB column at a time over all users (see the ``phy`` array
-    contract), with one downlink delay per user.
+    Works on blocks of whole RB columns over all users, each one cohort of
+    ``_over_column_blocks`` (see the ``phy`` array contract), with one
+    downlink delay per user.
     """
     cohort = phy._Users.of(users, params)
     sample_counts = np.array([u.sample_count for u in users], dtype=float)
     down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
-    shape = (len(users), params.rb_count)
-    feasible = np.zeros(shape, dtype=bool)
-    weights, power, error, delay, energy = (np.empty(shape) for _ in range(5))
-    for n in range(params.rb_count):
-        column = cohort.on(n, params)
-        p = _optimal_powers(column, params, fexp)
-        q, total_delay, e = _link(column, p, down, params, fexp)
-        ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
-        feasible[:, n] = ok
-        weights[:, n] = np.where(ok, sample_counts * (q - 1.0), 0.0)
-        power[:, n] = np.where(ok, p, 0.0)
-        error[:, n] = np.where(ok, q, 1.0)
-        delay[:, n] = np.where(ok, total_delay, np.inf)
-        energy[:, n] = np.where(ok, e, np.inf)
-    return EdgeWeightMatrix(weights, feasible, power, error, delay, energy, sample_counts)
+
+    def evaluate(block, rows):
+        p = _optimal_powers(block, params, fexp)
+        return (p, *_link(block, p, down[rows], params, fexp))
+
+    p, q, total_delay, e = _over_column_blocks(cohort, params, fexp, evaluate)
+    ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
+    return EdgeWeightMatrix(
+        weights=np.where(ok, sample_counts[:, None] * (q - 1.0), 0.0),
+        feasible=ok,
+        power_w=np.where(ok, p, 0.0),
+        error_rate=np.where(ok, q, 1.0),
+        delay_s=np.where(ok, total_delay, np.inf),
+        energy_j=np.where(ok, e, np.inf),
+        sample_counts=sample_counts,
+    )
 
 
 @dataclass

@@ -260,13 +260,14 @@ def worst_case_error_sum(users, params, fexp) -> float:
     attained at its minimum feasible power; the worst assignment is then a
     max-weight matching over those per-edge values.
     """
-    cohort = phy._Users.of(users, params)
     sample_counts = np.array([u.sample_count for u in users], dtype=float)
-    gains = np.zeros((len(users), params.rb_count))
-    for n in range(params.rb_count):
-        p_lo, _, feasible = assignment.feasible_power_interval(users, n, params, fexp)
-        q_worst = phy._error_rate(cohort.on(n, params), p_lo, params, fexp)
-        gains[:, n] = np.where(feasible, sample_counts * q_worst, 0.0)
+
+    def evaluate(block, rows):
+        p_lo, _, feasible = assignment._power_interval(block, params, fexp)
+        q_worst = phy._error_rate(block, p_lo, params, fexp)
+        return (np.where(feasible, sample_counts[rows] * q_worst, 0.0),)
+
+    (gains,) = assignment._over_column_blocks(phy._Users.of(users, params), params, fexp, evaluate)
     # Pairs matched at gain 0 are dropped by the solver; they only added 0.0.
     (rows, rbs), _ = assignment._solve_matching(-gains)
     total = 0.0

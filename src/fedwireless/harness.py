@@ -12,6 +12,7 @@ training and the one_over_L curvature use no BLAS matrix product.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import platform
@@ -362,9 +363,22 @@ def read_csv_rows(path):
     return rows
 
 
+def _blas_kernel():
+    """The kernel numpy's OpenBLAS picked at run time, read from the library
+    numpy links; None where it does not export its core name."""
+    try:
+        library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        corename = library.scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def _environment() -> dict:
     """What the determinism contract depends on: Python, numpy, numpy's BLAS
-    build and the SIMD targets numpy compiled in and dispatches to here."""
+    build and run-time kernel, and the SIMD targets numpy compiled in and
+    dispatches to here."""
     numpy_config = np.show_config(mode="dicts")
     blas = numpy_config.get("Build Dependencies", {}).get("blas", {})
     simd = numpy_config.get("SIMD Extensions", {})
@@ -372,6 +386,7 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "blas_kernel": _blas_kernel(),
         "simd_baseline": simd.get("baseline", []),
         "simd_dispatch": simd.get("found", []),
     }
@@ -379,14 +394,18 @@ def _environment() -> dict:
 
 def write_manifest(records, path, config: ExperimentConfig | None = None) -> None:
     """Lossless JSON store of the run records (and optionally the config
-    text), with the environment that produced them."""
+    text), with the environment that produced them.
+
+    One compact ``json.dumps`` per record, one record a line: unindented
+    dumps run the C encoder, where ``indent`` falls back to pure Python.
+    """
     from .config import serialize_config
 
-    payload = {"environment": _environment(), "records": [record.to_dict() for record in records]}
-    if config is not None:
-        payload["config"] = serialize_config(config)
+    tail = "" if config is None else ',\n"config": ' + json.dumps(serialize_config(config))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+        handle.write('{"environment": ' + json.dumps(_environment()) + ',\n"records": [\n')
+        handle.write(",\n".join(json.dumps(record.to_dict()) for record in records))
+        handle.write("\n]" + tail + "}\n")
 
 
 def load_manifest(path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedwireless import assignment, bounds
+from fedwireless import assignment, bounds, phy
 from fedwireless.assignment import (
     AllocationDecision,
     EdgeWeightMatrix,
@@ -156,6 +156,94 @@ def scalar_bisect(lo, hi, below_root):
     return lo, hi
 
 
+def lockstep_bisect(lo, hi, below_root):
+    """Oracle for ``assignment._bisect``: the same rules, but every edge is
+    evaluated every round, with ``below_root(x)`` over all edges."""
+    holds_lo, holds_hi = below_root(lo), below_root(hi)
+    lo = np.where(holds_hi, hi, lo)
+    hi = np.where(holds_lo, hi, lo)
+    for _ in range(assignment._BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        moving = (mid != lo) & (mid != hi)
+        if not moving.any():
+            break
+        up = below_root(mid)
+        lo = np.where(moving & up, mid, lo)
+        hi = np.where(moving & ~up, mid, hi)
+    return lo, hi, holds_lo, holds_hi
+
+
+def uncompacted(lo, hi, below_root):
+    """``lockstep_bisect`` with the ``assignment._bisect`` calling convention."""
+    return lockstep_bisect(lo, hi, lambda x: below_root(x, None))
+
+
+@st.composite
+def bisection_edges(draw):
+    """(lo, hi, root) per edge: roots inside, on, below and above the
+    bracket, already-adjacent brackets, and brackets so wide that the
+    search stops at the iteration cap."""
+    lo, hi, root = [], [], []
+    for _ in range(draw(st.integers(1, 10))):
+        a = draw(st.floats(-1e6, 1e6))
+        b = draw(st.sampled_from([
+            float(np.nextafter(a, np.inf)), a + 1e300,
+            a + draw(st.floats(1e-9, 1e6)),
+        ]))
+        place = draw(st.sampled_from(["inside", "lo", "hi", "below", "above"]))
+        r = {
+            "inside": a + draw(st.floats(0.0, 1.0)) * (b - a), "lo": a, "hi": b,
+            "below": a - draw(st.floats(0.0, 1e6)), "above": b + draw(st.floats(0.0, 1e6)),
+        }[place]
+        lo.append(a), hi.append(b), root.append(r)
+    return np.array(lo), np.array(hi), np.array(root)
+
+
+class TestBisect:
+    @settings(max_examples=200, deadline=None)
+    @given(bisection_edges(), st.booleans(), st.sampled_from([200, 3]))
+    def test_compacted_matches_lockstep_oracle(self, edges, scrambled, iters):
+        lo, hi, root = edges
+        calls = []
+
+        def below_root(x, index=None):
+            holds = x < (root if index is None else root[index])
+            if scrambled:   # still a pure function of (edge, x), not monotone
+                holds ^= (x.view(np.int64) & 1).astype(bool)
+            return holds
+
+        def recorded(x, index):
+            calls.append(index)
+            return below_root(x, index)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(assignment, "_BISECT_ITERS", iters)
+            want = lockstep_bisect(lo.copy(), hi.copy(), below_root)
+            got = assignment._bisect(lo.copy(), hi.copy(), recorded)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # After the two probes only edges whose mid still moves are evaluated:
+        # never a collapsed or adjacent bracket.
+        assert calls[0] is None and calls[1] is None and len(calls) <= 2 + iters
+        _, _, holds_lo, holds_hi = want
+        c_lo = np.where(holds_hi, hi, lo)
+        c_hi = np.where(holds_lo, hi, c_lo)
+        mid = 0.5 * (c_lo + c_hi)
+        stopped = np.flatnonzero((mid == c_lo) | (mid == c_hi))
+        for index in calls[2:]:
+            assert index.size and not np.isin(index, stopped).any()
+
+    def test_wide_bracket_stops_at_the_iteration_cap(self):
+        calls = []
+
+        def below_root(x, index):
+            calls.append(index)
+            return x < 1.0
+
+        lo, hi, _, _ = assignment._bisect(np.array([0.0]), np.array([1e300]), below_root)
+        assert len(calls) == 2 + assignment._BISECT_ITERS and lo[0] < 1.0 < hi[0]
+
+
 def reference_optimal_power(user, n, params, fexp):
     """Scalar energy-budget search through the public phy calls; 0 if none."""
     budget, p_max = params.energy_budget_j, params.max_user_power_w
@@ -240,6 +328,60 @@ def assert_build_matches_scalar_calls(fexp):
             for name, value in want.items():
                 got = getattr(edges, name)[i, n]
                 assert np.float64(got).view(np.int64) == np.float64(value).view(np.int64), name
+
+
+def column_by_column_build(users, params, fexp):
+    """The edge build as one cohort per RB column, searched by the lock-step
+    oracle: the reference for the column-block build."""
+    cohort = phy._Users.of(users, params)
+    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    counts = np.array([u.sample_count for u in users], dtype=float)
+    shape = (len(users), params.rb_count)
+    feasible = np.zeros(shape, dtype=bool)
+    weights, power, error, delay, energy = (np.empty(shape) for _ in range(5))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assignment, "_bisect", uncompacted)
+        for n in range(params.rb_count):
+            column = cohort.on(n, params)
+            p = assignment._optimal_powers(column, params, fexp)
+            q, total_delay, e = assignment._link(column, p, down, params, fexp)
+            ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
+            feasible[:, n] = ok
+            weights[:, n] = np.where(ok, counts * (q - 1.0), 0.0)
+            power[:, n] = np.where(ok, p, 0.0)
+            error[:, n] = np.where(ok, q, 1.0)
+            delay[:, n] = np.where(ok, total_delay, np.inf)
+            energy[:, n] = np.where(ok, e, np.inf)
+    return dict(zip(EDGE_FIELDS, (weights, feasible, power, error, delay, energy)))
+
+
+@pytest.mark.parametrize("fexp", [
+    QUAD, FadingExpectation(method="monte_carlo", node_or_sample_count=256, seed=7)
+], ids=["quadrature", "monte_carlo"])
+@pytest.mark.parametrize("widths", [(3, 3, 2), (8,)], ids=["uneven", "one_block"])
+def test_column_blocks_match_column_by_column_build(fexp, widths, monkeypatch):
+    users, params = binding_budget_topology()
+    want = column_by_column_build(users, params, fexp)
+    with pytest.MonkeyPatch.context() as patch:       # one column per block, oracle search
+        patch.setattr(assignment, "_bisect", uncompacted)
+        patch.setattr(assignment, "_COHORT_ELEMENTS", 1)
+        want_worst = bounds.worst_case_error_sum(users, params, fexp)
+    elements = widths[0] * len(users) * fexp.node_or_sample_count
+    monkeypatch.setattr(assignment, "_COHORT_ELEMENTS", elements)
+    sizes, optimal_powers = [], assignment._optimal_powers
+
+    def recorded(block, *args):
+        sizes.append(block.gain.size)
+        return optimal_powers(block, *args)
+
+    monkeypatch.setattr(assignment, "_optimal_powers", recorded)
+    edges = build_edge_weights(users, params, fexp)
+    assert sizes == [w * len(users) for w in widths]
+    for name in EDGE_FIELDS:
+        got = getattr(edges, name)
+        assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
+    worst = bounds.worst_case_error_sum(users, params, fexp)
+    assert np.float64(worst).tobytes() == np.float64(want_worst).tobytes()
 
 
 class TestEdgeWeight:

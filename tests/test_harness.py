@@ -1,5 +1,6 @@
 """Orchestration tests: runs, persistence, sweeps, and the CLI surface."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -199,6 +200,7 @@ class TestPersistence:
             "numpy": np.__version__,
             "blas": {key: numpy_config["Build Dependencies"]["blas"].get(key)
                      for key in ("name", "version", "openblas configuration")},
+            "blas_kernel": _openblas_corename() or environment.get("blas_kernel"),
             "simd_baseline": numpy_config["SIMD Extensions"]["baseline"],
             "simd_dispatch": numpy_config["SIMD Extensions"]["found"],
         }
@@ -370,17 +372,30 @@ for seed in range(30):
 """
 
 
-def _run_with_kernel(kernel, args):
-    """Run the package's Python with OPENBLAS_CORETYPE set (None: the default)."""
-    env = {k: v for k, v in os.environ.items() if k not in (cli.OUTDIR_ENV, "OPENBLAS_CORETYPE")}
+def _run_with_kernel(kernel, args, cpu_features=None):
+    """Run the package's Python with OPENBLAS_CORETYPE and numpy's
+    NPY_ENABLE_CPU_FEATURES set (None: the default)."""
+    chosen = {"OPENBLAS_CORETYPE": kernel, "NPY_ENABLE_CPU_FEATURES": cpu_features}
+    env = {k: v for k, v in os.environ.items() if k != cli.OUTDIR_ENV and k not in chosen}
     src = str(Path(fedwireless.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     env["OPENBLAS_NUM_THREADS"] = "1"
-    if kernel is not None:
-        env["OPENBLAS_CORETYPE"] = kernel
+    env.update((k, v) for k, v in chosen.items() if v is not None)
     return subprocess.run(
         [sys.executable, *args], env=env, check=True, capture_output=True, text=True, timeout=300
     )
+
+
+def _openblas_corename():
+    """Core name of the OpenBLAS library file numpy ships, or None."""
+    libraries = sorted(
+        Path(np.__file__).resolve().parent.parent.glob("numpy.libs/libscipy_openblas*")
+    )
+    if not libraries:
+        return None
+    corename = ctypes.CDLL(str(libraries[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 blas_kernels = pytest.mark.skipif(
@@ -562,3 +577,77 @@ class TestCli:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["simulate", str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG
+
+
+@blas_kernels
+def test_manifest_names_the_kernel_openblas_picked():
+    # The build configuration names one kernel whatever OPENBLAS_CORETYPE
+    # picks; the environment block must name the one that ran.
+    _skip_unless_cpu_runs("Haswell")
+    probe = "from fedwireless.harness import _environment; print(_environment()['blas_kernel'])"
+    assert _run_with_kernel("Haswell", ["-c", probe]).stdout.strip() == "Haswell"
+
+
+# Every reference edge as "edge seed user rb feasible power_w delay-slack
+# energy-slack" (hex floats), then the reference simulate run into argv[2].
+EDGE_BUILD_PROBE = """
+import sys
+import numpy as np
+from fedwireless import assignment, cli
+from fedwireless.config import load_config
+from fedwireless.harness import build_topology
+config = load_config(sys.argv[1])
+params = config.network
+for seed in config.seeds:
+    edges = assignment.build_edge_weights(build_topology(config, seed)[0], params, config.fading)
+    for (i, n), ok in np.ndenumerate(edges.feasible):
+        print("edge", seed, i, n, int(ok), *(float(v).hex() for v in (
+            edges.power_w[i, n], params.delay_budget_s - edges.delay_s[i, n],
+            params.energy_budget_j - edges.energy_j[i, n])))
+sys.exit(cli.main(["simulate", sys.argv[1], "--outdir", sys.argv[2]]))
+"""
+
+
+def _edges_and_digests(cpu_features, out):
+    """The probe's edges by (seed, user, rb) and the runs.csv allocation
+    digests by (algorithm, seed), with numpy dispatching to ``cpu_features``."""
+    run = _run_with_kernel(
+        None, ["-c", EDGE_BUILD_PROBE, str(REFERENCE), str(out)], cpu_features=cpu_features
+    )
+    edges = {
+        tuple(fields[1:4]): (fields[4] == "1", *(float.fromhex(v) for v in fields[5:]))
+        for fields in (line.split() for line in run.stdout.splitlines())
+        if fields[:1] == ["edge"]
+    }
+    digests = {
+        (row["algorithm"], row["seed"]): row["allocation_digest"]
+        for row in read_csv_rows(out / "runs.csv")
+    }
+    return edges, digests
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="x86 dispatch targets"
+)
+def test_edge_build_independent_of_simd_dispatch(tmp_path):
+    # log1p and expm1 have SIMD loops per target; limiting numpy to AVX2
+    # may move a power_w by some ulps, but no gate and no allocation.
+    if not _cpu_has("X86_V3"):
+        pytest.skip("this CPU cannot run numpy's X86_V3 targets")
+    default, default_digests = _edges_and_digests(None, tmp_path / "default")
+    limited, limited_digests = _edges_and_digests("X86_V2 X86_V3", tmp_path / "limited")
+    assert default.keys() == limited.keys() and len(default) == 2 * 15 * 12
+    report = [
+        f"edge (seed, user, rb) {key}: power_w moved {_ulp_distance(a[1], b[1])} ulps, "
+        f"feasible {a[0]} -> {b[0]}, delay slack {a[2]:.6g} -> {b[2]:.6g} s, "
+        f"energy slack {a[3]:.6g} -> {b[3]:.6g} J"
+        for key, a, b in ((key, default[key], limited[key]) for key in default)
+        if a[1] != b[1] or a[0] != b[0]
+    ]
+    feasible_moved = [key for key in default if default[key][0] != limited[key][0]]
+    digests_moved = [
+        cell for cell in default_digests if default_digests[cell] != limited_digests.get(cell)
+    ]
+    assert not feasible_moved and default_digests.keys() == limited_digests.keys() and not (
+        digests_moved
+    ), "\n".join(report + [f"allocation_digest moved: {digests_moved}"])
