@@ -99,16 +99,15 @@ def _gradient_norm_profiles(dataset, models):
     models = np.atleast_2d(np.asarray(models, dtype=float))
     x, y = dataset.pooled()
     x_norm2 = np.sum(x * x, axis=1)                        # (K,)
+    columns = x.T[:, :, None]                              # (dim, K, 1)
     per_sample_max = np.empty(models.shape[0])
     grad_f_norm2 = np.empty(models.shape[0])
     for start in range(0, models.shape[0], _PROFILE_CHUNK):
         chunk = slice(start, start + _PROFILE_CHUNK)
-        # (K, 1, dim) features against (dim, T) models predict every point at once.
-        residuals = training._predict(x[:, None, :], models[chunk].T) - y[:, None]   # (K, T)
+        # (dim, K, 1) columns against (dim, 1, T) models predict every point at once.
+        residuals = training._predict(columns, models[chunk].T[:, None]) - y[:, None]   # (K, T)
         per_sample_max[chunk] = np.max(residuals ** 2 * x_norm2[:, None], axis=0)
-        grad_f = np.array(
-            [np.sum(x[:, j, None] * residuals, axis=0) for j in range(x.shape[1])]
-        )
+        grad_f = np.array([np.sum(column * residuals, axis=0) for column in columns])
         grad_f_norm2[chunk] = np.sum((grad_f / dataset.total_samples) ** 2, axis=0)
     return per_sample_max, grad_f_norm2
 

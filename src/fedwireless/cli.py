@@ -97,9 +97,20 @@ def _cmd_bound(args) -> int:
     return EXIT_OK if dominated else EXIT_VALIDATION
 
 
+def _sweep_values(text):
+    """The ``--values`` list: comma-separated positive integers, at least one."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or any(v <= 0 for v in values):
+        raise ConfigError(f"--values must be comma-separated positive integers, got {text!r}")
+    return values
+
+
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    values = [int(v) for v in args.values.split(",")]
+    values = _sweep_values(args.values)
     rows = harness.sweep(config, args.axis, values)
     outdir = _outdir(args)
     path = outdir / f"sweep_{args.axis}.csv"

@@ -172,9 +172,8 @@ class RunRecord:
 
 
 def _record_from_run(algorithm, seed, decision, losses, learning_rate, wall_clock_s):
-    rb_index = [
-        int(np.argmax(row)) if row.any() else -1 for row in np.asarray(decision.rb_assignment)
-    ]
+    assigned = np.asarray(decision.rb_assignment)
+    rb_index = np.where(assigned.any(axis=1), assigned.argmax(axis=1), -1).tolist()
     losses = losses.tolist()
     return RunRecord(
         algorithm=algorithm,
@@ -456,8 +455,9 @@ def bound_report(config: ExperimentConfig):
         steps, curv, fit,
         decision.selection, decision.error_rate, dataset.sample_counts, initial_gap,
     )
+    per_step_bound = series.per_step_bound.tolist()
     for record in records:
-        record.bound = [float(v) for v in series.per_step_bound]
+        record.bound = list(per_step_bound)
     return {
         "steps": steps,
         "series": series,

@@ -8,15 +8,22 @@ model unchanged.
 
 Every training run goes through one kernel, ``_train_cells``, which advances
 a batch of cells (runs that share the sample layout and model dimension) in
-lock step: one numpy pass per round for the whole batch.  A cell's bits do
-not depend on the batch it runs in, on the BLAS kernel or on the thread
-count, because every value is a fixed-order elementwise product or sum:
+lock step: one numpy pass per feature and round for the whole batch.  The
+layout is feature-major.  The features are taken once per call as
+contiguous columns of shape (dim, [B,] K), and the global models are held
+as (dim, B), so every per-round array is (B, K), (B, U) or (U, B) with a
+long contiguous last axis, never a (..., dim) tail of length 2.
 
-- one prediction per round, summed feature column by feature column;
-- per-user gradients from ``np.add.reduceat`` over the sample axis;
-- the loss summed over each cell's contiguous sample axis;
-- the aggregation summed over users in user order;
-- no matrix product (``@``, ``dot``, ``einsum``).
+A cell's bits do not depend on the batch it runs in, on the BLAS kernel or
+on the thread count, because every value is a fixed-order elementwise
+product or sum and no matrix product (``@``, ``dot``, ``einsum``) is used.
+The prediction is summed feature column by feature column; each user's
+gradient is an ``np.add.reduceat`` over its samples; the loss is summed over
+each cell's contiguous sample axis.  The aggregation sums the (U, B)
+weighted local models over users in user order with ``np.add.accumulate``:
+``sum(axis=0)`` would do so only while B > 1, because at B = 1 numpy
+collapses the (U, 1) array to one contiguous axis and sums it pairwise,
+which moves the last bits of a cell trained alone.
 
 A cell's delivery flags are ``rng.random((rounds, U)) >= q``: the same PCG64
 stream as one ``rng.random(U)`` per round, kept as a bool array.
@@ -93,17 +100,18 @@ def generate_regression_data(rng, sample_counts, slope=-2.0, intercept=1.0, nois
     return Dataset(features, targets)
 
 
-def _predict(features, model):
-    """features @ model as elementwise products summed column by column.
+def _predict(columns, model):
+    """Predictions from feature-major ``columns``, summed column by column.
 
-    ``features[..., j]`` is multiplied by ``model[j]`` with broadcasting, so
-    one call predicts a batch of models.  The sum runs in a fixed order
-    (column 0 first), so the bits do not depend on which BLAS kernel numpy
-    dispatches; a matrix-vector product's do.
+    ``columns[j]`` is feature j (a (K,) column, or any array of them) and is
+    multiplied by ``model[j]`` with broadcasting, so one call predicts a
+    batch of models.  The sum runs in a fixed order (column 0 first), so the
+    bits do not depend on which BLAS kernel numpy dispatches; a
+    matrix-vector product's do.
     """
-    prediction = features[..., 0] * model[0]
-    for j in range(1, features.shape[-1]):
-        prediction += features[..., j] * model[j]
+    prediction = columns[0] * model[0]
+    for j in range(1, len(columns)):
+        prediction += columns[j] * model[j]
     return prediction
 
 
@@ -115,7 +123,7 @@ def _mean_loss(residual):
 def global_loss(dataset, model):
     """Mean loss over the pooled data: (1/K) sum_i sum_k f(w, x_ik, y_ik)."""
     x, y = dataset.pooled()
-    return float(_mean_loss(_predict(x, np.asarray(model, dtype=float)) - y))
+    return float(_mean_loss(_predict(x.T, np.asarray(model, dtype=float)) - y))
 
 
 def _gram(x):
@@ -167,6 +175,11 @@ def _train_cells(features, targets, sample_counts, selections, learning_rates,
     (B, T, U) delivery flags before selection (see ``_delivery_draws``), and
     ``initial_model`` (dim,) the step-0 global model of every cell.
 
+    The rounds run feature-major (see the module docstring): the features
+    become (dim, [B,] K) columns once, the global models are (dim, B), and
+    each round makes one pass per feature over (B, U) gradients and (U, B)
+    local models.
+
     Returns losses (B, T+1), global models (B, T+1, dim) and delivered
     (B, T, U).  If any loss after step 0 is non-finite, raises
     TrainingDiverged for the first such cell in batch order, at its first
@@ -182,36 +195,39 @@ def _train_cells(features, targets, sample_counts, selections, learning_rates,
     g = np.array(initial_model, dtype=float)
     if g.shape != (dim,):
         raise ValueError(f"model dimension {g.shape[0]} != feature dimension {dim}")
-    g = np.tile(g, (n_cells, 1))                                     # (B, dim)
+    columns = np.ascontiguousarray(np.moveaxis(x, -1, 0))            # (dim, [B,] K)
+    g = np.repeat(g[:, None], n_cells, axis=1)                       # (dim, B)
 
-    step_size = np.asarray(learning_rates, dtype=float)[:, None] / counts      # (B, U)
-    weights = counts.astype(float)
+    chosen = selected.T                                              # (U, B)
+    step_size = np.asarray(learning_rates, dtype=float) / counts[:, None]      # (U, B)
+    weights = counts.astype(float)[:, None]
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
 
     losses = np.empty((n_cells, rounds + 1))
     models = np.empty((n_cells, rounds + 1, dim))
-    models[:, 0] = g
+    models[:, 0] = g.T
     # The residual behind round t's loss is the one round t+1's gradient
     # needs, so each round predicts once.
-    residual = _predict(x, g.T[:, :, None]) - y                       # (B, K)
+    residual = _predict(columns, g[..., None]) - y                   # (B, K)
     losses[:, 0] = _mean_loss(residual)
     # Overflow to inf is the divergence signal; a diverged cell runs on
     # (as nan) until the batch ends.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(rounds):
-            grads = np.add.reduceat(x * residual[..., None], offsets, axis=-2)   # (B, U, dim)
-            broadcast = g[:, None, :]
-            local = np.where(
-                selected[..., None], broadcast - step_size[..., None] * grads, broadcast
-            )                                                                    # (B, U, dim)
-            arrived = delivered[:, t]
-            w = weights * arrived                                                # (B, U)
-            total = (w[..., None] * local).sum(axis=1)
-            any_arrived = arrived.any(axis=1)
-            mean = total / np.where(any_arrived, w.sum(axis=1), 1.0)[:, None]
-            g = np.where(any_arrived[:, None], mean, g)
-            models[:, t + 1] = g
-            residual = _predict(x, g.T[:, :, None]) - y
+            arrived = delivered[:, t].T                                          # (U, B)
+            w = weights * arrived
+            any_arrived = arrived.any(axis=0)
+            # Whole sample counts: their sum is exact in any order.
+            total_weight = np.where(any_arrived, w.sum(axis=0), 1.0)
+            for j in range(dim):
+                grads = np.add.reduceat(columns[j] * residual, offsets, axis=-1)  # (B, U)
+                local = np.where(chosen, g[j] - step_size * grads.T, g[j])       # (U, B)
+                # A sum in user order; + 0.0 turns a -0.0 total into the +0.0
+                # that a sum started from zero gives.
+                total = np.add.accumulate(w * local, axis=0)[-1] + 0.0
+                g[j] = np.where(any_arrived, total / total_weight, g[j])
+            models[:, t + 1] = g.T
+            residual = _predict(columns, g[..., None]) - y
             losses[:, t + 1] = _mean_loss(residual)
 
     diverged = ~np.isfinite(losses[:, 1:])

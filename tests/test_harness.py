@@ -567,6 +567,17 @@ class TestCli:
         assert code == 0
         assert (out / "sweep_rb_count.csv").exists()
 
+    @pytest.mark.parametrize("values", ["0", "x", "3,-1", ""])
+    def test_sweep_bad_values_exit_code(self, tmp_path, capsys, values):
+        cfg = tmp_path / "mini.cfg"
+        cfg.write_text(MINI)
+        code = cli.main(["sweep", str(cfg), "--axis", "rb_count", "--values", values,
+                         "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: --values ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_validate_passes_on_reference(self, tmp_path):
         assert cli.main(["validate", str(REFERENCE)]) == 0
 

@@ -6,46 +6,23 @@ from pathlib import Path
 
 import numpy as np
 
-from fedwireless.assignment import (
-    baseline_min_sum_per,
-    baseline_optselect_randomrb,
-    baseline_random_all,
-    build_edge_weights,
-    hungarian_assign,
-)
-from fedwireless.bounds import curvature
 from fedwireless.config import load_config
-from fedwireless.harness import build_topology
-from fedwireless.training import run_training
+from fedwireless.harness import run_experiment
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 N_SEEDS = 50
 
 
-def final_losses(config, algorithm, seeds):
-    """Final loss per seed for one algorithm (shared packet-loss streams)."""
-    losses = []
-    for seed in seeds:
-        users, dataset = build_topology(config, seed)
-        edges = build_edge_weights(users, config.network, config.fading)
-        lr = 1.0 / curvature(dataset).lipschitz_l
-        if algorithm == "proposed":
-            decision = hungarian_assign(edges)
-        elif algorithm == "baseline_a":
-            rng = np.random.default_rng([seed, 2])
-            decision = baseline_optselect_randomrb(
-                rng, users, config.network, config.fading, edges=edges
-            )
-        elif algorithm == "baseline_b":
-            rng = np.random.default_rng([seed, 2])
-            decision = baseline_random_all(rng, users, config.network, config.fading)
-        else:
-            decision = baseline_min_sum_per(users, config.network, config.fading, edges=edges)
-        outcomes = run_training(
-            dataset, decision, lr, config.rounds, np.random.default_rng([seed, 3])
-        )
-        losses.append(outcomes[-1].loss)
-    return np.array(losses)
+def final_losses(config, algorithms):
+    """Final loss per seed of each algorithm (shared packet-loss streams),
+    from one run over seeds 0..N_SEEDS-1."""
+    records = run_experiment(
+        replace(config, algorithms=tuple(algorithms), seeds=tuple(range(N_SEEDS)))
+    )
+    return {
+        algorithm: np.array([r.final_loss for r in records if r.algorithm == algorithm])
+        for algorithm in algorithms
+    }
 
 
 def pooled_se(a, b):
@@ -54,12 +31,11 @@ def pooled_se(a, b):
 
 def test_more_samples_per_user_do_not_hurt():
     config = replace(load_config(REFERENCE), rounds=100)
-    seeds = range(N_SEEDS)
     means = []
     series = []
     for value in (5, 15, 30):
         cfg = replace(config, sample_count_cycle=(value,))
-        losses = final_losses(cfg, "proposed", seeds)
+        losses = final_losses(cfg, ["proposed"])["proposed"]
         means.append(float(losses.mean()))
         series.append(losses)
     for k in range(len(means) - 1):
@@ -68,7 +44,6 @@ def test_more_samples_per_user_do_not_hurt():
 
 def test_proposed_leads_along_the_rb_axis():
     config = replace(load_config(REFERENCE), rounds=100)
-    seeds = range(N_SEEDS)
     base_interference = config.network.uplink_interference_w
     for rb_count in (3, 6, 9, 12):
         interference = tuple(
@@ -80,9 +55,10 @@ def test_proposed_leads_along_the_rb_axis():
                 config.network, rb_count=rb_count, uplink_interference_w=interference
             ),
         )
-        proposed = final_losses(cfg, "proposed", seeds)
+        losses = final_losses(cfg, ["proposed", "baseline_a", "baseline_b", "baseline_c"])
+        proposed = losses["proposed"]
         for baseline in ("baseline_a", "baseline_b", "baseline_c"):
-            other = final_losses(cfg, baseline, seeds)
+            other = losses[baseline]
             assert proposed.mean() <= other.mean() + pooled_se(proposed, other), (
                 rb_count,
                 baseline,

@@ -75,14 +75,17 @@ def transmit(selection, error_rates, rng):
 def aggregate(local_models, delivered, sample_counts, previous_global):
     """Data-size-weighted average of the delivered local models.
 
+    The weighted models are summed one user after another, from zero.
     Falls back to the previous global model when nothing was delivered.
     """
     delivered = np.asarray(delivered, dtype=bool)
     if not delivered.any():
         return np.asarray(previous_global, dtype=float).copy()
     weights = np.asarray(sample_counts, dtype=float) * delivered
-    stacked = np.asarray(local_models, dtype=float)
-    return (weights[:, None] * stacked).sum(axis=0) / weights.sum()
+    total = np.zeros(np.shape(local_models)[1])
+    for weight, model in zip(weights, np.asarray(local_models, dtype=float)):
+        total += weight * model
+    return total / weights.sum()
 
 
 def _predict(features, model):
@@ -433,11 +436,11 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def assert_cells_match_oracle(cells, rounds, shared=True):
+def assert_cells_match_oracle(cells, rounds, shared=True, initial_model=(0.25, -0.5)):
     """Train ``cells`` [(dataset, decision, lr, seed)] as one kernel batch and
     one by one through the oracle; losses, models, delivered flags and the
     generators' end states must agree bit for bit."""
-    initial_model = np.array([0.25, -0.5])
+    initial_model = np.array(initial_model)
     rngs = [np.random.default_rng([seed, 3]) for *_, seed in cells]
     pooled = [dataset.pooled() for dataset, *_ in cells]
     features = pooled[0][0] if shared else np.stack([x for x, _ in pooled])
@@ -529,3 +532,58 @@ class TestTrainCells:
             )
         assert str(batched.value) == str(sequential.value)
         assert str(batched.value) == "loss became non-finite at step 254 (learning_rate=4.0)"
+
+
+# 18 users, 12 of them with more than 8 samples: the user sum of a cell
+# has more than 8 terms, which numpy would sum pairwise, not in user order,
+# if it reduced a (U, 1) array; each user's gradient sums over more than 8
+# samples too.
+WIDE_COUNTS = [12, 10, 9, 4, 2, 11] * 3
+
+
+def with_columns(dataset, build):
+    """The dataset with each user's (x, 1) features replaced by build(x)."""
+    return Dataset([build(x[:, 0]) for x in dataset.features], dataset.targets)
+
+
+class TestFeatureMajorLayout:
+    def make_dataset(self, seed=4):
+        return generate_regression_data(np.random.default_rng([seed, 1]), WIDE_COUNTS)
+
+    def cells(self, dataset, count, seed=21):
+        rng = np.random.default_rng(seed)
+        n_users = dataset.user_count
+        return [
+            (dataset, manual_decision((rng.random(n_users) < 0.8).astype(int),
+                                      rng.random(n_users) * 0.4), lr, b)
+            for b, lr in zip(range(count), [0.3, 0.55])
+        ]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_many_users(self, count):
+        delivered = assert_cells_match_oracle(self.cells(self.make_dataset(), count), 80)
+        assert delivered.sum(axis=-1).max() > 8
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_feature(self, count):
+        ds = with_columns(self.make_dataset(), lambda x: x[:, None])
+        assert_cells_match_oracle(self.cells(ds, count), 60, initial_model=[0.5])
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_three_features(self, count):
+        ds = with_columns(self.make_dataset(),
+                          lambda x: np.column_stack([x, x * x, np.ones_like(x)]))
+        assert_cells_match_oracle(self.cells(ds, count), 60, initial_model=[0.25, -0.5, 1.0])
+
+    def test_zero_feature_keeps_a_positive_zero(self):
+        # An all-zero column never moves its coordinate: from -0.0 the
+        # oracle's user sum, started from zero, gives +0.0.
+        ds = with_columns(self.make_dataset(),
+                          lambda x: np.column_stack([x, np.zeros_like(x), np.ones_like(x)]))
+        cells = self.cells(ds, 1)
+        assert_cells_match_oracle(cells, 20, initial_model=[0.25, -0.0, -0.5])
+        _, models, _ = _train_cells(
+            *ds.pooled(), ds.sample_counts, [cells[0][1].selection], [0.3],
+            np.ones((1, 20, ds.user_count), dtype=bool), [0.25, -0.0, -0.5],
+        )
+        assert np.signbit(models[0, 0, 1]) and not np.signbit(models[0, 1:, 1]).any()
