@@ -43,22 +43,52 @@ class OptimalPower:
     feasible_energy: bool
 
 
-def _bisect(lo, hi, below_root):
+# Edges x fading nodes per kernel call of the power searches and the edge
+# build: it bounds the (edges x nodes) temporaries, and so peak memory, while
+# small topologies still make one cohort.  At 16384 a float temporary is
+# 128 KiB, glibc's default mmap threshold; past it an uplink-rate call took
+# about twice as long per edge (2-core Xeon, numpy 2.4).
+_COHORT_ELEMENTS = 16384
+
+
+def _width(fexp):
+    """Edges per kernel call under ``_COHORT_ELEMENTS`` edges x nodes."""
+    return max(1, _COHORT_ELEMENTS // fexp.node_or_sample_count)
+
+
+def _bisect(cohorts, below_root, width):
     """Lock-step bisection of many edges for a predicate that holds below
     each edge's root and fails above it.
 
-    ``below_root(x, index)`` gets the points of edges ``index`` (None: all
-    edges).  Edges whose root lies outside [lo, hi] collapse onto that
-    endpoint.  The rest halve [lo, hi] at mid = 0.5*(lo+hi), lo moving up
-    where the predicate holds and hi down elsewhere, each until its mid
-    rounds onto an endpoint (at most _BISECT_ITERS rounds).  Such an edge's
-    lo and hi never change again, so each round evaluates only the edges
-    still moving.  Returns the final (lo, hi) and whether the predicate held
-    at the initial lo and at the initial hi.
+    ``cohorts`` yields ``(lo, hi, columns)`` per cohort of edges, with
+    ``columns`` a tuple of per-edge arrays and ``below_root(x, *columns)``
+    the predicate at points ``x`` of the edges they describe.  Each cohort
+    is probed as it comes, at its lo and at its hi, and edges whose root
+    lies outside [lo, hi] collapse onto that endpoint; only the brackets,
+    and the columns of the edges whose mid still moves, are kept.  The
+    rounds then run once over those edges of every cohort, evaluating the
+    predicate in slices of at most ``width`` edges.  A round halves [lo, hi]
+    at mid = 0.5*(lo+hi), lo moving up where the predicate holds and hi down
+    elsewhere, until an edge's mid rounds onto an endpoint (at most
+    _BISECT_ITERS rounds); that edge's lo and hi never change again, so it
+    drops out.  An edge's path depends on its own values alone, so it gets
+    the bits of a search on its own.  Returns, per cohort, the final (lo,
+    hi) and whether the predicate held at the initial lo and at the initial
+    hi.
     """
-    holds_lo, holds_hi = below_root(lo, None), below_root(hi, None)
-    lo = np.where(holds_hi, hi, lo)
-    hi = np.where(holds_lo, hi, lo)
+    searches, pool = [], []
+    for lo, hi, columns in cohorts:
+        holds_lo, holds_hi = below_root(lo, *columns), below_root(hi, *columns)
+        lo = np.where(holds_hi, hi, lo)
+        hi = np.where(holds_lo, hi, lo)
+        mid = 0.5 * (lo + hi)
+        moving = np.flatnonzero((mid != lo) & (mid != hi))
+        searches.append((lo, hi, holds_lo, holds_hi, moving))
+        pool.append([lo[moving], hi[moving], *(column[moving] for column in columns)])
+    if not searches:
+        return []
+    lo, hi, *columns = (np.concatenate(parts) for parts in zip(*pool))
+    del pool
     active = np.arange(lo.size)
     for _ in range(_BISECT_ITERS):
         a_lo, a_hi = lo[active], hi[active]
@@ -67,31 +97,47 @@ def _bisect(lo, hi, below_root):
         active, mid = active[moving], mid[moving]
         if not active.size:
             break
-        up = below_root(mid, active)
+        up = np.concatenate([
+            below_root(mid[s:s + width], *(column[active[s:s + width]] for column in columns))
+            for s in range(0, active.size, width)
+        ])
         lo[active[up]] = mid[up]
         hi[active[~up]] = mid[~up]
-    return lo, hi, holds_lo, holds_hi
+    start = 0
+    for s_lo, s_hi, _, _, moving in searches:
+        stop = start + moving.size
+        s_lo[moving], s_hi[moving] = lo[start:stop], hi[start:stop]
+        start = stop
+    return [search[:4] for search in searches]
 
 
-def _optimal_powers(users, params, fexp):
-    """Array form of optimal_power over a ``phy._Users`` cohort of edges;
-    0 marks an edge with no feasible power."""
+def _optimal_powers(cohorts, params, fexp):
+    """optimal_power over each of the placed ``phy._Users`` cohorts of edges
+    that ``cohorts`` yields, as one ``_bisect``; 0 marks an edge with no
+    feasible power."""
     budget, p_max = params.energy_budget_j, params.max_user_power_w
-    todo = np.flatnonzero(users.training_j < budget)
-    cohort = users.take(todo)
+    todo = []               # each cohort's searched edges, as _bisect draws it
 
-    def fits(power, index):
-        edges = cohort if index is None else cohort.take(index)
+    def searches():
+        for cohort in cohorts:
+            searched = cohort.training_j < budget
+            todo.append(searched)
+            n = np.count_nonzero(searched)
+            yield np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched)
+
+    def fits(power, *columns):
+        edges = phy._Users(*columns)
         rate = phy._uplink_rate(edges, power, params, fexp)
         return phy._energy(edges, power, phy._delay(edges.payload_bits, rate)) <= budget
 
-    lo, _, fits_lo, fits_hi = _bisect(
-        np.full(todo.size, p_max * 1e-12), np.full(todo.size, p_max), fits
-    )
-    power = np.zeros(users.gain.shape)
-    # Where transmit energy per bit does not vanish with P, not even lo fits.
-    power[todo] = np.where(fits_lo | fits_hi, lo, 0.0)
-    return power
+    found = _bisect(searches(), fits, _width(fexp))
+    powers = []
+    for searched, (lo, _, fits_lo, fits_hi) in zip(todo, found):
+        power = np.zeros(searched.shape)
+        # Where transmit energy per bit does not vanish with P, not even lo fits.
+        power[searched] = np.where(fits_lo | fits_hi, lo, 0.0)
+        powers.append(power)
+    return powers
 
 
 def optimal_power(user, rb_index, params, fexp) -> OptimalPower:
@@ -105,7 +151,7 @@ def optimal_power(user, rb_index, params, fexp) -> OptimalPower:
     the budget.
     """
     cohort = phy._Users.of([user], params).on(rb_index, params)
-    power = float(_optimal_powers(cohort, params, fexp)[0])
+    power = float(_optimal_powers([cohort], params, fexp)[0][0])
     return OptimalPower(power, power > 0)
 
 
@@ -117,52 +163,66 @@ def feasible_power_interval(users, rb_index, params, fexp):
     where the edge is infeasible at any power.  P_lo is the smallest power
     whose expected rate still meets the delay budget.
     """
-    return _power_interval(phy._Users.of(users, params).on(rb_index, params), params, fexp)
+    cohort = phy._Users.of(users, params).on(rb_index, params)
+    return _power_interval([cohort], params, fexp)[0][:3]
 
 
-def _power_interval(cohort, params, fexp):
-    """feasible_power_interval over a placed ``phy._Users`` cohort of edges."""
-    p_hi = _optimal_powers(cohort, params, fexp)
-    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
-    slack = params.delay_budget_s - down
-    todo = np.flatnonzero((p_hi > 0) & (slack > 0))
-    sub, target = cohort.take(todo), cohort.payload_bits[todo] / slack[todo]
+def _power_interval(cohorts, params, fexp):
+    """feasible_power_interval over each of a list of placed ``phy._Users``
+    cohorts, each of the two searches one ``_bisect`` over all of them.
+    Returns (p_lo, p_hi, feasible, downlink delay) per cohort."""
+    p_his = _optimal_powers(cohorts, params, fexp)
+    todo = []               # (p_hi, downlink delay, searched edges), as _bisect draws them
 
-    def short(power, index):
-        edges, goal = (sub, target) if index is None else (sub.take(index), target[index])
-        return phy._uplink_rate(edges, power, params, fexp) < goal
+    def searches():
+        for cohort, p_hi in zip(cohorts, p_his):
+            down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+            slack = params.delay_budget_s - down
+            searched = (p_hi > 0) & (slack > 0)
+            todo.append((p_hi, down, searched))
+            target = cohort.payload_bits[searched] / slack[searched]
+            # A zero payload has target rate 0, which the bottom of the range reaches.
+            yield p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched))
 
-    # A zero payload has target rate 0, which the bottom of the range reaches.
-    _, hi, _, short_hi = _bisect(p_hi[todo] * 1e-15, p_hi[todo], short)
-    p_lo = np.zeros_like(p_hi)
-    p_lo[todo] = np.where(short_hi, 0.0, hi)
-    feasible = p_lo > 0
-    return p_lo, np.where(feasible, p_hi, 0.0), feasible
+    def short(power, target, *columns):
+        return phy._uplink_rate(phy._Users(*columns), power, params, fexp) < target
+
+    found = _bisect(searches(), short, _width(fexp))
+    intervals = []
+    for (p_hi, down, searched), (_, hi, _, short_hi) in zip(todo, found):
+        p_lo = np.zeros_like(p_hi)
+        p_lo[searched] = np.where(short_hi, 0.0, hi)
+        feasible = p_lo > 0
+        intervals.append((p_lo, np.where(feasible, p_hi, 0.0), feasible, down))
+    return intervals
 
 
-# Edges x fading nodes per cohort of the (user, RB) edge build: blocks of
-# whole RB columns up to this size bound the (edges x nodes) temporaries, and
-# so peak memory, while small topologies still make one cohort.
-_COHORT_ELEMENTS = 32768
+def _column_blocks(cohort, params, fexp):
+    """Yields (block, rows, rbs) over blocks of whole RB columns.
 
-
-def _over_column_blocks(cohort, params, fexp, evaluate):
-    """(U, R) arrays of per-edge values over every (user, RB) edge.
-
-    ``cohort`` holds the U users unplaced.  Each block of whole RB columns,
-    ``max(1, _COHORT_ELEMENTS // (U * nodes))`` wide, is one cohort of edges
-    in user-major order; ``evaluate(block, rows)`` returns a tuple of arrays
-    over its edges, ``rows`` being each edge's user.  An edge's values depend
-    on that edge alone, so any block width gives the same bits.
+    ``cohort`` holds the U users unplaced.  Each block of
+    ``max(1, _width(fexp) // U)`` columns ``rbs`` is one cohort of edges in
+    user-major order, ``rows`` being each edge's user.
     """
     n_users = cohort.gain.size
-    width = max(1, _COHORT_ELEMENTS // max(1, n_users * fexp.node_or_sample_count))
-    blocks = []
+    width = max(1, _width(fexp) // max(1, n_users))
     for start in range(0, params.rb_count, width):
         rbs = np.arange(start, min(start + width, params.rb_count))
         rows = np.repeat(np.arange(n_users), rbs.size)
-        block = cohort.take(rows).on(np.tile(rbs, n_users), params)
-        blocks.append([part.reshape(n_users, rbs.size) for part in evaluate(block, rows)])
+        yield cohort.take(rows).on(np.tile(rbs, n_users), params), rows, rbs
+
+
+def _over_column_blocks(cohort, params, fexp, evaluate):
+    """(U, R) arrays of per-edge values over every (user, RB) edge:
+    ``evaluate(block, rows)`` returns a tuple of arrays over the edges of
+    each of the ``_column_blocks``, in order.  An edge's values depend on
+    that edge alone, so any block width gives the same bits.
+    """
+    n_users = cohort.gain.size
+    blocks = [
+        [part.reshape(n_users, rbs.size) for part in evaluate(block, rows)]
+        for block, rows, rbs in _column_blocks(cohort, params, fexp)
+    ]
     return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
 
 
@@ -189,29 +249,46 @@ def _link(users, power, down, params, fexp):
 def build_edge_weights(users, params, fexp) -> EdgeWeightMatrix:
     """Evaluate optimal power, gates, and weight for every (user, RB) edge.
 
-    Works on blocks of whole RB columns over all users, each one cohort of
-    ``_over_column_blocks`` (see the ``phy`` array contract), with one
-    downlink delay per user.
+    The one-topology form of ``_edge_weights``.
     """
-    cohort = phy._Users.of(users, params)
-    sample_counts = np.array([u.sample_count for u in users], dtype=float)
-    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    return _edge_weights([users], params, fexp)[0]
 
-    def evaluate(block, rows):
-        p = _optimal_powers(block, params, fexp)
-        return (p, *_link(block, p, down[rows], params, fexp))
 
-    p, q, total_delay, e = _over_column_blocks(cohort, params, fexp, evaluate)
-    ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
-    return EdgeWeightMatrix(
-        weights=np.where(ok, sample_counts[:, None] * (q - 1.0), 0.0),
-        feasible=ok,
-        power_w=np.where(ok, p, 0.0),
-        error_rate=np.where(ok, q, 1.0),
-        delay_s=np.where(ok, total_delay, np.inf),
-        energy_j=np.where(ok, e, np.inf),
-        sample_counts=sample_counts,
-    )
+def _edge_weights(user_lists, params, fexp):
+    """build_edge_weights over many topologies, one EdgeWeightMatrix each.
+
+    The optimal powers of every topology are one ``_bisect``: its probes go
+    block by block over ``_column_blocks`` (see the ``phy`` array contract),
+    its rounds once over the moving edges of every block.  The link stats
+    then go block by block again, with one downlink delay per user.
+    """
+    cohorts = [phy._Users.of(users, params) for users in user_lists]
+    # One power array per block, in the order the blocks come again below.
+    powers = iter(_optimal_powers(
+        (block for cohort in cohorts for block, _, _ in _column_blocks(cohort, params, fexp)),
+        params, fexp,
+    ))
+    matrices = []
+    for users, cohort in zip(user_lists, cohorts):
+        sample_counts = np.array([u.sample_count for u in users], dtype=float)
+        down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+
+        def evaluate(block, rows):
+            p = next(powers)
+            return (p, *_link(block, p, down[rows], params, fexp))
+
+        p, q, total_delay, e = _over_column_blocks(cohort, params, fexp, evaluate)
+        ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
+        matrices.append(EdgeWeightMatrix(
+            weights=np.where(ok, sample_counts[:, None] * (q - 1.0), 0.0),
+            feasible=ok,
+            power_w=np.where(ok, p, 0.0),
+            error_rate=np.where(ok, q, 1.0),
+            delay_s=np.where(ok, total_delay, np.inf),
+            energy_j=np.where(ok, e, np.inf),
+            sample_counts=sample_counts,
+        ))
+    return matrices
 
 
 @dataclass
@@ -406,24 +483,45 @@ def baseline_random_all(rng, users, params, fexp) -> AllocationDecision:
 
     Powers are drawn uniformly from each edge's feasible interval; pairs
     with no feasible power are dropped so the output always satisfies the
-    delay and energy gates.
+    delay and energy gates.  The one-seed form of ``_random_all``.
     """
-    n_users, n_rbs = len(users), params.rb_count
-    k = min(n_users, n_rbs)
-    chosen_users = rng.permutation(n_users)[:k]
-    chosen_rbs = rng.permutation(n_rbs)[:k]
-    p_lo, p_hi, ok = feasible_power_interval(
-        [users[i] for i in chosen_users], chosen_rbs, params, fexp
+    return _random_all([rng], [users], params, fexp)[0]
+
+
+def _random_all(rngs, user_lists, params, fexp):
+    """baseline_random_all for many seeds, each with its generator and users.
+
+    Every seed draws its two permutations first; one ``_power_interval``
+    then covers all seeds' chosen pairs, in blocks of ``_width(fexp)``
+    pairs, and each seed draws its powers from its own generator.  The link
+    stats reuse the interval search's downlink delays.
+    """
+    n_rbs = params.rb_count
+    chosen = []
+    for rng, users in zip(rngs, user_lists):
+        k = min(len(users), n_rbs)
+        chosen.append((rng.permutation(len(users))[:k], rng.permutation(n_rbs)[:k]))
+    pairs = phy._Users.of(
+        [users[i] for users, (rows, _) in zip(user_lists, chosen) for i in rows], params
+    ).on(np.concatenate([rbs for _, rbs in chosen]), params)
+    width = _width(fexp)
+    # At least one block, so that no chosen pair still gives empty arrays.
+    blocks = [pairs.take(slice(s, s + width)) for s in range(0, max(1, pairs.gain.size), width)]
+    p_lo, p_hi, ok, down = (
+        np.concatenate(parts) for parts in zip(*_power_interval(blocks, params, fexp))
     )
-    # One draw per feasible pair, in pair order: the stream of per-pair draws.
-    power = rng.uniform(p_lo[ok], p_hi[ok])
-    rows, rbs = chosen_users[ok], chosen_rbs[ok]
-    cohort = phy._Users.of([users[i] for i in rows], params).on(rbs, params)
-    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
-    counts = [u.sample_count for u in users]
-    return _finalize_decision(
-        counts, n_rbs, rows, rbs, (power, *_link(cohort, power, down, params, fexp))
-    )
+    decisions, start = [], 0
+    for rng, users, (rows, rbs) in zip(rngs, user_lists, chosen):
+        kept = np.flatnonzero(ok[start:start + rows.size])
+        index = start + kept
+        start += rows.size
+        # One draw per feasible pair, in pair order: the stream of per-pair draws.
+        power = rng.uniform(p_lo[index], p_hi[index])
+        link = _link(pairs.take(index), power, down[index], params, fexp)
+        decisions.append(_finalize_decision(
+            [u.sample_count for u in users], n_rbs, rows[kept], rbs[kept], (power, *link)
+        ))
+    return decisions
 
 
 def baseline_optselect_randomrb(rng, users, params, fexp, edges=None) -> AllocationDecision:

@@ -260,13 +260,18 @@ def worst_case_error_sum(users, params, fexp) -> float:
     max-weight matching over those per-edge values.
     """
     sample_counts = np.array([u.sample_count for u in users], dtype=float)
+    cohort = phy._Users.of(users, params)
+    # One interval search over every column block, in block order.
+    intervals = iter(assignment._power_interval(
+        [block for block, _, _ in assignment._column_blocks(cohort, params, fexp)], params, fexp
+    ))
 
     def evaluate(block, rows):
-        p_lo, _, feasible = assignment._power_interval(block, params, fexp)
+        p_lo, _, feasible, _ = next(intervals)
         q_worst = phy._error_rate(block, p_lo, params, fexp)
         return (np.where(feasible, sample_counts[rows] * q_worst, 0.0),)
 
-    (gains,) = assignment._over_column_blocks(phy._Users.of(users, params), params, fexp, evaluate)
+    (gains,) = assignment._over_column_blocks(cohort, params, fexp, evaluate)
     # Pairs matched at gain 0 are dropped by the solver; they only added 0.0.
     (rows, rbs), _ = assignment._solve_matching(-gains)
     total = 0.0

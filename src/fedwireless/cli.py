@@ -158,9 +158,17 @@ def _cmd_validate(args) -> int:
     check("error rate non-increasing in power", bool(np.all(np.diff(q) <= 1e-15)))
     check("energy strictly increasing in power", bool(np.all(np.diff(e) > 0)))
 
-    decision = assignment.hungarian_assign(
-        assignment.build_edge_weights(users, params, fexp)
-    )
+    # The power searches of two topologies pooled into one bisection must
+    # give each topology the edges it gets alone, bit for bit.
+    other = harness.build_topology(config, config.seeds[0] + 1)[0]
+    pooled = assignment._edge_weights([users, other], params, fexp)
+    alone = [assignment.build_edge_weights(one, params, fexp) for one in (users, other)]
+    check("a pooled edge build of two topologies equals two single builds bit for bit", all(
+        values.tobytes() == vars(b)[name].tobytes()
+        for a, b in zip(pooled, alone) for name, values in vars(a).items()
+    ))
+
+    decision = assignment.hungarian_assign(alone[0])
     check("allocation satisfies every gate",
           not assignment.verify_allocation(decision, users, params, fexp))
 

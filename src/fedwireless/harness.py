@@ -86,6 +86,10 @@ def build_topology(config: ExperimentConfig, seed: int):
     return users, dataset
 
 
+def _allocation_rng(seed):
+    return np.random.default_rng([seed, _STREAM_ALLOCATION])
+
+
 def compute_allocation(algorithm, users, config, seed, edges=None):
     """Dispatch one allocation algorithm; edges may be shared across calls."""
     params, fexp = config.network, config.fading
@@ -94,11 +98,11 @@ def compute_allocation(algorithm, users, config, seed, edges=None):
     if algorithm == "proposed":
         return assignment.hungarian_assign(edges)
     if algorithm == "baseline_a":
-        rng = np.random.default_rng([seed, _STREAM_ALLOCATION])
-        return assignment.baseline_optselect_randomrb(rng, users, params, fexp, edges=edges)
+        return assignment.baseline_optselect_randomrb(
+            _allocation_rng(seed), users, params, fexp, edges=edges
+        )
     if algorithm == "baseline_b":
-        rng = np.random.default_rng([seed, _STREAM_ALLOCATION])
-        return assignment.baseline_random_all(rng, users, params, fexp)
+        return assignment.baseline_random_all(_allocation_rng(seed), users, params, fexp)
     if algorithm == "baseline_c":
         return assignment.baseline_min_sum_per(users, params, fexp, edges=edges)
     raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -115,12 +119,14 @@ class RunRecord:
     """One (algorithm, seed) cell: allocation summary plus the loss trajectory.
 
     ``wall_clock_s`` is the cell's allocation plus training time, including
-    the power searches its allocation needs: for proposed, baseline_a and
-    baseline_c that is the seed's shared edge build (counted in full for
-    each of them), for baseline_b its own interval search.  Cells train in
-    batches (one per algorithm in ``run_experiment``, one over all seeds in
-    ``bound_report``), and a batch's time, its cells' packet-loss draws and
-    the training, is split equally over its cells.
+    the power searches its allocation needs.  ``run_experiment`` builds the
+    edges of all seeds as one pooled call, and each seed takes an equal
+    share of it, which proposed, baseline_a and baseline_c each count in
+    full; baseline_b allocates all seeds as one pooled call (its interval
+    search included), and each of its records takes an equal share of that.
+    Cells train in batches (one per algorithm in ``run_experiment``, one
+    over all seeds in ``bound_report``), and a batch's time, its cells'
+    packet-loss draws and the training, is split equally over its cells.
     """
 
     algorithm: str
@@ -225,19 +231,20 @@ def _train_batch(config, algorithm, cells, learning_rates, features, targets,
 def run_experiment(config: ExperimentConfig):
     """Run every (algorithm, seed) cell; deterministic order and content.
 
-    The seeds of one algorithm train as one ``training._train_cells`` batch
-    in seed order; every seed has the same sample layout, so the per-seed
-    data is stacked once and shared by the batches.  A topology where no
+    The edges of all seeds are one ``assignment._edge_weights`` call, and
+    baseline_b allocates all seeds as one ``assignment._random_all`` call;
+    proposed, baseline_a and baseline_c allocate seed by seed.  The seeds of
+    one algorithm train as one ``training._train_cells`` batch in seed
+    order; every seed has the same sample layout, so the per-seed data is
+    stacked once and shared by the batches.  A topology where no
     user is schedulable still produces a record (the global model never
     moves); it is a degenerate run, not an error.
     """
-    topologies, datasets = [], []
-    for seed in config.seeds:
-        users, dataset = build_topology(config, seed)
-        start = time.perf_counter()
-        edges = assignment.build_edge_weights(users, config.network, config.fading)
-        topologies.append((seed, users, edges, time.perf_counter() - start))
-        datasets.append(dataset)
+    seeds, params, fexp = config.seeds, config.network, config.fading
+    user_lists, datasets = zip(*(build_topology(config, seed) for seed in seeds))
+    start = time.perf_counter()
+    edge_sets = assignment._edge_weights(user_lists, params, fexp)
+    edge_build_s = (time.perf_counter() - start) / len(seeds)
     learning_rates = [resolve_learning_rate(config, dataset) for dataset in datasets]
     pooled = [dataset.pooled() for dataset in datasets]
     features = np.stack([x for x, _ in pooled])
@@ -245,14 +252,19 @@ def run_experiment(config: ExperimentConfig):
 
     records = []
     for algorithm in config.algorithms:
-        cells = []
-        for seed, users, edges, edge_build_s in topologies:
+        if algorithm == "baseline_b":
             start = time.perf_counter()
-            decision = compute_allocation(algorithm, users, config, seed, edges=edges)
-            seconds = time.perf_counter() - start
-            if algorithm in _EDGE_ALGORITHMS:
-                seconds += edge_build_s
-            cells.append((seed, decision, seconds))
+            decisions = assignment._random_all(
+                [_allocation_rng(seed) for seed in seeds], user_lists, params, fexp
+            )
+            share = (time.perf_counter() - start) / len(seeds)
+            cells = [(seed, decision, share) for seed, decision in zip(seeds, decisions)]
+        else:
+            cells = []
+            for seed, users, edges in zip(seeds, user_lists, edge_sets):
+                start = time.perf_counter()
+                decision = compute_allocation(algorithm, users, config, seed, edges=edges)
+                cells.append((seed, decision, time.perf_counter() - start + edge_build_s))
         records += _train_batch(
             config, algorithm, cells, learning_rates,
             features, targets, datasets[0].sample_counts,

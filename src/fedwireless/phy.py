@@ -14,11 +14,15 @@ per-user constants (gain d**-alpha, fading scale, payload, training energy,
 from Python float math once per user) and, once ``on`` has placed it, the
 uplink noise of each edge's RB.  A cohort is therefore any edge set: one RB
 column over many users, a block of columns, or a list of (user, RB) pairs.
-The edge build goes in blocks of whole columns under
-``assignment._COHORT_ELEMENTS`` edges x nodes: a whole (users, RBs, nodes)
-block holds R times the temporaries of one column, and as one cohort it
-raised peak RSS by about 10 MB on 120 x 60 and 300 x 20 topologies.  The
-public scalar functions are one-element calls of the same kernel.
+The allocator keeps each call under ``assignment._COHORT_ELEMENTS`` edges x
+nodes (one RB column at least): a whole (users, RBs, nodes) block holds R
+times the temporaries of one column, and as one cohort it raised peak RSS
+by about 10 MB on 120 x 60 and 300 x 20 topologies.  The edge build probes
+the power searches and evaluates the links in blocks of whole columns; the
+bisection rounds pool the still-moving edges of every block (of every seed,
+in ``run_experiment``) into one cohort, which each round evaluates in
+slices under the same budget.  The public scalar functions are one-element
+calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -185,12 +189,12 @@ class FadingExpectation:
         ``scale`` is a float or one mean per edge (the leading axes); the
         integrand gets fading values of shape ``scale.shape + (nodes,)`` and
         returns the node axis last, which the result drops.  The edges are
-        any cohort (RB columns, or a list of (user, RB) pairs); the edge
-        build passes blocks of whole columns under
-        ``assignment._COHORT_ELEMENTS`` to bound the (edges x nodes)
-        temporaries, and with them peak RSS.  Monte Carlo holds (edges x
-        count) draws per call: one fresh-seeded standard exponential sample,
-        scaled per edge.
+        any cohort (RB columns, a list of (user, RB) pairs, or the pooled
+        moving edges of a power search); the allocator passes at most
+        ``assignment._COHORT_ELEMENTS`` edges x nodes per call to bound the
+        (edges x nodes) temporaries, and with them peak RSS.  Monte Carlo
+        holds (edges x count) draws per call: one fresh-seeded standard
+        exponential sample, scaled per edge.
         """
         if self.point_mass is not None:
             values = np.asarray(integrand(np.array([self.point_mass])), dtype=float)

@@ -173,9 +173,27 @@ def lockstep_bisect(lo, hi, below_root):
     return lo, hi, holds_lo, holds_hi
 
 
-def uncompacted(lo, hi, below_root):
-    """``lockstep_bisect`` with the ``assignment._bisect`` calling convention."""
-    return lockstep_bisect(lo, hi, lambda x: below_root(x, None))
+def uncompacted(cohorts, below_root, width):
+    """``lockstep_bisect`` on each cohort alone, with the ``assignment._bisect``
+    calling convention."""
+    return [
+        lockstep_bisect(lo, hi, lambda x, columns=columns: below_root(x, *columns))
+        for lo, hi, columns in cohorts
+    ]
+
+
+def bisection_edge(draw, places=("inside", "lo", "hi", "below", "above"), adjacent=False):
+    """(lo, hi, root) of one edge; ``adjacent`` True forces hi = nextafter(lo)."""
+    a = draw(st.floats(-1e6, 1e6))
+    b = float(np.nextafter(a, np.inf)) if adjacent else draw(st.sampled_from([
+        float(np.nextafter(a, np.inf)), a + 1e300, a + draw(st.floats(1e-9, 1e6)),
+    ]))
+    place = draw(st.sampled_from(places))
+    r = {
+        "inside": a + draw(st.floats(0.0, 1.0)) * (b - a), "lo": a, "hi": b,
+        "below": a - draw(st.floats(0.0, 1e6)), "above": b + draw(st.floats(0.0, 1e6)),
+    }[place]
+    return a, b, r
 
 
 @st.composite
@@ -183,20 +201,39 @@ def bisection_edges(draw):
     """(lo, hi, root) per edge: roots inside, on, below and above the
     bracket, already-adjacent brackets, and brackets so wide that the
     search stops at the iteration cap."""
-    lo, hi, root = [], [], []
-    for _ in range(draw(st.integers(1, 10))):
-        a = draw(st.floats(-1e6, 1e6))
-        b = draw(st.sampled_from([
-            float(np.nextafter(a, np.inf)), a + 1e300,
-            a + draw(st.floats(1e-9, 1e6)),
-        ]))
-        place = draw(st.sampled_from(["inside", "lo", "hi", "below", "above"]))
-        r = {
-            "inside": a + draw(st.floats(0.0, 1.0)) * (b - a), "lo": a, "hi": b,
-            "below": a - draw(st.floats(0.0, 1e6)), "above": b + draw(st.floats(0.0, 1e6)),
-        }[place]
-        lo.append(a), hi.append(b), root.append(r)
-    return np.array(lo), np.array(hi), np.array(root)
+    edges = [bisection_edge(draw) for _ in range(draw(st.integers(1, 10)))]
+    return tuple(np.array(column, dtype=float) for column in zip(*edges))
+
+
+@st.composite
+def bisection_blocks(draw):
+    """A list of (lo, hi, root) blocks: mixed blocks as in ``bisection_edges``,
+    empty blocks, blocks whose roots all lie outside the bracket (all
+    collapsed) and blocks of adjacent brackets (no edge moves)."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["mixed", "empty", "collapsed", "adjacent"]))
+        size = 0 if kind == "empty" else draw(st.integers(1, 6))
+        edges = [
+            bisection_edge(draw, places=("below", "above")) if kind == "collapsed"
+            else bisection_edge(draw, adjacent=kind == "adjacent")
+            for _ in range(size)
+        ]
+        blocks.append(tuple(np.array([edge[k] for edge in edges], dtype=float) for k in range(3)))
+    return blocks
+
+
+def scramble(holds, x):
+    """A predicate still pure in (edge, x), but not monotone."""
+    return holds ^ (x.view(np.int64) & 1).astype(bool)
+
+
+def moving_after_probes(lo, hi, holds_lo, holds_hi):
+    """Edges whose mid still moves once the probes have collapsed the rest."""
+    c_lo = np.where(holds_hi, hi, lo)
+    c_hi = np.where(holds_lo, hi, c_lo)
+    mid = 0.5 * (c_lo + c_hi)
+    return (mid != c_lo) & (mid != c_hi)
 
 
 class TestBisect:
@@ -204,43 +241,91 @@ class TestBisect:
     @given(bisection_edges(), st.booleans(), st.sampled_from([200, 3]))
     def test_compacted_matches_lockstep_oracle(self, edges, scrambled, iters):
         lo, hi, root = edges
+        ids = np.arange(lo.size)
         calls = []
 
-        def below_root(x, index=None):
-            holds = x < (root if index is None else root[index])
-            if scrambled:   # still a pure function of (edge, x), not monotone
-                holds ^= (x.view(np.int64) & 1).astype(bool)
-            return holds
+        def below_root(x, root):
+            holds = x < root
+            return scramble(holds, x) if scrambled else holds
 
-        def recorded(x, index):
-            calls.append(index)
-            return below_root(x, index)
+        def recorded(x, root, edge_ids):
+            calls.append(edge_ids)
+            return below_root(x, root)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(assignment, "_BISECT_ITERS", iters)
-            want = lockstep_bisect(lo.copy(), hi.copy(), below_root)
-            got = assignment._bisect(lo.copy(), hi.copy(), recorded)
+            want = lockstep_bisect(lo.copy(), hi.copy(), lambda x: below_root(x, root))
+            (got,) = assignment._bisect([(lo.copy(), hi.copy(), (root, ids))], recorded, 64)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         # After the two probes only edges whose mid still moves are evaluated:
         # never a collapsed or adjacent bracket.
-        assert calls[0] is None and calls[1] is None and len(calls) <= 2 + iters
-        _, _, holds_lo, holds_hi = want
-        c_lo = np.where(holds_hi, hi, lo)
-        c_hi = np.where(holds_lo, hi, c_lo)
-        mid = 0.5 * (c_lo + c_hi)
-        stopped = np.flatnonzero((mid == c_lo) | (mid == c_hi))
+        assert calls[0].tolist() == calls[1].tolist() == ids.tolist()
+        assert len(calls) <= 2 + iters
+        stopped = np.flatnonzero(~moving_after_probes(lo, hi, *want[2:]))
         for index in calls[2:]:
             assert index.size and not np.isin(index, stopped).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(bisection_blocks(), st.booleans(), st.sampled_from([200, 3]),
+           st.sampled_from([1, 2, 5, 64]))
+    def test_pooled_rounds_match_lockstep_oracle_per_block(self, blocks, scrambled, iters,
+                                                           width):
+        def below_root(x, root):
+            holds = x < root
+            return scramble(holds, x) if scrambled else holds
+
+        events = []
+
+        def recorded(x, root, block_ids, edge_ids):
+            events.append(list(zip(block_ids.tolist(), edge_ids.tolist())))
+            return below_root(x, root)
+
+        def cohorts():
+            for k, (lo, hi, root) in enumerate(blocks):
+                events.append(k)
+                yield lo.copy(), hi.copy(), (root, np.full(lo.size, k), np.arange(lo.size))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(assignment, "_BISECT_ITERS", iters)
+            got = assignment._bisect(cohorts(), recorded, width)
+            want = [
+                lockstep_bisect(lo.copy(), hi.copy(), lambda x, root=root: below_root(x, root))
+                for lo, hi, root in blocks
+            ]
+        assert len(got) == len(blocks)
+        for got_block, want_block in zip(got, want):
+            for a, b in zip(got_block, want_block):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # Each block is probed at lo and at hi, over all its edges, before
+        # the next one is drawn; the rounds follow every probe.
+        for k, (lo, _, _) in enumerate(blocks):
+            edges = [(k, i) for i in range(lo.size)]
+            assert events[3 * k:3 * k + 3] == [k, edges, edges]
+        rounds = events[3 * len(blocks):]
+        # The first round takes every moving edge of every block, in block
+        # order, in slices of at most ``width``; no call ever sees a stopped
+        # edge.
+        movers = [
+            (k, int(i))
+            for k, ((lo, hi, _), (_, _, holds_lo, holds_hi)) in enumerate(zip(blocks, want))
+            for i in np.flatnonzero(moving_after_probes(lo, hi, holds_lo, holds_hi))
+        ]
+        assert all(0 < len(call) <= width for call in rounds)
+        first = -(-len(movers) // width)
+        assert sum(rounds[:first], []) == movers
+        assert set(sum(rounds, [])) <= set(movers)
 
     def test_wide_bracket_stops_at_the_iteration_cap(self):
         calls = []
 
-        def below_root(x, index):
-            calls.append(index)
+        def below_root(x):
+            calls.append(x.size)
             return x < 1.0
 
-        lo, hi, _, _ = assignment._bisect(np.array([0.0]), np.array([1e300]), below_root)
+        ((lo, hi, _, _),) = assignment._bisect(
+            [(np.array([0.0]), np.array([1e300]), ())], below_root, 1
+        )
         assert len(calls) == 2 + assignment._BISECT_ITERS and lo[0] < 1.0 < hi[0]
 
 
@@ -343,7 +428,7 @@ def column_by_column_build(users, params, fexp):
         patch.setattr(assignment, "_bisect", uncompacted)
         for n in range(params.rb_count):
             column = cohort.on(n, params)
-            p = assignment._optimal_powers(column, params, fexp)
+            (p,) = assignment._optimal_powers([column], params, fexp)
             q, total_delay, e = assignment._link(column, p, down, params, fexp)
             ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
             feasible[:, n] = ok
@@ -368,13 +453,17 @@ def test_column_blocks_match_column_by_column_build(fexp, widths, monkeypatch):
         want_worst = bounds.worst_case_error_sum(users, params, fexp)
     elements = widths[0] * len(users) * fexp.node_or_sample_count
     monkeypatch.setattr(assignment, "_COHORT_ELEMENTS", elements)
-    sizes, optimal_powers = [], assignment._optimal_powers
+    sizes, bisect = [], assignment._bisect
 
-    def recorded(block, *args):
-        sizes.append(block.gain.size)
-        return optimal_powers(block, *args)
+    def recorded(cohorts, *args):
+        def probed():           # the size of each cohort the probes see
+            for lo, hi, columns in cohorts:
+                sizes.append(lo.size)
+                yield lo, hi, columns
 
-    monkeypatch.setattr(assignment, "_optimal_powers", recorded)
+        return bisect(probed(), *args)
+
+    monkeypatch.setattr(assignment, "_bisect", recorded)
     edges = build_edge_weights(users, params, fexp)
     assert sizes == [w * len(users) for w in widths]
     for name in EDGE_FIELDS:

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 import fedwireless
 from fedwireless import cli
 from fedwireless.assignment import AllocationDecision, verify_allocation
-from fedwireless.config import loads_config, save_config
+from fedwireless.config import load_config, loads_config, save_config
 from fedwireless.harness import (
     CSV_HEADER,
     RunRecord,
@@ -113,19 +114,35 @@ class TestRunExperiment:
     def test_wall_clock_includes_the_shared_edge_build(self, monkeypatch):
         from fedwireless import assignment
 
-        build = assignment.build_edge_weights
+        build = assignment._edge_weights
 
         def slow_build(*args):
             time.sleep(0.05)
             return build(*args)
 
-        monkeypatch.setattr(assignment, "build_edge_weights", slow_build)
+        monkeypatch.setattr(assignment, "_edge_weights", slow_build)
         algorithms = ("proposed", "baseline_a", "baseline_b", "baseline_c")
         records = run_experiment(mini_config(algorithms=algorithms, seeds=(3,)))
         assert [r.algorithm for r in records] == list(algorithms)
         for record in records:
             if record.algorithm != "baseline_b":
                 assert record.wall_clock_s >= 0.05, record.algorithm
+
+    def test_wall_clock_shares_the_pooled_interval_search(self, monkeypatch):
+        from fedwireless import assignment
+
+        search = assignment._power_interval
+
+        def slow_search(*args):
+            time.sleep(0.3)
+            return search(*args)
+
+        monkeypatch.setattr(assignment, "_power_interval", slow_search)
+        records = run_experiment(mini_config(algorithms=("baseline_b",), seeds=(3, 4, 5)))
+        # One pooled search for the three seeds: each record takes a third.
+        assert [r.seed for r in records] == [3, 4, 5]
+        for record in records:
+            assert 0.1 <= record.wall_clock_s < 0.25, record.seed
 
     def test_rerun_bit_identical(self):
         config = mini_config()
@@ -136,6 +153,123 @@ class TestRunExperiment:
             da.pop("wall_clock_s")
             db.pop("wall_clock_s")
             assert da == db
+
+
+POOLED = """
+[network]
+rb_count = {rbs}
+uplink_interference_w = {ramp}
+energy_budget_j = 0.0022
+
+[users]
+count = {users}
+cell_radius_m = {radius}
+sample_count_cycle = 12 10 8 4 2
+
+[training]
+rounds = 12
+
+[experiment]
+algorithms = proposed baseline_a baseline_b baseline_c
+seeds = {seeds}
+
+[fading]
+{fading}
+"""
+
+
+def pooled_config(users, rbs, seeds, radius=1000.0, fading="method = quadrature"):
+    ramp = " ".join(repr(float(v)) for v in np.logspace(-9, -7, rbs))
+    return loads_config(POOLED.format(
+        users=users, rbs=rbs, ramp=ramp, radius=radius, seeds=seeds, fading=fading
+    ))
+
+
+def float_bits(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("config", [
+    pooled_config(6, 4, "1 2 3"),
+    pooled_config(3, 5, "1 2"),
+    pooled_config(6, 4, "1 2", fading="method = monte_carlo\ncount = 256\nseed = 7"),
+    pooled_config(2, 3, "1 2 4", radius=3000.0),
+], ids=["more_users_than_rbs", "more_rbs_than_users", "monte_carlo", "nothing_schedulable"])
+def test_pooled_run_equals_per_seed_allocations_and_training(config, monkeypatch):
+    # run_experiment pools the power searches of all seeds; each record must
+    # equal a one-seed compute_allocation plus the sequential training
+    # oracle, bit for bit, and baseline b must leave each seed's generator
+    # where a one-seed call leaves it.
+    from fedwireless import assignment
+    from fedwireless.harness import compute_allocation, resolve_learning_rate
+    from test_training import sequential_training
+
+    pooled_rngs, random_all = [], assignment._random_all
+
+    def capture_pooled(rngs, *args):
+        pooled_rngs.extend(rngs)
+        return random_all(rngs, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(assignment, "_random_all", capture_pooled)
+        records = run_experiment(config)
+    single_rngs, random_one = [], assignment.baseline_random_all
+
+    def capture_single(rng, *args):
+        single_rngs.append(rng)
+        return random_one(rng, *args)
+
+    monkeypatch.setattr(assignment, "baseline_random_all", capture_single)
+    selected = {}
+    for record in records:
+        users, dataset = build_topology(config, record.seed)
+        decision = compute_allocation(record.algorithm, users, config, record.seed)
+        lr = resolve_learning_rate(config, dataset)
+        losses, _, _ = sequential_training(
+            dataset, decision, lr, config.rounds,
+            np.random.default_rng([record.seed, 3]), config.initial_model,
+        )
+        assigned = decision.rb_assignment
+        assert record.selection == decision.selection.tolist()
+        assert record.rb_index == np.where(
+            assigned.any(axis=1), assigned.argmax(axis=1), -1).tolist()
+        for name in ("power_w", "error_rate", "delay_s", "energy_j", "objective"):
+            assert float_bits(getattr(record, name)) == float_bits(getattr(decision, name)), name
+        assert record.solver_iterations == decision.solver_iterations
+        assert float_bits(record.losses) == float_bits(losses)
+        assert float_bits(record.learning_rate) == float_bits(lr)
+        selected[record.algorithm, record.seed] = sum(record.selection)
+    assert len(pooled_rngs) == len(single_rngs) == len(config.seeds)
+    for pooled_rng, single_rng in zip(pooled_rngs, single_rngs):
+        assert pooled_rng.bit_generator.state == single_rng.bit_generator.state
+    if config.seeds == (1, 2, 4):       # seed 2 has no feasible edge
+        assert all(selected[algorithm, 2] == 0 for algorithm in config.algorithms)
+        assert selected["proposed", 1] > 0 and selected["proposed", 4] > 0
+
+
+@pytest.mark.parametrize("config", [
+    load_config(REFERENCE),
+    pooled_config(120, 60, "5"),
+], ids=["reference", "binding_120x60"])
+def test_kernel_calls_stay_under_the_cohort_budget(config, monkeypatch):
+    # Pooling the searches must not pool the (edges x nodes) temporaries:
+    # every fading expectation run_experiment takes covers at most
+    # _COHORT_ELEMENTS edges x nodes.
+    from fedwireless import assignment, phy
+
+    sizes, expect = [], phy.FadingExpectation.expect
+
+    def recorded(self, integrand, scale=1.0):
+        def measured(fading):
+            values = integrand(fading)
+            sizes.append(np.size(values))
+            return values
+
+        return expect(self, measured, scale)
+
+    monkeypatch.setattr(phy.FadingExpectation, "expect", recorded)
+    run_experiment(replace(config, rounds=2))
+    assert sizes and max(sizes) <= assignment._COHORT_ELEMENTS
 
 
 def decision_from_record(record, config):
