@@ -48,7 +48,6 @@ from .bounds import (
     GradientBoundFit,
     asymptotic_gap,
     bound_series,
-    check_gradient_bound,
     contraction_factor,
     convergence_slope_limit,
     curvature,

@@ -43,52 +43,25 @@ class OptimalPower:
     feasible_energy: bool
 
 
-# Edges x fading nodes per kernel call of the power searches and the edge
-# build: it bounds the (edges x nodes) temporaries, and so peak memory, while
-# small topologies still make one cohort.  At 16384 a float temporary is
-# 128 KiB, glibc's default mmap threshold; past it an uplink-rate call took
-# about twice as long per edge (2-core Xeon, numpy 2.4).
-_COHORT_ELEMENTS = 16384
-
-
-def _width(fexp):
-    """Edges per kernel call under ``_COHORT_ELEMENTS`` edges x nodes."""
-    return max(1, _COHORT_ELEMENTS // fexp.node_or_sample_count)
-
-
-def _bisect(cohorts, below_root, width):
+def _bisect(lo, hi, columns, below_root):
     """Lock-step bisection of many edges for a predicate that holds below
     each edge's root and fails above it.
 
-    ``cohorts`` yields ``(lo, hi, columns)`` per cohort of edges, with
-    ``columns`` a tuple of per-edge arrays and ``below_root(x, *columns)``
-    the predicate at points ``x`` of the edges they describe.  Each cohort
-    is probed as it comes, at its lo and at its hi, and edges whose root
-    lies outside [lo, hi] collapse onto that endpoint; only the brackets,
-    and the columns of the edges whose mid still moves, are kept.  The
-    rounds then run once over those edges of every cohort, evaluating the
-    predicate in slices of at most ``width`` edges.  A round halves [lo, hi]
-    at mid = 0.5*(lo+hi), lo moving up where the predicate holds and hi down
+    ``columns`` is a tuple of per-edge arrays and ``below_root(x, *columns)``
+    the predicate at points ``x`` of the edges they describe.  Every edge is
+    probed at its lo and at its hi, and edges whose root lies outside
+    [lo, hi] collapse onto that endpoint.  A round then halves [lo, hi] at
+    mid = 0.5*(lo+hi), lo moving up where the predicate holds and hi down
     elsewhere, until an edge's mid rounds onto an endpoint (at most
     _BISECT_ITERS rounds); that edge's lo and hi never change again, so it
-    drops out.  An edge's path depends on its own values alone, so it gets
-    the bits of a search on its own.  Returns, per cohort, the final (lo,
-    hi) and whether the predicate held at the initial lo and at the initial
-    hi.
+    drops out, and each round evaluates only the still-moving edges.  An
+    edge's path depends on its own values alone, so it gets the bits of a
+    search on its own.  Returns the final (lo, hi) and whether the
+    predicate held at the initial lo and at the initial hi.
     """
-    searches, pool = [], []
-    for lo, hi, columns in cohorts:
-        holds_lo, holds_hi = below_root(lo, *columns), below_root(hi, *columns)
-        lo = np.where(holds_hi, hi, lo)
-        hi = np.where(holds_lo, hi, lo)
-        mid = 0.5 * (lo + hi)
-        moving = np.flatnonzero((mid != lo) & (mid != hi))
-        searches.append((lo, hi, holds_lo, holds_hi, moving))
-        pool.append([lo[moving], hi[moving], *(column[moving] for column in columns)])
-    if not searches:
-        return []
-    lo, hi, *columns = (np.concatenate(parts) for parts in zip(*pool))
-    del pool
+    holds_lo, holds_hi = below_root(lo, *columns), below_root(hi, *columns)
+    lo = np.where(holds_hi, hi, lo)
+    hi = np.where(holds_lo, hi, lo)
     active = np.arange(lo.size)
     for _ in range(_BISECT_ITERS):
         a_lo, a_hi = lo[active], hi[active]
@@ -97,47 +70,31 @@ def _bisect(cohorts, below_root, width):
         active, mid = active[moving], mid[moving]
         if not active.size:
             break
-        up = np.concatenate([
-            below_root(mid[s:s + width], *(column[active[s:s + width]] for column in columns))
-            for s in range(0, active.size, width)
-        ])
+        up = below_root(mid, *(column[active] for column in columns))
         lo[active[up]] = mid[up]
         hi[active[~up]] = mid[~up]
-    start = 0
-    for s_lo, s_hi, _, _, moving in searches:
-        stop = start + moving.size
-        s_lo[moving], s_hi[moving] = lo[start:stop], hi[start:stop]
-        start = stop
-    return [search[:4] for search in searches]
+    return lo, hi, holds_lo, holds_hi
 
 
-def _optimal_powers(cohorts, params, fexp):
-    """optimal_power over each of the placed ``phy._Users`` cohorts of edges
-    that ``cohorts`` yields, as one ``_bisect``; 0 marks an edge with no
-    feasible power."""
+def _optimal_powers(cohort, params, fexp):
+    """optimal_power over every edge of a placed ``phy._Users`` cohort, as
+    one ``_bisect``; 0 marks an edge with no feasible power."""
     budget, p_max = params.energy_budget_j, params.max_user_power_w
-    todo = []               # each cohort's searched edges, as _bisect draws it
-
-    def searches():
-        for cohort in cohorts:
-            searched = cohort.training_j < budget
-            todo.append(searched)
-            n = np.count_nonzero(searched)
-            yield np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched)
+    searched = cohort.training_j < budget
+    n = np.count_nonzero(searched)
 
     def fits(power, *columns):
         edges = phy._Users(*columns)
         rate = phy._uplink_rate(edges, power, params, fexp)
         return phy._energy(edges, power, phy._delay(edges.payload_bits, rate)) <= budget
 
-    found = _bisect(searches(), fits, _width(fexp))
-    powers = []
-    for searched, (lo, _, fits_lo, fits_hi) in zip(todo, found):
-        power = np.zeros(searched.shape)
-        # Where transmit energy per bit does not vanish with P, not even lo fits.
-        power[searched] = np.where(fits_lo | fits_hi, lo, 0.0)
-        powers.append(power)
-    return powers
+    lo, _, fits_lo, fits_hi = _bisect(
+        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched), fits
+    )
+    power = np.zeros(searched.shape)
+    # Where transmit energy per bit does not vanish with P, not even lo fits.
+    power[searched] = np.where(fits_lo | fits_hi, lo, 0.0)
+    return power
 
 
 def optimal_power(user, rb_index, params, fexp) -> OptimalPower:
@@ -151,7 +108,7 @@ def optimal_power(user, rb_index, params, fexp) -> OptimalPower:
     the budget.
     """
     cohort = phy._Users.of([user], params).on(rb_index, params)
-    power = float(_optimal_powers([cohort], params, fexp)[0][0])
+    power = float(_optimal_powers(cohort, params, fexp)[0])
     return OptimalPower(power, power > 0)
 
 
@@ -164,66 +121,38 @@ def feasible_power_interval(users, rb_index, params, fexp):
     whose expected rate still meets the delay budget.
     """
     cohort = phy._Users.of(users, params).on(rb_index, params)
-    return _power_interval([cohort], params, fexp)[0][:3]
+    return _power_interval(cohort, params, fexp)[:3]
 
 
-def _power_interval(cohorts, params, fexp):
-    """feasible_power_interval over each of a list of placed ``phy._Users``
-    cohorts, each of the two searches one ``_bisect`` over all of them.
-    Returns (p_lo, p_hi, feasible, downlink delay) per cohort."""
-    p_his = _optimal_powers(cohorts, params, fexp)
-    todo = []               # (p_hi, downlink delay, searched edges), as _bisect draws them
-
-    def searches():
-        for cohort, p_hi in zip(cohorts, p_his):
-            down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
-            slack = params.delay_budget_s - down
-            searched = (p_hi > 0) & (slack > 0)
-            todo.append((p_hi, down, searched))
-            target = cohort.payload_bits[searched] / slack[searched]
-            # A zero payload has target rate 0, which the bottom of the range reaches.
-            yield p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched))
+def _power_interval(cohort, params, fexp):
+    """feasible_power_interval over every edge of a placed ``phy._Users``
+    cohort, each of its two searches one ``_bisect``.  Returns (p_lo, p_hi,
+    feasible, downlink delay)."""
+    p_hi = _optimal_powers(cohort, params, fexp)
+    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    slack = params.delay_budget_s - down
+    searched = (p_hi > 0) & (slack > 0)
+    target = cohort.payload_bits[searched] / slack[searched]
 
     def short(power, target, *columns):
         return phy._uplink_rate(phy._Users(*columns), power, params, fexp) < target
 
-    found = _bisect(searches(), short, _width(fexp))
-    intervals = []
-    for (p_hi, down, searched), (_, hi, _, short_hi) in zip(todo, found):
-        p_lo = np.zeros_like(p_hi)
-        p_lo[searched] = np.where(short_hi, 0.0, hi)
-        feasible = p_lo > 0
-        intervals.append((p_lo, np.where(feasible, p_hi, 0.0), feasible, down))
-    return intervals
+    # A zero payload has target rate 0, which the bottom of the range reaches.
+    _, hi, _, short_hi = _bisect(
+        p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched)), short
+    )
+    p_lo = np.zeros_like(p_hi)
+    p_lo[searched] = np.where(short_hi, 0.0, hi)
+    feasible = p_lo > 0
+    return p_lo, np.where(feasible, p_hi, 0.0), feasible, down
 
 
-def _column_blocks(cohort, params, fexp):
-    """Yields (block, rows, rbs) over blocks of whole RB columns.
-
-    ``cohort`` holds the U users unplaced.  Each block of
-    ``max(1, _width(fexp) // U)`` columns ``rbs`` is one cohort of edges in
-    user-major order, ``rows`` being each edge's user.
-    """
-    n_users = cohort.gain.size
-    width = max(1, _width(fexp) // max(1, n_users))
-    for start in range(0, params.rb_count, width):
-        rbs = np.arange(start, min(start + width, params.rb_count))
-        rows = np.repeat(np.arange(n_users), rbs.size)
-        yield cohort.take(rows).on(np.tile(rbs, n_users), params), rows, rbs
-
-
-def _over_column_blocks(cohort, params, fexp, evaluate):
-    """(U, R) arrays of per-edge values over every (user, RB) edge:
-    ``evaluate(block, rows)`` returns a tuple of arrays over the edges of
-    each of the ``_column_blocks``, in order.  An edge's values depend on
-    that edge alone, so any block width gives the same bits.
-    """
-    n_users = cohort.gain.size
-    blocks = [
-        [part.reshape(n_users, rbs.size) for part in evaluate(block, rows)]
-        for block, rows, rbs in _column_blocks(cohort, params, fexp)
-    ]
-    return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
+def _every_edge(users, params):
+    """Every (user, RB) edge of the unplaced ``users``, user-major, as one
+    placed cohort: edge i * R + n is user i on RB n."""
+    n_users, n_rbs = users.gain.size, params.rb_count
+    rows = np.repeat(np.arange(n_users), n_rbs)
+    return users.take(rows).on(np.tile(np.arange(n_rbs), n_users), params)
 
 
 @dataclass
@@ -257,38 +186,37 @@ def build_edge_weights(users, params, fexp) -> EdgeWeightMatrix:
 def _edge_weights(user_lists, params, fexp):
     """build_edge_weights over many topologies, one EdgeWeightMatrix each.
 
-    The optimal powers of every topology are one ``_bisect``: its probes go
-    block by block over ``_column_blocks`` (see the ``phy`` array contract),
-    its rounds once over the moving edges of every block.  The link stats
-    then go block by block again, with one downlink delay per user.
+    Every (topology, user, RB) edge is one cohort from ``_every_edge``: one
+    power search and one ``_link`` call cover them all, with one downlink
+    delay per user, and the (users, RBs) results are split per topology.
+    ``phy.FadingExpectation.expect`` bounds the temporaries of each call.
     """
-    cohorts = [phy._Users.of(users, params) for users in user_lists]
-    # One power array per block, in the order the blocks come again below.
-    powers = iter(_optimal_powers(
-        (block for cohort in cohorts for block, _, _ in _column_blocks(cohort, params, fexp)),
-        params, fexp,
-    ))
-    matrices = []
-    for users, cohort in zip(user_lists, cohorts):
-        sample_counts = np.array([u.sample_count for u in users], dtype=float)
-        down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
-
-        def evaluate(block, rows):
-            p = next(powers)
-            return (p, *_link(block, p, down[rows], params, fexp))
-
-        p, q, total_delay, e = _over_column_blocks(cohort, params, fexp, evaluate)
-        ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
-        matrices.append(EdgeWeightMatrix(
-            weights=np.where(ok, sample_counts[:, None] * (q - 1.0), 0.0),
-            feasible=ok,
-            power_w=np.where(ok, p, 0.0),
-            error_rate=np.where(ok, q, 1.0),
-            delay_s=np.where(ok, total_delay, np.inf),
-            energy_j=np.where(ok, e, np.inf),
-            sample_counts=sample_counts,
-        ))
-    return matrices
+    users = [user for user_list in user_lists for user in user_list]
+    cohort = phy._Users.of(users, params)
+    edges = _every_edge(cohort, params)
+    p = _optimal_powers(edges, params, fexp)
+    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    q, total_delay, e = _link(edges, p, np.repeat(down, params.rb_count), params, fexp)
+    p, q, total_delay, e = (values.reshape(len(users), params.rb_count)
+                            for values in (p, q, total_delay, e))
+    sample_counts = np.array([u.sample_count for u in users], dtype=float)
+    ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
+    merged = EdgeWeightMatrix(
+        weights=np.where(ok, sample_counts[:, None] * (q - 1.0), 0.0),
+        feasible=ok,
+        power_w=np.where(ok, p, 0.0),
+        error_rate=np.where(ok, q, 1.0),
+        delay_s=np.where(ok, total_delay, np.inf),
+        energy_j=np.where(ok, e, np.inf),
+        sample_counts=sample_counts,
+    )
+    stops = np.cumsum([len(user_list) for user_list in user_lists])
+    return [
+        EdgeWeightMatrix(**{
+            name: values[stop - len(user_list):stop] for name, values in vars(merged).items()
+        })
+        for user_list, stop in zip(user_lists, stops)
+    ]
 
 
 @dataclass
@@ -492,9 +420,9 @@ def _random_all(rngs, user_lists, params, fexp):
     """baseline_random_all for many seeds, each with its generator and users.
 
     Every seed draws its two permutations first; one ``_power_interval``
-    then covers all seeds' chosen pairs, in blocks of ``_width(fexp)``
-    pairs, and each seed draws its powers from its own generator.  The link
-    stats reuse the interval search's downlink delays.
+    then covers all seeds' chosen pairs as one cohort, and each seed draws
+    its powers from its own generator.  The link stats reuse the interval
+    search's downlink delays.
     """
     n_rbs = params.rb_count
     chosen = []
@@ -504,12 +432,7 @@ def _random_all(rngs, user_lists, params, fexp):
     pairs = phy._Users.of(
         [users[i] for users, (rows, _) in zip(user_lists, chosen) for i in rows], params
     ).on(np.concatenate([rbs for _, rbs in chosen]), params)
-    width = _width(fexp)
-    # At least one block, so that no chosen pair still gives empty arrays.
-    blocks = [pairs.take(slice(s, s + width)) for s in range(0, max(1, pairs.gain.size), width)]
-    p_lo, p_hi, ok, down = (
-        np.concatenate(parts) for parts in zip(*_power_interval(blocks, params, fexp))
-    )
+    p_lo, p_hi, ok, down = _power_interval(pairs, params, fexp)
     decisions, start = [], 0
     for rng, users, (rows, rbs) in zip(rngs, user_lists, chosen):
         kept = np.flatnonzero(ok[start:start + rows.size])

@@ -22,7 +22,6 @@ __all__ = [
     "BoundSeries",
     "curvature",
     "fit_gradient_bound",
-    "check_gradient_bound",
     "wireless_error_sum",
     "contraction_factor",
     "excess_loss_bound",
@@ -156,13 +155,6 @@ def fit_gradient_bound(dataset, models, error_sum=None, curv=None, grid_size=33)
     return GradientBoundFit(intercept=intercept, slope=slope, samples_used=samples_used)
 
 
-def check_gradient_bound(dataset, models, fit) -> bool:
-    """Independent pointwise re-check of the fitted gradient inequality."""
-    per_sample_max, grad_f_norm2 = _gradient_norm_profiles(dataset, models)
-    slack = 1e-9 * (1.0 + np.abs(per_sample_max))
-    return bool(np.all(per_sample_max <= fit.intercept + fit.slope * grad_f_norm2 + slack))
-
-
 def wireless_error_sum(selection, error_rates, sample_counts) -> float:
     """Data-weighted expected loss of local models: the sum over users of
     sample_count * (1 - selected + selected * error_rate)."""
@@ -260,18 +252,10 @@ def worst_case_error_sum(users, params, fexp) -> float:
     max-weight matching over those per-edge values.
     """
     sample_counts = np.array([u.sample_count for u in users], dtype=float)
-    cohort = phy._Users.of(users, params)
-    # One interval search over every column block, in block order.
-    intervals = iter(assignment._power_interval(
-        [block for block, _, _ in assignment._column_blocks(cohort, params, fexp)], params, fexp
-    ))
-
-    def evaluate(block, rows):
-        p_lo, _, feasible, _ = next(intervals)
-        q_worst = phy._error_rate(block, p_lo, params, fexp)
-        return (np.where(feasible, sample_counts[rows] * q_worst, 0.0),)
-
-    (gains,) = assignment._over_column_blocks(cohort, params, fexp, evaluate)
+    edges = assignment._every_edge(phy._Users.of(users, params), params)
+    p_lo, _, feasible, _ = assignment._power_interval(edges, params, fexp)
+    q_worst = phy._error_rate(edges, p_lo, params, fexp).reshape(len(users), params.rb_count)
+    gains = np.where(feasible.reshape(q_worst.shape), sample_counts[:, None] * q_worst, 0.0)
     # Pairs matched at gain 0 are dropped by the solver; they only added 0.0.
     (rows, rbs), _ = assignment._solve_matching(-gains)
     total = 0.0

@@ -231,9 +231,11 @@ def _train_batch(config, algorithm, cells, learning_rates, features, targets,
 def run_experiment(config: ExperimentConfig):
     """Run every (algorithm, seed) cell; deterministic order and content.
 
-    The edges of all seeds are one ``assignment._edge_weights`` call, and
-    baseline_b allocates all seeds as one ``assignment._random_all`` call;
-    proposed, baseline_a and baseline_c allocate seed by seed.  The seeds of
+    The edges of all seeds are one ``assignment._edge_weights`` call over
+    every (seed, user, RB) edge, and baseline_b allocates all seeds as one
+    ``assignment._random_all`` call over every seed's chosen pairs;
+    ``phy.FadingExpectation.expect`` bounds the memory of both.  proposed,
+    baseline_a and baseline_c allocate seed by seed.  The seeds of
     one algorithm train as one ``training._train_cells`` batch in seed
     order; every seed has the same sample layout, so the per-seed data is
     stacked once and shared by the batches.  A topology where no
@@ -441,10 +443,7 @@ def bound_report(config: ExperimentConfig):
     edges = assignment.build_edge_weights(users, config.network, config.fading)
     decision = assignment.hungarian_assign(edges)
     curv = bounds.curvature(dataset)
-    if config.learning_rate == "one_over_L":
-        lr = 1.0 / curv.lipschitz_l
-    else:
-        lr = float(config.learning_rate)
+    lr = resolve_learning_rate(config, dataset)
 
     x, y = dataset.pooled()
     records, losses, models = _train_batch(

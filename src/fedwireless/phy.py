@@ -7,22 +7,17 @@ Everything is computed in linear SI units (W, Hz, s, J, bits).
 
 Array contract: one private kernel (``_Users``, ``_uplink_rate``,
 ``_downlink_rate``, ``_delay``, ``_energy``, ``_error_rate``) works on
-broadcast arrays whose leading axes are edges and whose last axis is always
-the fading nodes, so each edge reduces its own contiguous row in one fixed
-order, alone or in any batch.  An edge is a (user, RB) pair: ``_Users`` holds
+broadcast arrays of edges, so each edge's values depend on that edge alone,
+in one call or in any batch.  An edge is a (user, RB) pair: ``_Users`` holds
 per-user constants (gain d**-alpha, fading scale, payload, training energy,
 from Python float math once per user) and, once ``on`` has placed it, the
-uplink noise of each edge's RB.  A cohort is therefore any edge set: one RB
-column over many users, a block of columns, or a list of (user, RB) pairs.
-The allocator keeps each call under ``assignment._COHORT_ELEMENTS`` edges x
-nodes (one RB column at least): a whole (users, RBs, nodes) block holds R
-times the temporaries of one column, and as one cohort it raised peak RSS
-by about 10 MB on 120 x 60 and 300 x 20 topologies.  The edge build probes
-the power searches and evaluates the links in blocks of whole columns; the
-bisection rounds pool the still-moving edges of every block (of every seed,
-in ``run_experiment``) into one cohort, which each round evaluates in
-slices under the same budget.  The public scalar functions are one-element
-calls of the same kernel.
+uplink noise of each edge's RB.  A cohort is therefore any edge set: every
+(user, RB) edge of many topologies, or a list of chosen pairs.  Only
+``FadingExpectation.expect`` makes (edges x fading nodes) temporaries, and it
+makes them in slices of at most ``_COHORT_ELEMENTS`` elements (one edge at
+least), so callers pass cohorts of any size: unsliced, the edges of one
+120 x 60 or 300 x 20 topology raised peak RSS by about 10 MB.  The public
+scalar functions are one-element calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -52,6 +47,13 @@ _LN2 = math.log(2.0)
 
 #: -174 dBm/Hz converted once to W/Hz; all arithmetic downstream is linear.
 NOISE_DENSITY_W_PER_HZ = 10.0 ** -20.4
+
+# Edges x fading nodes per integrand call of ``FadingExpectation.expect``: it
+# bounds the (edges x nodes) temporaries, and so peak memory, while small
+# cohorts still make one call.  At 16384 a float temporary is 128 KiB,
+# glibc's default mmap threshold; past it an uplink-rate call took about
+# twice as long per edge (2-core Xeon, numpy 2.4).
+_COHORT_ELEMENTS = 16384
 
 
 def _require_positive(name: str, value) -> None:
@@ -161,14 +163,12 @@ class FadingExpectation:
     ``quadrature`` is the deterministic production path (fixed nodes, no
     seed dependence); ``monte_carlo`` draws ``node_or_sample_count`` fading
     realizations from a generator seeded fresh on every call, so repeated
-    evaluations are bit-identical.  ``point_mass`` pins the fading power to
-    a single value, collapsing every expectation to its integrand.
+    evaluations are bit-identical.
     """
 
     method: str = "quadrature"
     node_or_sample_count: int = 64
     seed: int = 0
-    point_mass: float | None = None
 
     def __post_init__(self):
         if self.method not in ("quadrature", "monte_carlo"):
@@ -180,34 +180,45 @@ class FadingExpectation:
         # Only Monte Carlo seeds a generator, which refuses a negative seed.
         if self.method == "monte_carlo" and not self.seed >= 0:
             raise ValueError(f"seed must be >= 0 with method 'monte_carlo', got {self.seed!r}")
-        if self.point_mass is not None and not self.point_mass > 0:
-            raise ValueError(f"point_mass must be strictly positive, got {self.point_mass!r}")
 
-    def expect(self, integrand, scale=1.0):
-        """E[integrand(o)] per edge for fading power o with mean ``scale``.
+    def expect(self, integrand, scale, *columns):
+        """E[integrand(o, *columns)] per edge for fading power o with mean
+        ``scale``.
 
-        ``scale`` is a float or one mean per edge (the leading axes); the
-        integrand gets fading values of shape ``scale.shape + (nodes,)`` and
-        returns the node axis last, which the result drops.  The edges are
-        any cohort (RB columns, a list of (user, RB) pairs, or the pooled
-        moving edges of a power search); the allocator passes at most
-        ``assignment._COHORT_ELEMENTS`` edges x nodes per call to bound the
-        (edges x nodes) temporaries, and with them peak RSS.  Monte Carlo
-        holds (edges x count) draws per call: one fresh-seeded standard
-        exponential sample, scaled per edge.
+        ``scale`` and the per-edge ``columns`` broadcast together to the
+        edges' shape, which the result takes.  The integrand gets the fading
+        values as an (edges, nodes) array and each column as (edges, 1), and
+        returns the node axis last.  It is called on slices of at most
+        ``_COHORT_ELEMENTS // nodes`` edges (one edge at least), so the
+        (edges x nodes) temporaries stay bounded for a cohort of any size;
+        each edge's row is reduced on its own, so any slicing gives the same
+        bits.  Monte Carlo draws one fresh-seeded standard exponential
+        sample per call, scaled per edge.
         """
-        if self.point_mass is not None:
-            values = np.asarray(integrand(np.array([self.point_mass])), dtype=float)
-            return values[..., 0]
-        scale = np.asarray(scale, dtype=float)[..., None]
+        scale, *columns = np.broadcast_arrays(np.asarray(scale, dtype=float), *columns)
         if self.method == "quadrature":
             nodes, weights = _fading_nodes(self.node_or_sample_count)
-            values = np.asarray(integrand(scale * nodes), dtype=float)
-            # sum (not dot) reduces each edge's row in the same order whatever
-            # the batch, so scalar and column calls are bit-identical
-            return np.sum(values * weights, axis=-1)
-        draws = np.random.default_rng(self.seed).standard_exponential(self.node_or_sample_count)
-        return np.asarray(integrand(scale * draws), dtype=float).mean(axis=-1)
+        else:
+            nodes = np.random.default_rng(self.seed).standard_exponential(
+                self.node_or_sample_count
+            )
+        shape = scale.shape
+        scale, columns = scale.reshape(-1, 1), [column.reshape(-1, 1) for column in columns]
+        result = np.empty(scale.size)
+        width = max(1, _COHORT_ELEMENTS // nodes.size)
+        for start in range(0, result.size, width):
+            edges = slice(start, start + width)
+            values = np.asarray(
+                integrand(scale[edges] * nodes, *(column[edges] for column in columns)),
+                dtype=float,
+            )
+            if self.method == "quadrature":
+                # sum (not dot) reduces each edge's row in the same order
+                # whatever the batch, so scalar and cohort calls are bit-identical
+                result[edges] = np.sum(values * weights, axis=-1)
+            else:
+                result[edges] = values.mean(axis=-1)
+        return result.reshape(shape)
 
 
 def _as_result(value):
@@ -252,9 +263,10 @@ def _one(user: UserProfile, params: NetworkParams) -> _Users:
 
 def _expected_rate(bandwidth_hz, snr_scale, fading_scale, fexp):
     """bandwidth * E[log2(1 + snr_scale * o)] per edge."""
-    snr_scale = np.asarray(snr_scale)[..., None]
     # log1p keeps precision in the low-SNR regime probed by bisection.
-    return bandwidth_hz * fexp.expect(lambda o: np.log1p(snr_scale * o) / _LN2, fading_scale)
+    return bandwidth_hz * fexp.expect(
+        lambda o, snr: np.log1p(snr * o) / _LN2, fading_scale, snr_scale
+    )
 
 
 def _uplink_rate(users: _Users, power_w, params, fexp):
@@ -289,9 +301,8 @@ def _error_rate(users: _Users, power_w, params, fexp):
     threshold_w = params.waterfall_threshold * users.noise_w / users.gain
     with np.errstate(divide="ignore"):
         exponents = np.where(power > 0, threshold_w / np.where(power > 0, power, 1.0), np.inf)
-    exponents = exponents[..., None]
     # -expm1(-x) = 1 - exp(-x), accurate for the tiny-error regime.
-    values = fexp.expect(lambda o: -np.expm1(-exponents / o), users.fading_scale)
+    values = fexp.expect(lambda o, x: -np.expm1(-x / o), users.fading_scale, exponents)
     return np.clip(values, 0.0, 1.0)
 
 

@@ -35,7 +35,13 @@ from fedwireless.phy import (
     user_energy,
 )
 
-from util import oracle_min_matching_sum, synthetic_edges, table_topology
+from util import (
+    PointMassFading,
+    oracle_min_matching_sum,
+    record_integrand_sizes,
+    synthetic_edges,
+    table_topology,
+)
 
 QUAD = FadingExpectation()
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
@@ -173,13 +179,9 @@ def lockstep_bisect(lo, hi, below_root):
     return lo, hi, holds_lo, holds_hi
 
 
-def uncompacted(cohorts, below_root, width):
-    """``lockstep_bisect`` on each cohort alone, with the ``assignment._bisect``
-    calling convention."""
-    return [
-        lockstep_bisect(lo, hi, lambda x, columns=columns: below_root(x, *columns))
-        for lo, hi, columns in cohorts
-    ]
+def uncompacted(lo, hi, columns, below_root):
+    """``lockstep_bisect`` with the ``assignment._bisect`` calling convention."""
+    return lockstep_bisect(lo, hi, lambda x: below_root(x, *columns))
 
 
 def bisection_edge(draw, places=("inside", "lo", "hi", "below", "above"), adjacent=False):
@@ -255,7 +257,7 @@ class TestBisect:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(assignment, "_BISECT_ITERS", iters)
             want = lockstep_bisect(lo.copy(), hi.copy(), lambda x: below_root(x, root))
-            (got,) = assignment._bisect([(lo.copy(), hi.copy(), (root, ids))], recorded, 64)
+            got = assignment._bisect(lo.copy(), hi.copy(), (root, ids), recorded)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         # After the two probes only edges whose mid still moves are evaluated:
@@ -267,54 +269,53 @@ class TestBisect:
             assert index.size and not np.isin(index, stopped).any()
 
     @settings(max_examples=200, deadline=None)
-    @given(bisection_blocks(), st.booleans(), st.sampled_from([200, 3]),
-           st.sampled_from([1, 2, 5, 64]))
-    def test_pooled_rounds_match_lockstep_oracle_per_block(self, blocks, scrambled, iters,
-                                                           width):
+    @given(bisection_blocks(), st.booleans(), st.sampled_from([200, 3]))
+    def test_pooled_rounds_match_lockstep_oracle_per_block(self, blocks, scrambled, iters):
+        # The blocks, concatenated into one flat cohort, must give each block
+        # the bits of a lock-step search over that block alone.
         def below_root(x, root):
             holds = x < root
             return scramble(holds, x) if scrambled else holds
 
-        events = []
+        lo, hi, root = (np.concatenate(parts) for parts in zip(*blocks))
+        block_ids = np.concatenate([np.full(b[0].size, k) for k, b in enumerate(blocks)])
+        edge_ids = np.concatenate([np.arange(b[0].size) for b in blocks])
+        calls = []
 
         def recorded(x, root, block_ids, edge_ids):
-            events.append(list(zip(block_ids.tolist(), edge_ids.tolist())))
+            calls.append((x, list(zip(block_ids.tolist(), edge_ids.tolist()))))
             return below_root(x, root)
-
-        def cohorts():
-            for k, (lo, hi, root) in enumerate(blocks):
-                events.append(k)
-                yield lo.copy(), hi.copy(), (root, np.full(lo.size, k), np.arange(lo.size))
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(assignment, "_BISECT_ITERS", iters)
-            got = assignment._bisect(cohorts(), recorded, width)
+            got = assignment._bisect(lo.copy(), hi.copy(), (root, block_ids, edge_ids), recorded)
             want = [
-                lockstep_bisect(lo.copy(), hi.copy(), lambda x, root=root: below_root(x, root))
-                for lo, hi, root in blocks
+                lockstep_bisect(b_lo.copy(), b_hi.copy(), lambda x, r=b_root: below_root(x, r))
+                for b_lo, b_hi, b_root in blocks
             ]
-        assert len(got) == len(blocks)
-        for got_block, want_block in zip(got, want):
-            for a, b in zip(got_block, want_block):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        # Each block is probed at lo and at hi, over all its edges, before
-        # the next one is drawn; the rounds follow every probe.
-        for k, (lo, _, _) in enumerate(blocks):
-            edges = [(k, i) for i in range(lo.size)]
-            assert events[3 * k:3 * k + 3] == [k, edges, edges]
-        rounds = events[3 * len(blocks):]
-        # The first round takes every moving edge of every block, in block
-        # order, in slices of at most ``width``; no call ever sees a stopped
-        # edge.
-        movers = [
-            (k, int(i))
-            for k, ((lo, hi, _), (_, _, holds_lo, holds_hi)) in enumerate(zip(blocks, want))
-            for i in np.flatnonzero(moving_after_probes(lo, hi, holds_lo, holds_hi))
-        ]
-        assert all(0 < len(call) <= width for call in rounds)
-        first = -(-len(movers) // width)
-        assert sum(rounds[:first], []) == movers
-        assert set(sum(rounds, [])) <= set(movers)
+        for k, want_block in enumerate(want):
+            for a, b in zip(got, want_block):
+                assert a.dtype == b.dtype and a[block_ids == k].tobytes() == b.tobytes()
+        # Both probes see every edge, in block order; the first round takes
+        # every edge whose bracket still moves after them.
+        edges = list(zip(block_ids.tolist(), edge_ids.tolist()))
+        assert calls[0][1] == calls[1][1] == edges
+        holds_lo, holds_hi = got[2:]
+        movers = moving_after_probes(lo, hi, holds_lo, holds_hi)
+        if movers.any():
+            assert calls[2][1] == [edges[i] for i in np.flatnonzero(movers)]
+        # Replayed from the probes on, no round sees a stopped edge, and each
+        # evaluates the mid of the edge's current bracket.
+        m_lo = np.where(holds_hi, hi, lo)
+        m_hi = np.where(holds_lo, hi, m_lo)
+        for x, call in calls[2:]:
+            index = np.array([edges.index(edge) for edge in call], dtype=int)
+            assert index.size
+            assert np.array_equal(x, 0.5 * (m_lo[index] + m_hi[index]))
+            assert np.all((x != m_lo[index]) & (x != m_hi[index]))
+            up = below_root(x, root[index])
+            m_lo[index[up]], m_hi[index[~up]] = x[up], x[~up]
+        assert m_lo.tobytes() == got[0].tobytes() and m_hi.tobytes() == got[1].tobytes()
 
     def test_wide_bracket_stops_at_the_iteration_cap(self):
         calls = []
@@ -323,9 +324,7 @@ class TestBisect:
             calls.append(x.size)
             return x < 1.0
 
-        ((lo, hi, _, _),) = assignment._bisect(
-            [(np.array([0.0]), np.array([1e300]), ())], below_root, 1
-        )
+        lo, hi, _, _ = assignment._bisect(np.array([0.0]), np.array([1e300]), (), below_root)
         assert len(calls) == 2 + assignment._BISECT_ITERS and lo[0] < 1.0 < hi[0]
 
 
@@ -417,7 +416,7 @@ def assert_build_matches_scalar_calls(fexp):
 
 def column_by_column_build(users, params, fexp):
     """The edge build as one cohort per RB column, searched by the lock-step
-    oracle: the reference for the column-block build."""
+    oracle: the reference for the flat (user, RB) edge build."""
     cohort = phy._Users.of(users, params)
     down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
     counts = np.array([u.sample_count for u in users], dtype=float)
@@ -428,7 +427,7 @@ def column_by_column_build(users, params, fexp):
         patch.setattr(assignment, "_bisect", uncompacted)
         for n in range(params.rb_count):
             column = cohort.on(n, params)
-            (p,) = assignment._optimal_powers([column], params, fexp)
+            p = assignment._optimal_powers(column, params, fexp)
             q, total_delay, e = assignment._link(column, p, down, params, fexp)
             ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
             feasible[:, n] = ok
@@ -443,40 +442,36 @@ def column_by_column_build(users, params, fexp):
 @pytest.mark.parametrize("fexp", [
     QUAD, FadingExpectation(method="monte_carlo", node_or_sample_count=256, seed=7)
 ], ids=["quadrature", "monte_carlo"])
-@pytest.mark.parametrize("widths", [(3, 3, 2), (8,)], ids=["uneven", "one_block"])
-def test_column_blocks_match_column_by_column_build(fexp, widths, monkeypatch):
+@pytest.mark.parametrize("width", [29, 96], ids=["uneven", "one_block"])
+def test_column_blocks_match_column_by_column_build(fexp, width, monkeypatch):
+    # The flat (user, RB) edge build and worst-case sum must give the bits
+    # of a column-by-column build whatever edge slices the fading
+    # expectation takes: 29 edges per call straddle users and RB columns of
+    # the 12 x 8 topology, and 96 take all of its edges in one call.
     users, params = binding_budget_topology()
     want = column_by_column_build(users, params, fexp)
-    with pytest.MonkeyPatch.context() as patch:       # one column per block, oracle search
+    with pytest.MonkeyPatch.context() as patch:       # one edge per call, oracle search
         patch.setattr(assignment, "_bisect", uncompacted)
-        patch.setattr(assignment, "_COHORT_ELEMENTS", 1)
+        patch.setattr(phy, "_COHORT_ELEMENTS", 1)
         want_worst = bounds.worst_case_error_sum(users, params, fexp)
-    elements = widths[0] * len(users) * fexp.node_or_sample_count
-    monkeypatch.setattr(assignment, "_COHORT_ELEMENTS", elements)
-    sizes, bisect = [], assignment._bisect
-
-    def recorded(cohorts, *args):
-        def probed():           # the size of each cohort the probes see
-            for lo, hi, columns in cohorts:
-                sizes.append(lo.size)
-                yield lo, hi, columns
-
-        return bisect(probed(), *args)
-
-    monkeypatch.setattr(assignment, "_bisect", recorded)
+    nodes = fexp.node_or_sample_count
+    # Not a multiple of users x nodes: the last edge of a slice falls anywhere.
+    budget = width * nodes + nodes // 2
+    monkeypatch.setattr(phy, "_COHORT_ELEMENTS", budget)
+    sizes = record_integrand_sizes(monkeypatch)
     edges = build_edge_weights(users, params, fexp)
-    assert sizes == [w * len(users) for w in widths]
     for name in EDGE_FIELDS:
         got = getattr(edges, name)
         assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
     worst = bounds.worst_case_error_sum(users, params, fexp)
     assert np.float64(worst).tobytes() == np.float64(want_worst).tobytes()
+    assert max(sizes) == width * nodes <= budget
 
 
 class TestEdgeWeight:
     def test_error_certain_link_is_worthless(self):
         # Feasible edge with q that floors to exactly 1: weight ties with infeasible.
-        fexp = FadingExpectation(point_mass=1.0)
+        fexp = PointMassFading(1.0)
         params = NetworkParams(
             uplink_interference_w=(1.0,) * 12,
             delay_budget_s=1e9,
@@ -491,7 +486,7 @@ class TestEdgeWeight:
     def test_perfect_link_contributes_minus_k(self):
         # q is negligible on a near-noiseless point-mass channel, so the
         # weight rounds to exactly minus the sample count.
-        fexp = FadingExpectation(point_mass=1.0)
+        fexp = PointMassFading(1.0)
         params = NetworkParams()
         user = user_at(1e-3, samples=12)
         assert packet_error_rate(user, 0, 0.01, params, fexp) < 1e-18

@@ -10,7 +10,6 @@ from fedwireless import bounds
 from fedwireless.bounds import (
     CurvatureEstimate,
     asymptotic_gap,
-    check_gradient_bound,
     contraction_factor,
     curvature,
     empirical_gap,
@@ -31,7 +30,7 @@ from fedwireless.training import (
     run_training,
 )
 
-from util import manual_decision, table_topology
+from util import PointMassFading, check_gradient_bound, manual_decision, table_topology
 
 QUAD = FadingExpectation()
 TABLE_COUNTS = [12, 10, 8, 4, 2] * 3
@@ -277,7 +276,7 @@ class TestAsymptoticGap:
 class TestZeta2Feasible:
     def test_threshold_quarter_when_errors_certain(self):
         # Every edge feasible with q pinned at exactly 1: threshold is K/(4K) = 1/4.
-        fexp = FadingExpectation(point_mass=1.0)
+        fexp = PointMassFading(1.0)
         params = NetworkParams(
             rb_count=4,
             uplink_interference_w=(1.0,) * 4,

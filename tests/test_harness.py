@@ -31,6 +31,8 @@ from fedwireless.harness import (
     write_manifest,
 )
 
+from util import record_integrand_sizes
+
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
 # The reference run's runs.csv, whose sha256 is GOLDEN_REFERENCE_CSV_SHA256.
@@ -250,26 +252,18 @@ def test_pooled_run_equals_per_seed_allocations_and_training(config, monkeypatch
 @pytest.mark.parametrize("config", [
     load_config(REFERENCE),
     pooled_config(120, 60, "5"),
-], ids=["reference", "binding_120x60"])
+    pooled_config(300, 20, "5", radius=500.0),
+], ids=["reference", "binding_120x60", "dense_300x20"])
 def test_kernel_calls_stay_under_the_cohort_budget(config, monkeypatch):
     # Pooling the searches must not pool the (edges x nodes) temporaries:
     # every fading expectation run_experiment takes covers at most
-    # _COHORT_ELEMENTS edges x nodes.
-    from fedwireless import assignment, phy
+    # _COHORT_ELEMENTS edges x nodes, also where one RB column of 300 users
+    # x 64 nodes alone is larger.
+    from fedwireless import phy
 
-    sizes, expect = [], phy.FadingExpectation.expect
-
-    def recorded(self, integrand, scale=1.0):
-        def measured(fading):
-            values = integrand(fading)
-            sizes.append(np.size(values))
-            return values
-
-        return expect(self, measured, scale)
-
-    monkeypatch.setattr(phy.FadingExpectation, "expect", recorded)
+    sizes = record_integrand_sizes(monkeypatch)
     run_experiment(replace(config, rounds=2))
-    assert sizes and max(sizes) <= assignment._COHORT_ELEMENTS
+    assert sizes and max(sizes) <= phy._COHORT_ELEMENTS
 
 
 def decision_from_record(record, config):

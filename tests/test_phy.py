@@ -22,6 +22,8 @@ from fedwireless.phy import (
     user_energy,
 )
 
+from util import PointMassFading
+
 PARAMS = NetworkParams()
 QUAD = FadingExpectation()
 MC_1M = FadingExpectation(method="monte_carlo", node_or_sample_count=10**6, seed=20240915)
@@ -51,7 +53,7 @@ def exact_log_rate(bandwidth, snr_scale):
 def point_mass_rate(distance, params, power=0.01):
     """Uplink rate on RB 0 with the fading pinned to 1, so the channel gain
     is the path loss alone."""
-    fexp = FadingExpectation(point_mass=1.0)
+    fexp = PointMassFading(1.0)
     return expected_uplink_rate(user_at(distance), 0, power, params, fexp)
 
 
@@ -88,17 +90,13 @@ class TestChannelGain:
         with pytest.raises(ValueError):
             UserProfile(distance_m=-5.0, sample_count=1)
 
-    def test_nonpositive_draw_rejected(self):
-        with pytest.raises(ValueError):
-            FadingExpectation(point_mass=0.0)
-
 
 class TestUplinkRate:
     def test_zero_power_zero_rate(self):
         assert expected_uplink_rate(user_at(100.0), 0, 0.0, PARAMS, QUAD) == 0.0
 
     def test_point_mass_fading_matches_closed_form(self):
-        fexp = FadingExpectation(point_mass=0.7)
+        fexp = PointMassFading(0.7)
         noise_w = PARAMS.rb_bandwidth_hz * PARAMS.noise_density_w_per_hz
         expected = closed_form_rate(PARAMS.rb_bandwidth_hz, 0.01, 0.7 * 100.0**-2, noise_w)
         got = expected_uplink_rate(user_at(100.0), 0, 0.01, PARAMS, fexp)
@@ -139,7 +137,7 @@ class TestUplinkRate:
 
 class TestDownlinkRate:
     def test_point_mass_matches_closed_form(self):
-        fexp = FadingExpectation(point_mass=1.3)
+        fexp = PointMassFading(1.3)
         noise_w = PARAMS.downlink_bandwidth_hz * PARAMS.noise_density_w_per_hz
         expected = closed_form_rate(
             PARAMS.downlink_bandwidth_hz, PARAMS.bs_power_w, 1.3 * 200.0**-2, noise_w
@@ -158,7 +156,7 @@ class TestDownlinkRate:
 class TestDelays:
     def test_unit_ratio(self):
         user = user_at(100.0, payload_bits=1e6)
-        fexp = FadingExpectation(point_mass=1.0)
+        fexp = PointMassFading(1.0)
         rate = expected_uplink_rate(user, 0, 0.01, PARAMS, fexp)
         delay = uplink_delay(user, 0, 0.01, PARAMS, fexp)
         assert delay == pytest.approx(1e6 / rate, rel=1e-12)
@@ -214,7 +212,7 @@ class TestPacketErrorRate:
             assert got == pytest.approx(exact_per(ratio), abs=5e-4)
 
     def test_point_mass_reduction(self):
-        fexp = FadingExpectation(point_mass=0.5)
+        fexp = PointMassFading(0.5)
         params = NetworkParams(uplink_interference_w=(1e-7,) * 12)
         noise_w = 1e-7 + params.rb_bandwidth_hz * params.noise_density_w_per_hz
         expected = 1.0 - math.exp(-params.waterfall_threshold * noise_w / (0.002 * 0.5 * 100.0**-2))
@@ -257,7 +255,7 @@ class TestEnergy:
 
 FADING_METHODS = {
     "quadrature": QUAD,
-    "point mass": FadingExpectation(point_mass=0.6),
+    "point mass": PointMassFading(0.6),
     "monte carlo": FadingExpectation(method="monte_carlo", node_or_sample_count=256, seed=9),
 }
 
@@ -295,8 +293,6 @@ class TestFadingExpectation:
             FadingExpectation(method="exact")
         with pytest.raises(ValueError):
             FadingExpectation(node_or_sample_count=8)
-        with pytest.raises(ValueError):
-            FadingExpectation(point_mass=0.0)
 
     def test_quadrature_is_seed_independent(self):
         a = FadingExpectation(seed=1)

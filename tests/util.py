@@ -4,8 +4,47 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from fedwireless import bounds
 from fedwireless.assignment import EdgeWeightMatrix
-from fedwireless.phy import NetworkParams, UserProfile
+from fedwireless.phy import FadingExpectation, NetworkParams, UserProfile
+
+
+class PointMassFading:
+    """A fading rule that pins the fading power to ``value``, whatever the
+    mean, collapsing every expectation to its integrand: duck-types
+    ``FadingExpectation.expect`` for closed-form checks."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def expect(self, integrand, scale, *columns):
+        _, *columns = np.broadcast_arrays(np.asarray(scale, dtype=float), *columns)
+        fading = np.array([self.value])
+        return np.asarray(integrand(fading, *(c[..., None] for c in columns)), dtype=float)[..., 0]
+
+
+def record_integrand_sizes(monkeypatch):
+    """The element count of every integrand call that
+    ``FadingExpectation.expect`` makes from now on, as a growing list."""
+    sizes, expect = [], FadingExpectation.expect
+
+    def recorded(self, integrand, scale, *columns):
+        def measured(*args):
+            values = integrand(*args)
+            sizes.append(np.size(values))
+            return values
+
+        return expect(self, measured, scale, *columns)
+
+    monkeypatch.setattr(FadingExpectation, "expect", recorded)
+    return sizes
+
+
+def check_gradient_bound(dataset, models, fit) -> bool:
+    """Pointwise re-check of the fitted gradient inequality at every model."""
+    per_sample_max, grad_f_norm2 = bounds._gradient_norm_profiles(dataset, models)
+    slack = 1e-9 * (1.0 + np.abs(per_sample_max))
+    return bool(np.all(per_sample_max <= fit.intercept + fit.slope * grad_f_norm2 + slack))
 
 
 def synthetic_edges(rng, n_users, n_rbs, feasible_prob=0.85, p_max=0.01):
