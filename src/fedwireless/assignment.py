@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy
-from .phy import downlink_delay, uplink_delay, user_energy
 
 __all__ = [
     "OptimalPower",
@@ -447,23 +446,21 @@ def _random_all(rngs, user_lists, params, fexp):
     return decisions
 
 
-def baseline_optselect_randomrb(rng, users, params, fexp, edges=None) -> AllocationDecision:
+def baseline_optselect_randomrb(rng, edges) -> AllocationDecision:
     """Baseline a: random RB order, optimal powers, greedy selection by data size.
 
     Users ranked by descending sample count take RBs in the random order;
     users beyond the RB supply, or whose assigned edge is infeasible at its
     optimal power, stay unselected.
     """
-    if edges is None:
-        edges = build_edge_weights(users, params, fexp)
-    rb_order = rng.permutation(params.rb_count)
+    rb_order = rng.permutation(edges.weights.shape[1])
     rows = np.argsort(-edges.sample_counts, kind="stable")[:rb_order.size]
     rbs = rb_order[:rows.size]
     ok = edges.feasible[rows, rbs]
     return _decide_on_edges(edges, (rows[ok], rbs[ok]), 0)
 
 
-def baseline_min_sum_per(users, params, fexp, edges=None) -> AllocationDecision:
+def baseline_min_sum_per(edges) -> AllocationDecision:
     """Baseline c: minimize the unweighted sum of packet error rates.
 
     Identical machinery to the proposed allocator but with edge weights
@@ -471,48 +468,48 @@ def baseline_min_sum_per(users, params, fexp, edges=None) -> AllocationDecision:
     to how much data each user
     holds.  Unselected users count as an error rate of 1.
     """
-    if edges is None:
-        edges = build_edge_weights(users, params, fexp)
     per_weights = np.where(edges.feasible, edges.error_rate - 1.0, 0.0)
     match, iterations = _solve_matching(per_weights)
     return _decide_on_edges(edges, match, iterations)
 
 
-def verify_allocation(decision, users, params, fexp, energy_slack_j=1e-9):
+# Absolute slack of verify_allocation's energy gate (joules).
+_ENERGY_SLACK_J = 1e-9
+
+
+def verify_allocation(decision, users, params, fexp):
     """Re-evaluate every constraint of an allocation; returns violation strings.
 
     Checks the one-RB-per-user and one-user-per-RB structure, the power box
     constraint, and the delay/energy gates recomputed from the PHY model at
-    the recorded powers.  An empty list means the allocation is valid.
+    the recorded powers, for all selected users as one cohort on their
+    assigned RBs.  An empty list means the allocation is valid.
     """
     problems = []
     n_users, n_rbs = len(users), params.rb_count
     sel = np.asarray(decision.selection)
     rb = np.asarray(decision.rb_assignment)
+    power = np.asarray(decision.power_w, dtype=float)
     if rb.shape != (n_users, n_rbs):
         return [f"rb_assignment shape {rb.shape} != ({n_users}, {n_rbs})"]
     if not np.array_equal(rb.sum(axis=1), sel):
         problems.append("sum_n r[i,n] != a[i] for some user")
     if np.any(rb.sum(axis=0) > 1):
         problems.append("some RB assigned to more than one user")
-    if np.any(decision.power_w < 0) or np.any(
-        decision.power_w > params.max_user_power_w * (1 + 1e-12)
-    ):
+    if np.any(power < 0) or np.any(power > params.max_user_power_w * (1 + 1e-12)):
         problems.append("power outside [0, P_max]")
-    for i in range(n_users):
-        if not sel[i]:
-            continue
-        n = int(np.argmax(rb[i]))
-        p = float(decision.power_w[i])
+    rows = np.flatnonzero(sel)
+    cohort = phy._Users.of([users[i] for i in rows], params)
+    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    # A power <= 0 is reported as such; at 0 the kernel stays in its domain.
+    _, delay, energy = _link(cohort.on(rb[rows].argmax(axis=1), params),
+                             np.maximum(power[rows], 0.0), down, params, fexp)
+    for i, p, total_delay, e in zip(*(v.tolist() for v in (rows, power[rows], delay, energy))):
         if p <= 0:
             problems.append(f"user {i} selected with zero power")
             continue
-        total_delay = uplink_delay(users[i], n, p, params, fexp) + downlink_delay(
-            users[i], params, fexp
-        )
         if total_delay > params.delay_budget_s * (1 + 1e-12):
             problems.append(f"user {i} violates delay budget: {total_delay:.6g}")
-        energy = user_energy(users[i], n, p, params, fexp)
-        if energy > params.energy_budget_j + energy_slack_j:
-            problems.append(f"user {i} violates energy budget: {energy:.6g}")
+        if e > params.energy_budget_j + _ENERGY_SLACK_J:
+            problems.append(f"user {i} violates energy budget: {e:.6g}")
     return problems

@@ -93,9 +93,15 @@ def _gradient_norm_profiles(dataset, models):
     Residuals and gradients are fixed-order column sums, as in the training
     loop, so the bits do not depend on the BLAS kernel.  Each model's values
     depend on that model alone, so evaluating the models in chunks of
-    ``_PROFILE_CHUNK`` gives the same bits as one call over all of them.
+    ``_PROFILE_CHUNK`` gives the same bits as one call over all of them, and
+    a model's values are the same alone as in a batch.
     """
     models = np.atleast_2d(np.asarray(models, dtype=float))
+    count = models.shape[0]
+    # numpy sums a (K, 1) block over samples pairwise, and a (K, T >= 2) one
+    # in sample order: a chunk of one model gets a copy of it as a second.
+    if count % _PROFILE_CHUNK == 1:
+        models = np.concatenate([models, models[-1:]])
     x, y = dataset.pooled()
     x_norm2 = np.sum(x * x, axis=1)                        # (K,)
     columns = x.T[:, :, None]                              # (dim, K, 1)
@@ -108,10 +114,14 @@ def _gradient_norm_profiles(dataset, models):
         per_sample_max[chunk] = np.max(residuals ** 2 * x_norm2[:, None], axis=0)
         grad_f = np.array([np.sum(column * residuals, axis=0) for column in columns])
         grad_f_norm2[chunk] = np.sum((grad_f / dataset.total_samples) ** 2, axis=0)
-    return per_sample_max, grad_f_norm2
+    return per_sample_max[:count], grad_f_norm2[:count]
 
 
-def fit_gradient_bound(dataset, models, error_sum=None, curv=None, grid_size=33):
+# Points of fit_gradient_bound's even slope grid on [0, slope cap).
+_SLOPE_GRID = 33
+
+
+def fit_gradient_bound(dataset, models, error_sum=None, curv=None):
     """Fit the (intercept, slope) gradient bound from observed global models.
 
     For each candidate slope on a grid, the smallest valid intercept is
@@ -138,7 +148,7 @@ def fit_gradient_bound(dataset, models, error_sum=None, curv=None, grid_size=33)
     total = dataset.total_samples
     slope_cap = total / (4.0 * error_sum)
     candidates = np.concatenate(
-        [[0.0], np.linspace(0.0, slope_cap, grid_size, endpoint=False)[1:]]
+        [[0.0], np.linspace(0.0, slope_cap, _SLOPE_GRID, endpoint=False)[1:]]
     )
     best = None
     for slope in candidates:

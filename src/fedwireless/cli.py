@@ -173,34 +173,35 @@ def _cmd_validate(args) -> int:
           not assignment.verify_allocation(decision, users, params, fexp))
 
     lr = harness.resolve_learning_rate(config, dataset)
-    run_a = training.run_training(dataset, decision, lr, 10,
-                                  np.random.default_rng([1, 3]))
-    run_b = training.run_training(dataset, decision, lr, 10,
-                                  np.random.default_rng([1, 3]))
+    x, y = dataset.pooled()
+
+    def train(cells):
+        """(losses, models) of one 10-round ``_train_cells`` batch of
+        (learning rate, delivery seed) cells."""
+        return training._train_cells(
+            x, y, dataset.sample_counts, [decision.selection] * len(cells),
+            [rate for rate, _ in cells],
+            np.stack([training._delivery_draws(decision.error_rate, 10,
+                                               np.random.default_rng([seed, 3]))
+                      for _, seed in cells]),
+            np.zeros(x.shape[1]),
+        )[:2]
+
+    run_a, run_c = train([(lr, 1)]), train([(0.5 * lr, 2)])
     check("training is seed deterministic",
-          all(x.loss == y.loss for x, y in zip(run_a, run_b)))
+          run_a[0].tobytes() == train([(lr, 1)])[0].tobytes())
 
     # A two-cell batch (other learning rate and delivery stream in cell 2)
-    # must equal the two runs trained one at a time, bit for bit.
-    run_c = training.run_training(dataset, decision, 0.5 * lr, 10,
-                                  np.random.default_rng([2, 3]))
-    x, y = dataset.pooled()
-    losses, models, _ = training._train_cells(
-        x, y, dataset.sample_counts, [decision.selection] * 2, [lr, 0.5 * lr],
-        np.stack([training._delivery_draws(decision.error_rate, 10,
-                                           np.random.default_rng([seed, 3]))
-                  for seed in (1, 2)]),
-        np.zeros(x.shape[1]),
-    )
+    # must equal the two cells trained one at a time, bit for bit.
+    losses, models = train([(lr, 1), (0.5 * lr, 2)])
     check("a two-cell batch equals two single-cell runs bit for bit", all(
-        losses[b].tobytes() == np.array([o.loss for o in run]).tobytes()
-        and models[b].tobytes() == np.array([o.global_model for o in run]).tobytes()
+        losses[b].tobytes() == run[0].tobytes() and models[b].tobytes() == run[1].tobytes()
         for b, run in enumerate((run_a, run_c))
     ))
 
     g_star = training.least_squares_model(dataset)
     check("pooled solution beats the trajectory",
-          all(outcome.loss >= training.global_loss(dataset, g_star) for outcome in run_a))
+          bool(np.all(run_a[0] >= training.global_loss(dataset, g_star))))
 
     if failures:
         print(f"{len(failures)} validation failure(s)")

@@ -29,7 +29,6 @@ __all__ = [
     "place_users",
     "build_users",
     "build_topology",
-    "compute_allocation",
     "resolve_learning_rate",
     "run_experiment",
     "sweep",
@@ -47,9 +46,6 @@ _STREAM_ALLOCATION = 2
 _STREAM_TRANSMIT = 3
 
 CSV_HEADER = "algorithm,seed,round,loss,bound,allocation_digest"
-
-# Algorithms that allocate on the shared per-seed edge build.
-_EDGE_ALGORITHMS = ("proposed", "baseline_a", "baseline_c")
 
 
 def place_users(rng, count, radius_m):
@@ -90,21 +86,20 @@ def _allocation_rng(seed):
     return np.random.default_rng([seed, _STREAM_ALLOCATION])
 
 
-def compute_allocation(algorithm, users, config, seed, edges=None):
-    """Dispatch one allocation algorithm; edges may be shared across calls."""
-    params, fexp = config.network, config.fading
-    if edges is None and algorithm in _EDGE_ALGORITHMS:
-        edges = assignment.build_edge_weights(users, params, fexp)
-    if algorithm == "proposed":
-        return assignment.hungarian_assign(edges)
-    if algorithm == "baseline_a":
-        return assignment.baseline_optselect_randomrb(
-            _allocation_rng(seed), users, params, fexp, edges=edges
-        )
+def _allocate(algorithm, seeds, user_lists, edge_sets, config):
+    """One algorithm's decisions for every seed: baseline_b as one
+    ``assignment._random_all`` call, the others on each seed's edge build."""
     if algorithm == "baseline_b":
-        return assignment.baseline_random_all(_allocation_rng(seed), users, params, fexp)
+        return assignment._random_all(
+            [_allocation_rng(seed) for seed in seeds], user_lists, config.network, config.fading
+        )
+    if algorithm == "proposed":
+        return [assignment.hungarian_assign(edges) for edges in edge_sets]
+    if algorithm == "baseline_a":
+        return [assignment.baseline_optselect_randomrb(_allocation_rng(seed), edges)
+                for seed, edges in zip(seeds, edge_sets)]
     if algorithm == "baseline_c":
-        return assignment.baseline_min_sum_per(users, params, fexp, edges=edges)
+        return [assignment.baseline_min_sum_per(edges) for edges in edge_sets]
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -118,15 +113,12 @@ def resolve_learning_rate(config: ExperimentConfig, dataset) -> float:
 class RunRecord:
     """One (algorithm, seed) cell: allocation summary plus the loss trajectory.
 
-    ``wall_clock_s`` is the cell's allocation plus training time, including
-    the power searches its allocation needs.  ``run_experiment`` builds the
-    edges of all seeds as one pooled call, and each seed takes an equal
-    share of it, which proposed, baseline_a and baseline_c each count in
-    full; baseline_b allocates all seeds as one pooled call (its interval
-    search included), and each of its records takes an equal share of that.
-    Cells train in batches (one per algorithm in ``run_experiment``, one
-    over all seeds in ``bound_report``), and a batch's time, its cells'
-    packet-loss draws and the training, is split equally over its cells.
+    ``wall_clock_s`` is the cell's equal share of the work behind it.
+    ``run_experiment`` allocates each algorithm in one pass over all seeds
+    and trains them as one batch (packet-loss draws included); a record
+    takes an equal share of both and, for proposed, baseline_a and
+    baseline_c, of the pooled edge build they read.  ``bound_report``
+    trains all seeds as one batch and splits it the same way.
     """
 
     algorithm: str
@@ -154,23 +146,7 @@ class RunRecord:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "selection": [int(a) for a in self.selection],
-            "rb_index": [int(r) for r in self.rb_index],
-            "power_w": [float(p) for p in self.power_w],
-            "error_rate": [float(q) for q in self.error_rate],
-            "delay_s": [float(d) for d in self.delay_s],
-            "energy_j": [float(e) for e in self.energy_j],
-            "objective": float(self.objective),
-            "solver_iterations": int(self.solver_iterations),
-            "losses": [float(v) for v in self.losses],
-            "final_loss": float(self.final_loss),
-            "learning_rate": float(self.learning_rate),
-            "wall_clock_s": float(self.wall_clock_s),
-            "bound": None if self.bound is None else [float(v) for v in self.bound],
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -231,15 +207,12 @@ def _train_batch(config, algorithm, cells, learning_rates, features, targets,
 def run_experiment(config: ExperimentConfig):
     """Run every (algorithm, seed) cell; deterministic order and content.
 
-    The edges of all seeds are one ``assignment._edge_weights`` call over
-    every (seed, user, RB) edge, and baseline_b allocates all seeds as one
-    ``assignment._random_all`` call over every seed's chosen pairs;
-    ``phy.FadingExpectation.expect`` bounds the memory of both.  proposed,
-    baseline_a and baseline_c allocate seed by seed.  The seeds of
-    one algorithm train as one ``training._train_cells`` batch in seed
-    order; every seed has the same sample layout, so the per-seed data is
-    stacked once and shared by the batches.  A topology where no
-    user is schedulable still produces a record (the global model never
+    One ``assignment._edge_weights`` call builds every (seed, user, RB)
+    edge, which proposed, baseline_a and baseline_c read.  Each algorithm
+    then allocates all seeds in one ``_allocate`` pass and trains them as
+    one ``training._train_cells`` batch in seed order, on per-seed data
+    stacked once (every seed has the same sample layout).  A topology where
+    no user is schedulable still produces a record (the global model never
     moves); it is a degenerate run, not an error.
     """
     seeds, params, fexp = config.seeds, config.network, config.fading
@@ -254,19 +227,12 @@ def run_experiment(config: ExperimentConfig):
 
     records = []
     for algorithm in config.algorithms:
-        if algorithm == "baseline_b":
-            start = time.perf_counter()
-            decisions = assignment._random_all(
-                [_allocation_rng(seed) for seed in seeds], user_lists, params, fexp
-            )
-            share = (time.perf_counter() - start) / len(seeds)
-            cells = [(seed, decision, share) for seed, decision in zip(seeds, decisions)]
-        else:
-            cells = []
-            for seed, users, edges in zip(seeds, user_lists, edge_sets):
-                start = time.perf_counter()
-                decision = compute_allocation(algorithm, users, config, seed, edges=edges)
-                cells.append((seed, decision, time.perf_counter() - start + edge_build_s))
+        start = time.perf_counter()
+        decisions = _allocate(algorithm, seeds, user_lists, edge_sets, config)
+        share = (time.perf_counter() - start) / len(seeds)
+        if algorithm != "baseline_b":
+            share += edge_build_s
+        cells = [(seed, decision, share) for seed, decision in zip(seeds, decisions)]
         records += _train_batch(
             config, algorithm, cells, learning_rates,
             features, targets, datasets[0].sample_counts,

@@ -234,13 +234,9 @@ def test_criterion_06_algorithm_ordering():
         alloc_rng = np.random.default_rng([seed, 2])
         decisions = {
             "proposed": hungarian_assign(edges),
-            "baseline_a": baseline_optselect_randomrb(
-                alloc_rng, users, config.network, config.fading, edges=edges
-            ),
+            "baseline_a": baseline_optselect_randomrb(alloc_rng, edges),
             "baseline_b": baseline_random_all(alloc_rng, users, config.network, config.fading),
-            "baseline_c": baseline_min_sum_per(
-                users, config.network, config.fading, edges=edges
-            ),
+            "baseline_c": baseline_min_sum_per(edges),
         }
         for name, decision in decisions.items():
             outcomes = run_training(

@@ -747,7 +747,7 @@ class TestHungarianSquare:
             users, _ = build_topology(config, seed)
             edges = build_edge_weights(users, config.network, config.fading)
             hungarian_assign(edges)
-            baseline_min_sum_per(users, config.network, config.fading, edges=edges)
+            baseline_min_sum_per(edges)
             # The worst-case error sum solves the same (U, R) shape.
             bounds.worst_case_error_sum(users, config.network, config.fading)
         assert [w.shape for w in solved] == [(15, 12)] * 3 * len(config.seeds)
@@ -762,7 +762,7 @@ class TestHungarianSquare:
         per_weights = np.where(edges.feasible, edges.error_rate - 1.0, 0.0)
         for decision, weights in (
             (hungarian_assign(edges), edges.weights),
-            (baseline_min_sum_per(None, None, None, edges=edges), per_weights),
+            (baseline_min_sum_per(edges), per_weights),
         ):
             rows, cols = linear_sum_assignment(weights)
             optimum = math.fsum(weights[rows, cols])
@@ -862,6 +862,18 @@ def assert_baseline_b_matches_pair_loop(users, params, fexp, seeds):
     return selected
 
 
+def every_algorithm(users, params, fexp, seed):
+    """The decisions of the proposed allocator and the three baselines."""
+    edges = build_edge_weights(users, params, fexp)
+    rng = np.random.default_rng([seed, 2])
+    return [
+        hungarian_assign(edges),
+        baseline_optselect_randomrb(rng, edges),
+        baseline_random_all(rng, users, params, fexp),
+        baseline_min_sum_per(edges),
+    ]
+
+
 class TestBaselines:
     def test_random_all_matches_pair_loop(self):
         users, params = binding_budget_topology()
@@ -889,8 +901,8 @@ class TestBaselines:
         params = NetworkParams(rb_count=1, uplink_interference_w=(1e-9,))
         edges = build_edge_weights(users, params, QUAD)
         assert hungarian_assign(edges).selection.tolist() == [1]
-        assert baseline_min_sum_per(users, params, QUAD, edges=edges).selection.tolist() == [1]
-        a = baseline_optselect_randomrb(np.random.default_rng(0), users, params, QUAD, edges=edges)
+        assert baseline_min_sum_per(edges).selection.tolist() == [1]
+        a = baseline_optselect_randomrb(np.random.default_rng(0), edges)
         assert a.selection.tolist() == [1]
         b = baseline_random_all(np.random.default_rng(0), users, params, QUAD)
         assert b.selection.tolist() == [1]
@@ -900,8 +912,8 @@ class TestBaselines:
         params = NetworkParams(energy_budget_j=training_energy(users[0]) * 0.9)
         edges = build_edge_weights(users, params, QUAD)
         assert hungarian_assign(edges).selection.sum() == 0
-        assert baseline_min_sum_per(users, params, QUAD, edges=edges).selection.sum() == 0
-        a = baseline_optselect_randomrb(np.random.default_rng(1), users, params, QUAD, edges=edges)
+        assert baseline_min_sum_per(edges).selection.sum() == 0
+        a = baseline_optselect_randomrb(np.random.default_rng(1), edges)
         assert a.selection.sum() == 0
         b = baseline_random_all(np.random.default_rng(1), users, params, QUAD)
         assert b.selection.sum() == 0
@@ -909,29 +921,15 @@ class TestBaselines:
     def test_all_satisfy_allocation_invariants(self):
         for seed in range(6):
             users, params = table_topology(seed=seed)
-            edges = build_edge_weights(users, params, QUAD)
-            rng = np.random.default_rng([seed, 2])
-            decisions = [
-                hungarian_assign(edges),
-                baseline_optselect_randomrb(rng, users, params, QUAD, edges=edges),
-                baseline_random_all(rng, users, params, QUAD),
-                baseline_min_sum_per(users, params, QUAD, edges=edges),
-            ]
-            for decision in decisions:
+            for decision in every_algorithm(users, params, QUAD, seed):
                 assert verify_allocation(decision, users, params, QUAD) == []
 
     def test_proposed_dominates_every_baseline(self):
         for seed in range(20):
             users, params = table_topology(seed=100 + seed)
-            edges = build_edge_weights(users, params, QUAD)
-            rng = np.random.default_rng([seed, 2])
-            proposed = hungarian_assign(edges).objective
-            a = baseline_optselect_randomrb(rng, users, params, QUAD, edges=edges).objective
-            b = baseline_random_all(rng, users, params, QUAD).objective
-            c = baseline_min_sum_per(users, params, QUAD, edges=edges).objective
-            assert proposed <= a + 1e-12
-            assert proposed <= b + 1e-12
-            assert proposed <= c + 1e-12
+            proposed, *baselines = every_algorithm(users, params, QUAD, seed)
+            for baseline in baselines:
+                assert proposed.objective <= baseline.objective + 1e-12
 
     def test_seed42_golden_allocations(self):
         # First-run golden capture on the reference topology, seed 42.
@@ -939,9 +937,9 @@ class TestBaselines:
         edges = build_edge_weights(users, params, QUAD)
         proposed = hungarian_assign(edges)
         rng = np.random.default_rng([42, 2])
-        a = baseline_optselect_randomrb(rng, users, params, QUAD, edges=edges)
+        a = baseline_optselect_randomrb(rng, edges)
         b = baseline_random_all(rng, users, params, QUAD)
-        c = baseline_min_sum_per(users, params, QUAD, edges=edges)
+        c = baseline_min_sum_per(edges)
         golden = GOLDEN_SEED42
         assert proposed.selection.tolist() == golden["proposed_selection"]
         assert proposed.objective == pytest.approx(golden["proposed_objective"], rel=1e-12)
@@ -951,6 +949,80 @@ class TestBaselines:
         assert a.objective == pytest.approx(golden["a_objective"], rel=1e-12)
         assert b.objective == pytest.approx(golden["b_objective"], rel=1e-12)
         assert c.objective == pytest.approx(golden["c_objective"], rel=1e-12)
+
+
+
+def scalar_verify_allocation(decision, users, params, fexp):
+    """verify_allocation as a per-user loop of public scalar phy calls: the
+    oracle of its one-cohort evaluation, for powers within [0, P_max]."""
+    problems = []
+    n_users, n_rbs = len(users), params.rb_count
+    sel = np.asarray(decision.selection)
+    rb = np.asarray(decision.rb_assignment)
+    if rb.shape != (n_users, n_rbs):
+        return [f"rb_assignment shape {rb.shape} != ({n_users}, {n_rbs})"]
+    if not np.array_equal(rb.sum(axis=1), sel):
+        problems.append("sum_n r[i,n] != a[i] for some user")
+    if np.any(rb.sum(axis=0) > 1):
+        problems.append("some RB assigned to more than one user")
+    if np.any(decision.power_w < 0) or np.any(
+        decision.power_w > params.max_user_power_w * (1 + 1e-12)
+    ):
+        problems.append("power outside [0, P_max]")
+    for i in range(n_users):
+        if not sel[i]:
+            continue
+        n = int(np.argmax(rb[i]))
+        p = float(decision.power_w[i])
+        if p <= 0:
+            problems.append(f"user {i} selected with zero power")
+            continue
+        total_delay = uplink_delay(users[i], n, p, params, fexp) + downlink_delay(
+            users[i], params, fexp
+        )
+        if total_delay > params.delay_budget_s * (1 + 1e-12):
+            problems.append(f"user {i} violates delay budget: {total_delay:.6g}")
+        energy = user_energy(users[i], n, p, params, fexp)
+        if energy > params.energy_budget_j + 1e-9:
+            problems.append(f"user {i} violates energy budget: {energy:.6g}")
+    return problems
+
+
+class TestVerifyAllocation:
+    def test_power_above_p_max_is_reported_not_raised(self):
+        from fedwireless.config import load_config
+        from fedwireless.harness import build_topology
+
+        config = load_config(REFERENCE)
+        params = config.network
+        users, _ = build_topology(config, 7)
+        decision = hungarian_assign(build_edge_weights(users, params, config.fading))
+        decision.power_w[np.flatnonzero(decision.selection)[0]] = 2 * params.max_user_power_w
+        assert "power outside [0, P_max]" in verify_allocation(
+            decision, users, params, config.fading
+        )
+
+    @pytest.mark.parametrize("factor, violated", [
+        (0.0, True), (0.3, True), (0.999, False), (1.00001, True),
+    ])
+    def test_perturbed_powers_match_scalar_oracle(self, factor, violated):
+        from fedwireless.config import load_config
+        from fedwireless.harness import build_topology
+
+        config = load_config(REFERENCE)
+        topologies = [(build_topology(config, seed)[0], config.network, seed)
+                      for seed in config.seeds]
+        topologies += [(*binding_budget_topology(), seed) for seed in range(4)]
+        found = 0
+        for users, params, seed in topologies:
+            for decision in every_algorithm(users, params, QUAD, seed):
+                decision.power_w[:] = np.minimum(
+                    decision.power_w * factor, params.max_user_power_w
+                )
+                problems = verify_allocation(decision, users, params, QUAD)
+                assert problems == scalar_verify_allocation(decision, users, params, QUAD)
+                found += len(problems)
+        assert found > 0 or not violated
 
 
 GOLDEN_SEED42 = {

@@ -92,6 +92,20 @@ class TestFitZeta:
             assert a.shape == (count,)
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
+    def test_each_model_alone_equals_its_row_in_a_batch(self, monkeypatch):
+        # A one-model block, alone or as the last chunk, must not change the
+        # summation order of the global gradient.
+        ds = make_dataset()
+        models = 3.0 * np.random.default_rng(6).standard_normal((7, 2))
+        batch = bounds._gradient_norm_profiles(ds, models)
+        runs = [bounds._gradient_norm_profiles(ds, model) for model in models]
+        monkeypatch.setattr(bounds, "_PROFILE_CHUNK", 3)
+        runs.append(bounds._gradient_norm_profiles(ds, models))
+        alone = [np.concatenate(profile) for profile in zip(*runs[:-1])]
+        for profiles in (alone, runs[-1]):
+            for a, b in zip(profiles, batch):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
     def test_all_gradients_zero(self):
         ds = Dataset([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
         fit = fit_gradient_bound(ds, np.zeros((3, 2)))

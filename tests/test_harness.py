@@ -31,7 +31,7 @@ from fedwireless.harness import (
     write_manifest,
 )
 
-from util import record_integrand_sizes
+from util import per_seed_allocation, record_integrand_sizes
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
@@ -146,6 +146,24 @@ class TestRunExperiment:
         for record in records:
             assert 0.1 <= record.wall_clock_s < 0.25, record.seed
 
+    def test_wall_clock_is_one_equal_share_per_algorithm(self, monkeypatch):
+        from fedwireless import assignment
+
+        assign = assignment.hungarian_assign
+
+        def slow_assign(edges):
+            time.sleep(0.03)
+            return assign(edges)
+
+        monkeypatch.setattr(assignment, "hungarian_assign", slow_assign)
+        algorithms = ("proposed", "baseline_a", "baseline_b", "baseline_c")
+        records = run_experiment(mini_config(algorithms=algorithms, seeds=(3, 4, 5)))
+        # One timed allocation pass and one training batch per algorithm,
+        # split equally: every record of an algorithm reads the same time.
+        for algorithm in algorithms:
+            assert len({r.wall_clock_s for r in records if r.algorithm == algorithm}) == 1
+        assert records[0].algorithm == "proposed" and records[0].wall_clock_s >= 0.03
+
     def test_rerun_bit_identical(self):
         config = mini_config()
         a = run_experiment(config)
@@ -199,11 +217,11 @@ def float_bits(values):
 ], ids=["more_users_than_rbs", "more_rbs_than_users", "monte_carlo", "nothing_schedulable"])
 def test_pooled_run_equals_per_seed_allocations_and_training(config, monkeypatch):
     # run_experiment pools the power searches of all seeds; each record must
-    # equal a one-seed compute_allocation plus the sequential training
-    # oracle, bit for bit, and baseline b must leave each seed's generator
-    # where a one-seed call leaves it.
+    # equal a one-seed allocation plus the sequential training oracle, bit
+    # for bit, and baseline b must leave each seed's generator where a
+    # one-seed call leaves it.
     from fedwireless import assignment
-    from fedwireless.harness import compute_allocation, resolve_learning_rate
+    from fedwireless.harness import resolve_learning_rate
     from test_training import sequential_training
 
     pooled_rngs, random_all = [], assignment._random_all
@@ -225,7 +243,7 @@ def test_pooled_run_equals_per_seed_allocations_and_training(config, monkeypatch
     selected = {}
     for record in records:
         users, dataset = build_topology(config, record.seed)
-        decision = compute_allocation(record.algorithm, users, config, record.seed)
+        decision = per_seed_allocation(record.algorithm, users, config, record.seed)
         lr = resolve_learning_rate(config, dataset)
         losses, _, _ = sequential_training(
             dataset, decision, lr, config.rounds,

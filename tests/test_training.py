@@ -8,7 +8,7 @@ import pytest
 
 from fedwireless.bounds import curvature
 from fedwireless.config import load_config
-from fedwireless.harness import build_topology, compute_allocation, resolve_learning_rate
+from fedwireless.harness import build_topology, resolve_learning_rate
 from fedwireless.training import (
     Dataset,
     TrainingDiverged,
@@ -20,7 +20,7 @@ from fedwireless.training import (
     run_training,
 )
 
-from util import manual_decision
+from util import manual_decision, per_seed_allocation
 
 TABLE_COUNTS = [12, 10, 8, 4, 2] * 3
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
@@ -475,7 +475,7 @@ class TestTrainCells:
         for algorithm in config.algorithms:
             for seed in config.seeds:
                 users, dataset = build_topology(config, seed)
-                decision = compute_allocation(algorithm, users, config, seed)
+                decision = per_seed_allocation(algorithm, users, config, seed)
                 cells.append((dataset, decision, resolve_learning_rate(config, dataset), seed))
         assert len(cells) == 8
         assert_cells_match_oracle(cells, config.rounds, shared=False)

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from fedwireless import bounds
+from fedwireless import assignment, bounds, harness
 from fedwireless.assignment import EdgeWeightMatrix
 from fedwireless.phy import FadingExpectation, NetworkParams, UserProfile
 
@@ -45,6 +45,22 @@ def check_gradient_bound(dataset, models, fit) -> bool:
     per_sample_max, grad_f_norm2 = bounds._gradient_norm_profiles(dataset, models)
     slack = 1e-9 * (1.0 + np.abs(per_sample_max))
     return bool(np.all(per_sample_max <= fit.intercept + fit.slope * grad_f_norm2 + slack))
+
+
+def per_seed_allocation(algorithm, users, config, seed):
+    """One seed's allocation on its own, the oracle of the harness's pooled
+    pass: a one-topology edge build, and baseline b on the seed's generator."""
+    params, fexp = config.network, config.fading
+    rng = harness._allocation_rng(seed)
+    if algorithm == "baseline_b":
+        return assignment.baseline_random_all(rng, users, params, fexp)
+    edges = assignment.build_edge_weights(users, params, fexp)
+    if algorithm == "proposed":
+        return assignment.hungarian_assign(edges)
+    if algorithm == "baseline_a":
+        return assignment.baseline_optselect_randomrb(rng, edges)
+    assert algorithm == "baseline_c", algorithm
+    return assignment.baseline_min_sum_per(edges)
 
 
 def synthetic_edges(rng, n_users, n_rbs, feasible_prob=0.85, p_max=0.01):
