@@ -32,6 +32,7 @@ from .assignment import (
     hungarian_assign,
     optimal_power,
     verify_allocation,
+    wireless_error_sum,
 )
 from .training import (
     Dataset,
@@ -55,7 +56,6 @@ from .bounds import (
     excess_loss_bound,
     fit_gradient_bound,
     slope_guarantees_convergence,
-    wireless_error_sum,
     worst_case_error_sum,
 )
 from .config import ConfigError, ExperimentConfig, load_config, save_config, serialize_config

@@ -29,6 +29,7 @@ __all__ = [
     "baseline_optselect_randomrb",
     "baseline_min_sum_per",
     "verify_allocation",
+    "wireless_error_sum",
 ]
 
 _BISECT_ITERS = 200
@@ -222,9 +223,8 @@ def _edge_weights(user_lists, params, fexp):
 class AllocationDecision:
     """A full allocation: selection, RB matrix, powers, and per-user link stats.
 
-    The objective sums sample_count * (1 - selected + selected * error_rate)
-    over users: the data-weighted
-    expected loss of local models (unselected users count as always lost).
+    The objective is ``wireless_error_sum(selection, error_rate,
+    sample_counts)``, the error sum the convergence bound grows with.
     """
 
     selection: np.ndarray        # (U,) 0/1
@@ -235,6 +235,16 @@ class AllocationDecision:
     delay_s: np.ndarray          # (U,) uplink + downlink delay (0 if unselected)
     energy_j: np.ndarray         # (U,) per-round energy (0 if unselected)
     solver_iterations: int = 0
+
+
+def wireless_error_sum(selection, error_rates, sample_counts) -> float:
+    """Data-weighted expected loss of local models: the sum over users of
+    sample_count * (1 - selected + selected * error_rate).  Unselected users
+    count as always lost."""
+    a = np.asarray(selection, dtype=float)
+    q = np.asarray(error_rates, dtype=float)
+    k = np.asarray(sample_counts, dtype=float)
+    return float(np.sum(k * (1.0 - a + a * q)))
 
 
 def _finalize_decision(sample_counts, n_rbs, rows, rbs, stats, solver_iterations=0):
@@ -248,13 +258,11 @@ def _finalize_decision(sample_counts, n_rbs, rows, rbs, stats, solver_iterations
     power, error, delay, energy = (np.zeros(n_users) for _ in range(4))
     for per_user, values in zip((power, error, delay, energy), stats):
         per_user[rows] = values
-    counts = np.asarray(sample_counts, dtype=float)
-    objective = float(np.sum(counts * (1.0 - selection + selection * error)))
     return AllocationDecision(
         selection=selection,
         rb_assignment=rb_assignment,
         power_w=power,
-        objective=objective,
+        objective=wireless_error_sum(selection, error, sample_counts),
         error_rate=error,
         delay_s=delay,
         energy_j=energy,

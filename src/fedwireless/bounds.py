@@ -1,10 +1,18 @@
 """Convergence analysis for the wireless federated training loop.
 
-Evaluates the analytical machinery around the per-step contraction factor:
-curvature constants of the pooled objective, an affine bound on per-sample
-gradient norms, the per-step upper bound on expected excess loss, its
-asymptotic limit, and the gradient-slope range that guarantees contraction
-for every feasible allocation.
+The theorem: with L and mu the smoothness and strong-convexity constants of
+the pooled objective F (``curvature``), K the total sample count and
+per-sample gradients bounded as ||grad f_ik(g)||^2 <= zeta1 + zeta2 *
+||grad F(g)||^2 (zeta1 = ``intercept``, zeta2 = ``slope``, fitted by
+``fit_gradient_bound``), an allocation whose error sum is
+s = sum_i K_i (1 - a_i + a_i q_i) (``wireless_error_sum``) gives
+
+    E[F(g_t) - F(g*)] <= B^t * gap_0 + A * (1 - B^t) / (1 - B),
+    A = 2 zeta1 s / (L K),    B = 1 - mu/L + 4 mu zeta2 s / (L K),
+
+which tends to A / (mu/L - 4 mu zeta2 s / (L K)) when B < 1.  The allocator
+minimizes s.  ``convergence_slope_limit`` gives the largest zeta2 that keeps
+B < 1 for every feasible allocation of a topology.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assignment, phy, training
+from .assignment import wireless_error_sum
 
 __all__ = [
     "CurvatureEstimate",
@@ -75,7 +84,6 @@ class GradientBoundFit:
 
     intercept: float
     slope: float
-    samples_used: int
 
     def __post_init__(self):
         if self.intercept < 0 or self.slope < 0:
@@ -117,71 +125,76 @@ def _gradient_norm_profiles(dataset, models):
     return per_sample_max[:count], grad_f_norm2[:count]
 
 
+def _theorem(error_sum, total, curv, intercept, slope):
+    """The theorem's (B, A, limit) for error sum s = ``error_sum``, K =
+    ``total``, zeta1 = ``intercept`` and zeta2 = ``slope``; the limit is inf
+    when mu/L - 4 mu zeta2 s / (L K) <= 0."""
+    ratio = curv.strong_convexity_mu / curv.lipschitz_l
+    scale = curv.lipschitz_l * total
+    drift = 4.0 * curv.strong_convexity_mu * slope * error_sum / scale
+    per_step = 2.0 * intercept * error_sum / scale
+    margin = ratio - drift
+    limit = per_step / margin if margin > 0 else float("inf")
+    return 1.0 - ratio + drift, per_step, limit
+
+
+def _allocation_theorem(selection, error_rates, sample_counts, curv, intercept, slope):
+    """``_theorem`` of one allocation."""
+    error_sum = wireless_error_sum(selection, error_rates, sample_counts)
+    return _theorem(error_sum, float(np.sum(sample_counts)), curv, intercept, slope)
+
+
 # Points of fit_gradient_bound's even slope grid on [0, slope cap).
 _SLOPE_GRID = 33
 
 
-def fit_gradient_bound(dataset, models, error_sum=None, curv=None):
+def fit_gradient_bound(dataset, models, error_sum, curv):
     """Fit the (intercept, slope) gradient bound from observed global models.
 
-    For each candidate slope on a grid, the smallest valid intercept is
-    max over trajectory points of (max_k ||grad f_k||^2 - slope*||grad F||^2).
-    When the wireless error sum and curvature are supplied, the pair
-    minimizing the asymptotic excess-loss gap (among pairs that still
-    contract) is returned; otherwise slope = 0 with the definitional
-    intercept.
+    For each candidate slope on a grid over [0, K / (4 * error_sum)), the
+    smallest valid intercept is max over trajectory points of
+    (max_k ||grad f_k||^2 - slope*||grad F||^2).  The pair with the smallest
+    asymptotic excess-loss gap is returned, the smallest slope on a tie;
+    error_sum = 0 gives slope = 0 with the definitional intercept.
     """
     models = np.atleast_2d(np.asarray(models, dtype=float))
     if models.shape[0] < 1:
         raise ValueError("need at least one trajectory point")
     per_sample_max, grad_f_norm2 = _gradient_norm_profiles(dataset, models)
-    samples_used = models.shape[0] * dataset.total_samples
 
     def intercept_for(slope):
         return float(max(0.0, np.max(per_sample_max - slope * grad_f_norm2)))
 
-    if error_sum is None or curv is None or error_sum == 0:
-        return GradientBoundFit(
-            intercept=intercept_for(0.0), slope=0.0, samples_used=samples_used
-        )
-
+    if error_sum == 0:
+        return GradientBoundFit(intercept=intercept_for(0.0), slope=0.0)
     total = dataset.total_samples
-    slope_cap = total / (4.0 * error_sum)
     candidates = np.concatenate(
-        [[0.0], np.linspace(0.0, slope_cap, _SLOPE_GRID, endpoint=False)[1:]]
+        [[0.0], np.linspace(0.0, total / (4.0 * error_sum), _SLOPE_GRID, endpoint=False)[1:]]
     )
-    best = None
-    for slope in candidates:
-        intercept = intercept_for(slope)
-        denom = 1.0 - 4.0 * slope * error_sum / total
-        if denom <= 0:
-            continue
-        gap = (
-            2.0 * intercept * error_sum / (curv.lipschitz_l * total)
-        ) / (curv.strong_convexity_mu / curv.lipschitz_l * denom)
-        if best is None or gap < best[0]:
-            best = (gap, intercept, float(slope))
-    _, intercept, slope = best
-    return GradientBoundFit(intercept=intercept, slope=slope, samples_used=samples_used)
-
-
-def wireless_error_sum(selection, error_rates, sample_counts) -> float:
-    """Data-weighted expected loss of local models: the sum over users of
-    sample_count * (1 - selected + selected * error_rate)."""
-    a = np.asarray(selection, dtype=float)
-    q = np.asarray(error_rates, dtype=float)
-    k = np.asarray(sample_counts, dtype=float)
-    return float(np.sum(k * (1.0 - a + a * q)))
+    # min keeps the first of equal gaps: the smallest slope wins a tie.
+    intercept, slope = min(
+        ((intercept_for(slope), float(slope)) for slope in candidates),
+        key=lambda pair: _theorem(error_sum, total, curv, *pair)[2],
+    )
+    return GradientBoundFit(intercept=intercept, slope=slope)
 
 
 def contraction_factor(selection, error_rates, sample_counts, curv, slope) -> float:
     """Per-step contraction of expected excess loss; < 1 is required to converge."""
-    total = float(np.sum(sample_counts))
-    s = wireless_error_sum(selection, error_rates, sample_counts)
-    ratio = curv.strong_convexity_mu / curv.lipschitz_l
-    return 1.0 - ratio + 4.0 * curv.strong_convexity_mu * slope * s / (
-        curv.lipschitz_l * total
-    )
+    return _allocation_theorem(selection, error_rates, sample_counts, curv, 0.0, slope)[0]
+
+
+def _trajectory(t, factor, per_step, initial_gap):
+    """B^t * gap_0 + A * (1 - B^t) / (1 - B) at steps ``t``, B = ``factor``
+    and A = ``per_step``."""
+    t = np.asarray(t, dtype=float)
+    if factor == 1.0:
+        warnings.warn("contraction factor is 1: bound grows linearly", RuntimeWarning)
+        result = initial_gap + t * per_step
+    else:
+        decay = factor ** t
+        result = decay * initial_gap + per_step * (1.0 - decay) / (1.0 - factor)
+    return float(result) if result.ndim == 0 else result
 
 
 def excess_loss_bound(
@@ -194,64 +207,33 @@ def excess_loss_bound(
     Accepts scalar or array t.  factor = 1 degenerates to linear growth
     initial_gap + t*G (flagged with a warning).
     """
-    t = np.asarray(t, dtype=float)
-    total = float(np.sum(sample_counts))
-    s = wireless_error_sum(selection, error_rates, sample_counts)
-    per_step = 2.0 * intercept * s / (curv.lipschitz_l * total)
-    if factor == 1.0:
-        warnings.warn("contraction factor is 1: bound grows linearly", RuntimeWarning)
-        result = initial_gap + t * per_step
-    else:
-        decay = factor ** t
-        result = decay * initial_gap + per_step * (1.0 - decay) / (1.0 - factor)
-    return float(result) if result.ndim == 0 else result
+    per_step = _allocation_theorem(selection, error_rates, sample_counts, curv, intercept, 0.0)[1]
+    return _trajectory(t, factor, per_step, initial_gap)
 
 
 @dataclass
 class BoundSeries:
-    """Per-step excess-loss bound for one allocation, plus its inputs."""
+    """Per-step excess-loss bound for one allocation."""
 
     contraction: float
     per_step_bound: np.ndarray
     asymptotic_gap: float
-    selection: np.ndarray
-    error_rates: np.ndarray
-    sample_counts: np.ndarray
-    initial_gap: float
 
 
 def bound_series(steps, curv, fit, selection, error_rates, sample_counts, initial_gap):
     """Evaluate the excess-loss bound over a step range as a BoundSeries."""
-    factor = contraction_factor(selection, error_rates, sample_counts, curv, fit.slope)
-    series = excess_loss_bound(
-        steps, factor, fit.intercept, curv, selection, error_rates, sample_counts,
-        initial_gap,
-    )
-    gap = asymptotic_gap(
+    factor, per_step, gap = _allocation_theorem(
         selection, error_rates, sample_counts, curv, fit.intercept, fit.slope
     )
+    series = _trajectory(steps, factor, per_step, initial_gap)
     return BoundSeries(
-        contraction=factor,
-        per_step_bound=np.asarray(series),
-        asymptotic_gap=gap,
-        selection=np.asarray(selection),
-        error_rates=np.asarray(error_rates),
-        sample_counts=np.asarray(sample_counts),
-        initial_gap=float(initial_gap),
+        contraction=factor, per_step_bound=np.asarray(series), asymptotic_gap=gap
     )
 
 
 def asymptotic_gap(selection, error_rates, sample_counts, curv, intercept, slope) -> float:
     """Limit of the excess-loss bound as t grows; inf when contraction fails."""
-    total = float(np.sum(sample_counts))
-    s = wireless_error_sum(selection, error_rates, sample_counts)
-    ratio = curv.strong_convexity_mu / curv.lipschitz_l
-    denominator = ratio - 4.0 * curv.strong_convexity_mu * slope * s / (
-        curv.lipschitz_l * total
-    )
-    if denominator <= 0:
-        return float("inf")
-    return (2.0 * intercept * s / (curv.lipschitz_l * total)) / denominator
+    return _allocation_theorem(selection, error_rates, sample_counts, curv, intercept, slope)[2]
 
 
 def worst_case_error_sum(users, params, fexp) -> float:

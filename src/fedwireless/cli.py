@@ -181,9 +181,9 @@ def _cmd_validate(args) -> int:
         return training._train_cells(
             x, y, dataset.sample_counts, [decision.selection] * len(cells),
             [rate for rate, _ in cells],
-            np.stack([training._delivery_draws(decision.error_rate, 10,
-                                               np.random.default_rng([seed, 3]))
-                      for _, seed in cells]),
+            np.stack([training._delivery_draws(
+                decision.error_rate, 10, np.random.default_rng([seed, harness._STREAM_TRANSMIT])
+            ) for _, seed in cells]),
             np.zeros(x.shape[1]),
         )[:2]
 

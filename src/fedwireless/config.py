@@ -77,6 +77,8 @@ class ExperimentConfig:
                 raise ConfigError(f"task.{name} must be finite, got {getattr(self, name)}")
         if not 0 <= self.noise_std < math.inf:
             raise ConfigError(f"task.noise_std must be finite and >= 0, got {self.noise_std}")
+        if not self.algorithms:
+            raise ConfigError("experiment.algorithms must list at least one algorithm")
         for name in self.algorithms:
             if name not in KNOWN_ALGORITHMS:
                 raise ConfigError(

@@ -420,7 +420,7 @@ def bound_report(config: ExperimentConfig):
     g_star = training.least_squares_model(dataset)
     mean_excess = bounds.empirical_gap(losses, g_star, dataset)
 
-    error_sum = bounds.wireless_error_sum(
+    error_sum = assignment.wireless_error_sum(
         decision.selection, decision.error_rate, dataset.sample_counts
     )
     fit = bounds.fit_gradient_bound(

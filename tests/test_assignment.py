@@ -22,6 +22,7 @@ from fedwireless.assignment import (
     hungarian_assign,
     optimal_power,
     verify_allocation,
+    wireless_error_sum,
 )
 from fedwireless.phy import (
     FadingExpectation,
@@ -875,6 +876,21 @@ def every_algorithm(users, params, fexp, seed):
 
 
 class TestBaselines:
+    def test_objective_is_the_wireless_error_sum(self):
+        from fedwireless.config import load_config
+        from fedwireless.harness import build_topology
+
+        config = load_config(REFERENCE)
+        topologies = [(build_topology(config, seed)[0], config.network, seed)
+                      for seed in config.seeds]
+        topologies.append((*binding_budget_topology(), 0))
+        for users, params, seed in topologies:
+            counts = [u.sample_count for u in users]
+            for decision in every_algorithm(users, params, QUAD, seed):
+                want = wireless_error_sum(decision.selection, decision.error_rate, counts)
+                assert np.float64(decision.objective).view(np.int64) == \
+                    np.float64(want).view(np.int64)
+
     def test_random_all_matches_pair_loop(self):
         users, params = binding_budget_topology()
         selected = assert_baseline_b_matches_pair_loop(users, params, QUAD, range(6))

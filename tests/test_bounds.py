@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from fedwireless.bounds import (
     slope_guarantees_convergence,
     convergence_slope_limit,
 )
-from fedwireless.assignment import feasible_power_interval
+from fedwireless.assignment import build_edge_weights, feasible_power_interval, hungarian_assign
+from fedwireless.config import load_config
+from fedwireless.harness import build_topology, resolve_learning_rate
 from fedwireless.phy import FadingExpectation, NetworkParams, UserProfile, packet_error_rate
 from fedwireless.training import (
     Dataset,
@@ -34,6 +37,7 @@ from util import PointMassFading, check_gradient_bound, manual_decision, table_t
 
 QUAD = FadingExpectation()
 TABLE_COUNTS = [12, 10, 8, 4, 2] * 3
+REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
 
 def make_dataset(seed=7, counts=TABLE_COUNTS):
@@ -108,14 +112,14 @@ class TestFitZeta:
 
     def test_all_gradients_zero(self):
         ds = Dataset([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
-        fit = fit_gradient_bound(ds, np.zeros((3, 2)))
+        fit = fit_gradient_bound(ds, np.zeros((3, 2)), error_sum=0.0, curv=curvature(ds))
         assert fit.intercept == 0.0
         assert fit.slope == 0.0
 
     def test_zero_slope_is_definitional_max(self):
         ds = make_dataset()
         models = np.array([[0.0, 0.0], [-1.0, 0.5], [-2.0, 1.0]])
-        fit = fit_gradient_bound(ds, models)
+        fit = fit_gradient_bound(ds, models, error_sum=0.0, curv=curvature(ds))
         x, y = ds.pooled()
         expected = 0.0
         for g in models:
@@ -155,11 +159,58 @@ class TestFitZeta:
         chosen = asymptotic_gap(
             np.ones(15), np.full(15, 0.3), ds.sample_counts, curv, fit.intercept, fit.slope
         )
-        plain = fit_gradient_bound(ds, models)
+        plain = fit_gradient_bound(ds, models, error_sum=0.0, curv=curv)
         alt = asymptotic_gap(
             np.ones(15), np.full(15, 0.3), ds.sample_counts, curv, plain.intercept, plain.slope
         )
         assert chosen <= alt + 1e-12
+
+    @pytest.mark.parametrize(
+        "case", ["reference_trajectory", "interior_minimum", "all_gradients_zero"]
+    )
+    def test_fit_is_the_first_minimum_over_the_slope_grid(self, case):
+        # The fit's pair has the smallest asymptotic_gap over every grid slope
+        # paired with that slope's own intercept; the earliest slope wins a tie.
+        if case == "reference_trajectory":
+            config = load_config(REFERENCE)
+            users, ds = build_topology(config, config.seeds[0])
+            decision = hungarian_assign(build_edge_weights(users, config.network, config.fading))
+            outcomes = run_training(
+                ds, decision, resolve_learning_rate(config, ds), 60, np.random.default_rng(3)
+            )
+            models = np.array([o.global_model for o in outcomes])
+            selection, q = decision.selection, decision.error_rate
+        elif case == "interior_minimum":
+            # Three samples: the global gradient is large against the
+            # per-sample ones, so a slope inside the grid wins.
+            ds = Dataset(
+                [np.array([[1.0, 0.2], [0.3, 1.0]]), np.array([[1.0, 1.0]])],
+                [np.array([1.0, -1.0]), np.array([0.5])],
+            )
+            models = least_squares_model(ds) + 0.8 ** np.arange(40)[:, None]
+            selection, q = np.ones(2), np.full(2, 0.1)
+        else:
+            ds = Dataset([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
+            models = np.zeros((3, 2))
+            selection, q = np.ones(1), np.full(1, 0.3)
+        counts, curv = ds.sample_counts, curvature(ds)
+        error_sum = wireless_error_sum(selection, q, counts)
+        fit = fit_gradient_bound(ds, models, error_sum, curv)
+        per_sample_max, grad_f_norm2 = bounds._gradient_norm_profiles(ds, models)
+        slopes = np.linspace(
+            0.0, ds.total_samples / (4.0 * error_sum), bounds._SLOPE_GRID, endpoint=False
+        )
+        pairs = [
+            (max(0.0, float(np.max(per_sample_max - slope * grad_f_norm2))), float(slope))
+            for slope in slopes
+        ]
+        gaps = [asymptotic_gap(selection, q, counts, curv, *pair) for pair in pairs]
+        first_minimum = int(np.argmin(gaps))
+        assert (fit.intercept, fit.slope) == pairs[first_minimum]
+        if case == "interior_minimum":
+            assert 0 < first_minimum < len(slopes) - 1
+        if case == "all_gradients_zero":
+            assert gaps == [0.0] * len(gaps) and fit.slope == 0.0
 
 
 class TestConvergenceFactor:
@@ -230,13 +281,12 @@ class TestBoundSeries:
         from fedwireless.bounds import GradientBoundFit, bound_series
 
         curv = CurvatureEstimate(lipschitz_l=2.0, strong_convexity_mu=0.5)
-        fit = GradientBoundFit(intercept=3.0, slope=0.8, samples_used=10)
+        fit = GradientBoundFit(intercept=3.0, slope=0.8)
         steps = np.arange(0, 5001)
         series = bound_series(steps, curv, fit, [1, 1], [0.2, 0.4], [12, 10], 0.9)
         assert series.per_step_bound[0] == 0.9
         assert series.contraction < 1.0
         assert abs(series.per_step_bound[-1] - series.asymptotic_gap) < 1e-10
-        assert series.initial_gap == 0.9
 
 
 class TestAsymptoticGap:

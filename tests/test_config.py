@@ -128,6 +128,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seeds"):
             loads_config("[experiment]\nseeds =\n")
 
+    def test_empty_algorithms_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="experiment.algorithms"):
+            loads_config("[experiment]\nalgorithms =\n")
+        path = tmp_path / "empty.cfg"
+        path.write_text("[experiment]\nalgorithms =\n")
+        code = cli.main(["simulate", str(path), "--outdir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "experiment.algorithms" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_noise_keys_mutually_exclusive(self):
         text = "[network]\nnoise_density_w_per_hz = 1e-20\nnoise_density_dbm_per_hz = -174\n"
         with pytest.raises(ConfigError, match="mutually exclusive"):
