@@ -22,7 +22,6 @@ from .phy import (
 from .assignment import (
     AllocationDecision,
     EdgeWeightMatrix,
-    OptimalPower,
     baseline_min_sum_per,
     baseline_optselect_randomrb,
     baseline_random_all,
@@ -36,7 +35,6 @@ from .assignment import (
 )
 from .training import (
     Dataset,
-    RoundOutcome,
     TrainingDiverged,
     generate_regression_data,
     global_loss,
@@ -58,7 +56,7 @@ from .bounds import (
     slope_guarantees_convergence,
     worst_case_error_sum,
 )
-from .config import ConfigError, ExperimentConfig, load_config, save_config, serialize_config
+from .config import ConfigError, ExperimentConfig, load_config, serialize_config
 from .harness import (
     RunRecord,
     bound_report,

@@ -17,7 +17,6 @@ import numpy as np
 from . import phy
 
 __all__ = [
-    "OptimalPower",
     "EdgeWeightMatrix",
     "AllocationDecision",
     "optimal_power",
@@ -33,14 +32,6 @@ __all__ = [
 ]
 
 _BISECT_ITERS = 200
-
-
-@dataclass(frozen=True)
-class OptimalPower:
-    """Result of the per-edge power search."""
-
-    power_w: float
-    feasible_energy: bool
 
 
 def _bisect(lo, hi, columns, below_root):
@@ -97,19 +88,17 @@ def _optimal_powers(cohort, params, fexp):
     return power
 
 
-def optimal_power(user, rb_index, params, fexp) -> OptimalPower:
+def optimal_power(user, rb_index, params, fexp) -> float:
     """Largest transmit power on one RB that respects the energy budget.
 
     Returns the device power cap or, if that violates the energy budget,
     the power at which the per-round energy meets the budget exactly; the
     bisection exploits that energy is strictly increasing in power and
-    always lands on the feasible side of the root.  feasible_energy is
-    False when even a vanishing transmit power (or training alone) exceeds
-    the budget.
+    always lands on the feasible side of the root.  Returns 0.0 when even
+    a vanishing transmit power (or training alone) exceeds the budget.
     """
     cohort = phy._Users.of([user], params).on(rb_index, params)
-    power = float(_optimal_powers(cohort, params, fexp)[0])
-    return OptimalPower(power, power > 0)
+    return float(_optimal_powers(cohort, params, fexp)[0])
 
 
 def feasible_power_interval(users, rb_index, params, fexp):

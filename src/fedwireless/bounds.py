@@ -64,8 +64,7 @@ def curvature(dataset) -> CurvatureEstimate:
     are exact.  Rank-deficient data is rejected: strong convexity is a
     standing assumption of the analysis.
     """
-    x, _ = dataset.pooled()
-    hessian = training._gram(x) / dataset.total_samples
+    hessian = training._gram(dataset.x) / dataset.total_samples
     eigenvalues = np.linalg.eigvalsh(hessian)
     lipschitz = float(eigenvalues[-1])
     mu = float(eigenvalues[0])
@@ -110,7 +109,7 @@ def _gradient_norm_profiles(dataset, models):
     # in sample order: a chunk of one model gets a copy of it as a second.
     if count % _PROFILE_CHUNK == 1:
         models = np.concatenate([models, models[-1:]])
-    x, y = dataset.pooled()
+    x, y = dataset.x, dataset.y
     x_norm2 = np.sum(x * x, axis=1)                        # (K,)
     columns = x.T[:, :, None]                              # (dim, K, 1)
     per_sample_max = np.empty(models.shape[0])
@@ -278,8 +277,8 @@ def empirical_gap(losses, optimal_model, dataset):
 
     ``losses`` holds one recorded loss trajectory per run (step 0 first),
     all of the same length: a (runs, steps) array such as the losses of a
-    ``training._train_cells`` batch, or one loss list per ``run_training``
-    run.
+    ``training._train_cells`` batch, or the stacked losses of several
+    ``run_training`` runs.
     """
     if len(losses) == 0:
         raise ValueError("need at least one trajectory")

@@ -137,16 +137,11 @@ def _cmd_validate(args) -> int:
         if not ok:
             failures.append(name)
 
-    from dataclasses import replace
-
     rng = np.random.default_rng(0)
     users, dataset = harness.build_topology(config, config.seeds[0])
     params, fexp = config.network, config.fading
 
-    small = replace(
-        params, rb_count=5, uplink_interference_w=params.uplink_interference_w[:5]
-    )
-    edges = assignment.build_edge_weights(users[:5], small, fexp)
+    edges = assignment.build_edge_weights(users[:5], harness._with_rb_count(params, 5), fexp)
     hung = assignment.hungarian_assign(edges)
     brute = assignment.brute_force_assign(edges)
     check("matching optimality (5 users, 5 RBs)", hung.objective == brute.objective)
@@ -173,18 +168,17 @@ def _cmd_validate(args) -> int:
           not assignment.verify_allocation(decision, users, params, fexp))
 
     lr = harness.resolve_learning_rate(config, dataset)
-    x, y = dataset.pooled()
 
     def train(cells):
         """(losses, models) of one 10-round ``_train_cells`` batch of
         (learning rate, delivery seed) cells."""
         return training._train_cells(
-            x, y, dataset.sample_counts, [decision.selection] * len(cells),
+            dataset.x, dataset.y, dataset.sample_counts, [decision.selection] * len(cells),
             [rate for rate, _ in cells],
             np.stack([training._delivery_draws(
                 decision.error_rate, 10, np.random.default_rng([seed, harness._STREAM_TRANSMIT])
             ) for _, seed in cells]),
-            np.zeros(x.shape[1]),
+            np.zeros(dataset.x.shape[1]),
         )[:2]
 
     run_a, run_c = train([(lr, 1)]), train([(0.5 * lr, 2)])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .phy import FadingExpectation, NetworkParams, UserProfile
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "loads_config",
-           "serialize_config", "save_config"]
+           "serialize_config"]
 
 KNOWN_ALGORITHMS = ("proposed", "baseline_a", "baseline_b", "baseline_c")
 
@@ -56,8 +56,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.user_count < 1:
             raise ConfigError(f"users.count must be >= 1, got {self.user_count}")
-        if not self.cell_radius_m > 0:
-            raise ConfigError(f"users.cell_radius_m must be positive, got {self.cell_radius_m}")
+        if not 0 < self.cell_radius_m < math.inf:
+            raise ConfigError(
+                f"users.cell_radius_m must be positive and finite, got {self.cell_radius_m}"
+            )
         if not self.sample_count_cycle or any(k < 1 for k in self.sample_count_cycle):
             raise ConfigError("users.sample_count_cycle entries must be >= 1")
         # One user at the cell edge checks the device constants with the
@@ -255,8 +257,3 @@ def serialize_config(config: ExperimentConfig) -> str:
         value = getattr(config if owner is None else getattr(config, owner), name)
         lines.append(f"{key} = {_fmt(value)}")
     return "\n".join(lines[1:] + [""])
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_config(config))

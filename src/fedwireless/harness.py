@@ -221,9 +221,8 @@ def run_experiment(config: ExperimentConfig):
     edge_sets = assignment._edge_weights(user_lists, params, fexp)
     edge_build_s = (time.perf_counter() - start) / len(seeds)
     learning_rates = [resolve_learning_rate(config, dataset) for dataset in datasets]
-    pooled = [dataset.pooled() for dataset in datasets]
-    features = np.stack([x for x, _ in pooled])
-    targets = np.stack([y for _, y in pooled])
+    features = np.stack([dataset.x for dataset in datasets])
+    targets = np.stack([dataset.y for dataset in datasets])
 
     records = []
     for algorithm in config.algorithms:
@@ -238,6 +237,14 @@ def run_experiment(config: ExperimentConfig):
             features, targets, datasets[0].sample_counts,
         )[0]
     return records
+
+
+def _with_rb_count(params, rb_count):
+    """``params`` with ``rb_count`` RBs, cycling its per-RB interference."""
+    interference = params.uplink_interference_w
+    return replace(params, rb_count=rb_count, uplink_interference_w=tuple(
+        interference[n % len(interference)] for n in range(rb_count)
+    ))
 
 
 def sweep(config: ExperimentConfig, axis: str, values):
@@ -256,17 +263,7 @@ def sweep(config: ExperimentConfig, axis: str, values):
         if axis == "user_count":
             derived = replace(config, user_count=int(value))
         elif axis == "rb_count":
-            base = config.network
-            interference = tuple(
-                base.uplink_interference_w[i % len(base.uplink_interference_w)]
-                for i in range(int(value))
-            )
-            derived = replace(
-                config,
-                network=replace(
-                    base, rb_count=int(value), uplink_interference_w=interference
-                ),
-            )
+            derived = replace(config, network=_with_rb_count(config.network, int(value)))
         elif axis == "samples_per_user":
             derived = replace(config, sample_count_cycle=(int(value),))
         else:
@@ -411,10 +408,9 @@ def bound_report(config: ExperimentConfig):
     curv = bounds.curvature(dataset)
     lr = resolve_learning_rate(config, dataset)
 
-    x, y = dataset.pooled()
     records, losses, models = _train_batch(
         config, "proposed", [(seed, decision, 0.0) for seed in config.seeds],
-        [lr] * len(config.seeds), x, y, dataset.sample_counts,
+        [lr] * len(config.seeds), dataset.x, dataset.y, dataset.sample_counts,
     )
 
     g_star = training.least_squares_model(dataset)

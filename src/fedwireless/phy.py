@@ -57,8 +57,8 @@ _COHORT_ELEMENTS = 16384
 
 
 def _require_positive(name: str, value) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be strictly positive, got {value!r}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,13 @@ class NetworkParams:
             "bs_power_w",
             "max_user_power_w",
             "waterfall_threshold",
-            "delay_budget_s",
-            "energy_budget_j",
             "pathloss_exponent",
         ):
             _require_positive(name, getattr(self, name))
+        # A budget of +inf means no budget.
+        for name in ("delay_budget_s", "energy_budget_j"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)!r}")
         if self.uplink_interference_w is None:
             interference = (0.0,) * self.rb_count
         else:
@@ -133,8 +135,8 @@ class UserProfile:
             raise ValueError(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
         _require_positive("fading_scale", self.fading_scale)
         # payload_bits == 0 is allowed as the degenerate "nothing to send" case.
-        if not self.payload_bits >= 0:
-            raise ValueError(f"payload_bits must be >= 0, got {self.payload_bits!r}")
+        if not 0 <= self.payload_bits < math.inf:
+            raise ValueError(f"payload_bits must be >= 0 and finite, got {self.payload_bits!r}")
         for name in ("cpu_cycles_per_bit", "cpu_freq_hz", "energy_coeff"):
             _require_positive(name, getattr(self, name))
 

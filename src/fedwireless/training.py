@@ -37,7 +37,6 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "RoundOutcome",
     "TrainingDiverged",
     "generate_regression_data",
     "run_training",
@@ -52,52 +51,47 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class Dataset:
-    """Per-user feature matrices (with a trailing all-ones bias column) and targets."""
+    """Every user's samples pooled in user order: ``x`` (K, dim) features
+    with a trailing all-ones bias column, ``y`` (K,) targets, and
+    ``sample_counts`` (U,), which splits the K samples into users."""
 
-    features: list          # user i -> (samples_i, dim) array
-    targets: list           # user i -> (samples_i,) array
+    x: np.ndarray
+    y: np.ndarray
+    sample_counts: np.ndarray
 
     def __post_init__(self):
-        if len(self.features) != len(self.targets):
-            raise ValueError("features and targets must have one entry per user")
-        for i, (x, y) in enumerate(zip(self.features, self.targets)):
-            if len(x) != len(y):
-                raise ValueError(f"user {i}: {len(x)} feature rows but {len(y)} targets")
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise ValueError(f"user {i}: non-finite data")
-
-    @property
-    def user_count(self):
-        return len(self.features)
-
-    @property
-    def sample_counts(self):
-        return np.array([len(y) for y in self.targets])
+        self.x = np.asarray(self.x, dtype=float)
+        self.y = np.asarray(self.y, dtype=float)
+        self.sample_counts = np.asarray(self.sample_counts, dtype=int)
+        if len(self.x) != len(self.y):
+            raise ValueError(f"{len(self.x)} feature rows but {len(self.y)} targets")
+        if np.any(self.sample_counts < 1):
+            raise ValueError("every user needs at least one sample")
+        if self.sample_counts.sum() != len(self.y):
+            raise ValueError(
+                f"sample_counts sum to {self.sample_counts.sum()}, not the {len(self.y)} samples"
+            )
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+            raise ValueError("non-finite data")
 
     @property
     def total_samples(self):
-        return int(sum(len(y) for y in self.targets))
-
-    def pooled(self):
-        """All samples stacked: (X, y) over every user."""
-        return np.vstack(self.features), np.concatenate(self.targets)
+        return len(self.y)
 
 
 def generate_regression_data(rng, sample_counts, slope=-2.0, intercept=1.0, noise_std=0.4):
     """Draw each user's samples from y = slope*x + intercept + noise_std*n,
-    with x uniform on [0, 1] and n standard normal.
+    with x uniform on [0, 1] and n standard normal: user by user, its x and
+    then its noise.
 
     Features carry an appended constant-1 bias column, so a model vector is
     (slope, intercept).
     """
-    features, targets = [], []
-    for count in sample_counts:
-        x = rng.random(int(count))
-        noise = rng.standard_normal(int(count))
-        y = slope * x + intercept + noise_std * noise
-        features.append(np.column_stack([x, np.ones_like(x)]))
-        targets.append(y)
-    return Dataset(features, targets)
+    draws = [(rng.random(int(count)), rng.standard_normal(int(count)))
+             for count in sample_counts]
+    x, noise = (np.concatenate(parts) for parts in zip(*draws))
+    y = slope * x + intercept + noise_std * noise
+    return Dataset(np.column_stack([x, np.ones_like(x)]), y, sample_counts)
 
 
 def _predict(columns, model):
@@ -122,8 +116,7 @@ def _mean_loss(residual):
 
 def global_loss(dataset, model):
     """Mean loss over the pooled data: (1/K) sum_i sum_k f(w, x_ik, y_ik)."""
-    x, y = dataset.pooled()
-    return float(_mean_loss(_predict(x.T, np.asarray(model, dtype=float)) - y))
+    return float(_mean_loss(_predict(dataset.x.T, np.asarray(model, dtype=float)) - dataset.y))
 
 
 def _gram(x):
@@ -140,19 +133,9 @@ def _gram(x):
 def least_squares_model(dataset):
     """Closed-form minimizer of the pooled loss via the normal equations,
     built from fixed-order sums like the curvature constants."""
-    x, y = dataset.pooled()
-    moment = np.array([np.sum(x[:, a] * y) for a in range(x.shape[1])])
+    x = dataset.x
+    moment = np.array([np.sum(x[:, a] * dataset.y) for a in range(x.shape[1])])
     return np.linalg.solve(_gram(x), moment)
-
-
-@dataclass
-class RoundOutcome:
-    """State after one training round (step 0 is the initial model)."""
-
-    step: int
-    delivered: np.ndarray    # (U,) bool; always False for unselected users
-    global_model: np.ndarray
-    loss: float
 
 
 def _delivery_draws(error_rates, rounds, rng):
@@ -242,25 +225,21 @@ def _train_cells(features, targets, sample_counts, selections, learning_rates,
 
 
 def run_training(dataset, decision, learning_rate, rounds, rng, initial_model=None):
-    """Run the full loop for a fixed allocation; returns one outcome per step.
+    """Run the full loop for a fixed allocation: the one-cell form of
+    ``_train_cells``.
 
-    The trajectory (including step 0) is fully determined by the dataset,
-    the allocation, the learning rate, and the generator state; it is one
-    cell of ``_train_cells``.  Aborts with TrainingDiverged if the loss stops
-    being finite.
+    Returns losses (T+1,), global models (T+1, dim) and delivered (T, U);
+    step 0 is the initial model.  The trajectory is fully determined by the
+    dataset, the allocation, the learning rate, and the generator state.
+    Aborts with TrainingDiverged if the loss stops being finite.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    x, y = dataset.pooled()
     if initial_model is None:
-        initial_model = np.zeros(x.shape[1])
+        initial_model = np.zeros(dataset.x.shape[1])
     delivery = _delivery_draws(decision.error_rate, rounds, rng)
     losses, models, delivered = _train_cells(
-        x, y, dataset.sample_counts, [decision.selection], [learning_rate],
+        dataset.x, dataset.y, dataset.sample_counts, [decision.selection], [learning_rate],
         delivery[None], initial_model,
     )
-    delivered = np.concatenate([np.zeros((1, dataset.user_count), dtype=bool), delivered[0]])
-    return [
-        RoundOutcome(step=step, delivered=delivered[step], global_model=models[0, step], loss=loss)
-        for step, loss in enumerate(losses[0].tolist())
-    ]
+    return losses[0], models[0], delivered[0]

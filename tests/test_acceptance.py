@@ -92,18 +92,18 @@ def test_criterion_02_optimal_power():
         params = NetworkParams(uplink_interference_w=(interference,) * 12)
         user = UserProfile(distance_m=distance, sample_count=int(rng.integers(1, 13)))
         rb = int(rng.integers(0, 12))
-        opt = optimal_power(user, rb, params, QUAD)
+        power = optimal_power(user, rb, params, QUAD)
         energies = user_energy(user, rb, grid, params, QUAD)
         feasible = grid[energies <= params.energy_budget_j]
-        if not opt.feasible_energy:
+        if power == 0:
             assert feasible.size == 0
             continue
         checked += 1
-        energy_at_star = user_energy(user, rb, opt.power_w, params, QUAD)
+        energy_at_star = user_energy(user, rb, power, params, QUAD)
         assert energy_at_star <= params.energy_budget_j + 1e-9
         assert feasible.size > 0
-        assert abs(opt.power_w - feasible.max()) <= step
-        q_star = packet_error_rate(user, rb, opt.power_w, params, QUAD)
+        assert abs(power - feasible.max()) <= step
+        q_star = packet_error_rate(user, rb, power, params, QUAD)
         q_grid = packet_error_rate(user, rb, feasible, params, QUAD)
         assert np.all(q_star <= q_grid + 1e-15)
     elapsed = time.perf_counter() - start
@@ -171,18 +171,17 @@ def test_criterion_04_bound_dominance():
         for seed in range(100)
     ]
     g_star = least_squares_model(dataset)
-    mean_excess = empirical_gap(
-        [[o.loss for o in run] for run in trajectories], g_star, dataset
-    )
+    losses = np.array([losses for losses, _, _ in trajectories])
+    mean_excess = empirical_gap(losses, g_star, dataset)
     assert np.all(mean_excess >= -1e-15)
 
-    models = np.vstack([[o.global_model for o in run] for run in trajectories])
+    models = np.vstack([models for _, models, _ in trajectories])
     counts = dataset.sample_counts
     error_sum = wireless_error_sum(decision.selection, decision.error_rate, counts)
     fit = fit_gradient_bound(dataset, models, error_sum=error_sum, curv=curv)
     factor = contraction_factor(decision.selection, decision.error_rate, counts, curv, fit.slope)
     assert factor < 1.0
-    initial_gap = trajectories[0][0].loss - global_loss(dataset, g_star)
+    initial_gap = losses[0, 0] - global_loss(dataset, g_star)
     steps = np.arange(rounds + 1)
     bound = excess_loss_bound(
         steps, factor, fit.intercept, curv,
@@ -211,9 +210,9 @@ def test_criterion_05_error_free_contraction():
     curv = curvature(dataset)
     lr = 1.0 / curv.lipschitz_l
     decision = manual_decision(np.ones(15), np.zeros(15))
-    outcomes = run_training(dataset, decision, lr, 200, np.random.default_rng(0))
+    losses = run_training(dataset, decision, lr, 200, np.random.default_rng(0))[0]
     optimal = global_loss(dataset, least_squares_model(dataset))
-    excess = np.array([o.loss for o in outcomes]) - optimal
+    excess = losses - optimal
     factor = 1.0 - curv.strong_convexity_mu / curv.lipschitz_l
     ratios = excess[1:] / excess[:-1]
     assert np.all(ratios <= factor + 1e-10)
@@ -239,10 +238,10 @@ def test_criterion_06_algorithm_ordering():
             "baseline_c": baseline_min_sum_per(edges),
         }
         for name, decision in decisions.items():
-            outcomes = run_training(
+            losses = run_training(
                 dataset, decision, lr, config.rounds, np.random.default_rng([seed, 3])
-            )
-            finals[name].append(outcomes[-1].loss)
+            )[0]
+            finals[name].append(losses[-1])
 
     means = {name: float(np.mean(vals)) for name, vals in finals.items()}
     variances = {name: float(np.var(vals, ddof=1)) for name, vals in finals.items()}

@@ -12,7 +12,6 @@ from fedwireless import assignment, bounds, phy
 from fedwireless.assignment import (
     AllocationDecision,
     EdgeWeightMatrix,
-    OptimalPower,
     baseline_min_sum_per,
     baseline_optselect_randomrb,
     baseline_random_all,
@@ -55,14 +54,13 @@ def user_at(distance, samples=12, **kwargs):
 class TestOptimalPower:
     def test_loose_budget_gives_max_power(self):
         params = NetworkParams(energy_budget_j=1e6)
-        opt = optimal_power(user_at(300.0), 0, params, QUAD)
-        assert opt.power_w == params.max_user_power_w
-        assert opt.feasible_energy is True
+        power = optimal_power(user_at(300.0), 0, params, QUAD)
+        assert isinstance(power, float) and power == params.max_user_power_w
 
     def test_training_energy_consuming_whole_budget(self):
         user = user_at(100.0)
         params = NetworkParams(energy_budget_j=training_energy(user))
-        assert optimal_power(user, 0, params, QUAD).feasible_energy is False
+        assert optimal_power(user, 0, params, QUAD) == 0.0
 
     def test_matches_grid_search(self):
         # 10^4-point grid oracle: P* within one grid step of the best grid power.
@@ -73,21 +71,21 @@ class TestOptimalPower:
         for _ in range(10):
             user = user_at(float(rng.uniform(50, 500)))
             rb = int(rng.integers(0, 12))
-            opt = optimal_power(user, rb, params, QUAD)
+            power = optimal_power(user, rb, params, QUAD)
             energies = user_energy(user, rb, grid, params, QUAD)
             feasible = grid[energies <= params.energy_budget_j]
-            if not opt.feasible_energy:
+            if power == 0:
                 assert feasible.size == 0
                 continue
             assert feasible.size > 0
-            assert abs(opt.power_w - feasible.max()) <= step
+            assert abs(power - feasible.max()) <= step
 
     def test_energy_at_returned_power_within_budget(self):
         params = NetworkParams(uplink_interference_w=(8e-8,) * 12)
         for d in (100.0, 300.0, 500.0):
-            opt = optimal_power(user_at(d), 0, params, QUAD)
-            if opt.feasible_energy:
-                e = user_energy(user_at(d), 0, opt.power_w, params, QUAD)
+            power = optimal_power(user_at(d), 0, params, QUAD)
+            if power > 0:
+                e = user_energy(user_at(d), 0, power, params, QUAD)
                 assert e <= params.energy_budget_j + 1e-9
 
 
@@ -391,13 +389,12 @@ def assert_build_matches_scalar_calls(fexp):
     for i, user in enumerate(users):
         down = downlink_delay(user, params, fexp)
         for n in range(params.rb_count):
-            opt = optimal_power(user, n, params, fexp)
-            p = opt.power_w
+            p = optimal_power(user, n, params, fexp)
             assert p == reference_optimal_power(user, n, params, fexp)
             if not edges.feasible[i, n]:
                 assert (edges.weights[i, n], edges.power_w[i, n], edges.error_rate[i, n],
                         edges.delay_s[i, n], edges.energy_j[i, n]) == (0.0, 0.0, 1.0, np.inf, np.inf)
-                assert not opt.feasible_energy or (
+                assert p == 0 or (
                     uplink_delay(user, n, p, params, fexp) + down > params.delay_budget_s
                     or user_energy(user, n, p, params, fexp) > params.energy_budget_j
                 )
@@ -505,8 +502,8 @@ class TestEdgeWeight:
         params = NetworkParams()
         user = user_at(100.0, samples=12)
         got = one_user_edge(user, params, QUAD)["weights"]
-        opt = optimal_power(user, 0, params, QUAD)
-        q_mc = packet_error_rate(user, 0, opt.power_w, params, mc)
+        power = optimal_power(user, 0, params, QUAD)
+        q_mc = packet_error_rate(user, 0, power, params, mc)
         assert got == pytest.approx(12.0 * (q_mc - 1.0), abs=12e-3)
 
     def test_build_matches_scalar_op(self):
@@ -524,12 +521,12 @@ class TestEdgeWeight:
         on = NetworkParams(energy_budget_j=budget)
         edge = one_user_edge(user, on, QUAD)
         assert edge["feasible"] and edge["power_w"] == p_max
-        assert optimal_power(user, 0, on, QUAD) == OptimalPower(p_max, True)
+        assert optimal_power(user, 0, on, QUAD) == p_max
         below = NetworkParams(energy_budget_j=float(np.nextafter(budget, 0.0)))
-        opt = optimal_power(user, 0, below, QUAD)
-        assert opt.feasible_energy and 0 < opt.power_w < p_max
-        assert user_energy(user, 0, opt.power_w, below, QUAD) <= below.energy_budget_j
-        assert one_user_edge(user, below, QUAD)["power_w"] == opt.power_w
+        power = optimal_power(user, 0, below, QUAD)
+        assert 0 < power < p_max
+        assert user_energy(user, 0, power, below, QUAD) <= below.energy_budget_j
+        assert one_user_edge(user, below, QUAD)["power_w"] == power
 
     def test_weights_bounded_by_sample_count(self):
         users, params = table_topology(seed=9)
@@ -802,12 +799,12 @@ class TestPowerOptimality:
         for _ in range(10):
             user = user_at(float(rng.uniform(50, 500)))
             rb = int(rng.integers(0, 12))
-            opt = optimal_power(user, rb, params, QUAD)
-            if not opt.feasible_energy:
+            power = optimal_power(user, rb, params, QUAD)
+            if power == 0:
                 continue
             energies = user_energy(user, rb, grid, params, QUAD)
             feasible = grid[energies <= params.energy_budget_j]
-            q_star = packet_error_rate(user, rb, opt.power_w, params, QUAD)
+            q_star = packet_error_rate(user, rb, power, params, QUAD)
             q_grid = packet_error_rate(user, rb, feasible, params, QUAD)
             assert np.all(q_star <= q_grid + 1e-15)
 

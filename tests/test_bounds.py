@@ -47,23 +47,20 @@ def make_dataset(seed=7, counts=TABLE_COUNTS):
 class TestCurvature:
     def test_identity_hessian(self):
         root2 = math.sqrt(2.0)
-        ds = Dataset(
-            [np.array([[root2, 0.0], [0.0, root2]])], [np.zeros(2)]
-        )
+        ds = Dataset(np.array([[root2, 0.0], [0.0, root2]]), np.zeros(2), [2])
         curv = curvature(ds)
         assert curv.lipschitz_l == pytest.approx(1.0, rel=1e-12)
         assert curv.strong_convexity_mu == pytest.approx(1.0, rel=1e-12)
 
     def test_rank_deficiency_rejected(self):
-        ds = Dataset([np.array([[1.0, 1.0], [2.0, 2.0]])], [np.zeros(2)])
+        ds = Dataset(np.array([[1.0, 1.0], [2.0, 2.0]]), np.zeros(2), [2])
         with pytest.raises(ValueError, match="rank deficient"):
             curvature(ds)
 
     def test_matches_power_iteration(self):
         ds = make_dataset()
         curv = curvature(ds)
-        x, _ = ds.pooled()
-        hessian = x.T @ x / ds.total_samples
+        hessian = ds.x.T @ ds.x / ds.total_samples
         v = np.ones(2) / math.sqrt(2.0)
         for _ in range(10_000):
             v = hessian @ v
@@ -111,7 +108,7 @@ class TestFitZeta:
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_all_gradients_zero(self):
-        ds = Dataset([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
+        ds = Dataset(np.eye(2), np.zeros(2), [2])
         fit = fit_gradient_bound(ds, np.zeros((3, 2)), error_sum=0.0, curv=curvature(ds))
         assert fit.intercept == 0.0
         assert fit.slope == 0.0
@@ -120,7 +117,7 @@ class TestFitZeta:
         ds = make_dataset()
         models = np.array([[0.0, 0.0], [-1.0, 0.5], [-2.0, 1.0]])
         fit = fit_gradient_bound(ds, models, error_sum=0.0, curv=curvature(ds))
-        x, y = ds.pooled()
+        x, y = ds.x, ds.y
         expected = 0.0
         for g in models:
             residual = x @ g - y
@@ -131,14 +128,13 @@ class TestFitZeta:
     def test_pointwise_inequality_re_scan(self):
         ds = make_dataset()
         decision = manual_decision(np.ones(15), np.full(15, 0.2))
-        outcomes = run_training(ds, decision, 0.4, 60, np.random.default_rng(5))
-        models = np.array([o.global_model for o in outcomes])
+        models = run_training(ds, decision, 0.4, 60, np.random.default_rng(5))[1]
         curv = curvature(ds)
         error_sum = wireless_error_sum(np.ones(15), np.full(15, 0.2), ds.sample_counts)
         fit = fit_gradient_bound(ds, models, error_sum=error_sum, curv=curv)
         assert check_gradient_bound(ds, models, fit)
         # independent scan: every sample at every point obeys the inequality
-        x, y = ds.pooled()
+        x, y = ds.x, ds.y
         for g in models:
             residual = x @ g - y
             per_sample = residual**2 * np.sum(x * x, axis=1)
@@ -149,10 +145,7 @@ class TestFitZeta:
     def test_contextual_fit_minimizes_gap(self):
         ds = make_dataset()
         decision = manual_decision(np.ones(15), np.full(15, 0.3))
-        outcomes = run_training(
-            ds, decision, 0.4, 40, np.random.default_rng(6)
-        )
-        models = np.array([o.global_model for o in outcomes])
+        models = run_training(ds, decision, 0.4, 40, np.random.default_rng(6))[1]
         curv = curvature(ds)
         error_sum = wireless_error_sum(np.ones(15), np.full(15, 0.3), ds.sample_counts)
         fit = fit_gradient_bound(ds, models, error_sum=error_sum, curv=curv)
@@ -175,22 +168,20 @@ class TestFitZeta:
             config = load_config(REFERENCE)
             users, ds = build_topology(config, config.seeds[0])
             decision = hungarian_assign(build_edge_weights(users, config.network, config.fading))
-            outcomes = run_training(
+            models = run_training(
                 ds, decision, resolve_learning_rate(config, ds), 60, np.random.default_rng(3)
-            )
-            models = np.array([o.global_model for o in outcomes])
+            )[1]
             selection, q = decision.selection, decision.error_rate
         elif case == "interior_minimum":
             # Three samples: the global gradient is large against the
             # per-sample ones, so a slope inside the grid wins.
             ds = Dataset(
-                [np.array([[1.0, 0.2], [0.3, 1.0]]), np.array([[1.0, 1.0]])],
-                [np.array([1.0, -1.0]), np.array([0.5])],
+                np.array([[1.0, 0.2], [0.3, 1.0], [1.0, 1.0]]), np.array([1.0, -1.0, 0.5]), [2, 1]
             )
             models = least_squares_model(ds) + 0.8 ** np.arange(40)[:, None]
             selection, q = np.ones(2), np.full(2, 0.1)
         else:
-            ds = Dataset([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
+            ds = Dataset(np.eye(2), np.zeros(2), [2])
             models = np.zeros((3, 2))
             selection, q = np.ones(1), np.full(1, 0.3)
         counts, curv = ds.sample_counts, curvature(ds)
@@ -401,31 +392,29 @@ class TestEmpiricalGap:
     def test_single_run_equals_excess_loss(self):
         ds = make_dataset()
         decision = manual_decision(np.ones(15), np.zeros(15))
-        outcomes = run_training(ds, decision, 0.5, 30, np.random.default_rng(2))
+        losses = run_training(ds, decision, 0.5, 30, np.random.default_rng(2))[0]
         g_star = least_squares_model(ds)
-        gap = empirical_gap([[o.loss for o in outcomes]], g_star, ds)
+        gap = empirical_gap([losses], g_star, ds)
         optimal = global_loss(ds, g_star)
-        expected = np.array([o.loss for o in outcomes]) - optimal
+        expected = losses - optimal
         assert np.allclose(gap, expected, rtol=0, atol=0)
 
     def test_certain_errors_freeze_the_gap(self):
         ds = make_dataset()
         decision = manual_decision(np.ones(15), np.ones(15))
-        runs = [
-            run_training(ds, decision, 0.5, 10, np.random.default_rng(seed))
+        losses = np.array([
+            run_training(ds, decision, 0.5, 10, np.random.default_rng(seed))[0]
             for seed in range(3)
-        ]
+        ])
         g_star = least_squares_model(ds)
-        gap = empirical_gap([[o.loss for o in run] for run in runs], g_star, ds)
-        initial = runs[0][0].loss - global_loss(ds, g_star)
+        gap = empirical_gap(losses, g_star, ds)
+        initial = losses[0, 0] - global_loss(ds, g_star)
         assert np.allclose(gap, initial, rtol=1e-12)
 
     def test_requires_equal_lengths(self):
         ds = make_dataset()
         decision = manual_decision(np.ones(15), np.zeros(15))
-        a = run_training(ds, decision, 0.5, 5, np.random.default_rng(0))
-        b = run_training(ds, decision, 0.5, 6, np.random.default_rng(0))
+        a = run_training(ds, decision, 0.5, 5, np.random.default_rng(0))[0]
+        b = run_training(ds, decision, 0.5, 6, np.random.default_rng(0))[0]
         with pytest.raises(ValueError):
-            empirical_gap(
-                [[o.loss for o in a], [o.loss for o in b]], least_squares_model(ds), ds
-            )
+            empirical_gap([a, b], least_squares_model(ds), ds)

@@ -1,6 +1,7 @@
 """Configuration parsing, defaults, validation, and round-trip tests."""
 
 import configparser
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -188,6 +189,35 @@ class TestValidation:
     def test_bad_value_fails_at_load(self, section, key, raw, message):
         with pytest.raises(ConfigError, match=message):
             loads_config(f"[{section}]\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("section, key", [
+        ("network", "rb_bandwidth_hz"),
+        ("network", "downlink_bandwidth_hz"),
+        ("network", "noise_density_w_per_hz"),
+        ("network", "bs_power_w"),
+        ("network", "max_user_power_w"),
+        ("network", "waterfall_threshold"),
+        ("network", "pathloss_exponent"),
+        ("users", "cell_radius_m"),
+        ("users", "fading_scale"),
+        ("users", "payload_bits"),
+        ("users", "cpu_cycles_per_bit"),
+        ("users", "cpu_freq_hz"),
+        ("users", "energy_coeff"),
+    ])
+    def test_infinite_constant_names_its_key(self, section, key):
+        with pytest.raises(ConfigError, match=rf"\b{key} must be .*finite, got inf"):
+            loads_config(f"[{section}]\n{key} = inf\n")
+
+    def test_infinite_budgets_mean_no_budget(self, tmp_path):
+        path = tmp_path / "unbudgeted.cfg"
+        path.write_text(
+            "[network]\ndelay_budget_s = inf\nenergy_budget_j = inf\n"
+            "[users]\ncount = 4\n[training]\nrounds = 3\n[experiment]\nseeds = 1\n"
+        )
+        network = load_config(path).network
+        assert network.delay_budget_s == network.energy_budget_j == math.inf
+        assert cli.main(["simulate", str(path), "--outdir", str(tmp_path / "out")]) == 0
 
     def test_negative_fading_seed_rejected_with_monte_carlo(self):
         with pytest.raises(ConfigError, match="fading: seed must be >= 0 with method"):

@@ -18,7 +18,7 @@ import pytest
 import fedwireless
 from fedwireless import cli
 from fedwireless.assignment import AllocationDecision, verify_allocation
-from fedwireless.config import load_config, loads_config, save_config
+from fedwireless.config import load_config, loads_config
 from fedwireless.harness import (
     CSV_HEADER,
     RunRecord,
@@ -726,6 +726,13 @@ class TestCli:
 
     def test_validate_passes_on_reference(self, tmp_path):
         assert cli.main(["validate", str(REFERENCE)]) == 0
+
+    def test_validate_passes_with_fewer_than_five_rbs(self, tmp_path, capsys):
+        # The 5 x 5 matching check cycles the 3 RBs' interference.
+        cfg = tmp_path / "three_rbs.cfg"
+        cfg.write_text("[network]\nrb_count = 3\nuplink_interference_w = 1e-9 2e-9 3e-9\n")
+        assert cli.main(["validate", str(cfg)]) == 0
+        assert "PASS  matching optimality (5 users, 5 RBs)" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "broken.cfg"

@@ -108,15 +108,15 @@ def sequential_training(dataset, decision, learning_rate, rounds, rng, initial_m
     """The per-round loop: (losses, models, delivered) of one cell."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    n_users = dataset.user_count
-    dim = dataset.features[0].shape[1]
+    n_users = len(dataset.sample_counts)
+    dim = dataset.x.shape[1]
     selection = np.asarray(decision.selection)
     error_rates = np.asarray(decision.error_rate, dtype=float)
 
-    # Pooled views let each round run as one prediction plus a segment
+    # The pooled samples let each round run as one prediction plus a segment
     # reduction.  The residual behind round t's loss is the one round t+1's
     # gradient needs, so each round predicts once.
-    x_pool, y_pool = dataset.pooled()
+    x_pool, y_pool = dataset.x, dataset.y
     counts = dataset.sample_counts
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
 
@@ -187,8 +187,7 @@ def kernel_aggregate(points, sample_counts, arrived, previous=(0.0, 0.0)):
 class TestDataGeneration:
     def test_noiseless_points_on_the_line(self):
         ds = generate_regression_data(np.random.default_rng(0), [5, 3], noise_std=0.0)
-        for x, y in zip(ds.features, ds.targets):
-            assert np.allclose(x @ np.array([-2.0, 1.0]), y, atol=1e-14)
+        assert np.allclose(ds.x @ np.array([-2.0, 1.0]), ds.y, atol=1e-14)
 
     def test_cycled_sample_counts_total(self):
         ds = generate_regression_data(np.random.default_rng(0), TABLE_COUNTS)
@@ -198,31 +197,53 @@ class TestDataGeneration:
     def test_target_mean_matches_theory(self):
         # E[y] = -2*0.5 + 1 = 0; std(y) = sqrt(4/12 + 0.16) ~ 0.702
         ds = generate_regression_data(np.random.default_rng(123), [10**6])
-        mean = float(np.mean(ds.targets[0]))
+        mean = float(np.mean(ds.y))
         assert abs(mean) < 3 * 0.703 / 1e3
 
     def test_bias_column_appended(self):
         ds = generate_regression_data(np.random.default_rng(1), [4])
-        assert np.all(ds.features[0][:, 1] == 1.0)
-        assert np.all((0 <= ds.features[0][:, 0]) & (ds.features[0][:, 0] <= 1))
+        assert np.all(ds.x[:, 1] == 1.0)
+        assert np.all((0 <= ds.x[:, 0]) & (ds.x[:, 0] <= 1))
 
     def test_seed_determinism(self):
         a = generate_regression_data(np.random.default_rng(9), [6, 6])
         b = generate_regression_data(np.random.default_rng(9), [6, 6])
-        for xa, xb in zip(a.features, b.features):
-            assert np.array_equal(xa, xb)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+    def test_draws_each_user_x_then_noise(self):
+        # Oracle: user by user from one generator, its x and then its noise.
+        counts, slope, intercept, noise_std = [4, 1, 3], -2.0, 1.0, 0.4
+        rng = np.random.default_rng(12)
+        xs, ys = [], []
+        for count in counts:
+            x = rng.random(count)
+            noise = rng.standard_normal(count)
+            xs.append(x)
+            ys.append(slope * x + intercept + noise_std * noise)
+        ds = generate_regression_data(np.random.default_rng(12), counts)
+        assert np.array_equal(bits(ds.x[:, 0]), bits(np.concatenate(xs)))
+        assert np.array_equal(bits(ds.y), bits(np.concatenate(ys)))
+        assert np.array_equal(ds.x[:, 1], np.ones(8))
+        assert ds.sample_counts.tolist() == counts
 
     def test_dataset_validation(self):
-        with pytest.raises(ValueError):
-            Dataset([np.ones((3, 2))], [np.ones(2)])
-        with pytest.raises(ValueError):
-            Dataset([np.array([[np.inf, 1.0]])], [np.ones(1)])
+        x, y = np.ones((3, 2)), np.ones(3)
+        with pytest.raises(ValueError, match="sum to 4"):
+            Dataset(x, y, [2, 2])
+        with pytest.raises(ValueError, match="at least one sample"):
+            Dataset(x, y, [3, 0])
+        with pytest.raises(ValueError, match="3 feature rows but 2 targets"):
+            Dataset(x, np.ones(2), [3])
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(np.array([[np.inf, 1.0]]), np.ones(1), [1])
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(np.ones((1, 2)), np.array([np.nan]), [1])
 
 
 class TestLossAndGradient:
     def test_true_model_on_noiseless_data(self):
         ds = generate_regression_data(np.random.default_rng(2), [8], noise_std=0.0)
-        loss, grad = kernel_loss_and_gradient(np.array([-2.0, 1.0]), ds.features[0], ds.targets[0])
+        loss, grad = kernel_loss_and_gradient(np.array([-2.0, 1.0]), ds.x, ds.y)
         assert loss == pytest.approx(0.0, abs=1e-25)
         assert np.allclose(grad, 0.0, atol=1e-12)
 
@@ -236,7 +257,7 @@ class TestLossAndGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         ds = generate_regression_data(rng, [7])
-        x, y = ds.features[0], ds.targets[0]
+        x, y = ds.x, ds.y
         w = rng.standard_normal(2)
         _, grad = kernel_loss_and_gradient(w, x, y)
         assert grad == pytest.approx(local_loss_and_gradient(w, x, y)[1], rel=1e-12)
@@ -258,12 +279,12 @@ class TestLocalUpdate:
     def test_zero_rate_is_identity(self):
         ds = generate_regression_data(np.random.default_rng(4), [5])
         g = np.array([0.3, -0.7])
-        assert np.array_equal(kernel_local_update(g, ds.features[0], ds.targets[0], 0.0), g)
+        assert np.array_equal(kernel_local_update(g, ds.x, ds.y, 0.0), g)
 
     def test_fixed_point_at_optimum_noiseless(self):
         ds = generate_regression_data(np.random.default_rng(5), [9], noise_std=0.0)
         g = np.array([-2.0, 1.0])
-        w = kernel_local_update(g, ds.features[0], ds.targets[0], 0.5)
+        w = kernel_local_update(g, ds.x, ds.y, 0.5)
         assert np.allclose(w, g, atol=1e-12)
 
     def test_hand_computed_step(self):
@@ -280,8 +301,7 @@ def all_flags(n_users, error_rate, selection=None, rounds=20, seed=6):
     ds = generate_regression_data(np.random.default_rng(seed), [3] * n_users)
     selection = np.ones(n_users) if selection is None else np.asarray(selection)
     decision = manual_decision(selection, np.broadcast_to(error_rate, n_users))
-    outcomes = run_training(ds, decision, 0.1, rounds, np.random.default_rng(seed))
-    return np.array([outcome.delivered for outcome in outcomes[1:]])
+    return run_training(ds, decision, 0.1, rounds, np.random.default_rng(seed))[2]
 
 
 class TestTransmit:
@@ -359,28 +379,28 @@ class TestRunTraining:
     def test_zero_rate_single_round_keeps_model(self):
         ds = self.make_dataset()
         decision = manual_decision(np.ones(15), np.zeros(15))
-        outcomes = run_training(ds, decision, 0.0, 1, np.random.default_rng(0))
-        assert np.array_equal(outcomes[1].global_model, outcomes[0].global_model)
+        _, models, _ = run_training(ds, decision, 0.0, 1, np.random.default_rng(0))
+        assert np.array_equal(models[1], models[0])
 
     def test_error_free_contraction(self):
         ds = self.make_dataset()
         curv = curvature(ds)
         lr = 1.0 / curv.lipschitz_l
         decision = manual_decision(np.ones(15), np.zeros(15))
-        outcomes = run_training(ds, decision, lr, 200, np.random.default_rng(1))
+        losses = run_training(ds, decision, lr, 200, np.random.default_rng(1))[0]
         optimal = global_loss(ds, least_squares_model(ds))
-        excess = np.array([o.loss for o in outcomes]) - optimal
+        excess = losses - optimal
         factor = 1.0 - curv.strong_convexity_mu / curv.lipschitz_l
-        assert np.all(np.diff([o.loss for o in outcomes]) <= 1e-15)
+        assert np.all(np.diff(losses) <= 1e-15)
         assert np.all(excess[1:] <= (factor + 1e-10) * excess[:-1])
 
     def test_all_failed_rounds_keep_initial_model(self):
         ds = self.make_dataset()
         decision = manual_decision(np.ones(15), np.ones(15))
-        outcomes = run_training(ds, decision, 0.1, 5, np.random.default_rng(2))
-        for outcome in outcomes:
-            assert np.array_equal(outcome.global_model, outcomes[0].global_model)
-            assert not outcome.delivered.any()
+        _, models, delivered = run_training(ds, decision, 0.1, 5, np.random.default_rng(2))
+        assert models.shape == (6, 2) and delivered.shape == (5, 15)
+        assert np.array_equal(models, np.repeat(models[:1], 6, axis=0))
+        assert not delivered.any()
 
     def test_divergence_aborts_with_diagnostic(self):
         ds = self.make_dataset()
@@ -392,25 +412,22 @@ class TestRunTraining:
         ds = self.make_dataset()
         selection = np.array([1, 0] * 7 + [1])
         decision = manual_decision(selection, np.full(15, 0.2))
-        outcomes = run_training(ds, decision, 0.1, 10, np.random.default_rng(4))
-        for outcome in outcomes[1:]:
-            assert not outcome.delivered[selection == 0].any()
+        delivered = run_training(ds, decision, 0.1, 10, np.random.default_rng(4))[2]
+        assert not delivered[:, selection == 0].any()
 
     def test_seed_determinism_bit_identical(self):
         ds = self.make_dataset()
         decision = manual_decision(np.ones(15), np.full(15, 0.3))
         a = run_training(ds, decision, 0.2, 50, np.random.default_rng([9, 3]))
         b = run_training(ds, decision, 0.2, 50, np.random.default_rng([9, 3]))
-        assert all(x.loss == y.loss for x, y in zip(a, b))
-        assert all(np.array_equal(x.global_model, y.global_model) for x, y in zip(a, b))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_losses_nonnegative_and_bounded_below_by_optimum(self):
         ds = self.make_dataset()
         decision = manual_decision(np.ones(15), np.full(15, 0.25))
-        outcomes = run_training(ds, decision, 0.3, 80, np.random.default_rng(5))
+        losses = run_training(ds, decision, 0.3, 80, np.random.default_rng(5))[0]
         optimal = global_loss(ds, least_squares_model(ds))
-        for outcome in outcomes:
-            assert outcome.loss >= optimal > 0
+        assert optimal > 0 and np.all(losses >= optimal)
 
     def test_golden_trajectory(self):
         # First-run golden capture: reference topology data, fixed delivery seed.
@@ -419,12 +436,26 @@ class TestRunTraining:
         decision = manual_decision(
             np.array([1] * 12 + [0] * 3), np.full(15, 0.1), n_rbs=12
         )
-        outcomes = run_training(
+        losses = run_training(
             ds, decision, 1.0 / curv.lipschitz_l, 100, np.random.default_rng([7, 3])
+        )[0]
+        assert losses[0] == pytest.approx(GOLDEN_LOSS0, rel=1e-12)
+        assert losses[1] == pytest.approx(GOLDEN_LOSS1, rel=1e-12)
+        assert losses[-1] == pytest.approx(GOLDEN_LOSS100, rel=1e-12)
+
+    def test_equals_the_one_cell_kernel_slice(self):
+        ds = self.make_dataset()
+        decision = manual_decision(np.array([1, 0] * 7 + [1]), np.full(15, 0.3))
+        initial_model = np.array([0.5, -0.25])
+        result = run_training(ds, decision, 0.3, 40, np.random.default_rng(6), initial_model)
+        expected = _train_cells(
+            ds.x, ds.y, ds.sample_counts, [decision.selection], [0.3],
+            _delivery_draws(decision.error_rate, 40, np.random.default_rng(6))[None],
+            initial_model,
         )
-        assert outcomes[0].loss == pytest.approx(GOLDEN_LOSS0, rel=1e-12)
-        assert outcomes[1].loss == pytest.approx(GOLDEN_LOSS1, rel=1e-12)
-        assert outcomes[-1].loss == pytest.approx(GOLDEN_LOSS100, rel=1e-12)
+        for got, want in zip(result, expected):
+            assert got.shape == want.shape[1:]
+            assert got.tobytes() == want[0].tobytes()
 
 
 GOLDEN_LOSS0 = 0.24780992434682542
@@ -442,9 +473,9 @@ def assert_cells_match_oracle(cells, rounds, shared=True, initial_model=(0.25, -
     generators' end states must agree bit for bit."""
     initial_model = np.array(initial_model)
     rngs = [np.random.default_rng([seed, 3]) for *_, seed in cells]
-    pooled = [dataset.pooled() for dataset, *_ in cells]
-    features = pooled[0][0] if shared else np.stack([x for x, _ in pooled])
-    targets = pooled[0][1] if shared else np.stack([y for _, y in pooled])
+    datasets = [dataset for dataset, *_ in cells]
+    features = datasets[0].x if shared else np.stack([dataset.x for dataset in datasets])
+    targets = datasets[0].y if shared else np.stack([dataset.y for dataset in datasets])
     losses, models, delivered = _train_cells(
         features, targets, cells[0][0].sample_counts,
         [decision.selection for _, decision, *_ in cells], [lr for _, _, lr, _ in cells],
@@ -521,9 +552,8 @@ class TestTrainCells:
             for seed, lr in enumerate(rates):
                 sequential_training(ds, decision, lr, 400, np.random.default_rng([seed, 3]))
         with pytest.raises(TrainingDiverged) as batched:
-            x, y = ds.pooled()
             _train_cells(
-                x, y, ds.sample_counts, [decision.selection] * 3, rates,
+                ds.x, ds.y, ds.sample_counts, [decision.selection] * 3, rates,
                 np.stack([
                     _delivery_draws(decision.error_rate, 400, np.random.default_rng([seed, 3]))
                     for seed in range(3)
@@ -542,8 +572,8 @@ WIDE_COUNTS = [12, 10, 9, 4, 2, 11] * 3
 
 
 def with_columns(dataset, build):
-    """The dataset with each user's (x, 1) features replaced by build(x)."""
-    return Dataset([build(x[:, 0]) for x in dataset.features], dataset.targets)
+    """The dataset with its (x, 1) features replaced by build(x)."""
+    return Dataset(build(dataset.x[:, 0]), dataset.y, dataset.sample_counts)
 
 
 class TestFeatureMajorLayout:
@@ -552,7 +582,7 @@ class TestFeatureMajorLayout:
 
     def cells(self, dataset, count, seed=21):
         rng = np.random.default_rng(seed)
-        n_users = dataset.user_count
+        n_users = len(dataset.sample_counts)
         return [
             (dataset, manual_decision((rng.random(n_users) < 0.8).astype(int),
                                       rng.random(n_users) * 0.4), lr, b)
@@ -583,7 +613,7 @@ class TestFeatureMajorLayout:
         cells = self.cells(ds, 1)
         assert_cells_match_oracle(cells, 20, initial_model=[0.25, -0.0, -0.5])
         _, models, _ = _train_cells(
-            *ds.pooled(), ds.sample_counts, [cells[0][1].selection], [0.3],
-            np.ones((1, 20, ds.user_count), dtype=bool), [0.25, -0.0, -0.5],
+            ds.x, ds.y, ds.sample_counts, [cells[0][1].selection], [0.3],
+            np.ones((1, 20, len(ds.sample_counts)), dtype=bool), [0.25, -0.0, -0.5],
         )
         assert np.signbit(models[0, 0, 1]) and not np.signbit(models[0, 1:, 1]).any()
