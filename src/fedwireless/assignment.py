@@ -32,9 +32,12 @@ __all__ = [
 ]
 
 _BISECT_ITERS = 200
+# Cap on the root estimate's Newton passes per edge (most edges stop after 4-6).
+_NEWTON_PASSES = 8
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _bisect(lo, hi, columns, below_root):
+def _bisect(lo, hi, columns, below_root, band=None):
     """Lock-step bisection of many edges for a predicate that holds below
     each edge's root and fails above it.
 
@@ -49,11 +52,32 @@ def _bisect(lo, hi, columns, below_root):
     edge's path depends on its own values alone, so it gets the bits of a
     search on its own.  Returns the final (lo, hi) and whether the
     predicate held at the initial lo and at the initial hi.
+
+    ``band(lo, hi, *columns)``, if given, is called first and returns a
+    per-edge certified band (a, b): the predicate provably holds at every
+    x <= a and fails at every x >= b (see ``_certified_band``).  A probe or
+    mid outside (a, b) is answered from the band without an evaluation;
+    only points inside it are evaluated, so the path, and every bit
+    returned, is that of the search without a band.  An edge whose band is
+    (-inf, inf) evaluates every point, as the search without a band does.
     """
-    holds_lo, holds_hi = below_root(lo, *columns), below_root(hi, *columns)
+    every = np.arange(lo.size)
+    if band is None:
+        a, b = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
+    else:
+        a, b = band(lo, hi, *columns)
+
+    def evaluate(x, index):
+        holds = x <= a[index]
+        inside = np.flatnonzero(~holds & (x < b[index]))
+        if inside.size or band is None:
+            holds[inside] = below_root(x[inside], *(column[index[inside]] for column in columns))
+        return holds
+
+    holds_lo, holds_hi = evaluate(lo, every), evaluate(hi, every)
     lo = np.where(holds_hi, hi, lo)
     hi = np.where(holds_lo, hi, lo)
-    active = np.arange(lo.size)
+    active = every
     for _ in range(_BISECT_ITERS):
         a_lo, a_hi = lo[active], hi[active]
         mid = 0.5 * (a_lo + a_hi)
@@ -61,26 +85,142 @@ def _bisect(lo, hi, columns, below_root):
         active, mid = active[moving], mid[moving]
         if not active.size:
             break
-        up = below_root(mid, *(column[active] for column in columns))
+        up = evaluate(mid, active)
         lo[active[up]] = mid[up]
         hi[active[~up]] = mid[~up]
     return lo, hi, holds_lo, holds_hi
 
 
+def _certified_band(lo, hi, columns, excess, newton):
+    """The certified band of ``_bisect`` for a predicate excess(x) <= 0 (or
+    < 0) whose exact excess is increasing in x.
+
+    ``excess(x, *columns)`` returns the predicate's own computed excess
+    (quantity minus limit) and a bound eps on its rounding error;
+    ``newton(x, *columns)`` returns an estimate of the excess, its eps and
+    its derivative in x, from one fading-expectation pass.  A point x is
+    certified where the computed excess clears 0 by 2 eps.  Below -2 eps,
+    the exact excess is below -eps at x and so, plus the error bound at
+    x' <= x, below 0: the predicate holds at every x' <= x.  Above 2 eps,
+    it fails at every x' >= x in the same way.  Both steps need the exact
+    excess -+ eps to be increasing, which holds because eps is a small
+    multiple of the quantity's increasing parts.  hi is checked on every
+    edge and lo where hi is not certified to hold, so a provable lo probe
+    costs no evaluation.  Edges certified to hold at lo and to fail
+    at hi run Newton passes from hi, safeguarded by the sign bracket the
+    passes keep, which stop once the step is within 4 eps / slope (at most
+    _NEWTON_PASSES); the estimate r = x - step is then checked at
+    r(1 -+ rho), with rho*r = 2*(|step| + 4 eps / slope), where that lies
+    inside (lo, hi).  Returns (a, b): the largest point certified to hold
+    and the smallest certified to fail, -inf and inf where none is.  An
+    edge whose band does not certify keeps (lo, hi) and falls back to
+    evaluating every mid.
+    """
+    a, b = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
+
+    def certify(x, index):
+        value, eps = excess(x, *(column[index] for column in columns))
+        holds, fails = value < -2.0 * eps, value > 2.0 * eps
+        a[index[holds]] = np.maximum(a[index[holds]], x[holds])
+        b[index[fails]] = np.minimum(b[index[fails]], x[fails])
+
+    every = np.arange(lo.size)
+    certify(hi, every)
+    unsure = every[a < hi]
+    certify(lo[unsure], unsure)
+    moving = np.flatnonzero((a == lo) & (b == hi))
+    # Newton from hi inside the sign bracket [below, above], which a step
+    # that leaves it (or is not finite) halves geometrically instead.
+    below, above = lo[moving], hi[moving]
+    x, root, half = above.copy(), np.empty(moving.size), np.empty(moving.size)
+    active = np.arange(moving.size)
+    for _ in range(_NEWTON_PASSES):
+        if not active.size:
+            break
+        value, eps, slope = newton(x[active], *(column[moving[active]] for column in columns))
+        below[active] = np.where(value < 0, x[active], below[active])
+        above[active] = np.where(value > 0, x[active], above[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step, noise = value / slope, 4.0 * eps / slope
+            guess = x[active] - step
+        inside = (below[active] < guess) & (guess < above[active])
+        root[active] = x[active] = np.where(
+            inside, guess, np.sqrt(below[active] * above[active])
+        )
+        half[active] = 2.0 * (np.abs(step) + noise)
+        active = active[~(np.abs(step) <= noise)]
+    # A band that reaches past the probes (or is not finite) adds nothing.
+    banded = (lo[moving] < root - half) & (root + half < hi[moving])
+    certify(root[banded] - half[banded], moving[banded])
+    certify(root[banded] + half[banded], moving[banded])
+    return a, b
+
+
+def _energy_error(energy, training_j, fexp):
+    """Bound eps on the rounding error of a computed energy tj + T, per
+    edge, with T its transmit part.  With u = 2**-53 and n fading nodes,
+    the expected rate is off by at most (n + 8) u of itself: 2 roundings
+    in P g / N and 1 in snr * o, which move log1p by at most their own
+    relative size; 1.5 ulp (3 u) in ``log1p``, whose float64 accuracy data
+    in numpy (``umath-validation-set-log1p.csv``) allows 1 ulp from the
+    rounded result; 1 in / ln 2 and 1 in the weight (Monte Carlo: the
+    mean's division); n - 1 in the sum of n positive terms; and 1 in the
+    bandwidth.  The delay's and the transmit energy's products and
+    quotients add 2, so T is off by (n + 10) u of itself, and tj + adds u
+    of the sum: eps = u (E + (n + 10) T), first order, doubled to cover the
+    second-order terms and the margin test's own roundings.
+    """
+    transmit = energy - training_j
+    nodes = fexp.node_or_sample_count
+    return 2.0 * _UNIT_ROUNDOFF * (energy + (nodes + 10) * transmit)
+
+
+def _rate_error(rate, fexp):
+    """Bound eps on the rounding error of a computed expected rate, per
+    edge: (n + 8) u of the rate, doubled (see ``_energy_error``)."""
+    return 2.0 * _UNIT_ROUNDOFF * (fexp.node_or_sample_count + 8) * rate
+
+
 def _optimal_powers(cohort, params, fexp):
     """optimal_power over every edge of a placed ``phy._Users`` cohort, as
-    one ``_bisect``; 0 marks an edge with no feasible power."""
+    one ``_bisect``; 0 marks an edge with no feasible power.
+
+    The search's band (``_certified_band``) estimates each edge's root by
+    Newton passes on the energy, the value and its derivative in power
+    taken from the same fading nodes (``phy._uplink_rate_slope``), and
+    certifies it with the ``_energy_error`` bound eps = 2u(E + (n + 10)T):
+    an edge whose training energy dominates gets a band about as narrow
+    as its transmit energy allows.
+    """
     budget, p_max = params.energy_budget_j, params.max_user_power_w
     searched = cohort.training_j < budget
     n = np.count_nonzero(searched)
 
-    def fits(power, *columns):
-        edges = phy._Users(*columns)
+    def energy(edges, power):
         rate = phy._uplink_rate(edges, power, params, fexp)
-        return phy._energy(edges, power, phy._delay(edges.payload_bits, rate)) <= budget
+        return phy._energy(edges, power, phy._delay(edges.payload_bits, rate))
+
+    def fits(power, *columns):
+        return energy(phy._Users(*columns), power) <= budget
+
+    def excess(power, *columns):
+        edges = phy._Users(*columns)
+        value = energy(edges, power)
+        return value - budget, _energy_error(value, edges.training_j, fexp)
+
+    def newton(power, *columns):
+        edges = phy._Users(*columns)
+        rate, rate_slope = phy._uplink_rate_slope(edges, power, params, fexp)
+        per_watt = edges.payload_bits / rate
+        value = edges.training_j + power * per_watt
+        slope = per_watt * (1.0 - power * rate_slope / rate)
+        return value - budget, _energy_error(value, edges.training_j, fexp), slope
+
+    def band(lo, hi, *columns):
+        return _certified_band(lo, hi, columns, excess, newton)
 
     lo, _, fits_lo, fits_hi = _bisect(
-        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched), fits
+        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched), fits, band
     )
     power = np.zeros(searched.shape)
     # Where transmit energy per bit does not vanish with P, not even lo fits.
@@ -116,7 +256,12 @@ def feasible_power_interval(users, rb_index, params, fexp):
 def _power_interval(cohort, params, fexp):
     """feasible_power_interval over every edge of a placed ``phy._Users``
     cohort, each of its two searches one ``_bisect``.  Returns (p_lo, p_hi,
-    feasible, downlink delay)."""
+    feasible, downlink delay).
+
+    The delay search's band estimates each edge's root by Newton passes on
+    the expected rate, and certifies it with the ``_rate_error`` bound
+    eps = 2(n + 8)u R (see ``_certified_band``).
+    """
     p_hi = _optimal_powers(cohort, params, fexp)
     down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
     slack = params.delay_budget_s - down
@@ -126,9 +271,20 @@ def _power_interval(cohort, params, fexp):
     def short(power, target, *columns):
         return phy._uplink_rate(phy._Users(*columns), power, params, fexp) < target
 
+    def excess(power, target, *columns):
+        rate = phy._uplink_rate(phy._Users(*columns), power, params, fexp)
+        return rate - target, _rate_error(rate, fexp)
+
+    def newton(power, target, *columns):
+        rate, slope = phy._uplink_rate_slope(phy._Users(*columns), power, params, fexp)
+        return rate - target, _rate_error(rate, fexp), slope
+
+    def band(lo, hi, *columns):
+        return _certified_band(lo, hi, columns, excess, newton)
+
     # A zero payload has target rate 0, which the bottom of the range reaches.
     _, hi, _, short_hi = _bisect(
-        p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched)), short
+        p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched)), short, band
     )
     p_lo = np.zeros_like(p_hi)
     p_lo[searched] = np.where(short_hi, 0.0, hi)

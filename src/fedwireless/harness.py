@@ -115,10 +115,11 @@ class RunRecord:
 
     ``wall_clock_s`` is the cell's equal share of the work behind it.
     ``run_experiment`` allocates each algorithm in one pass over all seeds
-    and trains them as one batch (packet-loss draws included); a record
-    takes an equal share of both and, for proposed, baseline_a and
-    baseline_c, of the pooled edge build they read.  ``bound_report``
-    trains all seeds as one batch and splits it the same way.
+    and then trains every (algorithm, seed) cell as one batch (packet-loss
+    draws included); a record takes an equal share of its algorithm's
+    pass, of the whole batch and, for proposed, baseline_a and baseline_c,
+    of the pooled edge build they read.  ``bound_report`` trains all seeds
+    as one batch and splits it the same way.
     """
 
     algorithm: str
@@ -175,10 +176,10 @@ def _record_from_run(algorithm, seed, decision, losses, learning_rate, wall_cloc
     )
 
 
-def _train_batch(config, algorithm, cells, learning_rates, features, targets,
-                 sample_counts):
-    """Train ``cells``, (seed, decision, allocation seconds) each, as one
-    ``training._train_cells`` batch and return (records, losses, models).
+def _train_batch(config, cells, learning_rates, features, targets, sample_counts):
+    """Train ``cells``, (algorithm, seed, decision, allocation seconds)
+    each, as one ``training._train_cells`` batch and return (records,
+    losses, models).
 
     Each cell's packet losses come from its seed's transmit stream.  The
     draws and the training are timed together, and each record's wall clock
@@ -190,16 +191,17 @@ def _train_batch(config, algorithm, cells, learning_rates, features, targets,
             decision.error_rate, config.rounds,
             np.random.default_rng([seed, _STREAM_TRANSMIT]),
         )
-        for seed, decision, _ in cells
+        for _, seed, decision, _ in cells
     ])
     losses, models, _ = training._train_cells(
-        features, targets, sample_counts, [decision.selection for _, decision, _ in cells],
+        features, targets, sample_counts, [decision.selection for *_, decision, _ in cells],
         learning_rates, delivery, config.initial_model,
     )
     share = (time.perf_counter() - start) / len(cells)
     records = [
         _record_from_run(algorithm, seed, decision, cell_losses, lr, seconds + share)
-        for (seed, decision, seconds), cell_losses, lr in zip(cells, losses, learning_rates)
+        for (algorithm, seed, decision, seconds), cell_losses, lr
+        in zip(cells, losses, learning_rates)
     ]
     return records, losses, models
 
@@ -209,11 +211,13 @@ def run_experiment(config: ExperimentConfig):
 
     One ``assignment._edge_weights`` call builds every (seed, user, RB)
     edge, which proposed, baseline_a and baseline_c read.  Each algorithm
-    then allocates all seeds in one ``_allocate`` pass and trains them as
-    one ``training._train_cells`` batch in seed order, on per-seed data
-    stacked once (every seed has the same sample layout).  A topology where
-    no user is schedulable still produces a record (the global model never
-    moves); it is a degenerate run, not an error.
+    then allocates all seeds in one ``_allocate`` pass, and every
+    (algorithm, seed) cell trains in one ``training._train_cells`` batch,
+    algorithm by algorithm and seed by seed within each (the record
+    order), on per-seed data stacked once (every seed has the same sample
+    layout) that the algorithms share.  A topology where no user is
+    schedulable still produces a record (the global model never moves); it
+    is a degenerate run, not an error.
     """
     seeds, params, fexp = config.seeds, config.network, config.fading
     user_lists, datasets = zip(*(build_topology(config, seed) for seed in seeds))
@@ -224,19 +228,18 @@ def run_experiment(config: ExperimentConfig):
     features = np.stack([dataset.x for dataset in datasets])
     targets = np.stack([dataset.y for dataset in datasets])
 
-    records = []
+    cells = []
     for algorithm in config.algorithms:
         start = time.perf_counter()
         decisions = _allocate(algorithm, seeds, user_lists, edge_sets, config)
         share = (time.perf_counter() - start) / len(seeds)
         if algorithm != "baseline_b":
             share += edge_build_s
-        cells = [(seed, decision, share) for seed, decision in zip(seeds, decisions)]
-        records += _train_batch(
-            config, algorithm, cells, learning_rates,
-            features, targets, datasets[0].sample_counts,
-        )[0]
-    return records
+        cells += [(algorithm, seed, decision, share) for seed, decision in zip(seeds, decisions)]
+    return _train_batch(
+        config, cells, learning_rates * len(config.algorithms),
+        features, targets, datasets[0].sample_counts,
+    )[0]
 
 
 def _with_rb_count(params, rb_count):
@@ -409,7 +412,7 @@ def bound_report(config: ExperimentConfig):
     lr = resolve_learning_rate(config, dataset)
 
     records, losses, models = _train_batch(
-        config, "proposed", [(seed, decision, 0.0) for seed in config.seeds],
+        config, [("proposed", seed, decision, 0.0) for seed in config.seeds],
         [lr] * len(config.seeds), dataset.x, dataset.y, dataset.sample_counts,
     )
 

@@ -67,7 +67,9 @@ class NetworkParams:
 
     ``uplink_interference_w`` holds one background interference level per
     resource block (other-cell users are static, not optimized here).
-    ``None`` means interference-free and expands to zeros.
+    ``None`` means interference-free and expands to zeros.  An ``inf``
+    entry blocks its RB, but at least one entry must be finite, and so
+    must ``downlink_interference_w``.
     """
 
     rb_count: int = 12
@@ -109,11 +111,17 @@ class NetworkParams:
                 f"uplink_interference_w must have rb_count={self.rb_count} entries, "
                 f"got {len(interference)}"
             )
-        # Negated ``>= 0`` tests, so that NaN fails them too.
+        # Negated ``>= 0`` tests, so that NaN fails them too.  An infinite
+        # entry blocks its RB; with every RB blocked nothing could transmit.
         if not all(v >= 0 for v in interference):
             raise ValueError("uplink_interference_w entries must be >= 0")
-        if not self.downlink_interference_w >= 0:
-            raise ValueError("downlink_interference_w must be >= 0")
+        if all(v == math.inf for v in interference):
+            raise ValueError("uplink_interference_w must have a finite entry, got only inf")
+        if not 0 <= self.downlink_interference_w < math.inf:
+            raise ValueError(
+                f"downlink_interference_w must be >= 0 and finite, "
+                f"got {self.downlink_interference_w!r}"
+            )
         object.__setattr__(self, "uplink_interference_w", interference)
 
 
@@ -183,19 +191,21 @@ class FadingExpectation:
         if self.method == "monte_carlo" and not self.seed >= 0:
             raise ValueError(f"seed must be >= 0 with method 'monte_carlo', got {self.seed!r}")
 
-    def expect(self, integrand, scale, *columns):
+    def expect(self, integrand, scale, *columns, outputs=1):
         """E[integrand(o, *columns)] per edge for fading power o with mean
         ``scale``.
 
         ``scale`` and the per-edge ``columns`` broadcast together to the
         edges' shape, which the result takes.  The integrand gets the fading
         values as an (edges, nodes) array and each column as (edges, 1), and
-        returns the node axis last.  It is called on slices of at most
-        ``_COHORT_ELEMENTS // nodes`` edges (one edge at least), so the
-        (edges x nodes) temporaries stay bounded for a cohort of any size;
-        each edge's row is reduced on its own, so any slicing gives the same
-        bits.  Monte Carlo draws one fresh-seeded standard exponential
-        sample per call, scaled per edge.
+        returns the node axis last: one array, or ``outputs`` of them
+        stacked, whose expectations come back stacked on a leading axis.
+        It is called on slices of at most ``_COHORT_ELEMENTS // (outputs *
+        nodes)`` edges (one edge at least), so the (edges x nodes)
+        temporaries stay bounded for a cohort of any size; each edge's row
+        is reduced on its own, so any slicing gives the same bits.  Monte
+        Carlo draws one fresh-seeded standard exponential sample per call,
+        scaled per edge.
         """
         scale, *columns = np.broadcast_arrays(np.asarray(scale, dtype=float), *columns)
         if self.method == "quadrature":
@@ -206,21 +216,21 @@ class FadingExpectation:
             )
         shape = scale.shape
         scale, columns = scale.reshape(-1, 1), [column.reshape(-1, 1) for column in columns]
-        result = np.empty(scale.size)
-        width = max(1, _COHORT_ELEMENTS // nodes.size)
-        for start in range(0, result.size, width):
+        result = np.empty((outputs, scale.size))
+        width = max(1, _COHORT_ELEMENTS // (outputs * nodes.size))
+        for start in range(0, scale.size, width):
             edges = slice(start, start + width)
             values = np.asarray(
                 integrand(scale[edges] * nodes, *(column[edges] for column in columns)),
                 dtype=float,
-            )
+            ).reshape(outputs, -1, nodes.size)
             if self.method == "quadrature":
                 # sum (not dot) reduces each edge's row in the same order
                 # whatever the batch, so scalar and cohort calls are bit-identical
-                result[edges] = np.sum(values * weights, axis=-1)
+                result[:, edges] = np.sum(values * weights, axis=-1)
             else:
-                result[edges] = values.mean(axis=-1)
-        return result.reshape(shape)
+                result[:, edges] = values.mean(axis=-1)
+        return result.reshape(shape) if outputs == 1 else result.reshape(outputs, *shape)
 
 
 def _as_result(value):
@@ -274,6 +284,20 @@ def _expected_rate(bandwidth_hz, snr_scale, fading_scale, fexp):
 def _uplink_rate(users: _Users, power_w, params, fexp):
     snr_scale = power_w * users.gain / users.noise_w
     return _expected_rate(params.rb_bandwidth_hz, snr_scale, users.fading_scale, fexp)
+
+
+def _uplink_rate_slope(users: _Users, power_w, params, fexp):
+    """(rate, d rate / d power) per edge at ``power_w``: both expectations
+    over the same fading nodes, in one ``expect`` pass.  Only the power
+    searches' root estimates read it, never a predicate."""
+    gain = users.gain / users.noise_w
+
+    def log1p_and_slope(o, snr, gain):
+        t = snr * o
+        return np.log1p(t), gain * o / (1.0 + t)
+
+    values = fexp.expect(log1p_and_slope, users.fading_scale, power_w * gain, gain, outputs=2)
+    return params.rb_bandwidth_hz / _LN2 * values
 
 
 def _downlink_rate(users: _Users, params, fexp):

@@ -178,8 +178,9 @@ def lockstep_bisect(lo, hi, below_root):
     return lo, hi, holds_lo, holds_hi
 
 
-def uncompacted(lo, hi, columns, below_root):
-    """``lockstep_bisect`` with the ``assignment._bisect`` calling convention."""
+def uncompacted(lo, hi, columns, below_root, band=None):
+    """``lockstep_bisect`` with the ``assignment._bisect`` calling
+    convention; it evaluates every point, so it ignores ``band``."""
     return lockstep_bisect(lo, hi, lambda x: below_root(x, *columns))
 
 
@@ -325,6 +326,188 @@ class TestBisect:
 
         lo, hi, _, _ = assignment._bisect(np.array([0.0]), np.array([1e300]), (), below_root)
         assert len(calls) == 2 + assignment._BISECT_ITERS and lo[0] < 1.0 < hi[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(bisection_edges(), st.data())
+    def test_band_replays_the_search_evaluating_only_inside_it(self, edges, data):
+        # A sound band (the predicate x < root holds at every x <= a and
+        # fails at every x >= b) must leave every bit of the search as it
+        # is, while no probe or mid outside (a, b) is evaluated.
+        lo, hi, root = edges
+        gaps = [data.draw(st.sampled_from([0.0, 1e-300, 1e-9, 1.0, np.inf])) for _ in lo]
+        a = np.array([float(np.nextafter(r, -np.inf)) - g for r, g in zip(root, gaps)])
+        b = np.array([r + data.draw(st.sampled_from([0.0, 1e-9, 1.0, np.inf])) for r in root])
+        evaluated = []
+
+        def below_root(x, root, a, b):
+            evaluated.append((x, a, b))
+            return x < root
+
+        want = lockstep_bisect(lo.copy(), hi.copy(), lambda x: x < root)
+        got = assignment._bisect(
+            lo.copy(), hi.copy(), (root, a, b), below_root, lambda lo, hi, root, a, b: (a, b)
+        )
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        for x, a_x, b_x in evaluated:
+            assert np.all((a_x < x) & (x < b_x))
+
+
+def record_searches(monkeypatch, oracle=False):
+    """Every ``assignment._bisect`` call from now on, as a growing list of
+    (moving, certified) per-edge flags: the edges whose bracket still moves
+    after the probes, and those whose certified band lies strictly inside
+    (lo, hi), so that the bisection evaluates only the mids inside it.  With
+    ``oracle``, each call's (lo, hi, holds_lo, holds_hi) must first equal
+    the lock-step oracle's bit for bit."""
+    searches, bisect = [], assignment._bisect
+
+    def recorded(lo, hi, columns, below_root, band=None):
+        bands = []
+
+        def recorded_band(*args):
+            bands.append(band(*args))
+            return bands[-1]
+
+        got = bisect(lo.copy(), hi.copy(), columns, below_root, recorded_band)
+        if oracle:
+            want = uncompacted(lo.copy(), hi.copy(), columns, below_root)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        (a, b), = bands
+        searches.append((moving_after_probes(lo, hi, *got[2:]), (lo < a) & (b < hi)))
+        return got
+
+    monkeypatch.setattr(assignment, "_bisect", recorded)
+    return searches
+
+
+def contested_topology(seed):
+    """120 users x 60 RBs in a 1000 m cell with a binding 0.0022 J energy
+    budget: the shape of the contested-cell benchmark."""
+    users, _ = table_topology(seed=seed, n_users=120, radius=1000.0)
+    params = NetworkParams(
+        rb_count=60, uplink_interference_w=tuple(np.logspace(-9, -7, 60)), energy_budget_j=0.0022
+    )
+    return users, params
+
+
+def reference_topology():
+    """Every user of configs/reference.cfg's seeds, on its network."""
+    from fedwireless import harness
+    from fedwireless.config import load_config
+
+    config = load_config(REFERENCE)
+    users = [u for seed in config.seeds for u in harness.build_topology(config, seed)[0]]
+    return users, config.network
+
+
+MONTE_CARLO = FadingExpectation(method="monte_carlo", node_or_sample_count=256, seed=7)
+
+
+class TestCertifiedBand:
+    @pytest.mark.parametrize("topology, fexp", [
+        (reference_topology, QUAD),
+        (lambda: contested_topology(1), QUAD),
+        (lambda: contested_topology(2), QUAD),
+        (lambda: binding_budget_topology(), QUAD),
+        (lambda: binding_budget_topology(), MONTE_CARLO),
+    ], ids=["reference", "contested_1", "contested_2", "binding_quadrature",
+            "binding_monte_carlo"])
+    def test_both_searches_match_lockstep_oracle(self, topology, fexp, monkeypatch):
+        # The energy search and the delay search over every (user, RB) edge
+        # must return the oracle's bits, and the certificate must carry
+        # them: no moving edge falls back to evaluating every mid.
+        users, params = topology()
+        searches = record_searches(monkeypatch, oracle=True)
+        edges = assignment._every_edge(phy._Users.of(users, params), params)
+        assignment._power_interval(edges, params, fexp)
+        assert len(searches) == 2
+        assert all(np.all(certified[moving]) for moving, certified in searches)
+        assert searches[0][0].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(20.0, 1500.0), st.floats(0.5, 2.0), st.floats(1e3, 1e5),
+        st.floats(1e-9, 1e-7), st.floats(1e-6, 1.0), st.integers(-2, 2), st.floats(1.001, 10.0),
+    )
+    @example(900.0, 1.0, 5e4, 1e-9, 0.25, 0, 2.0)
+    def test_roots_on_the_budget_match_lockstep_oracle(
+        self, distance, fading_scale, payload, interference, fraction, shift, delay_factor
+    ):
+        # The energy budget is the energy at a drawn power exactly, or a few
+        # floats off it; the delay budget puts the delay root inside the
+        # bracket.  Both searches must still return the oracle's bits.
+        user = user_at(distance, fading_scale=fading_scale, payload_bits=payload)
+        ramp = tuple(interference * np.arange(1, 5))
+        base = NetworkParams(rb_count=4, uplink_interference_w=ramp)
+        power = fraction * base.max_user_power_w
+        budget = user_energy(user, 0, power, base, QUAD)
+        for _ in range(abs(shift)):
+            budget = float(np.nextafter(budget, np.inf if shift > 0 else 0.0))
+        delay = downlink_delay(user, base, QUAD) + delay_factor * uplink_delay(
+            user, 0, power, base, QUAD
+        )
+        params = NetworkParams(rb_count=4, uplink_interference_w=ramp,
+                               energy_budget_j=budget, delay_budget_s=delay)
+        with pytest.MonkeyPatch.context() as patch:
+            searches = record_searches(patch, oracle=True)
+            edges = phy._Users.of([user] * 4, params).on(np.arange(4), params)
+            assignment._power_interval(edges, params, QUAD)
+        assert len(searches) == 2
+
+    def test_certificate_halves_the_edge_build_evaluations(self, monkeypatch):
+        # A band that never certifies keeps every bit and loses the whole
+        # gain, so count what the edge build's search evaluates: no moving
+        # edge may fall back, and the fading-expectation edge evaluations
+        # (probes, Newton passes counted twice, band checks, mids inside the
+        # band) stay under 30 per moving edge beyond the probes.  The search
+        # without the band takes about 54 per moving edge.
+        users, params = contested_topology(1)
+        edges = assignment._every_edge(phy._Users.of(users, params), params)
+        searches = record_searches(monkeypatch)
+        sizes = record_integrand_sizes(monkeypatch)
+        assignment._optimal_powers(edges, params, QUAD)
+        (moving, certified), = searches
+        assert np.count_nonzero(moving) > 1000 and np.all(certified[moving])
+        evaluations = sum(sizes) // QUAD.node_or_sample_count
+        assert evaluations <= 2 * moving.size + 30 * np.count_nonzero(moving)
+
+    def test_blocked_rb_is_never_selected_nor_feeds_nan(self, monkeypatch):
+        # One RB at infinite interference is legal and blocks that RB: its
+        # edges are infeasible, no algorithm selects it, and no NaN reaches
+        # the certificate.
+        from fedwireless import harness
+        from fedwireless.config import loads_config
+
+        config = loads_config(
+            "[network]\nrb_count = 4\nenergy_budget_j = 0.0022\n"
+            "uplink_interference_w = 1e-9 inf 1e-8 1e-7\n"
+            "[users]\ncount = 8\ncell_radius_m = 1000.0\n"
+            "[training]\nrounds = 2\n[experiment]\nseeds = 1 2 3\n"
+        )
+        certify = assignment._certified_band
+
+        def finite(function):
+            def checked(x, *columns):
+                values = function(x, *columns)
+                assert not any(np.isnan(v).any() for v in (x, *values))
+                return values
+            return checked
+
+        def checked_band(lo, hi, columns, excess, newton):
+            a, b = certify(lo, hi, columns, finite(excess), finite(newton))
+            assert not (np.isnan(a).any() or np.isnan(b).any())
+            return a, b
+
+        monkeypatch.setattr(assignment, "_certified_band", checked_band)
+        records = harness.run_experiment(config)
+        assert {r.algorithm for r in records} == set(config.algorithms)
+        assert all(1 not in r.rb_index for r in records)
+        assert any(r.rb_index.count(-1) < len(r.rb_index) for r in records)
+        users, _ = harness.build_topology(config, 1)
+        edges = build_edge_weights(users, config.network, QUAD)
+        assert not edges.feasible[:, 1].any() and edges.feasible[:, [0, 2, 3]].any()
 
 
 def reference_optimal_power(user, n, params, fexp):

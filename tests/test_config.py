@@ -176,6 +176,12 @@ class TestValidation:
          "network: uplink_interference_w entries must be >= 0"),
         ("network", "uplink_interference_w", "1e-9 " * 11 + "nan",
          "network: uplink_interference_w entries must be >= 0"),
+        ("network", "downlink_interference_w", "inf",
+         "network: downlink_interference_w must be >= 0 and finite, got inf"),
+        ("network", "uplink_interference_w", "inf",
+         "network: uplink_interference_w must have a finite entry"),
+        ("network", "uplink_interference_w", "inf " * 12,
+         "network: uplink_interference_w must have a finite entry"),
         ("users", "payload_bits_per_param", "-1", "users: payload_bits must be >= 0"),
         ("users", "cpu_cycles_per_bit", "nan", "users: cpu_cycles_per_bit must be strictly"),
         ("users", "cpu_freq_hz", "-1", "users: cpu_freq_hz must be strictly positive"),
@@ -262,6 +268,11 @@ class TestParsing:
     def test_interference_scalar_broadcasts(self):
         config = loads_config("[network]\nrb_count = 5\nuplink_interference_w = 1e-9\n")
         assert config.network.uplink_interference_w == (1e-9,) * 5
+
+    def test_one_infinite_rb_loads(self):
+        # An inf entry blocks its RB; only an all-inf list is rejected.
+        config = loads_config("[network]\nrb_count = 3\nuplink_interference_w = 1e-9 inf 3e-9\n")
+        assert config.network.uplink_interference_w == (1e-9, float("inf"), 3e-9)
 
     def test_interference_vector(self):
         config = loads_config(

@@ -467,13 +467,18 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def assert_cells_match_oracle(cells, rounds, shared=True, initial_model=(0.25, -0.5)):
+def assert_cells_match_oracle(cells, rounds, shared=True, initial_model=(0.25, -0.5),
+                              data_sets=None):
     """Train ``cells`` [(dataset, decision, lr, seed)] as one kernel batch and
     one by one through the oracle; losses, models, delivered flags and the
-    generators' end states must agree bit for bit."""
+    generators' end states must agree bit for bit.  The kernel gets one
+    shared dataset, one per cell, or with ``data_sets`` = S the first S
+    cells' datasets, which cell b reads as b % S."""
     initial_model = np.array(initial_model)
     rngs = [np.random.default_rng([seed, 3]) for *_, seed in cells]
     datasets = [dataset for dataset, *_ in cells]
+    if data_sets is not None:
+        datasets = datasets[:data_sets]
     features = datasets[0].x if shared else np.stack([dataset.x for dataset in datasets])
     targets = datasets[0].y if shared else np.stack([dataset.y for dataset in datasets])
     losses, models, delivered = _train_cells(
@@ -510,6 +515,21 @@ class TestTrainCells:
                 cells.append((dataset, decision, resolve_learning_rate(config, dataset), seed))
         assert len(cells) == 8
         assert_cells_match_oracle(cells, config.rounds, shared=False)
+
+    def test_algorithms_share_each_seeds_data(self):
+        # run_experiment's batch: the reference cells algorithm by algorithm,
+        # on the two seeds' data stacked once and broadcast over the four
+        # algorithms, not copied per cell.
+        config = load_config(REFERENCE)
+        topologies = {seed: build_topology(config, seed) for seed in config.seeds}
+        cells = []
+        for algorithm in config.algorithms:
+            for seed in config.seeds:
+                users, dataset = topologies[seed]
+                decision = per_seed_allocation(algorithm, users, config, seed)
+                cells.append((dataset, decision, resolve_learning_rate(config, dataset), seed))
+        assert len(cells) == 8 and len(config.seeds) == 2
+        assert_cells_match_oracle(cells, config.rounds, shared=False, data_sets=2)
 
     def test_mixed_batch_bit_identical(self):
         ds = self.make_dataset()
@@ -562,6 +582,30 @@ class TestTrainCells:
             )
         assert str(batched.value) == str(sequential.value)
         assert str(batched.value) == "loss became non-finite at step 254 (learning_rate=4.0)"
+
+    def test_divergence_on_shared_seed_data_names_the_first_cell_in_record_order(self):
+        # Two algorithms x two seeds, algorithm-major, on the seeds' data
+        # broadcast over the algorithms: cell (0, 1) diverges later than
+        # cell (1, 0), but comes first in record order.
+        datasets = [self.make_dataset(seed) for seed in (7, 8)]
+        decision = manual_decision(np.ones(15), np.zeros(15))
+        rates = [0.3, 4.0, 20.0, 0.3]
+        with pytest.raises(TrainingDiverged) as sequential:
+            for cell, lr in enumerate(rates):
+                sequential_training(datasets[cell % 2], decision, lr, 400,
+                                    np.random.default_rng([cell % 2, 3]))
+        with pytest.raises(TrainingDiverged) as batched:
+            _train_cells(
+                np.stack([ds.x for ds in datasets]), np.stack([ds.y for ds in datasets]),
+                datasets[0].sample_counts, [decision.selection] * 4, rates,
+                np.stack([
+                    _delivery_draws(decision.error_rate, 400, np.random.default_rng([cell % 2, 3]))
+                    for cell in range(4)
+                ]),
+                np.zeros(2),
+            )
+        assert str(batched.value) == str(sequential.value)
+        assert "learning_rate=4.0" in str(batched.value)
 
 
 # 18 users, 12 of them with more than 8 samples: the user sum of a cell

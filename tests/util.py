@@ -12,12 +12,14 @@ from fedwireless.phy import FadingExpectation, NetworkParams, UserProfile
 class PointMassFading:
     """A fading rule that pins the fading power to ``value``, whatever the
     mean, collapsing every expectation to its integrand: duck-types
-    ``FadingExpectation.expect`` for closed-form checks."""
+    ``FadingExpectation`` (one node) for closed-form checks."""
+
+    node_or_sample_count = 1
 
     def __init__(self, value):
         self.value = value
 
-    def expect(self, integrand, scale, *columns):
+    def expect(self, integrand, scale, *columns, outputs=1):
         _, *columns = np.broadcast_arrays(np.asarray(scale, dtype=float), *columns)
         fading = np.array([self.value])
         return np.asarray(integrand(fading, *(c[..., None] for c in columns)), dtype=float)[..., 0]
@@ -28,13 +30,13 @@ def record_integrand_sizes(monkeypatch):
     ``FadingExpectation.expect`` makes from now on, as a growing list."""
     sizes, expect = [], FadingExpectation.expect
 
-    def recorded(self, integrand, scale, *columns):
+    def recorded(self, integrand, scale, *columns, **options):
         def measured(*args):
             values = integrand(*args)
             sizes.append(np.size(values))
             return values
 
-        return expect(self, measured, scale, *columns)
+        return expect(self, measured, scale, *columns, **options)
 
     monkeypatch.setattr(FadingExpectation, "expect", recorded)
     return sizes
