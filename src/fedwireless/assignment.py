@@ -10,6 +10,7 @@ exhaustive matching oracle are included for comparison and testing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,41 +38,33 @@ _NEWTON_PASSES = 8
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _bisect(lo, hi, columns, below_root, band=None):
+def _bisect(lo, hi, columns, measure, newton):
     """Lock-step bisection of many edges for a predicate that holds below
     each edge's root and fails above it.
 
-    ``columns`` is a tuple of per-edge arrays and ``below_root(x, *columns)``
-    the predicate at points ``x`` of the edges they describe.  Every edge is
-    probed at its lo and at its hi, and edges whose root lies outside
-    [lo, hi] collapse onto that endpoint.  A round then halves [lo, hi] at
-    mid = 0.5*(lo+hi), lo moving up where the predicate holds and hi down
-    elsewhere, until an edge's mid rounds onto an endpoint (at most
-    _BISECT_ITERS rounds); that edge's lo and hi never change again, so it
-    drops out, and each round evaluates only the still-moving edges.  An
-    edge's path depends on its own values alone, so it gets the bits of a
-    search on its own.  Returns the final (lo, hi) and whether the
-    predicate held at the initial lo and at the initial hi.
-
-    ``band(lo, hi, *columns)``, if given, is called first and returns a
-    per-edge certified band (a, b): the predicate provably holds at every
-    x <= a and fails at every x >= b (see ``_certified_band``).  A probe or
-    mid outside (a, b) is answered from the band without an evaluation;
-    only points inside it are evaluated, so the path, and every bit
-    returned, is that of the search without a band.  An edge whose band is
-    (-inf, inf) evaluates every point, as the search without a band does.
+    ``columns`` is a tuple of per-edge arrays, and ``measure(x, *columns)``
+    returns (holds, excess, eps) at points ``x`` of the edges they describe:
+    the predicate, its computed excess (quantity minus limit) and a bound
+    eps on the excess's rounding error.  ``_certified_band`` turns them and
+    ``newton`` into a per-edge band (a, b); a probe or mid at or below a is
+    answered True, and one at or above b False, without an evaluation.
+    Every edge is probed at its lo and at its hi, and edges whose root lies
+    outside [lo, hi] collapse onto that endpoint.  A round then halves
+    [lo, hi] at mid = 0.5*(lo+hi), lo moving up where the predicate holds
+    and hi down elsewhere, until an edge's mid rounds onto an endpoint (at
+    most _BISECT_ITERS rounds) and the edge drops out.  The path, and every
+    bit returned, is that of the search that evaluates every point, as an
+    edge with band (-inf, inf) does, and it depends on the edge's own
+    values alone.  Returns the final (lo, hi) and whether the predicate
+    held at the initial lo and at the initial hi.
     """
     every = np.arange(lo.size)
-    if band is None:
-        a, b = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
-    else:
-        a, b = band(lo, hi, *columns)
+    a, b = _certified_band(lo, hi, columns, measure, newton)
 
     def evaluate(x, index):
         holds = x <= a[index]
         inside = np.flatnonzero(~holds & (x < b[index]))
-        if inside.size or band is None:
-            holds[inside] = below_root(x[inside], *(column[index[inside]] for column in columns))
+        holds[inside] = measure(x[inside], *(column[index[inside]] for column in columns))[0]
         return holds
 
     holds_lo, holds_hi = evaluate(lo, every), evaluate(hi, every)
@@ -91,24 +84,23 @@ def _bisect(lo, hi, columns, below_root, band=None):
     return lo, hi, holds_lo, holds_hi
 
 
-def _certified_band(lo, hi, columns, excess, newton):
-    """The certified band of ``_bisect`` for a predicate excess(x) <= 0 (or
-    < 0) whose exact excess is increasing in x.
+def _certified_band(lo, hi, columns, measure, newton):
+    """The certified band of ``_bisect`` for a predicate whose exact excess
+    is increasing in x.
 
-    ``excess(x, *columns)`` returns the predicate's own computed excess
-    (quantity minus limit) and a bound eps on its rounding error;
-    ``newton(x, *columns)`` returns an estimate of the excess, its eps and
-    its derivative in x, from one fading-expectation pass.  A point x is
-    certified where the computed excess clears 0 by 2 eps.  Below -2 eps,
-    the exact excess is below -eps at x and so, plus the error bound at
-    x' <= x, below 0: the predicate holds at every x' <= x.  Above 2 eps,
-    it fails at every x' >= x in the same way.  Both steps need the exact
-    excess -+ eps to be increasing, which holds because eps is a small
-    multiple of the quantity's increasing parts.  hi is checked on every
-    edge and lo where hi is not certified to hold, so a provable lo probe
-    costs no evaluation.  Edges certified to hold at lo and to fail
-    at hi run Newton passes from hi, safeguarded by the sign bracket the
-    passes keep, which stop once the step is within 4 eps / slope (at most
+    ``measure`` is ``_bisect``'s, and ``newton(x, *columns)`` returns an
+    estimate of the excess, its eps and its derivative in x, from one
+    fading-expectation pass.  A point x is certified where the computed
+    excess clears 0 by 2 eps.  Below -2 eps, the exact excess is below -eps
+    at x and so, plus the error bound at x' <= x, below 0: the predicate
+    holds at every x' <= x.  Above 2 eps, it fails at every x' >= x in the
+    same way.  Both steps need the exact excess -+ eps to be increasing,
+    which holds because eps is a small multiple of the quantity's
+    increasing parts.  hi is checked on every edge and lo where hi is not
+    certified to hold, so a provable lo probe costs no evaluation.  Edges
+    certified to hold at lo and to fail at hi run Newton passes from hi,
+    safeguarded by the sign bracket the passes keep, which stop once the
+    step is within 4 eps / slope (at most
     _NEWTON_PASSES); the estimate r = x - step is then checked at
     r(1 -+ rho), with rho*r = 2*(|step| + 4 eps / slope), where that lies
     inside (lo, hi).  Returns (a, b): the largest point certified to hold
@@ -119,7 +111,7 @@ def _certified_band(lo, hi, columns, excess, newton):
     a, b = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
 
     def certify(x, index):
-        value, eps = excess(x, *(column[index] for column in columns))
+        _, value, eps = measure(x, *(column[index] for column in columns))
         holds, fails = value < -2.0 * eps, value > 2.0 * eps
         a[index[holds]] = np.maximum(a[index[holds]], x[holds])
         b[index[fails]] = np.minimum(b[index[fails]], x[fails])
@@ -196,17 +188,15 @@ def _optimal_powers(cohort, params, fexp):
     searched = cohort.training_j < budget
     n = np.count_nonzero(searched)
 
-    def energy(edges, power):
-        rate = phy._uplink_rate(edges, power, params, fexp)
-        return phy._energy(edges, power, phy._delay(edges.payload_bits, rate))
-
-    def fits(power, *columns):
-        return energy(phy._Users(*columns), power) <= budget
-
-    def excess(power, *columns):
+    def measure(power, *columns):
         edges = phy._Users(*columns)
-        value = energy(edges, power)
-        return value - budget, _energy_error(value, edges.training_j, fexp)
+        rate = phy._uplink_rate(edges, power, params, fexp)
+        energy = phy._energy(edges, power, phy._delay(edges.payload_bits, rate))
+        # An infinite energy (a blocked RB) fits no budget, not even an
+        # infinite one, and its excess is inf, not inf - inf.
+        finite = energy < np.inf
+        return ((energy <= budget) & finite, energy - np.where(finite, budget, 0.0),
+                _energy_error(energy, edges.training_j, fexp))
 
     def newton(power, *columns):
         edges = phy._Users(*columns)
@@ -216,11 +206,8 @@ def _optimal_powers(cohort, params, fexp):
         slope = per_watt * (1.0 - power * rate_slope / rate)
         return value - budget, _energy_error(value, edges.training_j, fexp), slope
 
-    def band(lo, hi, *columns):
-        return _certified_band(lo, hi, columns, excess, newton)
-
     lo, _, fits_lo, fits_hi = _bisect(
-        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched), fits, band
+        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched), measure, newton
     )
     power = np.zeros(searched.shape)
     # Where transmit energy per bit does not vanish with P, not even lo fits.
@@ -268,23 +255,17 @@ def _power_interval(cohort, params, fexp):
     searched = (p_hi > 0) & (slack > 0)
     target = cohort.payload_bits[searched] / slack[searched]
 
-    def short(power, target, *columns):
-        return phy._uplink_rate(phy._Users(*columns), power, params, fexp) < target
-
-    def excess(power, target, *columns):
+    def measure(power, target, *columns):
         rate = phy._uplink_rate(phy._Users(*columns), power, params, fexp)
-        return rate - target, _rate_error(rate, fexp)
+        return rate < target, rate - target, _rate_error(rate, fexp)
 
     def newton(power, target, *columns):
         rate, slope = phy._uplink_rate_slope(phy._Users(*columns), power, params, fexp)
         return rate - target, _rate_error(rate, fexp), slope
 
-    def band(lo, hi, *columns):
-        return _certified_band(lo, hi, columns, excess, newton)
-
     # A zero payload has target rate 0, which the bottom of the range reaches.
     _, hi, _, short_hi = _bisect(
-        p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched)), short, band
+        p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched)), measure, newton
     )
     p_lo = np.zeros_like(p_hi)
     p_lo[searched] = np.where(short_hi, 0.0, hi)
@@ -661,8 +642,9 @@ def verify_allocation(decision, users, params, fexp):
         if p <= 0:
             problems.append(f"user {i} selected with zero power")
             continue
-        if total_delay > params.delay_budget_s * (1 + 1e-12):
+        # An infinite delay or energy (a blocked RB) violates even an infinite budget.
+        if not (math.isfinite(total_delay) and total_delay <= params.delay_budget_s * (1 + 1e-12)):
             problems.append(f"user {i} violates delay budget: {total_delay:.6g}")
-        if e > params.energy_budget_j + _ENERGY_SLACK_J:
+        if not (math.isfinite(e) and e <= params.energy_budget_j + _ENERGY_SLACK_J):
             problems.append(f"user {i} violates energy budget: {e:.6g}")
     return problems

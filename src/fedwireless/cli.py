@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -169,17 +170,15 @@ def _cmd_validate(args) -> int:
 
     lr = harness.resolve_learning_rate(config, dataset)
 
+    ten_rounds = replace(config, rounds=10, initial_model=(0.0,) * dataset.x.shape[1])
+
     def train(cells):
-        """(losses, models) of one 10-round ``_train_cells`` batch of
-        (learning rate, delivery seed) cells."""
-        return training._train_cells(
-            dataset.x, dataset.y, dataset.sample_counts, [decision.selection] * len(cells),
-            [rate for rate, _ in cells],
-            np.stack([training._delivery_draws(
-                decision.error_rate, 10, np.random.default_rng([seed, harness._STREAM_TRANSMIT])
-            ) for _, seed in cells]),
-            np.zeros(dataset.x.shape[1]),
-        )[:2]
+        """(losses, models) of one 10-round training batch of (learning
+        rate, packet-loss seed) cells."""
+        return harness._train_batch(
+            ten_rounds, [("proposed", seed, decision, 0.0) for _, seed in cells],
+            [rate for rate, _ in cells], dataset.x[None], dataset.y[None], dataset.sample_counts,
+        )[1:]
 
     run_a, run_c = train([(lr, 1)]), train([(0.5 * lr, 2)])
     check("training is seed deterministic",

@@ -413,7 +413,7 @@ def bound_report(config: ExperimentConfig):
 
     records, losses, models = _train_batch(
         config, [("proposed", seed, decision, 0.0) for seed in config.seeds],
-        [lr] * len(config.seeds), dataset.x, dataset.y, dataset.sample_counts,
+        [lr] * len(config.seeds), dataset.x[None], dataset.y[None], dataset.sample_counts,
     )
 
     g_star = training.least_squares_model(dataset)

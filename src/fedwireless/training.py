@@ -10,9 +10,9 @@ Every training run goes through one kernel, ``_train_cells``, which advances
 a batch of cells (runs that share the sample layout and model dimension) in
 lock step: one numpy pass per feature and round for the whole batch.  The
 layout is feature-major.  The features are taken once per call as
-contiguous columns of shape (dim, [S,] K), one data set per seed, and the
-global models are held as (dim, B), so every per-round array is (B, K) (or
-(A, S, K) over A algorithms), (B, U) or (U, B) with a long contiguous last
+contiguous columns of shape (dim, S, K), one data set per seed, and the
+global models are held as (dim, B), so every per-round array is (A, S, K)
+over A = B / S algorithms, (B, U) or (U, B) with a long contiguous last
 axis, never a (..., dim) tail of length 2.
 
 A cell's bits do not depend on the batch it runs in, on the BLAS kernel or
@@ -153,17 +153,17 @@ def _train_cells(features, targets, sample_counts, selections, learning_rates,
                  delivery, initial_model):
     """Train B cells in lock step.
 
-    ``features`` is (K, dim) shared by every cell or (S, K, dim), ``targets``
-    (K,) or (S, K), with B a multiple of S: cell b trains on data set
-    b % S, so the B = A * S cells of A algorithms over S seeds, algorithm
-    by algorithm, read each seed's data broadcast as (A, S, K), never
-    copied.  ``sample_counts`` (U,) splits the K samples into users in
+    ``features`` is (S, K, dim) and ``targets`` (S, K), with B a multiple
+    of S: cell b trains on data set b % S, so the B = A * S cells of A
+    algorithms over S seeds, algorithm by algorithm, read each seed's data
+    broadcast as (A, S, K), never copied; cells that share one data set
+    pass S = 1.  ``sample_counts`` (U,) splits the K samples into users in
     order.  ``selections`` is (B, U), ``learning_rates`` (B,), ``delivery``
     (B, T, U) delivery flags before selection (see ``_delivery_draws``), and
     ``initial_model`` (dim,) the step-0 global model of every cell.
 
     The rounds run feature-major (see the module docstring): the features
-    become (dim, [S,] K) columns once, the global models are (dim, B), and
+    become (dim, S, K) columns once, the global models are (dim, B), and
     each round makes one pass per feature over (B, U) gradients and (U, B)
     local models.
 
@@ -182,10 +182,9 @@ def _train_cells(features, targets, sample_counts, selections, learning_rates,
     g = np.array(initial_model, dtype=float)
     if g.shape != (dim,):
         raise ValueError(f"model dimension {g.shape[0]} != feature dimension {dim}")
-    columns = np.ascontiguousarray(np.moveaxis(x, -1, 0))            # (dim, [S,] K)
+    columns = np.ascontiguousarray(np.moveaxis(x, -1, 0))            # (dim, S, K)
     g = np.repeat(g[:, None], n_cells, axis=1)                       # (dim, B)
-    # The models as (dim, A, S, 1), or (dim, B, 1) on shared data.
-    grid = (dim, n_cells // len(y), len(y), 1) if y.ndim == 2 else (dim, n_cells, 1)
+    grid = (dim, n_cells // len(y), len(y), 1)                       # models as (dim, A, S, 1)
 
     chosen = selected.T                                              # (U, B)
     step_size = np.asarray(learning_rates, dtype=float) / counts[:, None]      # (U, B)
@@ -197,7 +196,7 @@ def _train_cells(features, targets, sample_counts, selections, learning_rates,
     models[:, 0] = g.T
     # The residual behind round t's loss is the one round t+1's gradient
     # needs, so each round predicts once.
-    residual = _predict(columns, g.reshape(grid)) - y                # ([A, S] or B, K)
+    residual = _predict(columns, g.reshape(grid)) - y                # (A, S, K)
     losses[:, 0] = _mean_loss(residual).reshape(n_cells)
     # Overflow to inf is the divergence signal; a diverged cell runs on
     # (as nan) until the batch ends.
@@ -247,7 +246,7 @@ def run_training(dataset, decision, learning_rate, rounds, rng, initial_model=No
         initial_model = np.zeros(dataset.x.shape[1])
     delivery = _delivery_draws(decision.error_rate, rounds, rng)
     losses, models, delivered = _train_cells(
-        dataset.x, dataset.y, dataset.sample_counts, [decision.selection], [learning_rate],
-        delivery[None], initial_model,
+        dataset.x[None], dataset.y[None], dataset.sample_counts, [decision.selection],
+        [learning_rate], delivery[None], initial_model,
     )
     return losses[0], models[0], delivered[0]

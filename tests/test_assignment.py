@@ -178,10 +178,23 @@ def lockstep_bisect(lo, hi, below_root):
     return lo, hi, holds_lo, holds_hi
 
 
-def uncompacted(lo, hi, columns, below_root, band=None):
+def uncompacted(lo, hi, columns, measure, newton):
     """``lockstep_bisect`` with the ``assignment._bisect`` calling
-    convention; it evaluates every point, so it ignores ``band``."""
-    return lockstep_bisect(lo, hi, lambda x: below_root(x, *columns))
+    convention; it evaluates every point, so it reads only the predicate of
+    ``measure`` and ignores ``newton``."""
+    return lockstep_bisect(lo, hi, lambda x: measure(x, *columns)[0])
+
+
+def no_band(lo, hi, columns, measure, newton):
+    """A ``_certified_band`` that certifies nothing, so ``_bisect``
+    evaluates every probe and mid."""
+    return np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
+
+
+def predicate_only(below_root):
+    """``below_root(x, *columns)`` as a ``_bisect`` measure with no excess,
+    for searches whose ``_certified_band`` does not read it."""
+    return lambda x, *columns: (below_root(x, *columns), None, None)
 
 
 def bisection_edge(draw, places=("inside", "lo", "hi", "below", "above"), adjacent=False):
@@ -256,8 +269,11 @@ class TestBisect:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(assignment, "_BISECT_ITERS", iters)
+            patch.setattr(assignment, "_certified_band", no_band)
             want = lockstep_bisect(lo.copy(), hi.copy(), lambda x: below_root(x, root))
-            got = assignment._bisect(lo.copy(), hi.copy(), (root, ids), recorded)
+            got = assignment._bisect(
+                lo.copy(), hi.copy(), (root, ids), predicate_only(recorded), None
+            )
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         # After the two probes only edges whose mid still moves are evaluated:
@@ -288,7 +304,10 @@ class TestBisect:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(assignment, "_BISECT_ITERS", iters)
-            got = assignment._bisect(lo.copy(), hi.copy(), (root, block_ids, edge_ids), recorded)
+            patch.setattr(assignment, "_certified_band", no_band)
+            got = assignment._bisect(
+                lo.copy(), hi.copy(), (root, block_ids, edge_ids), predicate_only(recorded), None
+            )
             want = [
                 lockstep_bisect(b_lo.copy(), b_hi.copy(), lambda x, r=b_root: below_root(x, r))
                 for b_lo, b_hi, b_root in blocks
@@ -317,14 +336,17 @@ class TestBisect:
             m_lo[index[up]], m_hi[index[~up]] = x[up], x[~up]
         assert m_lo.tobytes() == got[0].tobytes() and m_hi.tobytes() == got[1].tobytes()
 
-    def test_wide_bracket_stops_at_the_iteration_cap(self):
+    def test_wide_bracket_stops_at_the_iteration_cap(self, monkeypatch):
         calls = []
 
         def below_root(x):
             calls.append(x.size)
             return x < 1.0
 
-        lo, hi, _, _ = assignment._bisect(np.array([0.0]), np.array([1e300]), (), below_root)
+        monkeypatch.setattr(assignment, "_certified_band", no_band)
+        lo, hi, _, _ = assignment._bisect(
+            np.array([0.0]), np.array([1e300]), (), predicate_only(below_root), None
+        )
         assert len(calls) == 2 + assignment._BISECT_ITERS and lo[0] < 1.0 < hi[0]
 
     @settings(max_examples=200, deadline=None)
@@ -344,9 +366,11 @@ class TestBisect:
             return x < root
 
         want = lockstep_bisect(lo.copy(), hi.copy(), lambda x: x < root)
-        got = assignment._bisect(
-            lo.copy(), hi.copy(), (root, a, b), below_root, lambda lo, hi, root, a, b: (a, b)
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(assignment, "_certified_band", lambda lo, hi, columns, *_: columns[1:])
+            got = assignment._bisect(
+                lo.copy(), hi.copy(), (root, a, b), predicate_only(below_root), None
+            )
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         for x, a_x, b_x in evaluated:
@@ -360,24 +384,25 @@ def record_searches(monkeypatch, oracle=False):
     (lo, hi), so that the bisection evaluates only the mids inside it.  With
     ``oracle``, each call's (lo, hi, holds_lo, holds_hi) must first equal
     the lock-step oracle's bit for bit."""
-    searches, bisect = [], assignment._bisect
+    searches, bands = [], []
+    bisect, certify = assignment._bisect, assignment._certified_band
 
-    def recorded(lo, hi, columns, below_root, band=None):
-        bands = []
+    def recorded_band(*args):
+        bands.append(certify(*args))
+        return bands[-1]
 
-        def recorded_band(*args):
-            bands.append(band(*args))
-            return bands[-1]
-
-        got = bisect(lo.copy(), hi.copy(), columns, below_root, recorded_band)
+    def recorded(lo, hi, columns, measure, newton):
+        got = bisect(lo.copy(), hi.copy(), columns, measure, newton)
         if oracle:
-            want = uncompacted(lo.copy(), hi.copy(), columns, below_root)
+            want = uncompacted(lo.copy(), hi.copy(), columns, measure, newton)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         (a, b), = bands
+        bands.clear()
         searches.append((moving_after_probes(lo, hi, *got[2:]), (lo < a) & (b < hi)))
         return got
 
+    monkeypatch.setattr(assignment, "_certified_band", recorded_band)
     monkeypatch.setattr(assignment, "_bisect", recorded)
     return searches
 
@@ -473,15 +498,21 @@ class TestCertifiedBand:
         evaluations = sum(sizes) // QUAD.node_or_sample_count
         assert evaluations <= 2 * moving.size + 30 * np.count_nonzero(moving)
 
-    def test_blocked_rb_is_never_selected_nor_feeds_nan(self, monkeypatch):
+    @pytest.mark.parametrize("budgets", [
+        "energy_budget_j = 0.0022\n",
+        "energy_budget_j = inf\n",
+        "energy_budget_j = inf\ndelay_budget_s = inf\n",
+    ], ids=["finite_budgets", "energy_budget_inf", "both_budgets_inf"])
+    def test_blocked_rb_is_never_selected_nor_feeds_nan(self, budgets, monkeypatch):
         # One RB at infinite interference is legal and blocks that RB: its
-        # edges are infeasible, no algorithm selects it, and no NaN reaches
-        # the certificate.
+        # edges are infeasible even where no budget binds (an infinite
+        # energy fits no budget), no algorithm selects it, and no NaN
+        # reaches the certificate.
         from fedwireless import harness
         from fedwireless.config import loads_config
 
         config = loads_config(
-            "[network]\nrb_count = 4\nenergy_budget_j = 0.0022\n"
+            "[network]\nrb_count = 4\n" + budgets +
             "uplink_interference_w = 1e-9 inf 1e-8 1e-7\n"
             "[users]\ncount = 8\ncell_radius_m = 1000.0\n"
             "[training]\nrounds = 2\n[experiment]\nseeds = 1 2 3\n"
@@ -495,8 +526,8 @@ class TestCertifiedBand:
                 return values
             return checked
 
-        def checked_band(lo, hi, columns, excess, newton):
-            a, b = certify(lo, hi, columns, finite(excess), finite(newton))
+        def checked_band(lo, hi, columns, measure, newton):
+            a, b = certify(lo, hi, columns, finite(measure), finite(newton))
             assert not (np.isnan(a).any() or np.isnan(b).any())
             return a, b
 
@@ -1176,10 +1207,10 @@ def scalar_verify_allocation(decision, users, params, fexp):
         total_delay = uplink_delay(users[i], n, p, params, fexp) + downlink_delay(
             users[i], params, fexp
         )
-        if total_delay > params.delay_budget_s * (1 + 1e-12):
+        if not (np.isfinite(total_delay) and total_delay <= params.delay_budget_s * (1 + 1e-12)):
             problems.append(f"user {i} violates delay budget: {total_delay:.6g}")
         energy = user_energy(users[i], n, p, params, fexp)
-        if energy > params.energy_budget_j + 1e-9:
+        if not (np.isfinite(energy) and energy <= params.energy_budget_j + 1e-9):
             problems.append(f"user {i} violates energy budget: {energy:.6g}")
     return problems
 
@@ -1197,6 +1228,22 @@ class TestVerifyAllocation:
         assert "power outside [0, P_max]" in verify_allocation(
             decision, users, params, config.fading
         )
+
+    def test_blocked_rb_is_reported_under_infinite_budgets(self):
+        # A user on an RB at infinite interference never delivers: its delay
+        # and energy are inf, which violate even infinite budgets.
+        users = [user_at(300.0), user_at(500.0)]
+        params = NetworkParams(rb_count=2, uplink_interference_w=(1e-9, np.inf),
+                               delay_budget_s=np.inf, energy_budget_j=np.inf)
+        decision = AllocationDecision(
+            selection=np.array([1, 1]), rb_assignment=np.eye(2, dtype=int),
+            power_w=np.full(2, params.max_user_power_w), objective=0.0,
+            error_rate=np.zeros(2), delay_s=np.zeros(2), energy_j=np.zeros(2),
+        )
+        problems = verify_allocation(decision, users, params, QUAD)
+        assert problems == ["user 1 violates delay budget: inf",
+                            "user 1 violates energy budget: inf"]
+        assert problems == scalar_verify_allocation(decision, users, params, QUAD)
 
     @pytest.mark.parametrize("factor, violated", [
         (0.0, True), (0.3, True), (0.999, False), (1.00001, True),

@@ -156,7 +156,8 @@ def kernel_loss_and_gradient(model, features, targets):
     its delivered unit-rate step model - (1/n) * gradient solved back."""
     n = len(targets)
     losses, models, _ = _train_cells(
-        features, targets, [n], [[1]], [1.0], np.ones((1, 1, 1), dtype=bool), model
+        np.asarray(features)[None], np.asarray(targets)[None], [n], [[1]], [1.0],
+        np.ones((1, 1, 1), dtype=bool), model,
     )
     return losses[0, 0] * n, (np.asarray(model, dtype=float) - models[0, 1]) * n
 
@@ -164,7 +165,8 @@ def kernel_loss_and_gradient(model, features, targets):
 def kernel_local_update(global_model, features, targets, learning_rate):
     """The kernel's global model after one delivered round of one user."""
     _, models, _ = _train_cells(
-        features, targets, [len(targets)], [[1]], [learning_rate],
+        np.asarray(features)[None], np.asarray(targets)[None], [len(targets)], [[1]],
+        [learning_rate],
         np.ones((1, 1, 1), dtype=bool), global_model,
     )
     return models[0, 1]
@@ -178,7 +180,8 @@ def kernel_aggregate(points, sample_counts, arrived, previous=(0.0, 0.0)):
     points = np.asarray(points, dtype=float)
     features = np.repeat(points, sample_counts, axis=0)
     _, models, _ = _train_cells(
-        features, np.ones(len(features)), sample_counts, [np.ones(len(points))], [1.0],
+        features[None], np.ones((1, len(features))), sample_counts,
+        [np.ones(len(points))], [1.0],
         np.asarray(arrived, dtype=bool)[None, None], previous,
     )
     return models[0, 1]
@@ -325,7 +328,7 @@ class TestTransmit:
         assert abs(hits / trials - 0.7) < 0.0015
         n_users, rounds = 100, 10**4
         _, _, delivered = _train_cells(
-            np.ones((n_users, 2)), np.zeros(n_users), [1] * n_users, [np.ones(n_users)],
+            np.ones((1, n_users, 2)), np.zeros((1, n_users)), [1] * n_users, [np.ones(n_users)],
             [0.0], _delivery_draws(np.full(n_users, 0.3), rounds, np.random.default_rng(8))[None],
             np.zeros(2),
         )
@@ -449,7 +452,7 @@ class TestRunTraining:
         initial_model = np.array([0.5, -0.25])
         result = run_training(ds, decision, 0.3, 40, np.random.default_rng(6), initial_model)
         expected = _train_cells(
-            ds.x, ds.y, ds.sample_counts, [decision.selection], [0.3],
+            ds.x[None], ds.y[None], ds.sample_counts, [decision.selection], [0.3],
             _delivery_draws(decision.error_rate, 40, np.random.default_rng(6))[None],
             initial_model,
         )
@@ -472,15 +475,17 @@ def assert_cells_match_oracle(cells, rounds, shared=True, initial_model=(0.25, -
     """Train ``cells`` [(dataset, decision, lr, seed)] as one kernel batch and
     one by one through the oracle; losses, models, delivered flags and the
     generators' end states must agree bit for bit.  The kernel gets one
-    shared dataset, one per cell, or with ``data_sets`` = S the first S
+    shared dataset (S = 1), one per cell, or with ``data_sets`` = S the first S
     cells' datasets, which cell b reads as b % S."""
     initial_model = np.array(initial_model)
     rngs = [np.random.default_rng([seed, 3]) for *_, seed in cells]
     datasets = [dataset for dataset, *_ in cells]
     if data_sets is not None:
         datasets = datasets[:data_sets]
-    features = datasets[0].x if shared else np.stack([dataset.x for dataset in datasets])
-    targets = datasets[0].y if shared else np.stack([dataset.y for dataset in datasets])
+    if shared:
+        datasets = datasets[:1]
+    features = np.stack([dataset.x for dataset in datasets])
+    targets = np.stack([dataset.y for dataset in datasets])
     losses, models, delivered = _train_cells(
         features, targets, cells[0][0].sample_counts,
         [decision.selection for _, decision, *_ in cells], [lr for _, _, lr, _ in cells],
@@ -573,7 +578,7 @@ class TestTrainCells:
                 sequential_training(ds, decision, lr, 400, np.random.default_rng([seed, 3]))
         with pytest.raises(TrainingDiverged) as batched:
             _train_cells(
-                ds.x, ds.y, ds.sample_counts, [decision.selection] * 3, rates,
+                ds.x[None], ds.y[None], ds.sample_counts, [decision.selection] * 3, rates,
                 np.stack([
                     _delivery_draws(decision.error_rate, 400, np.random.default_rng([seed, 3]))
                     for seed in range(3)
@@ -657,7 +662,7 @@ class TestFeatureMajorLayout:
         cells = self.cells(ds, 1)
         assert_cells_match_oracle(cells, 20, initial_model=[0.25, -0.0, -0.5])
         _, models, _ = _train_cells(
-            ds.x, ds.y, ds.sample_counts, [cells[0][1].selection], [0.3],
+            ds.x[None], ds.y[None], ds.sample_counts, [cells[0][1].selection], [0.3],
             np.ones((1, 20, len(ds.sample_counts)), dtype=bool), [0.25, -0.0, -0.5],
         )
         assert np.signbit(models[0, 0, 1]) and not np.signbit(models[0, 1:, 1]).any()
