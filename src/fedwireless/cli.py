@@ -152,7 +152,10 @@ def _cmd_validate(args) -> int:
     q = packet_error_rate(users[0], 0, powers, params, fexp)
     e = user_energy(users[0], 0, powers, params, fexp)
     check("error rate non-increasing in power", bool(np.all(np.diff(q) <= 1e-15)))
-    check("energy strictly increasing in power", bool(np.all(np.diff(e) > 0)))
+    if users[0].payload_bits > 0:
+        check("energy strictly increasing in power", bool(np.all(np.diff(e) > 0)))
+    else:
+        check("energy is zero at every power without a payload", bool(np.all(e == 0)))
 
     # The power searches of two topologies pooled into one bisection must
     # give each topology the edges it gets alone, bit for bit.
@@ -174,11 +177,12 @@ def _cmd_validate(args) -> int:
 
     def train(cells):
         """(losses, models) of one 10-round training batch of (learning
-        rate, packet-loss seed) cells."""
+        rate, packet-loss seed) cells of the allocation."""
+        rates, seeds = zip(*cells)
         return harness._train_batch(
-            ten_rounds, [("proposed", seed, decision, 0.0) for _, seed in cells],
-            [rate for rate, _ in cells], dataset.x[None], dataset.y[None], dataset.sample_counts,
-        )[1:]
+            ten_rounds, seeds, [decision] * len(cells), rates,
+            dataset.x[None], dataset.y[None], dataset.sample_counts,
+        )
 
     run_a, run_c = train([(lr, 1)]), train([(0.5 * lr, 2)])
     check("training is seed deterministic",

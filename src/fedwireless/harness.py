@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assignment, bounds, training
-from .config import ExperimentConfig
+from .config import ExperimentConfig, serialize_config
 
 __all__ = [
     "RunRecord",
@@ -118,8 +118,7 @@ class RunRecord:
     and then trains every (algorithm, seed) cell as one batch (packet-loss
     draws included); a record takes an equal share of its algorithm's
     pass, of the whole batch and, for proposed, baseline_a and baseline_c,
-    of the pooled edge build they read.  ``bound_report`` trains all seeds
-    as one batch and splits it the same way.
+    of the pooled edge build they read.
     """
 
     algorithm: str
@@ -136,7 +135,6 @@ class RunRecord:
     final_loss: float
     learning_rate: float
     wall_clock_s: float
-    bound: list | None = None
 
     def allocation_digest(self) -> str:
         parts = [
@@ -145,13 +143,6 @@ class RunRecord:
             ",".join(repr(float(p)) for p in self.power_w),
         ]
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
-        return cls(**data)
 
 
 def _record_from_run(algorithm, seed, decision, losses, learning_rate, wall_clock_s):
@@ -176,34 +167,24 @@ def _record_from_run(algorithm, seed, decision, losses, learning_rate, wall_cloc
     )
 
 
-def _train_batch(config, cells, learning_rates, features, targets, sample_counts):
-    """Train ``cells``, (algorithm, seed, decision, allocation seconds)
-    each, as one ``training._train_cells`` batch and return (records,
-    losses, models).
+def _train_batch(config, seeds, decisions, learning_rates, features, targets, sample_counts):
+    """Train one cell per (seed, decision, learning rate) as one
+    ``training._train_cells`` batch and return its (losses, models).
 
-    Each cell's packet losses come from its seed's transmit stream.  The
-    draws and the training are timed together, and each record's wall clock
-    is its allocation seconds plus an equal share of that time.
+    Each cell's packet losses come from its seed's transmit stream.
     """
-    start = time.perf_counter()
     delivery = np.stack([
         training._delivery_draws(
             decision.error_rate, config.rounds,
             np.random.default_rng([seed, _STREAM_TRANSMIT]),
         )
-        for _, seed, decision, _ in cells
+        for seed, decision in zip(seeds, decisions)
     ])
     losses, models, _ = training._train_cells(
-        features, targets, sample_counts, [decision.selection for *_, decision, _ in cells],
+        features, targets, sample_counts, [decision.selection for decision in decisions],
         learning_rates, delivery, config.initial_model,
     )
-    share = (time.perf_counter() - start) / len(cells)
-    records = [
-        _record_from_run(algorithm, seed, decision, cell_losses, lr, seconds + share)
-        for (algorithm, seed, decision, seconds), cell_losses, lr
-        in zip(cells, losses, learning_rates)
-    ]
-    return records, losses, models
+    return losses, models
 
 
 def run_experiment(config: ExperimentConfig):
@@ -236,10 +217,21 @@ def run_experiment(config: ExperimentConfig):
         if algorithm != "baseline_b":
             share += edge_build_s
         cells += [(algorithm, seed, decision, share) for seed, decision in zip(seeds, decisions)]
-    return _train_batch(
-        config, cells, learning_rates * len(config.algorithms),
+    learning_rates *= len(config.algorithms)
+    _, cell_seeds, cell_decisions, _ = zip(*cells)
+    # The packet-loss draws and the training are timed together, and each
+    # record's wall clock is its allocation share plus an equal share of them.
+    start = time.perf_counter()
+    losses = _train_batch(
+        config, cell_seeds, cell_decisions, learning_rates,
         features, targets, datasets[0].sample_counts,
     )[0]
+    share = (time.perf_counter() - start) / len(cells)
+    return [
+        _record_from_run(algorithm, seed, decision, cell_losses, lr, seconds + share)
+        for (algorithm, seed, decision, seconds), cell_losses, lr
+        in zip(cells, losses, learning_rates)
+    ]
 
 
 def _with_rb_count(params, rb_count):
@@ -293,9 +285,9 @@ def sweep(config: ExperimentConfig, axis: str, values):
 def export_csv(records, path) -> None:
     """Plot-ready long-format CSV: one row per (record, round >= 1).
 
-    The bound column is empty unless a bound series was attached to the
-    record; floats are written with repr so re-importing is lossless.  The
-    rows are written one record at a time.
+    The bound column is always empty: the bound series lives in
+    ``fedwireless bound``'s bound.csv.  Floats are written with repr so
+    re-importing is lossless.  The rows are written one record at a time.
     """
     if not records:
         raise ValueError("records must be non-empty")
@@ -303,25 +295,21 @@ def export_csv(records, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(CSV_HEADER + "\n")
             for record in records:
-                handle.write("".join(_csv_rows(record)))
+                digest = record.allocation_digest()
+                handle.write("".join(
+                    f"{record.algorithm},{record.seed},{step},"
+                    f"{repr(float(record.losses[step]))},,{digest}\n"
+                    for step in range(1, len(record.losses))
+                ))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def _csv_rows(record):
-    digest = record.allocation_digest()
-    for step in range(1, len(record.losses)):
-        bound = ""
-        if record.bound is not None and step < len(record.bound):
-            bound = repr(float(record.bound[step]))
-        yield (
-            f"{record.algorithm},{record.seed},{step},"
-            f"{repr(float(record.losses[step]))},{bound},{digest}\n"
-        )
-
-
 def read_csv_rows(path):
-    """Read back an exported CSV as a list of typed row dicts."""
+    """Read back an exported CSV as a list of typed row dicts.
+
+    A filled bound column is parsed too: the file may come from elsewhere.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
     if not lines or lines[0] != CSV_HEADER:
@@ -371,27 +359,24 @@ def _environment() -> dict:
     }
 
 
-def write_manifest(records, path, config: ExperimentConfig | None = None) -> None:
-    """Lossless JSON store of the run records (and optionally the config
-    text), with the environment that produced them.
+def write_manifest(records, path, config: ExperimentConfig) -> None:
+    """Lossless JSON store of the run records and the config text, with the
+    environment that produced them.
 
     One compact ``json.dumps`` per record, one record a line: unindented
     dumps run the C encoder, where ``indent`` falls back to pure Python.
     """
-    from .config import serialize_config
-
-    tail = "" if config is None else ',\n"config": ' + json.dumps(serialize_config(config))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write('{"environment": ' + json.dumps(_environment()) + ',\n"records": [\n')
-        handle.write(",\n".join(json.dumps(record.to_dict()) for record in records))
-        handle.write("\n]" + tail + "}\n")
+        handle.write(",\n".join(json.dumps(vars(record)) for record in records))
+        handle.write('\n],\n"config": ' + json.dumps(serialize_config(config)) + "}\n")
 
 
 def load_manifest(path):
     """The run records of a manifest; its environment block is not read."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    return [RunRecord.from_dict(item) for item in payload["records"]]
+    return [RunRecord(**item) for item in payload["records"]]
 
 
 def bound_report(config: ExperimentConfig):
@@ -401,8 +386,7 @@ def bound_report(config: ExperimentConfig):
     contributes one training run that differs only in its packet-loss draws,
     matching the analysis where the expectation runs over packet errors.
     The runs train as one ``training._train_cells`` batch, and every
-    trajectory model feeds the gradient-bound fit.  One RunRecord per seed
-    is returned with the bound series attached.
+    trajectory model feeds the gradient-bound fit.
     """
     seed0 = config.seeds[0]
     users, dataset = build_topology(config, seed0)
@@ -411,9 +395,10 @@ def bound_report(config: ExperimentConfig):
     curv = bounds.curvature(dataset)
     lr = resolve_learning_rate(config, dataset)
 
-    records, losses, models = _train_batch(
-        config, [("proposed", seed, decision, 0.0) for seed in config.seeds],
-        [lr] * len(config.seeds), dataset.x[None], dataset.y[None], dataset.sample_counts,
+    runs = len(config.seeds)
+    losses, models = _train_batch(
+        config, config.seeds, [decision] * runs,
+        [lr] * runs, dataset.x[None], dataset.y[None], dataset.sample_counts,
     )
 
     g_star = training.least_squares_model(dataset)
@@ -431,9 +416,6 @@ def bound_report(config: ExperimentConfig):
         steps, curv, fit,
         decision.selection, decision.error_rate, dataset.sample_counts, initial_gap,
     )
-    per_step_bound = series.per_step_bound.tolist()
-    for record in records:
-        record.bound = list(per_step_bound)
     return {
         "steps": steps,
         "series": series,
@@ -441,5 +423,4 @@ def bound_report(config: ExperimentConfig):
         "curvature": curv,
         "fit": fit,
         "decision": decision,
-        "records": records,
     }

@@ -42,6 +42,11 @@ GOLDEN_REFERENCE_CSV_SHA256 = (
     "e3bd62b645ddfc56b84ab98dfb5f52bb8ec3d271088843fd6f28719c582812ab"
 )
 
+# sha256 of the bound.csv that `fedwireless bound` writes for the reference config.
+GOLDEN_REFERENCE_BOUND_SHA256 = (
+    "c131a75cbddb1f1fb30bf22c8de7168bc78a9edb310027992772e73cdfa7529a"
+)
+
 MINI = """
 [network]
 rb_count = 4
@@ -169,7 +174,7 @@ class TestRunExperiment:
         a = run_experiment(config)
         b = run_experiment(config)
         for ra, rb in zip(a, b):
-            da, db = ra.to_dict(), rb.to_dict()
+            da, db = dict(vars(ra)), dict(vars(rb))
             da.pop("wall_clock_s")
             db.pop("wall_clock_s")
             assert da == db
@@ -333,7 +338,7 @@ class TestPersistence:
         path = tmp_path / "manifest.json"
         write_manifest(records, path, config=config)
         reloaded = load_manifest(path)
-        assert [r.to_dict() for r in reloaded] == [r.to_dict() for r in records]
+        assert [vars(r) for r in reloaded] == [vars(r) for r in records]
 
     def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -382,6 +387,12 @@ class TestPersistence:
         digest = _sha256(path)
         assert digest == GOLDEN_REFERENCE_CSV_SHA256, csv_drift_report(REFERENCE_CSV, path)
 
+    def test_reference_bound_golden_digest(self, in_process_reference_outputs):
+        # Golden capture of the reference bound.csv: the bound series and
+        # the measured mean excess loss at every step, as repr floats.
+        path = in_process_reference_outputs / "bound.csv"
+        assert _sha256(path) == GOLDEN_REFERENCE_BOUND_SHA256
+
     def test_drift_report_names_row_ulps_and_moved_allocations(self, tmp_path):
         lines = REFERENCE_CSV.read_text().splitlines(keepends=True)
         algorithm, seed, step, loss, bound, digest = lines[150].rstrip("\n").split(",")
@@ -396,42 +407,54 @@ class TestPersistence:
         unchanged = csv_drift_report(REFERENCE_CSV, REFERENCE_CSV)
         assert unchanged.endswith("allocation_digest moved: none")
 
-    def test_bound_series_lands_in_csv_column(self, tmp_path):
-        from fedwireless.harness import bound_report
-
-        config = mini_config(algorithms=("proposed",), seeds=(3, 4), rounds=5)
-        report = bound_report(config)
-        records = report["records"]
-        assert all(r.bound is not None for r in records)
-        path = tmp_path / "bound_runs.csv"
-        export_csv(records, path)
-        rows = read_csv_rows(path)
-        assert all(row["bound"] is not None for row in rows)
-        series = report["series"]
-        for row in rows:
-            assert row["bound"] == float(series.per_step_bound[row["round"]])
-
     def test_streamed_export_equals_one_joined_payload(self, tmp_path):
-        from fedwireless.harness import bound_report
-
-        config = mini_config(algorithms=("proposed",), seeds=(3, 4), rounds=5)
-        records = bound_report(config)["records"]
-        records[1].bound = records[1].bound[:3]       # shorter than the losses
-        records.append(run_experiment(config)[0])     # no bound at all
+        config = mini_config(seeds=(3, 4), rounds=5)
+        records = run_experiment(config)
         # The whole file built as one string, as a list of every row.
         lines = ["algorithm,seed,round,loss,bound,allocation_digest"]
         for record in records:
             for step in range(1, len(record.losses)):
-                bound = ""
-                if record.bound is not None and step < len(record.bound):
-                    bound = repr(float(record.bound[step]))
                 lines.append(
                     f"{record.algorithm},{record.seed},{step},"
-                    f"{repr(float(record.losses[step]))},{bound},{record.allocation_digest()}"
+                    f"{repr(float(record.losses[step]))},,{record.allocation_digest()}"
                 )
         path = tmp_path / "runs.csv"
         export_csv(records, path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+class TestBoundReport:
+    def test_builds_no_run_record(self, monkeypatch):
+        from fedwireless import harness
+
+        def refuse(*args):
+            raise AssertionError("bound_report built a RunRecord")
+
+        monkeypatch.setattr(harness, "_record_from_run", refuse)
+        config = mini_config(seeds=(3, 4), rounds=5)
+        report = harness.bound_report(config)
+        assert "records" not in report
+        assert report["mean_excess"].shape == (config.rounds + 1,)
+
+    def test_mean_excess_is_the_gap_of_one_cell_runs(self):
+        # The batch trains each seed as run_training does alone, on the
+        # seed's packet-loss stream [seed, 3], bit for bit.
+        from fedwireless import bounds, training
+        from fedwireless.harness import bound_report, resolve_learning_rate
+
+        config = mini_config(seeds=(3, 4, 9), rounds=8)
+        report = bound_report(config)
+        _, dataset = build_topology(config, config.seeds[0])
+        lr = resolve_learning_rate(config, dataset)
+        losses = [
+            training.run_training(
+                dataset, report["decision"], lr, config.rounds,
+                np.random.default_rng([seed, 3]), config.initial_model,
+            )[0]
+            for seed in config.seeds
+        ]
+        expected = bounds.empirical_gap(losses, training.least_squares_model(dataset), dataset)
+        assert float_bits(report["mean_excess"]) == float_bits(expected)
 
 
 def _sha256(path):
@@ -726,6 +749,13 @@ class TestCli:
 
     def test_validate_passes_on_reference(self, tmp_path):
         assert cli.main(["validate", str(REFERENCE)]) == 0
+
+    def test_validate_passes_with_zero_payload(self, tmp_path, capsys):
+        # Nothing to send: the energy is zero at every power, not increasing.
+        cfg = tmp_path / "zero_payload.cfg"
+        cfg.write_text("[users]\npayload_bits = 0\n")
+        assert cli.main(["validate", str(cfg)]) == 0
+        assert "PASS  energy is zero at every power without a payload" in capsys.readouterr().out
 
     def test_validate_passes_with_fewer_than_five_rbs(self, tmp_path, capsys):
         # The 5 x 5 matching check cycles the 3 RBs' interference.
