@@ -24,7 +24,6 @@ from .assignment import (
     EdgeWeightMatrix,
     baseline_min_sum_per,
     baseline_optselect_randomrb,
-    baseline_random_all,
     brute_force_assign,
     build_edge_weights,
     feasible_power_interval,
@@ -45,15 +44,11 @@ from .bounds import (
     BoundSeries,
     CurvatureEstimate,
     GradientBoundFit,
-    asymptotic_gap,
     bound_series,
-    contraction_factor,
     convergence_slope_limit,
     curvature,
     empirical_gap,
-    excess_loss_bound,
     fit_gradient_bound,
-    slope_guarantees_convergence,
     worst_case_error_sum,
 )
 from .config import ConfigError, ExperimentConfig, load_config, serialize_config

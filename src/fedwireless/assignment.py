@@ -25,7 +25,6 @@ __all__ = [
     "build_edge_weights",
     "hungarian_assign",
     "brute_force_assign",
-    "baseline_random_all",
     "baseline_optselect_randomrb",
     "baseline_min_sum_per",
     "verify_allocation",
@@ -539,23 +538,16 @@ def brute_force_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
     return _decide_on_edges(edges, (rows[kept], rbs[kept]), 0)
 
 
-def baseline_random_all(rng, users, params, fexp) -> AllocationDecision:
-    """Baseline b: uniformly random user selection, RB matching, and powers.
+def _random_all(rngs, user_lists, params, fexp):
+    """Baseline b for many seeds, each with its generator and users:
+    uniformly random user selection, RB matching, and powers.
 
     Powers are drawn uniformly from each edge's feasible interval; pairs
     with no feasible power are dropped so the output always satisfies the
-    delay and energy gates.  The one-seed form of ``_random_all``.
-    """
-    return _random_all([rng], [users], params, fexp)[0]
-
-
-def _random_all(rngs, user_lists, params, fexp):
-    """baseline_random_all for many seeds, each with its generator and users.
-
-    Every seed draws its two permutations first; one ``_power_interval``
-    then covers all seeds' chosen pairs as one cohort, and each seed draws
-    its powers from its own generator.  The link stats reuse the interval
-    search's downlink delays.
+    delay and energy gates.  Every seed draws its two permutations first;
+    one ``_power_interval`` then covers all seeds' chosen pairs as one
+    cohort, and each seed draws its powers from its own generator.  The
+    link stats reuse the interval search's downlink delays.
     """
     n_rbs = params.rb_count
     chosen = []

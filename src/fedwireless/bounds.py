@@ -32,13 +32,9 @@ __all__ = [
     "curvature",
     "fit_gradient_bound",
     "wireless_error_sum",
-    "contraction_factor",
-    "excess_loss_bound",
     "bound_series",
-    "asymptotic_gap",
     "worst_case_error_sum",
     "convergence_slope_limit",
-    "slope_guarantees_convergence",
     "empirical_gap",
 ]
 
@@ -137,12 +133,6 @@ def _theorem(error_sum, total, curv, intercept, slope):
     return 1.0 - ratio + drift, per_step, limit
 
 
-def _allocation_theorem(selection, error_rates, sample_counts, curv, intercept, slope):
-    """``_theorem`` of one allocation."""
-    error_sum = wireless_error_sum(selection, error_rates, sample_counts)
-    return _theorem(error_sum, float(np.sum(sample_counts)), curv, intercept, slope)
-
-
 # Points of fit_gradient_bound's even slope grid on [0, slope cap).
 _SLOPE_GRID = 33
 
@@ -178,36 +168,15 @@ def fit_gradient_bound(dataset, models, error_sum, curv):
     return GradientBoundFit(intercept=intercept, slope=slope)
 
 
-def contraction_factor(selection, error_rates, sample_counts, curv, slope) -> float:
-    """Per-step contraction of expected excess loss; < 1 is required to converge."""
-    return _allocation_theorem(selection, error_rates, sample_counts, curv, 0.0, slope)[0]
-
-
 def _trajectory(t, factor, per_step, initial_gap):
     """B^t * gap_0 + A * (1 - B^t) / (1 - B) at steps ``t``, B = ``factor``
     and A = ``per_step``."""
     t = np.asarray(t, dtype=float)
     if factor == 1.0:
         warnings.warn("contraction factor is 1: bound grows linearly", RuntimeWarning)
-        result = initial_gap + t * per_step
-    else:
-        decay = factor ** t
-        result = decay * initial_gap + per_step * (1.0 - decay) / (1.0 - factor)
-    return float(result) if result.ndim == 0 else result
-
-
-def excess_loss_bound(
-    t, factor, intercept, curv, selection, error_rates, sample_counts, initial_gap
-):
-    """Upper bound on expected excess loss after t steps.
-
-    factor^t * initial_gap + G * (1 - factor^t) / (1 - factor) with
-    G = 2 * intercept * wireless_error_sum / (lipschitz * total_samples).
-    Accepts scalar or array t.  factor = 1 degenerates to linear growth
-    initial_gap + t*G (flagged with a warning).
-    """
-    per_step = _allocation_theorem(selection, error_rates, sample_counts, curv, intercept, 0.0)[1]
-    return _trajectory(t, factor, per_step, initial_gap)
+        return initial_gap + t * per_step
+    decay = factor ** t
+    return decay * initial_gap + per_step * (1.0 - decay) / (1.0 - factor)
 
 
 @dataclass
@@ -220,19 +189,18 @@ class BoundSeries:
 
 
 def bound_series(steps, curv, fit, selection, error_rates, sample_counts, initial_gap):
-    """Evaluate the excess-loss bound over a step range as a BoundSeries."""
-    factor, per_step, gap = _allocation_theorem(
-        selection, error_rates, sample_counts, curv, fit.intercept, fit.slope
+    """The theorem for one allocation under the gradient bound ``fit``: its
+    contraction factor B, the bound at each of ``steps`` (B = 1 degenerates
+    to linear growth, flagged with a warning) and the limit, inf when B >= 1."""
+    error_sum = wireless_error_sum(selection, error_rates, sample_counts)
+    factor, per_step, gap = _theorem(
+        error_sum, float(np.sum(sample_counts)), curv, fit.intercept, fit.slope
     )
-    series = _trajectory(steps, factor, per_step, initial_gap)
     return BoundSeries(
-        contraction=factor, per_step_bound=np.asarray(series), asymptotic_gap=gap
+        contraction=factor,
+        per_step_bound=_trajectory(steps, factor, per_step, initial_gap),
+        asymptotic_gap=gap,
     )
-
-
-def asymptotic_gap(selection, error_rates, sample_counts, curv, intercept, slope) -> float:
-    """Limit of the excess-loss bound as t grows; inf when contraction fails."""
-    return _allocation_theorem(selection, error_rates, sample_counts, curv, intercept, slope)[2]
 
 
 def worst_case_error_sum(users, params, fexp) -> float:
@@ -263,13 +231,6 @@ def convergence_slope_limit(users, params, fexp) -> float:
     if worst == 0.0:
         return float("inf")
     return total / (4.0 * worst)
-
-
-def slope_guarantees_convergence(slope, users, params, fexp) -> bool:
-    """True when the gradient-bound slope lies strictly below the topology limit."""
-    if not slope > 0:
-        raise ValueError("slope must be strictly positive")
-    return slope < convergence_slope_limit(users, params, fexp)
 
 
 def empirical_gap(losses, optimal_model, dataset):

@@ -149,8 +149,10 @@ def _cmd_validate(args) -> int:
 
     from .phy import packet_error_rate, user_energy
     powers = np.sort(rng.uniform(1e-5, params.max_user_power_w, 32))
-    q = packet_error_rate(users[0], 0, powers, params, fexp)
-    e = user_energy(users[0], 0, powers, params, fexp)
+    # The first RB that is not blocked: on a blocked one every energy is inf.
+    rb = int(np.flatnonzero(np.isfinite(params.uplink_interference_w))[0])
+    q = packet_error_rate(users[0], rb, powers, params, fexp)
+    e = user_energy(users[0], rb, powers, params, fexp)
     check("error rate non-increasing in power", bool(np.all(np.diff(q) <= 1e-15)))
     if users[0].payload_bits > 0:
         check("energy strictly increasing in power", bool(np.all(np.diff(e) > 0)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assignment, bounds, training
-from .config import ExperimentConfig, serialize_config
+from .config import ConfigError, ExperimentConfig, serialize_config
 
 __all__ = [
     "RunRecord",
@@ -103,9 +103,19 @@ def _allocate(algorithm, seeds, user_lists, edge_sets, config):
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+def _curvature(dataset):
+    """``bounds.curvature`` of a config's dataset: data too few to be full
+    rank is a config error."""
+    try:
+        return bounds.curvature(dataset)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} ({dataset.total_samples} pooled sample(s) for "
+                          f"{dataset.x.shape[1]} model parameters)") from exc
+
+
 def resolve_learning_rate(config: ExperimentConfig, dataset) -> float:
     if config.learning_rate == "one_over_L":
-        return 1.0 / bounds.curvature(dataset).lipschitz_l
+        return 1.0 / _curvature(dataset).lipschitz_l
     return float(config.learning_rate)
 
 
@@ -258,7 +268,11 @@ def sweep(config: ExperimentConfig, axis: str, values):
         if axis == "user_count":
             derived = replace(config, user_count=int(value))
         elif axis == "rb_count":
-            derived = replace(config, network=_with_rb_count(config.network, int(value)))
+            try:
+                network = _with_rb_count(config.network, int(value))
+            except ValueError as exc:
+                raise ConfigError(f"sweep rb_count = {value}: {exc}") from exc
+            derived = replace(config, network=network)
         elif axis == "samples_per_user":
             derived = replace(config, sample_count_cycle=(int(value),))
         else:
@@ -392,7 +406,7 @@ def bound_report(config: ExperimentConfig):
     users, dataset = build_topology(config, seed0)
     edges = assignment.build_edge_weights(users, config.network, config.fading)
     decision = assignment.hungarian_assign(edges)
-    curv = bounds.curvature(dataset)
+    curv = _curvature(dataset)
     lr = resolve_learning_rate(config, dataset)
 
     runs = len(config.seeds)

@@ -11,25 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedwireless import cli
+from fedwireless import assignment, cli
 from fedwireless.assignment import (
     brute_force_assign,
     build_edge_weights,
     hungarian_assign,
     baseline_min_sum_per,
     baseline_optselect_randomrb,
-    baseline_random_all,
     optimal_power,
 )
 from fedwireless.bounds import (
-    asymptotic_gap,
-    contraction_factor,
+    bound_series,
     curvature,
     empirical_gap,
     fit_gradient_bound,
-    excess_loss_bound,
     wireless_error_sum,
-    slope_guarantees_convergence,
     convergence_slope_limit,
 )
 from fedwireless.config import load_config
@@ -50,7 +46,7 @@ from fedwireless.training import (
     run_training,
 )
 
-from util import manual_decision, synthetic_edges, table_topology
+from util import allocation_bound, manual_decision, synthetic_edges, table_topology
 
 QUAD = FadingExpectation()
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
@@ -179,20 +175,17 @@ def test_criterion_04_bound_dominance():
     counts = dataset.sample_counts
     error_sum = wireless_error_sum(decision.selection, decision.error_rate, counts)
     fit = fit_gradient_bound(dataset, models, error_sum=error_sum, curv=curv)
-    factor = contraction_factor(decision.selection, decision.error_rate, counts, curv, fit.slope)
-    assert factor < 1.0
     initial_gap = losses[0, 0] - global_loss(dataset, g_star)
     steps = np.arange(rounds + 1)
-    bound = excess_loss_bound(
-        steps, factor, fit.intercept, curv,
-        decision.selection, decision.error_rate, counts, initial_gap,
+    # The series that `fedwireless bound` writes.
+    series = bound_series(
+        steps, curv, fit, decision.selection, decision.error_rate, counts, initial_gap
     )
+    factor, bound, gap = series.contraction, series.per_step_bound, series.asymptotic_gap
+    assert factor < 1.0
     envelope = 1e-9 * (1.0 + np.abs(bound))
     assert np.all(mean_excess <= bound + envelope)
 
-    gap = asymptotic_gap(
-        decision.selection, decision.error_rate, counts, curv, fit.intercept, fit.slope
-    )
     assert np.isfinite(gap)
     assert mean_excess[-1] <= 2.0 * gap
     elapsed = time.perf_counter() - start
@@ -234,7 +227,9 @@ def test_criterion_06_algorithm_ordering():
         decisions = {
             "proposed": hungarian_assign(edges),
             "baseline_a": baseline_optselect_randomrb(alloc_rng, edges),
-            "baseline_b": baseline_random_all(alloc_rng, users, config.network, config.fading),
+            "baseline_b": assignment._random_all(
+                [alloc_rng], [users], config.network, config.fading
+            )[0],
             "baseline_c": baseline_min_sum_per(edges),
         }
         for name, decision in decisions.items():
@@ -304,7 +299,7 @@ def test_criterion_08_gradient_slope_guarantee():
             slope = float(rng.uniform(0.5, 100.0))
         else:
             slope = float(threshold * rng.uniform(0.05, 0.95))
-        if not slope_guarantees_convergence(slope, users, params, QUAD):
+        if not slope < threshold:
             continue
         tested += 1
         dataset = generate_regression_data(rng, counts)
@@ -313,9 +308,9 @@ def test_criterion_08_gradient_slope_guarantee():
         decision = hungarian_assign(edges)
         # The guarantee covers the packet-error part of the contraction factor:
         # evaluate it with the realized per-user error rates of the allocation.
-        factor = contraction_factor(
-            np.ones(n_users), decision.error_rate, counts, curv, slope
-        )
+        factor = allocation_bound(
+            np.ones(n_users), decision.error_rate, counts, curv, slope=slope
+        ).contraction
         if not factor < 1.0:
             violations += 1
     assert tested >= 90

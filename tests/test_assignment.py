@@ -14,7 +14,6 @@ from fedwireless.assignment import (
     EdgeWeightMatrix,
     baseline_min_sum_per,
     baseline_optselect_randomrb,
-    baseline_random_all,
     brute_force_assign,
     build_edge_weights,
     feasible_power_interval,
@@ -1052,7 +1051,7 @@ def assert_baseline_b_matches_pair_loop(users, params, fexp, seeds):
     selected = []
     for seed in seeds:
         rng, ref_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
-        decision = baseline_random_all(rng, users, params, fexp)
+        decision = assignment._random_all([rng], [users], params, fexp)[0]
         rows = reference_baseline_b(ref_rng, users, params, fexp)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         want = {name: np.zeros(len(users))
@@ -1081,7 +1080,7 @@ def every_algorithm(users, params, fexp, seed):
     return [
         hungarian_assign(edges),
         baseline_optselect_randomrb(rng, edges),
-        baseline_random_all(rng, users, params, fexp),
+        assignment._random_all([rng], [users], params, fexp)[0],
         baseline_min_sum_per(edges),
     ]
 
@@ -1131,7 +1130,7 @@ class TestBaselines:
         assert baseline_min_sum_per(edges).selection.tolist() == [1]
         a = baseline_optselect_randomrb(np.random.default_rng(0), edges)
         assert a.selection.tolist() == [1]
-        b = baseline_random_all(np.random.default_rng(0), users, params, QUAD)
+        b = assignment._random_all([np.random.default_rng(0)], [users], params, QUAD)[0]
         assert b.selection.tolist() == [1]
 
     def test_all_infeasible_selects_nobody(self):
@@ -1142,7 +1141,7 @@ class TestBaselines:
         assert baseline_min_sum_per(edges).selection.sum() == 0
         a = baseline_optselect_randomrb(np.random.default_rng(1), edges)
         assert a.selection.sum() == 0
-        b = baseline_random_all(np.random.default_rng(1), users, params, QUAD)
+        b = assignment._random_all([np.random.default_rng(1)], [users], params, QUAD)[0]
         assert b.selection.sum() == 0
 
     def test_all_satisfy_allocation_invariants(self):
@@ -1165,7 +1164,7 @@ class TestBaselines:
         proposed = hungarian_assign(edges)
         rng = np.random.default_rng([42, 2])
         a = baseline_optselect_randomrb(rng, edges)
-        b = baseline_random_all(rng, users, params, QUAD)
+        b = assignment._random_all([rng], [users], params, QUAD)[0]
         c = baseline_min_sum_per(edges)
         golden = GOLDEN_SEED42
         assert proposed.selection.tolist() == golden["proposed_selection"]

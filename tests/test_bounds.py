@@ -10,15 +10,11 @@ import pytest
 from fedwireless import bounds
 from fedwireless.bounds import (
     CurvatureEstimate,
-    asymptotic_gap,
-    contraction_factor,
     curvature,
     empirical_gap,
     fit_gradient_bound,
-    excess_loss_bound,
     wireless_error_sum,
     worst_case_error_sum,
-    slope_guarantees_convergence,
     convergence_slope_limit,
 )
 from fedwireless.assignment import build_edge_weights, feasible_power_interval, hungarian_assign
@@ -33,7 +29,13 @@ from fedwireless.training import (
     run_training,
 )
 
-from util import PointMassFading, check_gradient_bound, manual_decision, table_topology
+from util import (
+    PointMassFading,
+    allocation_bound,
+    check_gradient_bound,
+    manual_decision,
+    table_topology,
+)
 
 QUAD = FadingExpectation()
 TABLE_COUNTS = [12, 10, 8, 4, 2] * 3
@@ -149,13 +151,13 @@ class TestFitZeta:
         curv = curvature(ds)
         error_sum = wireless_error_sum(np.ones(15), np.full(15, 0.3), ds.sample_counts)
         fit = fit_gradient_bound(ds, models, error_sum=error_sum, curv=curv)
-        chosen = asymptotic_gap(
+        chosen = allocation_bound(
             np.ones(15), np.full(15, 0.3), ds.sample_counts, curv, fit.intercept, fit.slope
-        )
+        ).asymptotic_gap
         plain = fit_gradient_bound(ds, models, error_sum=0.0, curv=curv)
-        alt = asymptotic_gap(
+        alt = allocation_bound(
             np.ones(15), np.full(15, 0.3), ds.sample_counts, curv, plain.intercept, plain.slope
-        )
+        ).asymptotic_gap
         assert chosen <= alt + 1e-12
 
     @pytest.mark.parametrize(
@@ -195,7 +197,8 @@ class TestFitZeta:
             (max(0.0, float(np.max(per_sample_max - slope * grad_f_norm2))), float(slope))
             for slope in slopes
         ]
-        gaps = [asymptotic_gap(selection, q, counts, curv, *pair) for pair in pairs]
+        gaps = [allocation_bound(selection, q, counts, curv, *pair).asymptotic_gap
+                for pair in pairs]
         first_minimum = int(np.argmin(gaps))
         assert (fit.intercept, fit.slope) == pairs[first_minimum]
         if case == "interior_minimum":
@@ -209,18 +212,19 @@ class TestConvergenceFactor:
         return CurvatureEstimate(lipschitz_l=2.0, strong_convexity_mu=0.5)
 
     def test_error_free_full_selection(self):
-        a = contraction_factor(np.ones(4), np.zeros(4), [3, 4, 5, 6], self.curv(), slope=7.0)
+        curv = self.curv()
+        a = allocation_bound(np.ones(4), np.zeros(4), [3, 4, 5, 6], curv, slope=7.0).contraction
         assert a == pytest.approx(1.0 - 0.25, rel=1e-12)
 
     def test_nobody_selected(self):
         curv = self.curv()
-        a = contraction_factor(np.zeros(4), np.zeros(4), [3, 4, 5, 6], curv, slope=0.3)
+        a = allocation_bound(np.zeros(4), np.zeros(4), [3, 4, 5, 6], curv, slope=0.3).contraction
         expected = 1 - 0.25 + 4 * 0.5 * 0.3 / 2.0
         assert a == pytest.approx(expected, rel=1e-12)
 
     def test_hand_mixed_instance(self):
         curv = self.curv()
-        a = contraction_factor([1, 1], [0.1, 0.2], [12, 10], curv, slope=1.5)
+        a = allocation_bound([1, 1], [0.1, 0.2], [12, 10], curv, slope=1.5).contraction
         s = 12 * 0.1 + 10 * 0.2
         expected = 1 - 0.25 + 4 * 0.5 * 1.5 * s / (2.0 * 22)
         assert a == pytest.approx(expected, rel=1e-12)
@@ -232,20 +236,24 @@ class TestTheoremBound:
 
     def test_step_zero_is_initial_gap(self):
         curv = self.curv()
-        b = excess_loss_bound(0, 0.9, 1.0, curv, [1, 1], [0.3, 0.1], [5, 5], initial_gap=0.42)
-        assert b == 0.42
+        # slope 0.75 makes B = 0.9.
+        bound = allocation_bound([1, 1], [0.3, 0.1], [5, 5], curv, 1.0, 0.75, initial_gap=0.42)
+        assert bound.per_step_bound[0] == 0.42
 
     def test_error_free_reduces_to_plain_contraction(self):
         curv = self.curv()
-        a = contraction_factor(np.ones(3), np.zeros(3), [2, 3, 4], curv, slope=9.0)
-        for t in (1, 5, 40):
-            b = excess_loss_bound(t, a, 5.0, curv, np.ones(3), np.zeros(3), [2, 3, 4], 0.7)
+        steps = (1, 5, 40)
+        bound = allocation_bound(np.ones(3), np.zeros(3), [2, 3, 4], curv, 5.0, 9.0, steps, 0.7)
+        for t, b in zip(steps, bound.per_step_bound):
             assert b == pytest.approx((1 - 0.25) ** t * 0.7, rel=1e-12)
 
     def test_degenerate_factor_flagged(self):
         curv = self.curv()
+        # slope K / (4 s) = 0.5 makes B exactly 1.
         with pytest.warns(RuntimeWarning):
-            b = excess_loss_bound(3, 1.0, 1.0, curv, [1], [0.5], [10], initial_gap=0.1)
+            bound = allocation_bound([1], [0.5], [10], curv, 1.0, 0.5, (3,), initial_gap=0.1)
+        assert bound.contraction == 1.0
+        b = bound.per_step_bound[0]
         s = 10 * 0.5
         assert b == pytest.approx(0.1 + 3 * 2 * 1.0 * s / (2.0 * 10), rel=1e-12)
 
@@ -253,17 +261,17 @@ class TestTheoremBound:
         curv = self.curv()
         selection, q, counts = [1, 1], [0.2, 0.4], [12, 10]
         intercept, slope = 3.0, 0.8
-        a = contraction_factor(selection, q, counts, curv, slope)
-        assert a < 1
-        gap = asymptotic_gap(selection, q, counts, curv, intercept, slope)
-        far = excess_loss_bound(10**6, a, intercept, curv, selection, q, counts, 5.0)
-        assert abs(far - gap) < 1e-12
+        bound = allocation_bound(selection, q, counts, curv, intercept, slope, (10**6,), 5.0)
+        assert bound.contraction < 1
+        assert abs(bound.per_step_bound[0] - bound.asymptotic_gap) < 1e-12
 
     def test_vectorized_over_steps(self):
         curv = self.curv()
         steps = np.arange(5)
-        series = excess_loss_bound(steps, 0.9, 1.0, curv, [1], [0.1], [10], 1.0)
-        singles = [excess_loss_bound(int(t), 0.9, 1.0, curv, [1], [0.1], [10], 1.0) for t in steps]
+        # slope 1.5 makes B = 0.9.
+        series = allocation_bound([1], [0.1], [10], curv, 1.0, 1.5, steps, 1.0).per_step_bound
+        singles = [allocation_bound([1], [0.1], [10], curv, 1.0, 1.5, (int(t),), 1.0)
+                   .per_step_bound[0] for t in steps]
         assert np.allclose(series, singles, rtol=0, atol=0)
 
 
@@ -285,16 +293,17 @@ class TestAsymptoticGap:
         return CurvatureEstimate(lipschitz_l=2.0, strong_convexity_mu=0.5)
 
     def test_error_free_gap_zero(self):
-        gap = asymptotic_gap(np.ones(3), np.zeros(3), [1, 2, 3], self.curv(), 4.0, 0.5)
+        bound = allocation_bound(np.ones(3), np.zeros(3), [1, 2, 3], self.curv(), 4.0, 0.5)
+        gap = bound.asymptotic_gap
         assert gap == 0.0
 
     def test_zero_intercept_gap_zero(self):
-        gap = asymptotic_gap([1, 1], [0.5, 0.5], [5, 5], self.curv(), 0.0, 0.1)
+        gap = allocation_bound([1, 1], [0.5, 0.5], [5, 5], self.curv(), 0.0, 0.1).asymptotic_gap
         assert gap == 0.0
 
     def test_divergence_flagged_as_infinite(self):
         # slope large enough to break contraction
-        gap = asymptotic_gap([0, 0], [0.0, 0.0], [5, 5], self.curv(), 1.0, 10.0)
+        gap = allocation_bound([0, 0], [0.0, 0.0], [5, 5], self.curv(), 1.0, 10.0).asymptotic_gap
         assert gap == math.inf
 
     def test_monotone_harm_in_error_rates(self):
@@ -305,11 +314,11 @@ class TestAsymptoticGap:
             a = rng.integers(0, 2, 5)
             q = rng.random(5) * 0.5
             intercept, slope = float(rng.uniform(0.1, 4)), float(rng.uniform(0.01, 0.3))
-            base = asymptotic_gap(a, q, counts, curv, intercept, slope)
+            base = allocation_bound(a, q, counts, curv, intercept, slope).asymptotic_gap
             i = int(rng.integers(0, 5))
             bumped = q.copy()
             bumped[i] = min(1.0, bumped[i] + 0.3)
-            worse = asymptotic_gap(a, bumped, counts, curv, intercept, slope)
+            worse = allocation_bound(a, bumped, counts, curv, intercept, slope).asymptotic_gap
             assert worse >= base - 1e-12
 
     def test_monotone_harm_in_selection(self):
@@ -320,11 +329,11 @@ class TestAsymptoticGap:
             a = np.ones(5, dtype=int)
             q = rng.random(5) * 0.5
             intercept, slope = float(rng.uniform(0.1, 4)), float(rng.uniform(0.01, 0.3))
-            base = asymptotic_gap(a, q, counts, curv, intercept, slope)
+            base = allocation_bound(a, q, counts, curv, intercept, slope).asymptotic_gap
             i = int(rng.integers(0, 5))
             dropped = a.copy()
             dropped[i] = 0
-            worse = asymptotic_gap(dropped, q, counts, curv, intercept, slope)
+            worse = allocation_bound(dropped, q, counts, curv, intercept, slope).asymptotic_gap
             assert worse >= base - 1e-12
 
 
@@ -347,15 +356,15 @@ class TestZeta2Feasible:
             assert feasible
             assert packet_error_rate(user, 0, p_lo, params, fexp) == 1.0
         assert convergence_slope_limit(users, params, fexp) == pytest.approx(0.25, rel=1e-12)
-        assert slope_guarantees_convergence(0.2499, users, params, fexp)
-        assert not slope_guarantees_convergence(0.25, users, params, fexp)
+        assert 0.2499 < convergence_slope_limit(users, params, fexp)
+        assert not 0.25 < convergence_slope_limit(users, params, fexp)
 
     def test_threshold_infinite_when_errors_impossible(self):
         # A denormal waterfall threshold underflows every error rate to exactly 0.
         params = NetworkParams(rb_count=2, waterfall_threshold=1e-320)
         users = [UserProfile(distance_m=100.0, sample_count=4)]
         assert convergence_slope_limit(users, params, QUAD) == math.inf
-        assert slope_guarantees_convergence(1e12, users, params, QUAD)
+        assert 1e12 < convergence_slope_limit(users, params, QUAD)
 
     def test_worst_case_matches_exhaustive_enumeration(self):
         users, params_full = table_topology(seed=3, n_users=5)
@@ -381,11 +390,6 @@ class TestZeta2Feasible:
                 for cols in permutations(range(4), k):
                     best = max(best, sum(gains[r, c] for r, c in zip(rows, cols)))
         assert got == pytest.approx(best, rel=1e-12)
-
-    def test_rejects_nonpositive_slope(self):
-        users, params = table_topology(seed=1, n_users=2)
-        with pytest.raises(ValueError):
-            slope_guarantees_convergence(0.0, users, params, QUAD)
 
 
 class TestEmpiricalGap:

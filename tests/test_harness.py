@@ -1,7 +1,9 @@
 """Orchestration tests: runs, persistence, sweeps, and the CLI surface."""
 
+import configparser
 import ctypes
 import hashlib
+import io
 import json
 import os
 import platform
@@ -229,22 +231,18 @@ def test_pooled_run_equals_per_seed_allocations_and_training(config, monkeypatch
     from fedwireless.harness import resolve_learning_rate
     from test_training import sequential_training
 
-    pooled_rngs, random_all = [], assignment._random_all
+    pooled_rngs, single_rngs, random_all = [], [], assignment._random_all
 
-    def capture_pooled(rngs, *args):
-        pooled_rngs.extend(rngs)
-        return random_all(rngs, *args)
+    def capture_into(captured):
+        def capture(rngs, *args):
+            captured.extend(rngs)
+            return random_all(rngs, *args)
+        return capture
 
     with monkeypatch.context() as patch:
-        patch.setattr(assignment, "_random_all", capture_pooled)
+        patch.setattr(assignment, "_random_all", capture_into(pooled_rngs))
         records = run_experiment(config)
-    single_rngs, random_one = [], assignment.baseline_random_all
-
-    def capture_single(rng, *args):
-        single_rngs.append(rng)
-        return random_one(rng, *args)
-
-    monkeypatch.setattr(assignment, "baseline_random_all", capture_single)
+    monkeypatch.setattr(assignment, "_random_all", capture_into(single_rngs))
     selected = {}
     for record in records:
         users, dataset = build_topology(config, record.seed)
@@ -771,6 +769,80 @@ class TestCli:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["simulate", str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG
+
+
+def _reference_with(overrides):
+    """The reference config text with (section, key) -> text overrides."""
+    parser = configparser.ConfigParser()
+    parser.read(REFERENCE)
+    for (section, key), value in overrides.items():
+        parser[section][key] = value
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+_BLOCKED_RB0 = " ".join(
+    ["inf", *map(repr, load_config(REFERENCE).network.uplink_interference_w[1:])]
+)
+_NO_BUDGETS = {("network", "delay_budget_s"): "inf", ("network", "energy_budget_j"): "inf"}
+EDGE_CASE_VARIANTS = {
+    "nothing_schedulable": {("network", "energy_budget_j"): "1e-9"},
+    "zero_payload": {("users", "payload_bits"): "0"},
+    "one_user": {("users", "count"): "1"},
+    "one_rb": {("network", "rb_count"): "1", ("network", "uplink_interference_w"): "1e-9"},
+    "monte_carlo": {("fading", "method"): "monte_carlo", ("fading", "count"): "256"},
+    "no_budgets": _NO_BUDGETS,
+    "float_learning_rate": {("training", "learning_rate"): "0.05"},
+    "one_sample_each": {("users", "sample_count_cycle"): "1"},
+    "rb0_blocked": {("network", "uplink_interference_w"): _BLOCKED_RB0},
+    "rb0_blocked_no_budgets": {("network", "uplink_interference_w"): _BLOCKED_RB0, **_NO_BUDGETS},
+    "delay_4ms": {("network", "delay_budget_s"): "0.004"},
+    "one_round": {("training", "rounds"): "1"},
+    "one_seed": {("experiment", "seeds"): "7"},
+    "40_users_2_rbs": {("users", "count"): "40", ("network", "rb_count"): "2",
+                       ("network", "uplink_interference_w"): "1e-9 1.5e-9"},
+}
+EDGE_CASE_COMMANDS = {
+    "simulate": ["simulate"],
+    "assign": ["assign"],
+    "bound": ["bound"],
+    "validate": ["validate"],
+    "sweep_rb_count": ["sweep", "--axis", "rb_count", "--values", "1,3"],
+    "sweep_user_count": ["sweep", "--axis", "user_count", "--values", "1,2"],
+}
+# The runs that must exit 2, and what their error[config] line must name.
+_ONLY_BLOCKED_RBS = "sweep rb_count = 1: uplink_interference_w must have a finite entry"
+EDGE_CASE_CONFIG_ERRORS = {
+    ("rb0_blocked", "sweep_rb_count"): _ONLY_BLOCKED_RBS,
+    ("rb0_blocked_no_budgets", "sweep_rb_count"): _ONLY_BLOCKED_RBS,
+    ("one_sample_each", "sweep_user_count"): "(1 pooled sample(s) for 2 model parameters)",
+}
+
+
+@pytest.mark.parametrize("command", EDGE_CASE_COMMANDS)
+@pytest.mark.parametrize("variant", EDGE_CASE_VARIANTS)
+def test_every_command_on_the_edge_case_matrix(variant, command, tmp_path, capsys):
+    # Every warning is an error here, so inf - inf or an invalid cast fails
+    # the run too; an uncaught exception would be the CLI's traceback.
+    cfg = tmp_path / f"{variant}.cfg"
+    cfg.write_text(_reference_with(EDGE_CASE_VARIANTS[variant]))
+    out = tmp_path / "out"
+    code = cli.main([EDGE_CASE_COMMANDS[command][0], str(cfg), "--outdir", str(out),
+                     *EDGE_CASE_COMMANDS[command][1:]])
+    err = capsys.readouterr().err
+    cause = EDGE_CASE_CONFIG_ERRORS.get((variant, command))
+    if cause is None:
+        assert (code, err) == (cli.EXIT_OK, "")
+    else:
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error[config]: ") and cause in err and err.count("\n") == 1
+    if command == "simulate":
+        config = load_config(cfg)
+        for record in load_manifest(out / "manifest.json"):
+            users = build_topology(config, record.seed)[0]
+            decision = decision_from_record(record, config)
+            assert verify_allocation(decision, users, config.network, config.fading) == []
 
 
 @blas_kernels

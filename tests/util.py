@@ -49,13 +49,21 @@ def check_gradient_bound(dataset, models, fit) -> bool:
     return bool(np.all(per_sample_max <= fit.intercept + fit.slope * grad_f_norm2 + slack))
 
 
+def allocation_bound(selection, q, counts, curv, intercept=0.0, slope=0.0, steps=(0,),
+                     initial_gap=0.0):
+    """``bounds.bound_series`` of one allocation under the gradient bound
+    (``intercept``, ``slope``)."""
+    fit = bounds.GradientBoundFit(intercept, slope)
+    return bounds.bound_series(steps, curv, fit, selection, q, counts, initial_gap)
+
+
 def per_seed_allocation(algorithm, users, config, seed):
     """One seed's allocation on its own, the oracle of the harness's pooled
     pass: a one-topology edge build, and baseline b on the seed's generator."""
     params, fexp = config.network, config.fading
     rng = harness._allocation_rng(seed)
     if algorithm == "baseline_b":
-        return assignment.baseline_random_all(rng, users, params, fexp)
+        return assignment._random_all([rng], [users], params, fexp)[0]
     edges = assignment.build_edge_weights(users, params, fexp)
     if algorithm == "proposed":
         return assignment.hungarian_assign(edges)
