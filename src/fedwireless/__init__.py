@@ -24,7 +24,6 @@ from .assignment import (
     EdgeWeightMatrix,
     baseline_min_sum_per,
     baseline_optselect_randomrb,
-    brute_force_assign,
     build_edge_weights,
     feasible_power_interval,
     hungarian_assign,

@@ -4,8 +4,9 @@ The proposed allocator computes a per-edge optimal power (largest power that
 respects the energy budget), gates each (user, RB) edge on the delay and
 energy budgets, and solves a min-weight bipartite matching on the (user, RB)
 rectangle with a shortest-augmenting-path potentials solver, in which
-leaving a user unassigned costs 0.  Three reference baselines and an
-exhaustive matching oracle are included for comparison and testing.
+leaving a user unassigned costs 0; the solver's final potentials certify
+the matching optimal.  Three reference baselines are included for
+comparison.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "feasible_power_interval",
     "build_edge_weights",
     "hungarian_assign",
-    "brute_force_assign",
     "baseline_optselect_randomrb",
     "baseline_min_sum_per",
     "verify_allocation",
@@ -433,7 +433,9 @@ def _hungarian_square(cost: np.ndarray):
     settles the start and each column at most once: at most U * (R + 1)
     settles per solve.  ``bench/layers.py`` looks this name and
     ``_solve_matching`` up with ``getattr``.  Returns (col_of_row,
-    iterations): each row's column (-1: unassigned) and the settle count.
+    iterations, u, v): each row's column (-1: unassigned), the settle
+    count, and the final row and column potentials, the LP dual
+    certificate that ``_certificate_violation`` checks.
     """
     n_rows, n_cols = cost.shape
     u, v, minv = np.zeros(n_rows), np.zeros(n_cols), np.zeros(n_cols)
@@ -481,7 +483,29 @@ def _hungarian_square(cost: np.ndarray):
             row = i if j0 < 0 else row_of_col[j0]
             row_of_col[j1], col_of_row[row] = row, j1
             j1 = j0
-    return np.array(col_of_row, dtype=np.intp), iterations
+    return np.array(col_of_row, dtype=np.intp), iterations, u, v
+
+
+def _certificate_violation(cost, col_of_row, u, v):
+    """The largest violation of the LP dual certificate (u, v) that
+    ``_hungarian_square`` returns with its matching ``col_of_row`` of
+    ``cost``, in units of 2**-53 (U + R) max|cost|; the solver's rounding
+    reads under 1.
+
+    The dual of min sum cost * x over x >= 0 with row and column sums <= 1
+    is max sum u + sum v with u_i + v_j <= cost_ij, u <= 0 and v <= 0
+    (Burkard, Dell'Amico & Martello, *Assignment Problems*, 2009, ch. 4).
+    The matching is optimal when every reduced cost cost - u - v is >= 0,
+    u <= 0 (each row's zero-cost dummy column) and v <= 0, matched edges
+    are tight, and u = 0 on unassigned rows and v = 0 on unmatched columns.
+    """
+    rows = np.flatnonzero(col_of_row >= 0)
+    reduced = (cost - u[:, None]) - v
+    worst = max(np.max(part, initial=0.0) for part in (
+        -reduced, u, v, np.abs(reduced[rows, col_of_row[rows]]),
+        np.abs(u[col_of_row < 0]), np.abs(v[np.setdiff1d(np.arange(v.size), col_of_row)]),
+    ))
+    return worst / (sum(cost.shape) * _UNIT_ROUNDOFF * np.abs(cost).max()) if worst else 0.0
 
 
 def _solve_matching(weight_matrix):
@@ -491,7 +515,7 @@ def _solve_matching(weight_matrix):
     Returns ((rows, rbs), iterations): the matched edges of negative weight,
     in row order, and the solver's settle count.
     """
-    col_of_row, iterations = _hungarian_square(weight_matrix)
+    col_of_row, iterations, _, _ = _hungarian_square(weight_matrix)
     rows = np.flatnonzero(col_of_row >= 0)
     rows = rows[weight_matrix[rows, col_of_row[rows]] < 0.0]
     return (rows, col_of_row[rows]), iterations
@@ -506,36 +530,6 @@ def hungarian_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
     """
     match, iterations = _solve_matching(edges.weights)
     return _decide_on_edges(edges, match, iterations)
-
-
-def brute_force_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
-    """Exhaustive matching oracle: enumerates every injective partial
-    assignment of users to RBs and returns a global minimizer.
-
-    Refuses instances beyond 8x8 (factorial blowup guard).
-    """
-    n_users, n_rbs = edges.weights.shape
-    if n_users > 8 or n_rbs > 8:
-        raise ValueError(f"brute_force_assign limited to 8x8 instances, got {n_users}x{n_rbs}")
-    weights = edges.weights
-    best_total = [np.inf]
-    best_pairs = [()]
-
-    def search(i, used_mask, total, pairs):
-        if i == n_users:
-            if total < best_total[0]:
-                best_total[0] = total
-                best_pairs[0] = pairs
-            return
-        for n in range(n_rbs):
-            if not used_mask & (1 << n):
-                search(i + 1, used_mask | (1 << n), total + weights[i, n], pairs + ((i, n),))
-        search(i + 1, used_mask, total, pairs)
-
-    search(0, 0, 0.0, ())
-    rows, rbs = np.array(best_pairs[0], dtype=int).reshape(-1, 2).T
-    kept = weights[rows, rbs] < 0.0
-    return _decide_on_edges(edges, (rows[kept], rbs[kept]), 0)
 
 
 def _random_all(rngs, user_lists, params, fexp):

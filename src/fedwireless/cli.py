@@ -142,11 +142,6 @@ def _cmd_validate(args) -> int:
     users, dataset = harness.build_topology(config, config.seeds[0])
     params, fexp = config.network, config.fading
 
-    edges = assignment.build_edge_weights(users[:5], harness._with_rb_count(params, 5), fexp)
-    hung = assignment.hungarian_assign(edges)
-    brute = assignment.brute_force_assign(edges)
-    check("matching optimality (5 users, 5 RBs)", hung.objective == brute.objective)
-
     from .phy import packet_error_rate, user_energy
     powers = np.sort(rng.uniform(1e-5, params.max_user_power_w, 32))
     # The first RB that is not blocked: on a blocked one every energy is inf.
@@ -168,6 +163,11 @@ def _cmd_validate(args) -> int:
         values.tobytes() == vars(b)[name].tobytes()
         for a, b in zip(pooled, alone) for name, values in vars(a).items()
     ))
+
+    col_of_row, _, u, v = assignment._hungarian_square(alone[0].weights)
+    violation = assignment._certificate_violation(alone[0].weights, col_of_row, u, v)
+    check(f"matching optimality ({len(users)} users, {params.rb_count} RBs): dual certificate "
+          f"off by {violation:.2g} <= 4 units of 2**-53 (U + R) max|cost|", violation <= 4)
 
     decision = assignment.hungarian_assign(alone[0])
     check("allocation satisfies every gate",
@@ -198,6 +198,8 @@ def _cmd_validate(args) -> int:
         for b, run in enumerate((run_a, run_c))
     ))
 
+    # Data too few to be full rank has no pooled solution: a config error.
+    harness._curvature(dataset)
     g_star = training.least_squares_model(dataset)
     check("pooled solution beats the trajectory",
           bool(np.all(run_a[0] >= training.global_loss(dataset, g_star))))

@@ -13,7 +13,6 @@ import pytest
 
 from fedwireless import assignment, cli
 from fedwireless.assignment import (
-    brute_force_assign,
     build_edge_weights,
     hungarian_assign,
     baseline_min_sum_per,
@@ -46,7 +45,13 @@ from fedwireless.training import (
     run_training,
 )
 
-from util import allocation_bound, manual_decision, synthetic_edges, table_topology
+from util import (
+    allocation_bound,
+    brute_force_assign,
+    manual_decision,
+    synthetic_edges,
+    table_topology,
+)
 
 QUAD = FadingExpectation()
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"

@@ -14,7 +14,6 @@ from fedwireless.assignment import (
     EdgeWeightMatrix,
     baseline_min_sum_per,
     baseline_optselect_randomrb,
-    brute_force_assign,
     build_edge_weights,
     feasible_power_interval,
     hungarian_assign,
@@ -36,6 +35,7 @@ from fedwireless.phy import (
 
 from util import (
     PointMassFading,
+    brute_force_assign,
     oracle_min_matching_sum,
     record_integrand_sizes,
     synthetic_edges,
@@ -807,6 +807,8 @@ class TestHungarian:
         assert hungarian_assign(edges).objective == pytest.approx(
             brute_force_assign(edges).objective, rel=1e-12
         )
+        col_of_row, _, u, v = assignment._hungarian_square(weights)
+        assert assignment._certificate_violation(weights, col_of_row, u, v) <= 4
 
     def test_matches_scipy_reference(self):
         from scipy.optimize import linear_sum_assignment
@@ -900,11 +902,13 @@ def scalar_rectangular_matching(cost):
 
 def assert_solver_matches_scalar_scan(weights):
     """``_hungarian_square`` on ``weights`` gives the scalar scan's columns
-    and settle count, and at most R + 1 settles per row."""
-    col_of_row, iterations = assignment._hungarian_square(weights)
+    and settle count, at most R + 1 settles per row, and potentials that
+    certify the matching optimal within 4 units."""
+    col_of_row, iterations, u, v = assignment._hungarian_square(weights)
     assert (col_of_row.tolist(), iterations) == scalar_rectangular_matching(weights)
     n_users, n_rbs = weights.shape
     assert iterations <= n_users * (n_rbs + 1)
+    assert assignment._certificate_violation(weights, col_of_row, u, v) <= 4
 
 
 # A small grid of weights: ties, exact zeros and a third that rounds.
@@ -964,6 +968,30 @@ class TestHungarianSquare:
         assert [w.shape for w in solved] == [(15, 12)] * 3 * len(config.seeds)
         for weights in solved:
             assert_solver_matches_scalar_scan(weights)
+
+    def test_certificate_fails_a_nudged_potential_or_swapped_columns(self):
+        from fedwireless.config import load_config
+        from fedwireless.harness import build_topology
+
+        config = load_config(REFERENCE)
+        users, _ = build_topology(config, config.seeds[0])
+        weights = build_edge_weights(users, config.network, config.fading).weights
+        col_of_row, _, u, v = assignment._hungarian_square(weights)
+        violation = assignment._certificate_violation
+        assert violation(weights, col_of_row, u, v) <= 4
+        # Each nonzero potential nudged by 1e-9 of itself reads 5e4 units or more.
+        for potentials, side in ((u, 0), (v, 1)):
+            for k in np.flatnonzero(potentials):
+                nudged = [u, v]
+                nudged[side] = potentials.copy()
+                nudged[side][k] *= 1.0 + 1e-9
+                assert violation(weights, col_of_row, *nudged) > 4
+        # Two matched rows trading columns read 1e10 units or more.
+        rows = np.flatnonzero(col_of_row >= 0)
+        for pair in zip(rows[:-1], rows[1:]):
+            swapped = col_of_row.copy()
+            swapped[list(pair)] = col_of_row[list(pair[::-1])]
+            assert violation(weights, swapped, u, v) > 4
 
     @pytest.mark.parametrize("n_users, n_rbs", [(200, 100), (300, 20), (20, 300), (1, 50)])
     def test_large_instances_reach_the_scipy_optimum(self, n_users, n_rbs):

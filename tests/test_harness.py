@@ -756,11 +756,13 @@ class TestCli:
         assert "PASS  energy is zero at every power without a payload" in capsys.readouterr().out
 
     def test_validate_passes_with_fewer_than_five_rbs(self, tmp_path, capsys):
-        # The 5 x 5 matching check cycles the 3 RBs' interference.
+        # The matching check certifies the full-size solve, whatever its shape.
         cfg = tmp_path / "three_rbs.cfg"
         cfg.write_text("[network]\nrb_count = 3\nuplink_interference_w = 1e-9 2e-9 3e-9\n")
         assert cli.main(["validate", str(cfg)]) == 0
-        assert "PASS  matching optimality (5 users, 5 RBs)" in capsys.readouterr().out
+        assert "PASS  matching optimality (15 users, 3 RBs): dual certificate off by " in (
+            capsys.readouterr().out
+        )
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "broken.cfg"
@@ -782,9 +784,9 @@ def _reference_with(overrides):
     return text.getvalue()
 
 
-_BLOCKED_RB0 = " ".join(
-    ["inf", *map(repr, load_config(REFERENCE).network.uplink_interference_w[1:])]
-)
+_BLOCKED_RB0, _BLOCKED_RB0_TO_4 = (" ".join(
+    ["inf"] * k + list(map(repr, load_config(REFERENCE).network.uplink_interference_w[k:]))
+) for k in (1, 5))
 _NO_BUDGETS = {("network", "delay_budget_s"): "inf", ("network", "energy_budget_j"): "inf"}
 EDGE_CASE_VARIANTS = {
     "nothing_schedulable": {("network", "energy_budget_j"): "1e-9"},
@@ -797,11 +799,14 @@ EDGE_CASE_VARIANTS = {
     "one_sample_each": {("users", "sample_count_cycle"): "1"},
     "rb0_blocked": {("network", "uplink_interference_w"): _BLOCKED_RB0},
     "rb0_blocked_no_budgets": {("network", "uplink_interference_w"): _BLOCKED_RB0, **_NO_BUDGETS},
+    "rb0_to_4_blocked": {("network", "uplink_interference_w"): _BLOCKED_RB0_TO_4},
     "delay_4ms": {("network", "delay_budget_s"): "0.004"},
     "one_round": {("training", "rounds"): "1"},
     "one_seed": {("experiment", "seeds"): "7"},
     "40_users_2_rbs": {("users", "count"): "40", ("network", "rb_count"): "2",
                        ("network", "uplink_interference_w"): "1e-9 1.5e-9"},
+    "one_sample_float_lr": {("users", "count"): "1", ("users", "sample_count_cycle"): "1",
+                            ("training", "learning_rate"): "0.1", ("experiment", "seeds"): "1"},
 }
 EDGE_CASE_COMMANDS = {
     "simulate": ["simulate"],
@@ -813,10 +818,14 @@ EDGE_CASE_COMMANDS = {
 }
 # The runs that must exit 2, and what their error[config] line must name.
 _ONLY_BLOCKED_RBS = "sweep rb_count = 1: uplink_interference_w must have a finite entry"
+_ONE_SAMPLE = "(1 pooled sample(s) for 2 model parameters)"
 EDGE_CASE_CONFIG_ERRORS = {
     ("rb0_blocked", "sweep_rb_count"): _ONLY_BLOCKED_RBS,
     ("rb0_blocked_no_budgets", "sweep_rb_count"): _ONLY_BLOCKED_RBS,
-    ("one_sample_each", "sweep_user_count"): "(1 pooled sample(s) for 2 model parameters)",
+    ("one_sample_each", "sweep_user_count"): _ONE_SAMPLE,
+    ("rb0_to_4_blocked", "sweep_rb_count"): _ONLY_BLOCKED_RBS,
+    ("one_sample_float_lr", "bound"): _ONE_SAMPLE,
+    ("one_sample_float_lr", "validate"): _ONE_SAMPLE,
 }
 
 

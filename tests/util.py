@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from fedwireless import assignment, bounds, harness
-from fedwireless.assignment import EdgeWeightMatrix
+from fedwireless.assignment import AllocationDecision, EdgeWeightMatrix
 from fedwireless.phy import FadingExpectation, NetworkParams, UserProfile
 
 
@@ -107,11 +107,39 @@ def oracle_min_matching_sum(weights):
     return best
 
 
+def brute_force_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
+    """Exhaustive matching oracle: enumerates every injective partial
+    assignment of users to RBs and returns a global minimizer.
+
+    Refuses instances beyond 8x8 (factorial blowup guard).
+    """
+    n_users, n_rbs = edges.weights.shape
+    if n_users > 8 or n_rbs > 8:
+        raise ValueError(f"brute_force_assign limited to 8x8 instances, got {n_users}x{n_rbs}")
+    weights = edges.weights
+    best_total = [np.inf]
+    best_pairs = [()]
+
+    def search(i, used_mask, total, pairs):
+        if i == n_users:
+            if total < best_total[0]:
+                best_total[0] = total
+                best_pairs[0] = pairs
+            return
+        for n in range(n_rbs):
+            if not used_mask & (1 << n):
+                search(i + 1, used_mask | (1 << n), total + weights[i, n], pairs + ((i, n),))
+        search(i + 1, used_mask, total, pairs)
+
+    search(0, 0, 0.0, ())
+    rows, rbs = np.array(best_pairs[0], dtype=int).reshape(-1, 2).T
+    kept = weights[rows, rbs] < 0.0
+    return assignment._decide_on_edges(edges, (rows[kept], rbs[kept]), 0)
+
+
 def manual_decision(selection, error_rates, n_rbs=None):
     """AllocationDecision with prescribed selection and error rates (for the
     training loop, which only reads those two fields)."""
-    from fedwireless.assignment import AllocationDecision
-
     selection = np.asarray(selection, dtype=int)
     error_rates = np.asarray(error_rates, dtype=float)
     n_users = selection.shape[0]
