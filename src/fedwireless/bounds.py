@@ -10,9 +10,11 @@ s = sum_i K_i (1 - a_i + a_i q_i) (``wireless_error_sum``) gives
     E[F(g_t) - F(g*)] <= B^t * gap_0 + A * (1 - B^t) / (1 - B),
     A = 2 zeta1 s / (L K),    B = 1 - mu/L + 4 mu zeta2 s / (L K),
 
-which tends to A / (mu/L - 4 mu zeta2 s / (L K)) when B < 1.  The allocator
-minimizes s.  ``convergence_slope_limit`` gives the largest zeta2 that keeps
-B < 1 for every feasible allocation of a topology.
+which tends to A / (mu/L - 4 mu zeta2 s / (L K)) when B < 1.  The smallest
+valid zeta1 is convex and piecewise linear in zeta2 and the limit monotone on
+each piece, so ``fit_gradient_bound`` finds the limit's exact minimum at zeta2 = 0
+or at a breakpoint.  The allocator minimizes s.  ``convergence_slope_limit``
+gives the largest zeta2 that keeps B < 1 for every feasible allocation of a topology.
 """
 
 from __future__ import annotations
@@ -133,18 +135,14 @@ def _theorem(error_sum, total, curv, intercept, slope):
     return 1.0 - ratio + drift, per_step, limit
 
 
-# Points of fit_gradient_bound's even slope grid on [0, slope cap).
-_SLOPE_GRID = 33
-
-
 def fit_gradient_bound(dataset, models, error_sum, curv):
     """Fit the (intercept, slope) gradient bound from observed global models.
 
-    For each candidate slope on a grid over [0, K / (4 * error_sum)), the
-    smallest valid intercept is max over trajectory points of
-    (max_k ||grad f_k||^2 - slope*||grad F||^2).  The pair with the smallest
-    asymptotic excess-loss gap is returned, the smallest slope on a tie;
-    error_sum = 0 gives slope = 0 with the definitional intercept.
+    A slope's smallest valid intercept, max(0, max over trajectory points of
+    max_k ||grad f_k||^2 - slope*||grad F||^2), is an upper envelope of lines
+    on whose pieces the asymptotic gap is monotone, so the exact minimiser over
+    [0, K / (4 * error_sum)) is slope 0 or a breakpoint, the smallest slope on
+    a tie.  error_sum = 0 gives slope = 0 with the definitional intercept.
     """
     models = np.atleast_2d(np.asarray(models, dtype=float))
     if models.shape[0] < 1:
@@ -157,10 +155,17 @@ def fit_gradient_bound(dataset, models, error_sum, curv):
     if error_sum == 0:
         return GradientBoundFit(intercept=intercept_for(0.0), slope=0.0)
     total = dataset.total_samples
-    candidates = np.concatenate(
-        [[0.0], np.linspace(0.0, total / (4.0 * error_sum), _SLOPE_GRID, endpoint=False)[1:]]
-    )
-    # min keeps the first of equal gaps: the smallest slope wins a tie.
+    # Line t is slope -> a_t - slope * b_t, and the appended (0, 0) the clamp.
+    a, b = np.append(per_sample_max, 0.0), np.append(grad_f_norm2, 0.0)
+    line, candidates = int(np.argmax(a)), [0.0]
+    while (flatter := np.flatnonzero(b < b[line])).size:
+        crossings = (a[line] - a[flatter]) / (b[line] - b[flatter])
+        at = crossings.min()
+        if at >= total / (4.0 * error_sum):
+            break
+        candidates.append(float(at))
+        line = min(flatter[crossings == at], key=lambda j: b[j])   # the flattest
+    # Candidates rise, and min keeps the first of equal gaps: smallest slope wins.
     intercept, slope = min(
         ((intercept_for(slope), float(slope)) for slope in candidates),
         key=lambda pair: _theorem(error_sum, total, curv, *pair)[2],

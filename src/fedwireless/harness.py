@@ -162,12 +162,12 @@ def _record_from_run(algorithm, seed, decision, losses, learning_rate, wall_cloc
     return RunRecord(
         algorithm=algorithm,
         seed=int(seed),
-        selection=[int(v) for v in decision.selection],
+        selection=decision.selection.tolist(),
         rb_index=rb_index,
-        power_w=[float(v) for v in decision.power_w],
-        error_rate=[float(v) for v in decision.error_rate],
-        delay_s=[float(v) for v in decision.delay_s],
-        energy_j=[float(v) for v in decision.energy_j],
+        power_w=decision.power_w.tolist(),
+        error_rate=decision.error_rate.tolist(),
+        delay_s=decision.delay_s.tolist(),
+        energy_j=decision.energy_j.tolist(),
         objective=float(decision.objective),
         solver_iterations=int(decision.solver_iterations),
         losses=losses,
@@ -311,9 +311,8 @@ def export_csv(records, path) -> None:
             for record in records:
                 digest = record.allocation_digest()
                 handle.write("".join(
-                    f"{record.algorithm},{record.seed},{step},"
-                    f"{repr(float(record.losses[step]))},,{digest}\n"
-                    for step in range(1, len(record.losses))
+                    f"{record.algorithm},{record.seed},{step},{loss!r},,{digest}\n"
+                    for step, loss in enumerate(record.losses[1:], 1)
                 ))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc

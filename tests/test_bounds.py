@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedwireless import bounds
 from fedwireless.bounds import (
@@ -44,6 +46,36 @@ REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
 def make_dataset(seed=7, counts=TABLE_COUNTS):
     return generate_regression_data(np.random.default_rng([seed, 1]), counts)
+
+
+def dense_grid_gaps(ds, models, error_sum, curv):
+    """The asymptotic gap at each slope of a 20 001-point even grid over
+    [0, K / (4 s)), each slope with its own smallest valid intercept."""
+    per_sample_max, grad_f_norm2 = bounds._gradient_norm_profiles(ds, models)
+    total, mu, lip = ds.total_samples, curv.strong_convexity_mu, curv.lipschitz_l
+    slopes = np.linspace(0.0, total / (4.0 * error_sum), 20_001, endpoint=False)
+    intercepts = np.maximum(0.0, np.max(per_sample_max - slopes[:, None] * grad_f_norm2, axis=1))
+    margins = mu / lip - 4.0 * mu * slopes * error_sum / (lip * total)
+    return slopes, 2.0 * intercepts * error_sum / (lip * total) / margins
+
+
+@st.composite
+def lattice_model_sets(draw):
+    """A 2-feature dataset on a quarter-unit lattice, so that exact ties are
+    common; 1-40 models drawn with repeats from up to 12 lattice points and the
+    least-squares model g*; and an error sum s from K/1000 to K."""
+    count = draw(st.integers(2, 6))
+    lattice = st.integers(-8, 8).map(lambda v: v / 4.0)
+    rows = st.lists(lattice, min_size=count, max_size=count)
+    x = np.column_stack([draw(rows), draw(rows)])
+    assume(np.linalg.matrix_rank(x) == 2)
+    ds = Dataset(x, np.array(draw(rows)), [count])
+    pool = [least_squares_model(ds)] + [
+        np.array(draw(st.tuples(lattice, lattice))) for _ in range(draw(st.integers(1, 12)))
+    ]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    error_sum = count * 10.0 ** draw(st.floats(-3.0, 0.0))
+    return ds, np.array([pool[i] for i in picks]), error_sum
 
 
 class TestCurvature:
@@ -163,9 +195,9 @@ class TestFitZeta:
     @pytest.mark.parametrize(
         "case", ["reference_trajectory", "interior_minimum", "all_gradients_zero"]
     )
-    def test_fit_is_the_first_minimum_over_the_slope_grid(self, case):
-        # The fit's pair has the smallest asymptotic_gap over every grid slope
-        # paired with that slope's own intercept; the earliest slope wins a tie.
+    def test_fit_is_the_exact_minimum_over_all_slopes(self, case):
+        # No slope of a dense grid over [0, K / (4 s)), paired with that
+        # slope's own intercept, gives a smaller asymptotic_gap than the fit.
         if case == "reference_trajectory":
             config = load_config(REFERENCE)
             users, ds = build_topology(config, config.seeds[0])
@@ -176,7 +208,7 @@ class TestFitZeta:
             selection, q = decision.selection, decision.error_rate
         elif case == "interior_minimum":
             # Three samples: the global gradient is large against the
-            # per-sample ones, so a slope inside the grid wins.
+            # per-sample ones, so a slope inside the range wins.
             ds = Dataset(
                 np.array([[1.0, 0.2], [0.3, 1.0], [1.0, 1.0]]), np.array([1.0, -1.0, 0.5]), [2, 1]
             )
@@ -190,21 +222,41 @@ class TestFitZeta:
         error_sum = wireless_error_sum(selection, q, counts)
         fit = fit_gradient_bound(ds, models, error_sum, curv)
         per_sample_max, grad_f_norm2 = bounds._gradient_norm_profiles(ds, models)
-        slopes = np.linspace(
-            0.0, ds.total_samples / (4.0 * error_sum), bounds._SLOPE_GRID, endpoint=False
-        )
-        pairs = [
-            (max(0.0, float(np.max(per_sample_max - slope * grad_f_norm2))), float(slope))
-            for slope in slopes
-        ]
-        gaps = [allocation_bound(selection, q, counts, curv, *pair).asymptotic_gap
-                for pair in pairs]
-        first_minimum = int(np.argmin(gaps))
-        assert (fit.intercept, fit.slope) == pairs[first_minimum]
+        assert fit.intercept == max(0.0, float(np.max(per_sample_max - fit.slope * grad_f_norm2)))
+        gap = allocation_bound(selection, q, counts, curv, fit.intercept, fit.slope).asymptotic_gap
+        slopes, gaps = dense_grid_gaps(ds, models, error_sum, curv)
+        assert gap <= gaps.min() * (1.0 + 1e-12)
         if case == "interior_minimum":
-            assert 0 < first_minimum < len(slopes) - 1
+            # The 33-point slope grid that the exact fit replaced reached 0.9904.
+            assert gap < 0.8909 and 0.0 < fit.slope < slopes[-1]
         if case == "all_gradients_zero":
-            assert gaps == [0.0] * len(gaps) and fit.slope == 0.0
+            assert np.all(gaps == 0.0) and fit.slope == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_model_sets())
+    def test_fit_is_the_exact_minimum_on_random_model_sets(self, case):
+        ds, models, error_sum = case
+        curv = curvature(ds)
+        fit = fit_gradient_bound(ds, models, error_sum, curv)
+        assert check_gradient_bound(ds, models, fit)
+        gap = bounds._theorem(error_sum, ds.total_samples, curv, fit.intercept, fit.slope)[2]
+        slopes, gaps = dense_grid_gaps(ds, models, error_sum, curv)
+        # Within 1e-12 of the slope-0 gap: where the envelope meets 0, the
+        # computed crossing leaves an intercept of a few ulps of the largest norm.
+        assert gap <= gaps.min() + 1e-12 * gaps[0]
+        # Ties go to the smallest slope: every smaller grid slope is worse.
+        assert np.all(gaps[slopes < fit.slope] > gap)
+
+    def test_envelope_reaching_zero_gives_zero_intercept_and_gap(self):
+        # x = I and y = 0: the model (2, 0) gives the line 4 - slope and (1, 1)
+        # the line 1 - slope / 2.  The first meets the clamp at slope 4, inside
+        # [0, K / (4 s)) = [0, 5), before it would cross the second, at 6.
+        ds = Dataset(np.eye(2), np.zeros(2), [2])
+        models = np.array([[2.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        curv = curvature(ds)
+        fit = fit_gradient_bound(ds, models, 0.1, curv)
+        assert (fit.intercept, fit.slope) == (0.0, 4.0)
+        assert bounds._theorem(0.1, ds.total_samples, curv, fit.intercept, fit.slope)[2] == 0.0
 
 
 class TestConvergenceFactor:
