@@ -32,21 +32,21 @@ __all__ = [
 ]
 
 _BISECT_ITERS = 200
-# Cap on the root estimate's Newton passes per edge (most edges stop after 4-6).
-_NEWTON_PASSES = 8
+# Cap on the root estimate's secant passes per edge.
+_SECANT_PASSES = 8
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _bisect(lo, hi, columns, measure, newton):
+def _bisect(lo, hi, columns, measure):
     """Lock-step bisection of many edges for a predicate that holds below
     each edge's root and fails above it.
 
     ``columns`` is a tuple of per-edge arrays, and ``measure(x, *columns)``
     returns (holds, excess, eps) at points ``x`` of the edges they describe:
     the predicate, its computed excess (quantity minus limit) and a bound
-    eps on the excess's rounding error.  ``_certified_band`` turns them and
-    ``newton`` into a per-edge band (a, b); a probe or mid at or below a is
-    answered True, and one at or above b False, without an evaluation.
+    eps on the excess's rounding error.  ``_certified_band`` turns them
+    into a per-edge band (a, b); a probe or mid at or below a is answered
+    True, and one at or above b False, without an evaluation.
     Every edge is probed at its lo and at its hi, and edges whose root lies
     outside [lo, hi] collapse onto that endpoint.  A round then halves
     [lo, hi] at mid = 0.5*(lo+hi), lo moving up where the predicate holds
@@ -58,7 +58,7 @@ def _bisect(lo, hi, columns, measure, newton):
     held at the initial lo and at the initial hi.
     """
     every = np.arange(lo.size)
-    a, b = _certified_band(lo, hi, columns, measure, newton)
+    a, b = _certified_band(lo, hi, columns, measure)
 
     def evaluate(x, index):
         holds = x <= a[index]
@@ -83,25 +83,25 @@ def _bisect(lo, hi, columns, measure, newton):
     return lo, hi, holds_lo, holds_hi
 
 
-def _certified_band(lo, hi, columns, measure, newton):
+def _certified_band(lo, hi, columns, measure):
     """The certified band of ``_bisect`` for a predicate whose exact excess
     is increasing in x.
 
-    ``measure`` is ``_bisect``'s, and ``newton(x, *columns)`` returns an
-    estimate of the excess, its eps and its derivative in x, from one
-    fading-expectation pass.  A point x is certified where the computed
-    excess clears 0 by 2 eps.  Below -2 eps, the exact excess is below -eps
+    A point x is certified where the excess that ``measure`` computes
+    clears 0 by 2 eps.  Below -2 eps, the exact excess is below -eps
     at x and so, plus the error bound at x' <= x, below 0: the predicate
     holds at every x' <= x.  Above 2 eps, it fails at every x' >= x in the
     same way.  Both steps need the exact excess -+ eps to be increasing,
     which holds because eps is a small multiple of the quantity's
     increasing parts.  hi is checked on every edge and lo where hi is not
     certified to hold, so a provable lo probe costs no evaluation.  Edges
-    certified to hold at lo and to fail at hi run Newton passes from hi,
-    safeguarded by the sign bracket the passes keep, which stop once the
-    step is within 4 eps / slope (at most
-    _NEWTON_PASSES); the estimate r = x - step is then checked at
-    r(1 -+ rho), with rho*r = 2*(|step| + 4 eps / slope), where that lies
+    certified to hold at lo and to fail at hi estimate their root from
+    measured excesses alone: the chord through the two probes, then secant
+    steps through the last two points, each point certified as it is
+    measured.  The sign bracket the points keep safeguards the steps,
+    which stop once the step is within 4 eps / |slope| (at most
+    _SECANT_PASSES); the estimate r = x - step is then checked at
+    r(1 -+ rho), with rho*r = 2*(|step| + 4 eps / |slope|), where that lies
     inside (lo, hi).  Returns (a, b): the largest point certified to hold
     and the smallest certified to fail, -inf and inf where none is.  An
     edge whose band does not certify keeps (lo, hi) and falls back to
@@ -114,32 +114,39 @@ def _certified_band(lo, hi, columns, measure, newton):
         holds, fails = value < -2.0 * eps, value > 2.0 * eps
         a[index[holds]] = np.maximum(a[index[holds]], x[holds])
         b[index[fails]] = np.minimum(b[index[fails]], x[fails])
+        return value, eps
 
     every = np.arange(lo.size)
-    certify(hi, every)
+    value_hi = certify(hi, every)[0]
     unsure = every[a < hi]
-    certify(lo[unsure], unsure)
+    value_lo, eps_lo = np.empty(lo.size), np.empty(lo.size)
+    value_lo[unsure], eps_lo[unsure] = certify(lo[unsure], unsure)
     moving = np.flatnonzero((a == lo) & (b == hi))
-    # Newton from hi inside the sign bracket [below, above], which a step
-    # that leaves it (or is not finite) halves geometrically instead.
+    # The first estimate is the chord through the probes and the second
+    # pairs it with lo, which evaluated less than hi in the delay search.
+    # A step that leaves the sign bracket [below, above] (or is not finite)
+    # takes its geometric mean instead.
+    x_prev, value_prev = hi[moving], value_hi[moving]
+    x, value, eps = lo[moving], value_lo[moving], eps_lo[moving]
     below, above = lo[moving], hi[moving]
-    x, root, half = above.copy(), np.empty(moving.size), np.empty(moving.size)
+    root, half = np.empty(moving.size), np.empty(moving.size)
     active = np.arange(moving.size)
-    for _ in range(_NEWTON_PASSES):
-        if not active.size:
-            break
-        value, eps, slope = newton(x[active], *(column[moving[active]] for column in columns))
-        below[active] = np.where(value < 0, x[active], below[active])
-        above[active] = np.where(value > 0, x[active], above[active])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step, noise = value / slope, 4.0 * eps / slope
+    for passes_left in range(_SECANT_PASSES, -1, -1):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = (value[active] - value_prev[active]) / (x[active] - x_prev[active])
+            step, noise = value[active] / slope, 4.0 * eps[active] / np.abs(slope)
             guess = x[active] - step
         inside = (below[active] < guess) & (guess < above[active])
-        root[active] = x[active] = np.where(
-            inside, guess, np.sqrt(below[active] * above[active])
-        )
+        root[active] = np.where(inside, guess, np.sqrt(below[active] * above[active]))
         half[active] = 2.0 * (np.abs(step) + noise)
         active = active[~(np.abs(step) <= noise)]
+        if not (passes_left and active.size):
+            break
+        x_prev[active], value_prev[active] = x[active], value[active]
+        x[active] = root[active]
+        value[active], eps[active] = certify(x[active], moving[active])
+        below[active] = np.where(value[active] < 0, x[active], below[active])
+        above[active] = np.where(value[active] > 0, x[active], above[active])
     # A band that reaches past the probes (or is not finite) adds nothing.
     banded = (lo[moving] < root - half) & (root + half < hi[moving])
     certify(root[banded] - half[banded], moving[banded])
@@ -177,11 +184,10 @@ def _optimal_powers(cohort, params, fexp):
     one ``_bisect``; 0 marks an edge with no feasible power.
 
     The search's band (``_certified_band``) estimates each edge's root by
-    Newton passes on the energy, the value and its derivative in power
-    taken from the same fading nodes (``phy._uplink_rate_slope``), and
-    certifies it with the ``_energy_error`` bound eps = 2u(E + (n + 10)T):
-    an edge whose training energy dominates gets a band about as narrow
-    as its transmit energy allows.
+    secant steps on the measured energy excess, and certifies it with the
+    ``_energy_error`` bound eps = 2u(E + (n + 10)T): an edge whose training
+    energy dominates gets a band about as narrow as its transmit energy
+    allows.
     """
     budget, p_max = params.energy_budget_j, params.max_user_power_w
     searched = cohort.training_j < budget
@@ -197,16 +203,8 @@ def _optimal_powers(cohort, params, fexp):
         return ((energy <= budget) & finite, energy - np.where(finite, budget, 0.0),
                 _energy_error(energy, edges.training_j, fexp))
 
-    def newton(power, *columns):
-        edges = phy._Users(*columns)
-        rate, rate_slope = phy._uplink_rate_slope(edges, power, params, fexp)
-        per_watt = edges.payload_bits / rate
-        value = edges.training_j + power * per_watt
-        slope = per_watt * (1.0 - power * rate_slope / rate)
-        return value - budget, _energy_error(value, edges.training_j, fexp), slope
-
     lo, _, fits_lo, fits_hi = _bisect(
-        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched), measure, newton
+        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched), measure
     )
     power = np.zeros(searched.shape)
     # Where transmit energy per bit does not vanish with P, not even lo fits.
@@ -244,9 +242,9 @@ def _power_interval(cohort, params, fexp):
     cohort, each of its two searches one ``_bisect``.  Returns (p_lo, p_hi,
     feasible, downlink delay).
 
-    The delay search's band estimates each edge's root by Newton passes on
-    the expected rate, and certifies it with the ``_rate_error`` bound
-    eps = 2(n + 8)u R (see ``_certified_band``).
+    The delay search's band estimates each edge's root by secant steps on
+    the measured rate excess, and certifies it with the ``_rate_error``
+    bound eps = 2(n + 8)u R (see ``_certified_band``).
     """
     p_hi = _optimal_powers(cohort, params, fexp)
     down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
@@ -258,13 +256,9 @@ def _power_interval(cohort, params, fexp):
         rate = phy._uplink_rate(phy._Users(*columns), power, params, fexp)
         return rate < target, rate - target, _rate_error(rate, fexp)
 
-    def newton(power, target, *columns):
-        rate, slope = phy._uplink_rate_slope(phy._Users(*columns), power, params, fexp)
-        return rate - target, _rate_error(rate, fexp), slope
-
     # A zero payload has target rate 0, which the bottom of the range reaches.
     _, hi, _, short_hi = _bisect(
-        p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched)), measure, newton
+        p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched)), measure
     )
     p_lo = np.zeros_like(p_hi)
     p_lo[searched] = np.where(short_hi, 0.0, hi)

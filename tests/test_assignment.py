@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fedwireless import assignment, bounds, phy
@@ -177,14 +177,14 @@ def lockstep_bisect(lo, hi, below_root):
     return lo, hi, holds_lo, holds_hi
 
 
-def uncompacted(lo, hi, columns, measure, newton):
+def uncompacted(lo, hi, columns, measure):
     """``lockstep_bisect`` with the ``assignment._bisect`` calling
     convention; it evaluates every point, so it reads only the predicate of
-    ``measure`` and ignores ``newton``."""
+    ``measure``."""
     return lockstep_bisect(lo, hi, lambda x: measure(x, *columns)[0])
 
 
-def no_band(lo, hi, columns, measure, newton):
+def no_band(lo, hi, columns, measure):
     """A ``_certified_band`` that certifies nothing, so ``_bisect``
     evaluates every probe and mid."""
     return np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
@@ -271,7 +271,7 @@ class TestBisect:
             patch.setattr(assignment, "_certified_band", no_band)
             want = lockstep_bisect(lo.copy(), hi.copy(), lambda x: below_root(x, root))
             got = assignment._bisect(
-                lo.copy(), hi.copy(), (root, ids), predicate_only(recorded), None
+                lo.copy(), hi.copy(), (root, ids), predicate_only(recorded)
             )
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -305,7 +305,7 @@ class TestBisect:
             patch.setattr(assignment, "_BISECT_ITERS", iters)
             patch.setattr(assignment, "_certified_band", no_band)
             got = assignment._bisect(
-                lo.copy(), hi.copy(), (root, block_ids, edge_ids), predicate_only(recorded), None
+                lo.copy(), hi.copy(), (root, block_ids, edge_ids), predicate_only(recorded)
             )
             want = [
                 lockstep_bisect(b_lo.copy(), b_hi.copy(), lambda x, r=b_root: below_root(x, r))
@@ -344,7 +344,7 @@ class TestBisect:
 
         monkeypatch.setattr(assignment, "_certified_band", no_band)
         lo, hi, _, _ = assignment._bisect(
-            np.array([0.0]), np.array([1e300]), (), predicate_only(below_root), None
+            np.array([0.0]), np.array([1e300]), (), predicate_only(below_root)
         )
         assert len(calls) == 2 + assignment._BISECT_ITERS and lo[0] < 1.0 < hi[0]
 
@@ -368,7 +368,7 @@ class TestBisect:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(assignment, "_certified_band", lambda lo, hi, columns, *_: columns[1:])
             got = assignment._bisect(
-                lo.copy(), hi.copy(), (root, a, b), predicate_only(below_root), None
+                lo.copy(), hi.copy(), (root, a, b), predicate_only(below_root)
             )
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -390,10 +390,10 @@ def record_searches(monkeypatch, oracle=False):
         bands.append(certify(*args))
         return bands[-1]
 
-    def recorded(lo, hi, columns, measure, newton):
-        got = bisect(lo.copy(), hi.copy(), columns, measure, newton)
+    def recorded(lo, hi, columns, measure):
+        got = bisect(lo.copy(), hi.copy(), columns, measure)
         if oracle:
-            want = uncompacted(lo.copy(), hi.copy(), columns, measure, newton)
+            want = uncompacted(lo.copy(), hi.copy(), columns, measure)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         (a, b), = bands
@@ -429,6 +429,114 @@ def reference_topology():
 MONTE_CARLO = FadingExpectation(method="monte_carlo", node_or_sample_count=256, seed=7)
 
 
+SHAPES = ("linear", "convex", "concave", "steep", "flat")
+
+
+def synthetic_excess(x, root, shape, scale):
+    """An increasing excess g(x - root) of each edge's ``SHAPES[shape]``.
+    Every g keeps the sign of its argument (or gives 0 or NaN), and the
+    computed x - root has the exact sign, so a computed excess below 0
+    proves x < root and one above 0 proves x > root: the band is sound for
+    any eps >= 0.  ``steep`` overflows to +-inf off a narrow window around
+    the root; ``flat`` is so small that a floor on eps hides it."""
+    d = x - root
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = d / scale
+        return np.select(
+            [shape == 0, shape == 1, shape == 2, shape == 3],
+            [d, np.expm1(z), -np.expm1(-z), np.sinh(z)],
+            1e-300 * d,
+        )
+
+
+@st.composite
+def synthetic_excess_edges(draw):
+    """(lo, hi, root, shape, scale, rel, floor) columns of 1-12 edges with
+    0 < lo < hi, the bracket from adjacent floats to 15 decades wide, the
+    root inside the bracket (uniform or log-uniform), on either end or
+    outside it, and eps = rel * |excess| + floor from 0 to far above the
+    excess."""
+    edges = []
+    for _ in range(draw(st.integers(1, 12))):
+        lo = 10.0 ** draw(st.floats(-12.0, 3.0))
+        hi = draw(st.sampled_from(
+            [float(np.nextafter(lo, np.inf)), lo * (1 + 1e-9), 2 * lo, 1e6 * lo, 1e15 * lo]
+        ))
+        t = draw(st.floats(0.0, 1.0))
+        root = draw(st.sampled_from([lo * (hi / lo) ** t, lo + t * (hi - lo), lo, hi,
+                                     0.5 * lo, 2 * hi]))
+        shape = draw(st.integers(0, len(SHAPES) - 1))
+        steep = SHAPES[shape] == "steep"
+        decades = draw(st.floats(-300.0, -3.0) if steep else st.floats(-8.0, 4.0))
+        rel = draw(st.sampled_from([0.0, 2.0 ** -52, 1e-8, 0.1, 0.5, 10.0]))
+        floor = draw(st.sampled_from([0.0, 1e-300, 1e-12, 1.0, 1e300]))
+        edges.append((lo, hi, root, shape, (hi - lo) * 10.0 ** decades, rel, floor))
+    return tuple(np.array(column) for column in zip(*edges))
+
+
+def band_on_synthetic_excesses(edges):
+    """Run ``_bisect`` with the real ``_certified_band`` on synthetic
+    excesses and check it: the bits must be the lock-step oracle's for the
+    predicate x < root, and every probe or mid the search evaluates must lie
+    strictly inside the edge's band (a, b).  Returns how many moving edges
+    (certified to hold at lo and to fail at hi) met each safeguard of the
+    root estimate: a chord whose slope is not finite, a secant point at the
+    geometric mean of its sign bracket, and the pass cap."""
+    lo, hi, root, shape, scale, rel, floor = edges
+    calls, phase = [], ["search"]
+
+    def measure(x, root, shape, scale, rel, floor, ids):
+        value = synthetic_excess(x, root, shape, scale)
+        with np.errstate(invalid="ignore"):
+            eps = np.where(rel > 0, rel * np.abs(value), 0.0) + floor
+        calls.append((phase[0], x, ids, value, eps))
+        return x < root, value, eps
+
+    certify, bands = assignment._certified_band, []
+
+    def recorded_band(*args):
+        phase[0] = "band"
+        bands.append(certify(*args))
+        phase[0] = "search"
+        return bands[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assignment, "_certified_band", recorded_band)
+        got = assignment._bisect(lo.copy(), hi.copy(),
+                                 (root, shape, scale, rel, floor, np.arange(lo.size)), measure)
+    want = lockstep_bisect(lo.copy(), hi.copy(), lambda x: x < root)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    (a, b), = bands
+    for _, x, ids, _, _ in (call for call in calls if call[0] == "search"):
+        assert np.all((a[ids] < x) & (x < b[ids]))
+    # The band's calls: the hi probe, the lo probe, the secant passes and
+    # the two band checks, in that order.
+    band_calls = [call[1:] for call in calls if call[0] == "band"]
+    points = [[] for _ in lo]
+    for x, ids, value, eps in band_calls[:-2]:
+        for i, x_i, value_i, eps_i in zip(ids, x, value, eps):
+            points[i].append((x_i, value_i, eps_i))
+    seen = {"chord slope not finite": 0, "geometric fallback": 0, "pass cap": 0}
+    for (x_hi, value_hi, eps_hi), *rest in points:
+        if not (rest and value_hi > 2 * eps_hi and rest[0][1] < -2 * rest[0][2]):
+            continue
+        (x_lo, value_lo, _), *secant = rest
+        with np.errstate(invalid="ignore", over="ignore"):
+            slope = (value_hi - value_lo) / (x_hi - x_lo)
+        seen["chord slope not finite"] += not np.isfinite(slope)
+        seen["pass cap"] += len(secant) == assignment._SECANT_PASSES
+        below, above, fell_back = x_lo, x_hi, False
+        for x_i, value_i, _ in secant:
+            fell_back |= x_i == np.sqrt(below * above)
+            if value_i < 0:
+                below = x_i
+            elif value_i > 0:
+                above = x_i
+        seen["geometric fallback"] += fell_back
+    return seen
+
+
 class TestCertifiedBand:
     @pytest.mark.parametrize("topology, fexp", [
         (reference_topology, QUAD),
@@ -449,6 +557,27 @@ class TestCertifiedBand:
         assert len(searches) == 2
         assert all(np.all(certified[moving]) for moving, certified in searches)
         assert searches[0][0].any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(synthetic_excess_edges())
+    def test_band_on_synthetic_excesses_matches_lockstep_oracle(self, edges):
+        # The real band on linear, convex, concave, steep and flat excesses:
+        # the oracle's bits, and no evaluation outside the band.
+        # ``--hypothesis-show-statistics`` reports how often each safeguard
+        # of the root estimate was met.
+        for kind, count in band_on_synthetic_excesses(edges).items():
+            if count:
+                event(kind)
+
+    @pytest.mark.parametrize("kind, edge", [
+        ("chord slope not finite", (1e-12, 1e3, 1e-3, "convex", 1e-2)),
+        ("geometric fallback", (1e-12, 1e3, 1e-3, "concave", 1e-3)),
+        ("pass cap", (1.0, 2.0, 1.5, "steep", 1e-6)),
+    ])
+    def test_band_on_synthetic_excesses_meets_each_safeguard(self, kind, edge):
+        lo, hi, root, shape, scale = edge
+        edges = tuple(np.array([v]) for v in (lo, hi, root, SHAPES.index(shape), scale, 0.0, 0.0))
+        assert band_on_synthetic_excesses(edges)[kind] == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -484,9 +613,9 @@ class TestCertifiedBand:
         # A band that never certifies keeps every bit and loses the whole
         # gain, so count what the edge build's search evaluates: no moving
         # edge may fall back, and the fading-expectation edge evaluations
-        # (probes, Newton passes counted twice, band checks, mids inside the
-        # band) stay under 30 per moving edge beyond the probes.  The search
-        # without the band takes about 54 per moving edge.
+        # (probes, secant passes, band checks, mids inside the band) stay
+        # under 22 per moving edge beyond the probes; they read 20.4 here.
+        # The search without the band takes about 54 per moving edge.
         users, params = contested_topology(1)
         edges = assignment._every_edge(phy._Users.of(users, params), params)
         searches = record_searches(monkeypatch)
@@ -495,7 +624,7 @@ class TestCertifiedBand:
         (moving, certified), = searches
         assert np.count_nonzero(moving) > 1000 and np.all(certified[moving])
         evaluations = sum(sizes) // QUAD.node_or_sample_count
-        assert evaluations <= 2 * moving.size + 30 * np.count_nonzero(moving)
+        assert evaluations <= 2 * moving.size + 22 * np.count_nonzero(moving)
 
     @pytest.mark.parametrize("budgets", [
         "energy_budget_j = 0.0022\n",
@@ -525,8 +654,8 @@ class TestCertifiedBand:
                 return values
             return checked
 
-        def checked_band(lo, hi, columns, measure, newton):
-            a, b = certify(lo, hi, columns, finite(measure), finite(newton))
+        def checked_band(lo, hi, columns, measure):
+            a, b = certify(lo, hi, columns, finite(measure))
             assert not (np.isnan(a).any() or np.isnan(b).any())
             return a, b
 

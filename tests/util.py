@@ -19,7 +19,7 @@ class PointMassFading:
     def __init__(self, value):
         self.value = value
 
-    def expect(self, integrand, scale, *columns, outputs=1):
+    def expect(self, integrand, scale, *columns):
         _, *columns = np.broadcast_arrays(np.asarray(scale, dtype=float), *columns)
         fading = np.array([self.value])
         return np.asarray(integrand(fading, *(c[..., None] for c in columns)), dtype=float)[..., 0]
@@ -30,13 +30,13 @@ def record_integrand_sizes(monkeypatch):
     ``FadingExpectation.expect`` makes from now on, as a growing list."""
     sizes, expect = [], FadingExpectation.expect
 
-    def recorded(self, integrand, scale, *columns, **options):
+    def recorded(self, integrand, scale, *columns):
         def measured(*args):
             values = integrand(*args)
             sizes.append(np.size(values))
             return values
 
-        return expect(self, measured, scale, *columns, **options)
+        return expect(self, measured, scale, *columns)
 
     monkeypatch.setattr(FadingExpectation, "expect", recorded)
     return sizes
