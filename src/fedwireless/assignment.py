@@ -247,7 +247,7 @@ def _power_interval(cohort, params, fexp):
     bound eps = 2(n + 8)u R (see ``_certified_band``).
     """
     p_hi = _optimal_powers(cohort, params, fexp)
-    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    down = phy._downlink_delay(cohort, params, fexp)
     slack = params.delay_budget_s - down
     searched = (p_hi > 0) & (slack > 0)
     target = cohort.payload_bits[searched] / slack[searched]
@@ -314,7 +314,7 @@ def _edge_weights(user_lists, params, fexp):
     cohort = phy._Users.of(users, params)
     edges = _every_edge(cohort, params)
     p = _optimal_powers(edges, params, fexp)
-    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    down = phy._downlink_delay(cohort, params, fexp)
     q, total_delay, e = _link(edges, p, np.repeat(down, params.rb_count), params, fexp)
     p, q, total_delay, e = (values.reshape(len(users), params.rb_count)
                             for values in (p, q, total_delay, e))
@@ -614,7 +614,7 @@ def verify_allocation(decision, users, params, fexp):
         problems.append("power outside [0, P_max]")
     rows = np.flatnonzero(sel)
     cohort = phy._Users.of([users[i] for i in rows], params)
-    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    down = phy._downlink_delay(cohort, params, fexp)
     # A power <= 0 is reported as such; at 0 the kernel stays in its domain.
     _, delay, energy = _link(cohort.on(rb[rows].argmax(axis=1), params),
                              np.maximum(power[rows], 0.0), down, params, fexp)

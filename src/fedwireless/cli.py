@@ -138,12 +138,12 @@ def _cmd_validate(args) -> int:
         if not ok:
             failures.append(name)
 
-    rng = np.random.default_rng(0)
     users, dataset = harness.build_topology(config, config.seeds[0])
     params, fexp = config.network, config.fading
 
     from .phy import packet_error_rate, user_energy
-    powers = np.sort(rng.uniform(1e-5, params.max_user_power_w, 32))
+    # Fixed fractions of P_max, so the sweep spans three decades at any cap.
+    powers = params.max_user_power_w * np.geomspace(1e-3, 1.0, 32)
     # The first RB that is not blocked: on a blocked one every energy is inf.
     rb = int(np.flatnonzero(np.isfinite(params.uplink_interference_w))[0])
     q = packet_error_rate(users[0], rb, powers, params, fexp)

@@ -38,11 +38,11 @@ class ExperimentConfig:
     user_count: int = 15
     cell_radius_m: float = 500.0
     sample_count_cycle: tuple = (12, 10, 8, 4, 2)
-    fading_scale: float = 1.0
-    payload_bits: float = 5e4
-    cpu_cycles_per_bit: float = 40.0
-    cpu_freq_hz: float = 1e9
-    energy_coeff: float = 1e-27
+    fading_scale: float = UserProfile.fading_scale
+    payload_bits: float = UserProfile.payload_bits
+    cpu_cycles_per_bit: float = UserProfile.cpu_cycles_per_bit
+    cpu_freq_hz: float = UserProfile.cpu_freq_hz
+    energy_coeff: float = UserProfile.energy_coeff
     slope: float = -2.0
     intercept: float = 1.0
     noise_std: float = 0.4
@@ -97,6 +97,10 @@ class ExperimentConfig:
         if len(self.initial_model) != MODEL_DIMENSION:
             raise ConfigError(
                 f"training.initial_model must have {MODEL_DIMENSION} entries"
+            )
+        if not all(math.isfinite(v) for v in self.initial_model):
+            raise ConfigError(
+                f"training.initial_model entries must be finite, got {_fmt(self.initial_model)}"
             )
 
     def user_profile(self, distance_m, sample_count) -> UserProfile:

@@ -417,11 +417,8 @@ def bound_report(config: ExperimentConfig):
     g_star = training.least_squares_model(dataset)
     mean_excess = bounds.empirical_gap(losses, g_star, dataset)
 
-    error_sum = assignment.wireless_error_sum(
-        decision.selection, decision.error_rate, dataset.sample_counts
-    )
     fit = bounds.fit_gradient_bound(
-        dataset, models.reshape(-1, models.shape[-1]), error_sum=error_sum, curv=curv
+        dataset, models.reshape(-1, models.shape[-1]), error_sum=decision.objective, curv=curv
     )
     initial_gap = losses[0, 0] - training.global_loss(dataset, g_star)
     steps = np.arange(config.rounds + 1)

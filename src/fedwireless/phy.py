@@ -298,6 +298,11 @@ def _delay(payload_bits, rate):
     return np.where(payload_bits == 0, 0.0, np.where(rate > 0, payload_bits / safe, np.inf))
 
 
+def _downlink_delay(users: _Users, params, fexp):
+    """Seconds to broadcast each user's payload on the downlink."""
+    return _delay(users.payload_bits, _downlink_rate(users, params, fexp))
+
+
 def _energy(users: _Users, power_w, delay):
     """Training plus transmit energy; zero power with a payload costs inf."""
     with np.errstate(invalid="ignore"):
@@ -349,8 +354,7 @@ def uplink_delay(user, rb_index, power_w, params, fexp):
 
 def downlink_delay(user, params, fexp):
     """Downlink broadcast delay in seconds for one user."""
-    rate = expected_downlink_rate(user, params, fexp)
-    return _as_result(_delay(user.payload_bits, rate))
+    return _as_result(_downlink_delay(_one(user, params), params, fexp))
 
 
 def packet_error_rate(user, rb_index, power_w, params, fexp):

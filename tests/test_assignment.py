@@ -758,7 +758,7 @@ def column_by_column_build(users, params, fexp):
     """The edge build as one cohort per RB column, searched by the lock-step
     oracle: the reference for the flat (user, RB) edge build."""
     cohort = phy._Users.of(users, params)
-    down = phy._delay(cohort.payload_bits, phy._downlink_rate(cohort, params, fexp))
+    down = phy._downlink_delay(cohort, params, fexp)
     counts = np.array([u.sample_count for u in users], dtype=float)
     shape = (len(users), params.rb_count)
     feasible = np.zeros(shape, dtype=bool)
@@ -1384,6 +1384,36 @@ class TestVerifyAllocation:
         assert "power outside [0, P_max]" in verify_allocation(
             decision, users, params, config.fading
         )
+
+    def test_each_broken_structure_rule_is_reported(self):
+        # A valid reference allocation broken one structure rule at a time.
+        # The moved user and the user left without an RB both land on a
+        # lower-interference RB than their own, so no gate fails besides.
+        from dataclasses import replace
+
+        from fedwireless.config import load_config
+        from fedwireless.harness import build_topology
+
+        config = load_config(REFERENCE)
+        params, fexp = config.network, config.fading
+        users, _ = build_topology(config, config.seeds[0])
+        valid = hungarian_assign(build_edge_weights(users, params, fexp))
+        assert verify_allocation(valid, users, params, fexp) == []
+        rb = valid.rb_assignment
+        chosen = np.flatnonzero(valid.selection)
+        by_rb = chosen[np.argsort(rb[chosen].argmax(axis=1))]
+        no_rb, shared = rb.copy(), rb.copy()
+        no_rb[by_rb[-1]] = 0
+        shared[by_rb[-1]] = rb[by_rb[0]]
+        n_users, n_rbs = rb.shape
+        for broken, message in [
+            (rb[:, :-1], f"rb_assignment shape ({n_users}, {n_rbs - 1}) != ({n_users}, {n_rbs})"),
+            (no_rb, "sum_n r[i,n] != a[i] for some user"),
+            (shared, "some RB assigned to more than one user"),
+        ]:
+            decision = replace(valid, rb_assignment=broken)
+            assert verify_allocation(decision, users, params, fexp) == [message]
+            assert scalar_verify_allocation(decision, users, params, fexp) == [message]
 
     def test_blocked_rb_is_reported_under_infinite_budgets(self):
         # A user on an RB at infinite interference never delivers: its delay

@@ -191,6 +191,10 @@ class TestValidation:
         ("task", "noise_std", "nan", "task.noise_std must be finite and >= 0"),
         ("task", "noise_std", "inf", "task.noise_std must be finite and >= 0"),
         ("experiment", "seeds", "3 -1", "experiment.seeds must be >= 0"),
+        ("training", "initial_model", "nan 0",
+         "training.initial_model entries must be finite, got nan 0.0"),
+        ("training", "initial_model", "0 inf",
+         "training.initial_model entries must be finite, got 0.0 inf"),
     ])
     def test_bad_value_fails_at_load(self, section, key, raw, message):
         with pytest.raises(ConfigError, match=message):

@@ -3,9 +3,12 @@
 import configparser
 import ctypes
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import platform
 import struct
 import subprocess
@@ -74,6 +77,18 @@ def mini_config(**overrides):
 
         config = replace(config, **overrides)
     return config
+
+
+def test_package_exports_each_modules_all_once():
+    # Each module's __all__ is the one list of its public names: the
+    # package re-exports their union, and no name means two objects.
+    modules = [importlib.import_module(f"fedwireless.{info.name}")
+               for info in pkgutil.iter_modules(fedwireless.__path__)]
+    listed = [(name, module) for module in modules for name in getattr(module, "__all__", ())]
+    public = {name for name, value in vars(fedwireless).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {name for name, _ in listed}
+    assert all(getattr(module, name) is getattr(fedwireless, name) for name, module in listed)
 
 
 class TestRunExperiment:
@@ -772,6 +787,34 @@ class TestCli:
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["simulate", str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG
 
+    def test_io_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        outdir = tmp_path / "a_file"
+        outdir.write_text("")
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(outdir))
+        assert cli.main(["simulate", str(REFERENCE)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]: [Errno 17] File exists") and err.count("\n") == 1
+
+    def test_validation_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.assignment, "_certificate_violation", lambda *args: 5)
+        assert cli.main(["validate", str(REFERENCE), "--outdir", str(tmp_path)]) == (
+            cli.EXIT_VALIDATION
+        )
+        out, err = capsys.readouterr()
+        assert "  FAIL  matching optimality (15 users, 12 RBs): dual certificate off by 5 " in out
+        assert out.endswith("\n1 validation failure(s)\n") and err == ""
+
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "diverging.cfg"
+        cfg.write_text(_reference_with({
+            ("training", "learning_rate"): "1e6", ("training", "rounds"): "30",
+            ("experiment", "seeds"): "7",
+        }))
+        assert cli.main(["simulate", str(cfg), "--outdir", str(tmp_path)]) == cli.EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("error[divergence]: loss became non-finite at step 26 ")
+        assert err.count("\n") == 1
+
 
 def _reference_with(overrides):
     """The reference config text with (section, key) -> text overrides."""
@@ -807,6 +850,8 @@ EDGE_CASE_VARIANTS = {
                        ("network", "uplink_interference_w"): "1e-9 1.5e-9"},
     "one_sample_float_lr": {("users", "count"): "1", ("users", "sample_count_cycle"): "1",
                             ("training", "learning_rate"): "0.1", ("experiment", "seeds"): "1"},
+    "max_power_10uW": {("network", "max_user_power_w"): "1e-5"},
+    "max_power_1nW": {("network", "max_user_power_w"): "1e-9"},
 }
 EDGE_CASE_COMMANDS = {
     "simulate": ["simulate"],
