@@ -596,8 +596,9 @@ def verify_allocation(decision, users, params, fexp):
 
     Checks the one-RB-per-user and one-user-per-RB structure, the power box
     constraint, and the delay/energy gates recomputed from the PHY model at
-    the recorded powers, for all selected users as one cohort on their
-    assigned RBs.  An empty list means the allocation is valid.
+    the recorded powers, for the selected users that hold exactly one RB
+    as one cohort on those RBs.  An empty list means the allocation is
+    valid.
     """
     problems = []
     n_users, n_rbs = len(users), params.rb_count
@@ -606,13 +607,16 @@ def verify_allocation(decision, users, params, fexp):
     power = np.asarray(decision.power_w, dtype=float)
     if rb.shape != (n_users, n_rbs):
         return [f"rb_assignment shape {rb.shape} != ({n_users}, {n_rbs})"]
-    if not np.array_equal(rb.sum(axis=1), sel):
+    held = rb.sum(axis=1)
+    if not np.array_equal(held, sel):
         problems.append("sum_n r[i,n] != a[i] for some user")
     if np.any(rb.sum(axis=0) > 1):
         problems.append("some RB assigned to more than one user")
     if np.any(power < 0) or np.any(power > params.max_user_power_w * (1 + 1e-12)):
         problems.append("power outside [0, P_max]")
-    rows = np.flatnonzero(sel)
+    # A selected user without exactly one RB has no RB to gate-check; the
+    # structure message above reports it.
+    rows = np.flatnonzero((sel != 0) & (held == 1))
     cohort = phy._Users.of([users[i] for i in rows], params)
     down = phy._downlink_delay(cohort, params, fexp)
     # A power <= 0 is reported as such; at 0 the kernel stays in its domain.

@@ -7,7 +7,10 @@ packet-loss stream (common random numbers) which sharpens comparisons.
 
 The bytes export_csv writes depend on the config, the seeds and numpy's
 elementwise math and reductions, not on the BLAS kernel or thread count:
-training and the one_over_L curvature use no BLAS matrix product.
+training and the one_over_L curvature use no BLAS matrix product.  So do
+the bytes write_manifest writes after its first line, the environment
+block; their error_rate and delay_s also follow numpy's SIMD dispatch of
+log1p and expm1, which that block records.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import ctypes
 import hashlib
 import json
 import platform
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,15 +123,7 @@ def resolve_learning_rate(config: ExperimentConfig, dataset) -> float:
 
 @dataclass
 class RunRecord:
-    """One (algorithm, seed) cell: allocation summary plus the loss trajectory.
-
-    ``wall_clock_s`` is the cell's equal share of the work behind it.
-    ``run_experiment`` allocates each algorithm in one pass over all seeds
-    and then trains every (algorithm, seed) cell as one batch (packet-loss
-    draws included); a record takes an equal share of its algorithm's
-    pass, of the whole batch and, for proposed, baseline_a and baseline_c,
-    of the pooled edge build they read.
-    """
+    """One (algorithm, seed) cell: allocation summary plus the loss trajectory."""
 
     algorithm: str
     seed: int
@@ -144,7 +138,6 @@ class RunRecord:
     losses: list              # length rounds+1, entry 0 is the initial loss
     final_loss: float
     learning_rate: float
-    wall_clock_s: float
 
     def allocation_digest(self) -> str:
         parts = [
@@ -155,7 +148,7 @@ class RunRecord:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 
 
-def _record_from_run(algorithm, seed, decision, losses, learning_rate, wall_clock_s):
+def _record_from_run(algorithm, seed, decision, losses, learning_rate):
     assigned = np.asarray(decision.rb_assignment)
     rb_index = np.where(assigned.any(axis=1), assigned.argmax(axis=1), -1).tolist()
     losses = losses.tolist()
@@ -173,7 +166,6 @@ def _record_from_run(algorithm, seed, decision, losses, learning_rate, wall_cloc
         losses=losses,
         final_loss=losses[-1],
         learning_rate=float(learning_rate),
-        wall_clock_s=float(wall_clock_s),
     )
 
 
@@ -212,35 +204,24 @@ def run_experiment(config: ExperimentConfig):
     """
     seeds, params, fexp = config.seeds, config.network, config.fading
     user_lists, datasets = zip(*(build_topology(config, seed) for seed in seeds))
-    start = time.perf_counter()
     edge_sets = assignment._edge_weights(user_lists, params, fexp)
-    edge_build_s = (time.perf_counter() - start) / len(seeds)
     learning_rates = [resolve_learning_rate(config, dataset) for dataset in datasets]
     features = np.stack([dataset.x for dataset in datasets])
     targets = np.stack([dataset.y for dataset in datasets])
 
     cells = []
     for algorithm in config.algorithms:
-        start = time.perf_counter()
         decisions = _allocate(algorithm, seeds, user_lists, edge_sets, config)
-        share = (time.perf_counter() - start) / len(seeds)
-        if algorithm != "baseline_b":
-            share += edge_build_s
-        cells += [(algorithm, seed, decision, share) for seed, decision in zip(seeds, decisions)]
+        cells += [(algorithm, seed, decision) for seed, decision in zip(seeds, decisions)]
     learning_rates *= len(config.algorithms)
-    _, cell_seeds, cell_decisions, _ = zip(*cells)
-    # The packet-loss draws and the training are timed together, and each
-    # record's wall clock is its allocation share plus an equal share of them.
-    start = time.perf_counter()
+    _, cell_seeds, cell_decisions = zip(*cells)
     losses = _train_batch(
         config, cell_seeds, cell_decisions, learning_rates,
         features, targets, datasets[0].sample_counts,
     )[0]
-    share = (time.perf_counter() - start) / len(cells)
     return [
-        _record_from_run(algorithm, seed, decision, cell_losses, lr, seconds + share)
-        for (algorithm, seed, decision, seconds), cell_losses, lr
-        in zip(cells, losses, learning_rates)
+        _record_from_run(algorithm, seed, decision, cell_losses, lr)
+        for (algorithm, seed, decision), cell_losses, lr in zip(cells, losses, learning_rates)
     ]
 
 

@@ -1353,7 +1353,7 @@ def scalar_verify_allocation(decision, users, params, fexp):
     ):
         problems.append("power outside [0, P_max]")
     for i in range(n_users):
-        if not sel[i]:
+        if not sel[i] or rb[i].sum() != 1:
             continue
         n = int(np.argmax(rb[i]))
         p = float(decision.power_w[i])
@@ -1387,8 +1387,9 @@ class TestVerifyAllocation:
 
     def test_each_broken_structure_rule_is_reported(self):
         # A valid reference allocation broken one structure rule at a time.
-        # The moved user and the user left without an RB both land on a
-        # lower-interference RB than their own, so no gate fails besides.
+        # The moved user lands on a lower-interference RB than its own, so
+        # no gate fails besides. A user left without an RB is not
+        # gate-checked, not even on a blocked RB 0.
         from dataclasses import replace
 
         from fedwireless.config import load_config
@@ -1405,15 +1406,26 @@ class TestVerifyAllocation:
         no_rb, shared = rb.copy(), rb.copy()
         no_rb[by_rb[-1]] = 0
         shared[by_rb[-1]] = rb[by_rb[0]]
+        blocked = replace(
+            params, uplink_interference_w=(np.inf, *params.uplink_interference_w[1:])
+        )
+        users_7, _ = build_topology(config, 7)
+        valid_7 = hungarian_assign(build_edge_weights(users_7, blocked, fexp))
+        no_rb_7 = valid_7.rb_assignment.copy()
+        no_rb_7[np.flatnonzero(valid_7.selection)[0]] = 0
         n_users, n_rbs = rb.shape
-        for broken, message in [
-            (rb[:, :-1], f"rb_assignment shape ({n_users}, {n_rbs - 1}) != ({n_users}, {n_rbs})"),
-            (no_rb, "sum_n r[i,n] != a[i] for some user"),
-            (shared, "some RB assigned to more than one user"),
+        for decision, topology, network, message in [
+            (replace(valid, rb_assignment=rb[:, :-1]), users, params,
+             f"rb_assignment shape ({n_users}, {n_rbs - 1}) != ({n_users}, {n_rbs})"),
+            (replace(valid, rb_assignment=no_rb), users, params,
+             "sum_n r[i,n] != a[i] for some user"),
+            (replace(valid, rb_assignment=shared), users, params,
+             "some RB assigned to more than one user"),
+            (replace(valid_7, rb_assignment=no_rb_7), users_7, blocked,
+             "sum_n r[i,n] != a[i] for some user"),
         ]:
-            decision = replace(valid, rb_assignment=broken)
-            assert verify_allocation(decision, users, params, fexp) == [message]
-            assert scalar_verify_allocation(decision, users, params, fexp) == [message]
+            assert verify_allocation(decision, topology, network, fexp) == [message]
+            assert scalar_verify_allocation(decision, topology, network, fexp) == [message]
 
     def test_blocked_rb_is_reported_under_infinite_budgets(self):
         # A user on an RB at infinite interference never delivers: its delay

@@ -13,7 +13,6 @@ import platform
 import struct
 import subprocess
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +49,12 @@ GOLDEN_REFERENCE_CSV_SHA256 = (
 # sha256 of the bound.csv that `fedwireless bound` writes for the reference config.
 GOLDEN_REFERENCE_BOUND_SHA256 = (
     "c131a75cbddb1f1fb30bf22c8de7168bc78a9edb310027992772e73cdfa7529a"
+)
+
+# sha256 of the reference manifest.json after its first line (the
+# environment block), written under numpy's X86_V3-limited SIMD dispatch.
+GOLDEN_REFERENCE_MANIFEST_SHA256 = (
+    "605ffef9378227389524069936fcf74f0cc07c86d0fa61e36eb4a43bb1fe378a"
 )
 
 MINI = """
@@ -135,66 +140,11 @@ class TestRunExperiment:
             assert sum(record.selection) == 0
             assert record.losses == [record.losses[0]] * len(record.losses)
 
-    def test_wall_clock_includes_the_shared_edge_build(self, monkeypatch):
-        from fedwireless import assignment
-
-        build = assignment._edge_weights
-
-        def slow_build(*args):
-            time.sleep(0.05)
-            return build(*args)
-
-        monkeypatch.setattr(assignment, "_edge_weights", slow_build)
-        algorithms = ("proposed", "baseline_a", "baseline_b", "baseline_c")
-        records = run_experiment(mini_config(algorithms=algorithms, seeds=(3,)))
-        assert [r.algorithm for r in records] == list(algorithms)
-        for record in records:
-            if record.algorithm != "baseline_b":
-                assert record.wall_clock_s >= 0.05, record.algorithm
-
-    def test_wall_clock_shares_the_pooled_interval_search(self, monkeypatch):
-        from fedwireless import assignment
-
-        search = assignment._power_interval
-
-        def slow_search(*args):
-            time.sleep(0.3)
-            return search(*args)
-
-        monkeypatch.setattr(assignment, "_power_interval", slow_search)
-        records = run_experiment(mini_config(algorithms=("baseline_b",), seeds=(3, 4, 5)))
-        # One pooled search for the three seeds: each record takes a third.
-        assert [r.seed for r in records] == [3, 4, 5]
-        for record in records:
-            assert 0.1 <= record.wall_clock_s < 0.25, record.seed
-
-    def test_wall_clock_is_one_equal_share_per_algorithm(self, monkeypatch):
-        from fedwireless import assignment
-
-        assign = assignment.hungarian_assign
-
-        def slow_assign(edges):
-            time.sleep(0.03)
-            return assign(edges)
-
-        monkeypatch.setattr(assignment, "hungarian_assign", slow_assign)
-        algorithms = ("proposed", "baseline_a", "baseline_b", "baseline_c")
-        records = run_experiment(mini_config(algorithms=algorithms, seeds=(3, 4, 5)))
-        # One timed allocation pass and one training batch per algorithm,
-        # split equally: every record of an algorithm reads the same time.
-        for algorithm in algorithms:
-            assert len({r.wall_clock_s for r in records if r.algorithm == algorithm}) == 1
-        assert records[0].algorithm == "proposed" and records[0].wall_clock_s >= 0.03
-
-    def test_rerun_bit_identical(self):
+    def test_rerun_bit_identical(self, tmp_path):
         config = mini_config()
-        a = run_experiment(config)
-        b = run_experiment(config)
-        for ra, rb in zip(a, b):
-            da, db = dict(vars(ra)), dict(vars(rb))
-            da.pop("wall_clock_s")
-            db.pop("wall_clock_s")
-            assert da == db
+        for name in ("a.json", "b.json"):
+            write_manifest(run_experiment(config), tmp_path / name, config=config)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 POOLED = """
@@ -352,6 +302,19 @@ class TestPersistence:
         write_manifest(records, path, config=config)
         reloaded = load_manifest(path)
         assert [vars(r) for r in reloaded] == [vars(r) for r in records]
+
+    @pytest.mark.parametrize("key", ["bound", "wall_clock_s"])
+    def test_manifest_with_a_removed_record_field_is_rejected(self, tmp_path, key):
+        # A manifest written before RunRecord lost the field does not load;
+        # rerunning simulate rewrites it.
+        config = mini_config(algorithms=("proposed",), seeds=(3,), rounds=1)
+        path = tmp_path / "manifest.json"
+        write_manifest(run_experiment(config), path, config=config)
+        payload = json.loads(path.read_text())
+        payload["records"][0][key] = 0.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TypeError, match=key):
+            load_manifest(path)
 
     def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
@@ -946,14 +909,16 @@ def _edges_and_digests(cpu_features, out):
     return edges, digests
 
 
-@pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64"), reason="x86 dispatch targets"
+x86_v3 = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _cpu_has("X86_V3"),
+    reason="needs a CPU that runs numpy's x86 X86_V3 targets",
 )
+
+
+@x86_v3
 def test_edge_build_independent_of_simd_dispatch(tmp_path):
     # log1p and expm1 have SIMD loops per target; limiting numpy to AVX2
     # may move a power_w by some ulps, but no gate and no allocation.
-    if not _cpu_has("X86_V3"):
-        pytest.skip("this CPU cannot run numpy's X86_V3 targets")
     default, default_digests = _edges_and_digests(None, tmp_path / "default")
     limited, limited_digests = _edges_and_digests("X86_V2 X86_V3", tmp_path / "limited")
     assert default.keys() == limited.keys() and len(default) == 2 * 15 * 12
@@ -971,3 +936,17 @@ def test_edge_build_independent_of_simd_dispatch(tmp_path):
     assert not feasible_moved and default_digests.keys() == limited_digests.keys() and not (
         digests_moved
     ), "\n".join(report + [f"allocation_digest moved: {digests_moved}"])
+
+
+@x86_v3
+def test_reference_manifest_golden_digest(tmp_path):
+    # The records and config of the reference manifest.json. numpy's
+    # AVX-512 log1p/expm1 loops move some error_rate and delay_s by an ulp
+    # against its AVX2 ones (runs.csv does not move), so the golden is taken
+    # with numpy limited to X86_V3; the first line names the host.
+    _run_with_kernel(
+        None, ["-m", "fedwireless.cli", "simulate", str(REFERENCE), "--outdir", str(tmp_path)],
+        cpu_features="X86_V2 X86_V3",
+    )
+    body = (tmp_path / "manifest.json").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == GOLDEN_REFERENCE_MANIFEST_SHA256
