@@ -1,16 +1,17 @@
 """Joint user selection, resource-block assignment, and transmit power.
 
 The proposed allocator computes a per-edge optimal power (largest power that
-respects the energy budget), gates each (user, RB) edge on the delay and
-energy budgets, and solves a min-weight bipartite matching on the (user, RB)
-rectangle with a shortest-augmenting-path potentials solver, in which
-leaving a user unassigned costs 0; the solver's final potentials certify
-the matching optimal.  Three reference baselines are included for
-comparison.
+respects the energy budget, as the edge of a certified band around the
+root), gates each (user, RB) edge on the delay and energy budgets, and
+solves a min-weight bipartite matching on the (user, RB) rectangle with a
+shortest-augmenting-path potentials solver, in which leaving a user
+unassigned costs 0; the solver's final potentials certify the matching
+optimal.  Three reference baselines are included for comparison.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,127 +32,110 @@ __all__ = [
     "wireless_error_sum",
 ]
 
-_BISECT_ITERS = 200
-# Cap on the root estimate's secant passes per edge.
+# Secant passes per edge before every other point bisects the sign bracket.
 _SECANT_PASSES = 8
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _bisect(lo, hi, columns, measure):
-    """Lock-step bisection of many edges for a predicate that holds below
-    each edge's root and fails above it.
+def _certified_band(lo, hi, columns, measure):
+    """The certified band around each edge's root in [lo, hi] of a
+    predicate that holds below the root and fails above it, and whose exact
+    excess is increasing in x: the power searches' one search and answer.
 
     ``columns`` is a tuple of per-edge arrays, and ``measure(x, *columns)``
     returns (holds, excess, eps) at points ``x`` of the edges they describe:
     the predicate, its computed excess (quantity minus limit) and a bound
-    eps on the excess's rounding error.  ``_certified_band`` turns them
-    into a per-edge band (a, b); a probe or mid at or below a is answered
-    True, and one at or above b False, without an evaluation.
-    Every edge is probed at its lo and at its hi, and edges whose root lies
-    outside [lo, hi] collapse onto that endpoint.  A round then halves
-    [lo, hi] at mid = 0.5*(lo+hi), lo moving up where the predicate holds
-    and hi down elsewhere, until an edge's mid rounds onto an endpoint (at
-    most _BISECT_ITERS rounds) and the edge drops out.  The path, and every
-    bit returned, is that of the search that evaluates every point, as an
-    edge with band (-inf, inf) does, and it depends on the edge's own
-    values alone.  Returns the final (lo, hi) and whether the predicate
-    held at the initial lo and at the initial hi.
-    """
-    every = np.arange(lo.size)
-    a, b = _certified_band(lo, hi, columns, measure)
-
-    def evaluate(x, index):
-        holds = x <= a[index]
-        inside = np.flatnonzero(~holds & (x < b[index]))
-        holds[inside] = measure(x[inside], *(column[index[inside]] for column in columns))[0]
-        return holds
-
-    holds_lo, holds_hi = evaluate(lo, every), evaluate(hi, every)
-    lo = np.where(holds_hi, hi, lo)
-    hi = np.where(holds_lo, hi, lo)
-    active = every
-    for _ in range(_BISECT_ITERS):
-        a_lo, a_hi = lo[active], hi[active]
-        mid = 0.5 * (a_lo + a_hi)
-        moving = (mid != a_lo) & (mid != a_hi)
-        active, mid = active[moving], mid[moving]
-        if not active.size:
-            break
-        up = evaluate(mid, active)
-        lo[active[up]] = mid[up]
-        hi[active[~up]] = mid[~up]
-    return lo, hi, holds_lo, holds_hi
-
-
-def _certified_band(lo, hi, columns, measure):
-    """The certified band of ``_bisect`` for a predicate whose exact excess
-    is increasing in x.
-
-    A point x is certified where the excess that ``measure`` computes
-    clears 0 by 2 eps.  Below -2 eps, the exact excess is below -eps
+    eps on the excess's rounding error.  A point x is certified where the
+    excess clears 0 by 2 eps.  Below -2 eps, the exact excess is below -eps
     at x and so, plus the error bound at x' <= x, below 0: the predicate
     holds at every x' <= x.  Above 2 eps, it fails at every x' >= x in the
     same way.  Both steps need the exact excess -+ eps to be increasing,
     which holds because eps is a small multiple of the quantity's
-    increasing parts.  hi is checked on every edge and lo where hi is not
-    certified to hold, so a provable lo probe costs no evaluation.  Edges
-    certified to hold at lo and to fail at hi estimate their root from
-    measured excesses alone: the chord through the two probes, then secant
-    steps through the last two points, each point certified as it is
-    measured.  The sign bracket the points keep safeguards the steps,
-    which stop once the step is within 4 eps / |slope| (at most
-    _SECANT_PASSES); the estimate r = x - step is then checked at
-    r(1 -+ rho), with rho*r = 2*(|step| + 4 eps / |slope|), where that lies
-    inside (lo, hi).  Returns (a, b): the largest point certified to hold
-    and the smallest certified to fail, -inf and inf where none is.  An
-    edge whose band does not certify keeps (lo, hi) and falls back to
-    evaluating every mid.
+    increasing parts.
+
+    Every edge is probed at hi, and at lo where hi is not certified to hold
+    (lo then holds too).  Edges where the predicate holds at lo and fails
+    at hi estimate their root from measured excesses alone: the chord
+    through the two probes, then secant steps through the last two points,
+    each point certified as it is measured, until the step is within
+    4 eps / |slope|; the estimate r = x - step is then checked at
+    r(1 -+ rho), with rho*r = 2*(|step| + 4 eps / |slope|), on each side
+    that lies inside (lo, hi).  The band (a, b) is the largest point
+    certified to hold and the smallest certified to fail, at most about
+    32 eps / |slope| wide: as narrow as the excess's rounding allows, up
+    to a small factor.  Where b - a < a, a moves down and b up to
+    multiples of g, the largest power of two <= b - a: they stay certified
+    and positive, lie within 2(b - a) of any root in the band, and do not
+    follow the last bits of r, which move with every ulp of the measured
+    excess.  A wider band, which only an excess hidden by its rounding
+    bound near the root forms, answers its raw edges.
+
+    Returns (a, b, holds_lo, holds_hi): the band clipped to [lo, hi] and
+    the predicate at the probes.  An edge whose probes do not bracket the
+    root collapses onto the probe that decides it, a = b = hi where the
+    predicate holds at hi and a = b = lo where it fails at lo; an edge with
+    no point certified on one side answers that side's probe.
     """
     a, b = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
 
     def certify(x, index):
-        _, value, eps = measure(x, *(column[index] for column in columns))
-        holds, fails = value < -2.0 * eps, value > 2.0 * eps
-        a[index[holds]] = np.maximum(a[index[holds]], x[holds])
-        b[index[fails]] = np.minimum(b[index[fails]], x[fails])
-        return value, eps
+        holds, value, eps = measure(x, *(column[index] for column in columns))
+        sure_hold, sure_fail = value < -2.0 * eps, value > 2.0 * eps
+        a[index[sure_hold]] = np.maximum(a[index[sure_hold]], x[sure_hold])
+        b[index[sure_fail]] = np.minimum(b[index[sure_fail]], x[sure_fail])
+        return holds, value, eps
 
     every = np.arange(lo.size)
-    value_hi = certify(hi, every)[0]
+    holds_hi, value_hi, _ = certify(hi, every)
     unsure = every[a < hi]
-    value_lo, eps_lo = np.empty(lo.size), np.empty(lo.size)
-    value_lo[unsure], eps_lo[unsure] = certify(lo[unsure], unsure)
-    moving = np.flatnonzero((a == lo) & (b == hi))
+    holds_lo, value_lo, eps_lo = np.ones(lo.size, dtype=bool), np.empty(lo.size), np.empty(lo.size)
+    holds_lo[unsure], value_lo[unsure], eps_lo[unsure] = certify(lo[unsure], unsure)
+    moving = np.flatnonzero(holds_lo & ~holds_hi)
     # The first estimate is the chord through the probes and the second
     # pairs it with lo, which evaluated less than hi in the delay search.
     # A step that leaves the sign bracket [below, above] (or is not finite)
-    # takes its geometric mean instead.
+    # takes its geometric mean instead, and so does every other point after
+    # _SECANT_PASSES passes: a secant creeping along an excess far from
+    # linear (a rate over decades of power) still closes in.  An edge also
+    # stops once its next point cannot narrow the bracket: the point is not
+    # inside it (adjacent floats), or the last excess was NaN.
     x_prev, value_prev = hi[moving], value_hi[moving]
     x, value, eps = lo[moving], value_lo[moving], eps_lo[moving]
     below, above = lo[moving], hi[moving]
     root, half = np.empty(moving.size), np.empty(moving.size)
     active = np.arange(moving.size)
-    for passes_left in range(_SECANT_PASSES, -1, -1):
+    for passes in itertools.count():
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             slope = (value[active] - value_prev[active]) / (x[active] - x_prev[active])
             step, noise = value[active] / slope, 4.0 * eps[active] / np.abs(slope)
             guess = x[active] - step
-        inside = (below[active] < guess) & (guess < above[active])
+            half[active] = 2.0 * (np.abs(step) + noise)
+        done = np.abs(step) <= noise
+        secant = done | (passes < _SECANT_PASSES or passes % 2 == 1)
+        inside = secant & (below[active] < guess) & (guess < above[active])
         root[active] = np.where(inside, guess, np.sqrt(below[active] * above[active]))
-        half[active] = 2.0 * (np.abs(step) + noise)
-        active = active[~(np.abs(step) <= noise)]
-        if not (passes_left and active.size):
+        narrows = (below[active] < root[active]) & (root[active] < above[active])
+        active = active[~done & narrows & ~np.isnan(value[active])]
+        if not active.size:
             break
         x_prev[active], value_prev[active] = x[active], value[active]
         x[active] = root[active]
-        value[active], eps[active] = certify(x[active], moving[active])
+        _, value[active], eps[active] = certify(x[active], moving[active])
         below[active] = np.where(value[active] < 0, x[active], below[active])
         above[active] = np.where(value[active] > 0, x[active], above[active])
-    # A band that reaches past the probes (or is not finite) adds nothing.
-    banded = (lo[moving] < root - half) & (root + half < hi[moving])
-    certify(root[banded] - half[banded], moving[banded])
-    certify(root[banded] + half[banded], moving[banded])
-    return a, b
+    # A side that reaches past the probes (or is not finite) adds nothing.
+    for side in (root - half, root + half):
+        inside = (lo[moving] < side) & (side < hi[moving])
+        certify(side[inside], moving[inside])
+    width = b - a
+    snap = (0 < width) & (width < a)
+    # frexp writes b - a as m 2**k with 0.5 <= m < 1, so g = 2**(k - 1), and
+    # a / g and b / g are exact.
+    grid = np.ldexp(1.0, np.frexp(width[snap])[1] - 1)
+    a[snap], b[snap] = np.floor(a[snap] / grid) * grid, np.ceil(b[snap] / grid) * grid
+    a = np.where(holds_hi, hi, np.maximum(a, lo))
+    b = np.where(holds_lo, np.minimum(b, hi), lo)
+    return a, b, holds_lo, holds_hi
 
 
 def _energy_error(energy, training_j, fexp):
@@ -181,13 +165,13 @@ def _rate_error(rate, fexp):
 
 def _optimal_powers(cohort, params, fexp):
     """optimal_power over every edge of a placed ``phy._Users`` cohort, as
-    one ``_bisect``; 0 marks an edge with no feasible power.
+    one ``_certified_band`` whose lower edge a is the answer; 0 marks an
+    edge with no feasible power.
 
-    The search's band (``_certified_band``) estimates each edge's root by
-    secant steps on the measured energy excess, and certifies it with the
-    ``_energy_error`` bound eps = 2u(E + (n + 10)T): an edge whose training
-    energy dominates gets a band about as narrow as its transmit energy
-    allows.
+    The band estimates each edge's root by secant steps on the measured
+    energy excess, and certifies it with the ``_energy_error`` bound
+    eps = 2u(E + (n + 10)T): an edge whose training energy dominates gets a
+    band about as narrow as its transmit energy allows.
     """
     budget, p_max = params.energy_budget_j, params.max_user_power_w
     searched = cohort.training_j < budget
@@ -203,7 +187,7 @@ def _optimal_powers(cohort, params, fexp):
         return ((energy <= budget) & finite, energy - np.where(finite, budget, 0.0),
                 _energy_error(energy, edges.training_j, fexp))
 
-    lo, _, fits_lo, fits_hi = _bisect(
+    lo, _, fits_lo, fits_hi = _certified_band(
         np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched), measure
     )
     power = np.zeros(searched.shape)
@@ -215,11 +199,12 @@ def _optimal_powers(cohort, params, fexp):
 def optimal_power(user, rb_index, params, fexp) -> float:
     """Largest transmit power on one RB that respects the energy budget.
 
-    Returns the device power cap or, if that violates the energy budget,
-    the power at which the per-round energy meets the budget exactly; the
-    bisection exploits that energy is strictly increasing in power and
-    always lands on the feasible side of the root.  Returns 0.0 when even
-    a vanishing transmit power (or training alone) exceeds the budget.
+    Returns the device power cap or, if that violates the energy budget, a
+    power just below the one at which the per-round energy meets the budget
+    exactly: the lower edge a of the search's certified band (a, b) around
+    that root, where the energy provably fits, within 2(b - a) of the root
+    (see ``_certified_band``).  Returns 0.0 when even a vanishing transmit
+    power (or training alone) exceeds the budget.
     """
     cohort = phy._Users.of([user], params).on(rb_index, params)
     return float(_optimal_powers(cohort, params, fexp)[0])
@@ -230,8 +215,10 @@ def feasible_power_interval(users, rb_index, params, fexp):
     gates hold, on one RB or with user i on ``rb_index[i]``.
 
     Returns (p_lo, p_hi, feasible) arrays over ``users``; both bounds are 0
-    where the edge is infeasible at any power.  P_lo is the smallest power
-    whose expected rate still meets the delay budget.
+    where the edge is infeasible at any power.  P_lo is a power just above
+    the smallest one whose expected rate meets the delay budget: the upper
+    edge b of the search's certified band (a, b) around that root, where
+    the rate provably meets it, within 2(b - a) of the root.
     """
     cohort = phy._Users.of(users, params).on(rb_index, params)
     return _power_interval(cohort, params, fexp)[:3]
@@ -239,12 +226,13 @@ def feasible_power_interval(users, rb_index, params, fexp):
 
 def _power_interval(cohort, params, fexp):
     """feasible_power_interval over every edge of a placed ``phy._Users``
-    cohort, each of its two searches one ``_bisect``.  Returns (p_lo, p_hi,
-    feasible, downlink delay).
+    cohort: p_hi from ``_optimal_powers`` and p_lo the upper edge b of one
+    more ``_certified_band``.  Returns (p_lo, p_hi, feasible, downlink
+    delay).
 
     The delay search's band estimates each edge's root by secant steps on
     the measured rate excess, and certifies it with the ``_rate_error``
-    bound eps = 2(n + 8)u R (see ``_certified_band``).
+    bound eps = 2(n + 8)u R.
     """
     p_hi = _optimal_powers(cohort, params, fexp)
     down = phy._downlink_delay(cohort, params, fexp)
@@ -257,7 +245,7 @@ def _power_interval(cohort, params, fexp):
         return rate < target, rate - target, _rate_error(rate, fexp)
 
     # A zero payload has target rate 0, which the bottom of the range reaches.
-    _, hi, _, short_hi = _bisect(
+    _, hi, _, short_hi = _certified_band(
         p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched)), measure
     )
     p_lo = np.zeros_like(p_hi)
@@ -605,18 +593,21 @@ def verify_allocation(decision, users, params, fexp):
     sel = np.asarray(decision.selection)
     rb = np.asarray(decision.rb_assignment)
     power = np.asarray(decision.power_w, dtype=float)
-    if rb.shape != (n_users, n_rbs):
-        return [f"rb_assignment shape {rb.shape} != ({n_users}, {n_rbs})"]
+    for name, values, shape in (("selection", sel, (n_users,)),
+                                ("rb_assignment", rb, (n_users, n_rbs)),
+                                ("power_w", power, (n_users,))):
+        if values.shape != shape:
+            return [f"{name} shape {values.shape} != {shape}"]
     held = rb.sum(axis=1)
     if not np.array_equal(held, sel):
         problems.append("sum_n r[i,n] != a[i] for some user")
     if np.any(rb.sum(axis=0) > 1):
         problems.append("some RB assigned to more than one user")
-    if np.any(power < 0) or np.any(power > params.max_user_power_w * (1 + 1e-12)):
+    if not np.all((0 <= power) & (power <= params.max_user_power_w * (1 + 1e-12))):
         problems.append("power outside [0, P_max]")
-    # A selected user without exactly one RB has no RB to gate-check; the
-    # structure message above reports it.
-    rows = np.flatnonzero((sel != 0) & (held == 1))
+    # A selected user without exactly one RB, or with a non-finite power,
+    # has nothing to gate-check; the messages above report it.
+    rows = np.flatnonzero((sel != 0) & (held == 1) & np.isfinite(power))
     cohort = phy._Users.of([users[i] for i in rows], params)
     down = phy._downlink_delay(cohort, params, fexp)
     # A power <= 0 is reported as such; at 0 the kernel stays in its domain.

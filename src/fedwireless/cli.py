@@ -154,7 +154,7 @@ def _cmd_validate(args) -> int:
     else:
         check("energy is zero at every power without a payload", bool(np.all(e == 0)))
 
-    # The power searches of two topologies pooled into one bisection must
+    # The power searches of two topologies pooled into one search must
     # give each topology the edges it gets alone, bit for bit.
     other = harness.build_topology(config, config.seeds[0] + 1)[0]
     pooled = assignment._edge_weights([users, other], params, fexp)

@@ -10,7 +10,10 @@ elementwise math and reductions, not on the BLAS kernel or thread count:
 training and the one_over_L curvature use no BLAS matrix product.  So do
 the bytes write_manifest writes after its first line, the environment
 block; their error_rate and delay_s also follow numpy's SIMD dispatch of
-log1p and expm1, which that block records.
+log1p and expm1, which that block records.  The power searches answer a
+certified band edge snapped to a power-of-two grid, not the last bits of a
+root estimate, so a power_w (and an allocation) follows that dispatch only
+where a band edge lands on the other side of a grid point.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 REFERENCE_CSV = Path(__file__).resolve().parent / "data" / "reference_runs.csv"
 
 GOLDEN_REFERENCE_CSV_SHA256 = (
-    "e3bd62b645ddfc56b84ab98dfb5f52bb8ec3d271088843fd6f28719c582812ab"
+    "2bc032a965869d4379de1a9bc5322063c4eb3840842acefc8f9c25398b36906d"
 )
 
 # sha256 of the bound.csv that `fedwireless bound` writes for the reference config.
@@ -54,7 +54,7 @@ GOLDEN_REFERENCE_BOUND_SHA256 = (
 # sha256 of the reference manifest.json after its first line (the
 # environment block), written under numpy's X86_V3-limited SIMD dispatch.
 GOLDEN_REFERENCE_MANIFEST_SHA256 = (
-    "605ffef9378227389524069936fcf74f0cc07c86d0fa61e36eb4a43bb1fe378a"
+    "56a1c06d27bfd15f4c83cde1b2f252c76533230163c9168e9558f9b574ae70ef"
 )
 
 MINI = """
@@ -871,8 +871,8 @@ def test_manifest_names_the_kernel_openblas_picked():
     assert _run_with_kernel("Haswell", ["-c", probe]).stdout.strip() == "Haswell"
 
 
-# Every reference edge as "edge seed user rb feasible power_w delay-slack
-# energy-slack" (hex floats), then the reference simulate run into argv[2].
+# Every edge of the config argv[1] as "edge seed user rb feasible power_w
+# delay-slack energy-slack" (hex floats), then its simulate run into argv[2].
 EDGE_BUILD_PROBE = """
 import sys
 import numpy as np
@@ -891,11 +891,12 @@ sys.exit(cli.main(["simulate", sys.argv[1], "--outdir", sys.argv[2]]))
 """
 
 
-def _edges_and_digests(cpu_features, out):
+def _edges_and_digests(cpu_features, config, out):
     """The probe's edges by (seed, user, rb) and the runs.csv allocation
-    digests by (algorithm, seed), with numpy dispatching to ``cpu_features``."""
+    digests by (algorithm, seed) of ``config``, with numpy dispatching to
+    ``cpu_features``."""
     run = _run_with_kernel(
-        None, ["-c", EDGE_BUILD_PROBE, str(REFERENCE), str(out)], cpu_features=cpu_features
+        None, ["-c", EDGE_BUILD_PROBE, str(config), str(out)], cpu_features=cpu_features
     )
     edges = {
         tuple(fields[1:4]): (fields[4] == "1", *(float.fromhex(v) for v in fields[5:]))
@@ -915,13 +916,30 @@ x86_v3 = pytest.mark.skipif(
 )
 
 
+# 120 users x 60 RBs in a 1000 m cell with a binding energy budget, one
+# seed: the shape of the contested-cell benchmark at its seed 1.
+_CONTESTED_CELL = {
+    ("network", "rb_count"): "60",
+    ("network", "uplink_interference_w"): " ".join(map(repr, np.logspace(-9, -7, 60).tolist())),
+    ("network", "energy_budget_j"): "0.0022",
+    ("users", "count"): "120",
+    ("users", "cell_radius_m"): "1000.0",
+    ("experiment", "seeds"): "288545019",
+}
+
+
 @x86_v3
-def test_edge_build_independent_of_simd_dispatch(tmp_path):
+@pytest.mark.parametrize("overrides", [{}, _CONTESTED_CELL], ids=["reference", "contested_cell"])
+def test_edge_build_independent_of_simd_dispatch(overrides, tmp_path):
     # log1p and expm1 have SIMD loops per target; limiting numpy to AVX2
     # may move a power_w by some ulps, but no gate and no allocation.
-    default, default_digests = _edges_and_digests(None, tmp_path / "default")
-    limited, limited_digests = _edges_and_digests("X86_V2 X86_V3", tmp_path / "limited")
-    assert default.keys() == limited.keys() and len(default) == 2 * 15 * 12
+    cfg = tmp_path / "config.cfg"
+    cfg.write_text(_reference_with(overrides))
+    default, default_digests = _edges_and_digests(None, cfg, tmp_path / "default")
+    limited, limited_digests = _edges_and_digests("X86_V2 X86_V3", cfg, tmp_path / "limited")
+    config = load_config(cfg)
+    size = len(config.seeds) * config.user_count * config.network.rb_count
+    assert default.keys() == limited.keys() and len(default) == size
     report = [
         f"edge (seed, user, rb) {key}: power_w moved {_ulp_distance(a[1], b[1])} ulps, "
         f"feasible {a[0]} -> {b[0]}, delay slack {a[2]:.6g} -> {b[2]:.6g} s, "
