@@ -74,7 +74,8 @@ def _certified_band(lo, hi, columns, measure):
     the predicate at the probes.  An edge whose probes do not bracket the
     root collapses onto the probe that decides it, a = b = hi where the
     predicate holds at hi and a = b = lo where it fails at lo; an edge with
-    no point certified on one side answers that side's probe.
+    no point certified on one side answers that side's probe.  So the
+    searches pass every edge, and it decides the out-of-range ones.
     """
     a, b = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
 
@@ -168,14 +169,14 @@ def _optimal_powers(cohort, params, fexp):
     one ``_certified_band`` whose lower edge a is the answer; 0 marks an
     edge with no feasible power.
 
-    The band estimates each edge's root by secant steps on the measured
-    energy excess, and certifies it with the ``_energy_error`` bound
+    The band, given every edge, estimates each root by secant steps on the
+    measured energy excess and certifies it with the ``_energy_error`` bound
     eps = 2u(E + (n + 10)T): an edge whose training energy dominates gets a
-    band about as narrow as its transmit energy allows.
+    band about as narrow as its transmit energy allows, and one whose
+    training energy spends the budget fails at lo and answers 0.
     """
     budget, p_max = params.energy_budget_j, params.max_user_power_w
-    searched = cohort.training_j < budget
-    n = np.count_nonzero(searched)
+    n = cohort.training_j.size
 
     def measure(power, *columns):
         edges = phy._Users(*columns)
@@ -188,12 +189,10 @@ def _optimal_powers(cohort, params, fexp):
                 _energy_error(energy, edges.training_j, fexp))
 
     lo, _, fits_lo, fits_hi = _certified_band(
-        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort.take(searched), measure
+        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort, measure
     )
-    power = np.zeros(searched.shape)
     # Where transmit energy per bit does not vanish with P, not even lo fits.
-    power[searched] = np.where(fits_lo | fits_hi, lo, 0.0)
-    return power
+    return np.where(fits_lo | fits_hi, lo, 0.0)
 
 
 def optimal_power(user, rb_index, params, fexp) -> float:
@@ -230,26 +229,24 @@ def _power_interval(cohort, params, fexp):
     more ``_certified_band``.  Returns (p_lo, p_hi, feasible, downlink
     delay).
 
-    The delay search's band estimates each edge's root by secant steps on
-    the measured rate excess, and certifies it with the ``_rate_error``
-    bound eps = 2(n + 8)u R.
+    The delay search's band, given every edge, estimates each root by
+    secant steps on the measured rate excess and certifies it with the
+    ``_rate_error`` bound eps = 2(n + 8)u R.  An edge with p_hi = 0 (rate 0)
+    or no delay slack (target rate +inf) is short at p_hi and answers 0.
     """
     p_hi = _optimal_powers(cohort, params, fexp)
     down = phy._downlink_delay(cohort, params, fexp)
     slack = params.delay_budget_s - down
-    searched = (p_hi > 0) & (slack > 0)
-    target = cohort.payload_bits[searched] / slack[searched]
+    target = np.divide(cohort.payload_bits, slack, out=np.full_like(slack, np.inf),
+                       where=slack > 0)
 
     def measure(power, target, *columns):
         rate = phy._uplink_rate(phy._Users(*columns), power, params, fexp)
         return rate < target, rate - target, _rate_error(rate, fexp)
 
     # A zero payload has target rate 0, which the bottom of the range reaches.
-    _, hi, _, short_hi = _certified_band(
-        p_hi[searched] * 1e-15, p_hi[searched], (target, *cohort.take(searched)), measure
-    )
-    p_lo = np.zeros_like(p_hi)
-    p_lo[searched] = np.where(short_hi, 0.0, hi)
+    _, hi, _, short_hi = _certified_band(p_hi * 1e-15, p_hi, (target, *cohort), measure)
+    p_lo = np.where(short_hi, 0.0, hi)
     feasible = p_lo > 0
     return p_lo, np.where(feasible, p_hi, 0.0), feasible, down
 

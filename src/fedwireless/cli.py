@@ -37,8 +37,7 @@ def _outdir(args) -> Path:
     return path
 
 
-def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
+def _cmd_simulate(args, config) -> int:
     records = harness.run_experiment(config)
     outdir = _outdir(args)
     csv_path = outdir / "runs.csv"
@@ -53,8 +52,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_assign(args) -> int:
-    config = load_config(args.config)
+def _cmd_assign(args, config) -> int:
     for seed in config.seeds:
         users, _ = harness.build_topology(config, seed)
         edges = assignment.build_edge_weights(users, config.network, config.fading)
@@ -73,8 +71,7 @@ def _cmd_assign(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bound(args) -> int:
-    config = load_config(args.config)
+def _cmd_bound(args, config) -> int:
     report = harness.bound_report(config)
     series = report["series"]
     outdir = _outdir(args)
@@ -109,8 +106,7 @@ def _sweep_values(text):
     return values
 
 
-def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
+def _cmd_sweep(args, config) -> int:
     values = _sweep_values(args.values)
     rows = harness.sweep(config, args.axis, values)
     outdir = _outdir(args)
@@ -129,8 +125,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    config = load_config(args.config)
+def _cmd_validate(args, config) -> int:
     failures = []
 
     def check(name, ok):
@@ -243,7 +238,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,6 +1,7 @@
 """Allocation tests: optimal power, edge gating, matching, baselines."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,18 +111,29 @@ class TestFeasiblePowerInterval:
         lo, hi, feasible = feasible_power_interval([user_at(500.0)], 0, params, QUAD)
         assert not feasible[0] and lo[0] == 0.0 and hi[0] == 0.0
 
-    def test_batch_matches_scalar_reference(self):
-        users, params = binding_budget_topology()
-        for n in range(params.rb_count):
-            p_lo, p_hi, feasible = feasible_power_interval(users, n, params, QUAD)
-            for i, user in enumerate(users):
-                slack = params.delay_budget_s - downlink_delay(user, params, QUAD)
-                want_hi = reference_optimal_power(user, n, params, QUAD)
-                want_lo = reference_min_power(
-                    user, n, user.payload_bits / slack, want_hi, params, QUAD
-                ) if want_hi > 0 and slack > 0 else 0.0
-                assert feasible[i] == (want_lo > 0) and near(p_lo[i], want_lo)
-                assert near(p_hi[i], want_hi if want_lo > 0 else 0.0)
+    def test_batch_matches_scalar_reference(self, monkeypatch):
+        # On the binding topology (user 3 sends nothing) and on budgets that
+        # leave edges out of either search's range: an energy budget equal
+        # to the training energy and one below it, and a delay budget
+        # between the users' downlink delays (95-113 us), so that some
+        # edges have no delay slack.
+        users, binding = binding_budget_topology()
+        trained = training_energy(users[0])
+        decided = check_bands(monkeypatch)
+        for params in (binding, replace(binding, energy_budget_j=trained),
+                       replace(binding, energy_budget_j=0.5 * trained),
+                       replace(binding, delay_budget_s=1.05e-4)):
+            for n in range(params.rb_count):
+                p_lo, p_hi, feasible = feasible_power_interval(users, n, params, QUAD)
+                for i, user in enumerate(users):
+                    slack = params.delay_budget_s - downlink_delay(user, params, QUAD)
+                    want_hi = reference_optimal_power(user, n, params, QUAD)
+                    want_lo = reference_min_power(
+                        user, n, user.payload_bits / slack, want_hi, params, QUAD
+                    ) if want_hi > 0 and slack > 0 else 0.0
+                    assert feasible[i] == (want_lo > 0) and near(p_lo[i], want_lo)
+                    assert near(p_hi[i], want_hi if want_lo > 0 else 0.0)
+        assert all(decided)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -260,6 +272,36 @@ def record_searches(monkeypatch, oracle=False):
 
     monkeypatch.setattr(assignment, "_certified_band", recorded)
     return searches
+
+
+def check_bands(monkeypatch):
+    """Check every ``assignment._certified_band`` call from now on: no NaN
+    reaches its points, its measured values or its answers, and each edge
+    that its probes decide (the predicate holds at hi or fails at lo) costs
+    at most 2 evaluations.  Returns a growing list with the number of such
+    edges per call."""
+    certify, decided = assignment._certified_band, []
+
+    def checked(lo, hi, columns, measure):
+        evaluations = np.zeros(lo.size, dtype=int)
+
+        def counted(x, *columns):
+            *columns, edge = columns
+            np.add.at(evaluations, edge, 1)
+            values = measure(x, *columns)
+            assert not any(np.isnan(v).any() for v in (x, *values))
+            return values
+
+        got = certify(lo, hi, (*columns, np.arange(lo.size)), counted)
+        assert not any(np.isnan(v).any() for v in got[:2])
+        holds_lo, holds_hi = got[2:]
+        out_of_range = holds_hi | ~holds_lo
+        assert np.all(evaluations[out_of_range] <= 2)
+        decided.append(np.count_nonzero(out_of_range))
+        return got
+
+    monkeypatch.setattr(assignment, "_certified_band", checked)
+    return decided
 
 
 def contested_topology(seed):
@@ -497,16 +539,25 @@ class TestCertifiedBand:
         evaluations = sum(sizes) // QUAD.node_or_sample_count
         assert evaluations <= 2 * moving.size + 8 * np.count_nonzero(moving)
 
-    @pytest.mark.parametrize("budgets", [
-        "energy_budget_j = 0.0022\n",
-        "energy_budget_j = inf\n",
-        "energy_budget_j = inf\ndelay_budget_s = inf\n",
-    ], ids=["finite_budgets", "energy_budget_inf", "both_budgets_inf"])
-    def test_blocked_rb_is_never_selected_nor_feeds_nan(self, budgets, monkeypatch):
+    @pytest.mark.parametrize("budgets, schedulable", [
+        ("energy_budget_j = 0.0022\n", True),
+        ("energy_budget_j = inf\n", True),
+        ("energy_budget_j = inf\ndelay_budget_s = inf\n", True),
+        # Training alone spends the budget: not even the least power fits.
+        ("energy_budget_j = 0.002\n", False),
+        ("energy_budget_j = 0.001\n", False),
+        # Between the users' downlink delays (about 1e-4 s in this cell):
+        # some edges have no delay slack left for the uplink.
+        ("delay_budget_s = 1.05e-4\n", False),
+    ], ids=["finite_budgets", "energy_budget_inf", "both_budgets_inf",
+            "energy_budget_at_training", "energy_budget_below_training",
+            "delay_budget_between_downlinks"])
+    def test_blocked_rb_is_never_selected_nor_feeds_nan(self, budgets, schedulable, monkeypatch):
         # One RB at infinite interference is legal and blocks that RB: its
         # edges are infeasible even where no budget binds (an infinite
-        # energy fits no budget), no algorithm selects it, and no NaN
-        # reaches the certificate.
+        # energy fits no budget), no algorithm selects it, no NaN reaches
+        # the certificate, and each edge whose probes decide it costs at
+        # most 2 evaluations.
         from fedwireless import harness
         from fedwireless.config import loads_config
 
@@ -516,28 +567,16 @@ class TestCertifiedBand:
             "[users]\ncount = 8\ncell_radius_m = 1000.0\n"
             "[training]\nrounds = 2\n[experiment]\nseeds = 1 2 3\n"
         )
-        certify = assignment._certified_band
-
-        def finite(function):
-            def checked(x, *columns):
-                values = function(x, *columns)
-                assert not any(np.isnan(v).any() for v in (x, *values))
-                return values
-            return checked
-
-        def checked_band(lo, hi, columns, measure):
-            got = certify(lo, hi, columns, finite(measure))
-            assert not any(np.isnan(v).any() for v in got[:2])
-            return got
-
-        monkeypatch.setattr(assignment, "_certified_band", checked_band)
+        decided = check_bands(monkeypatch)
         records = harness.run_experiment(config)
         assert {r.algorithm for r in records} == set(config.algorithms)
         assert all(1 not in r.rb_index for r in records)
-        assert any(r.rb_index.count(-1) < len(r.rb_index) for r in records)
+        assert any(decided)
+        assert any(r.rb_index.count(-1) < len(r.rb_index) for r in records) == schedulable
         users, _ = harness.build_topology(config, 1)
         edges = build_edge_weights(users, config.network, QUAD)
-        assert not edges.feasible[:, 1].any() and edges.feasible[:, [0, 2, 3]].any()
+        assert not edges.feasible[:, 1].any()
+        assert edges.feasible[:, [0, 2, 3]].any() == schedulable
 
 
 def near(got, want):
