@@ -5,27 +5,29 @@ the pooled objective F (``curvature``), K the total sample count and
 per-sample gradients bounded as ||grad f_ik(g)||^2 <= zeta1 + zeta2 *
 ||grad F(g)||^2 (zeta1 = ``intercept``, zeta2 = ``slope``, fitted by
 ``fit_gradient_bound``), an allocation whose error sum is
-s = sum_i K_i (1 - a_i + a_i q_i) (``wireless_error_sum``) gives
+s = sum_i K_i (1 - a_i + a_i q_i) (``assignment.wireless_error_sum``) gives
+the one-step recursion
 
-    E[F(g_t) - F(g*)] <= B^t * gap_0 + A * (1 - B^t) / (1 - B),
-    A = 2 zeta1 s / (L K),    B = 1 - mu/L + 4 mu zeta2 s / (L K),
+    E[F(g_{t+1}) - F(g*)] <= B * E[F(g_t) - F(g*)] + A,
+    A = 2 zeta1 s / (L K),    B = 1 - mu/L + 4 mu zeta2 s / (L K).
 
-which tends to A / (mu/L - 4 mu zeta2 s / (L K)) when B < 1.  The smallest
-valid zeta1 is convex and piecewise linear in zeta2 and the limit monotone on
-each piece, so ``fit_gradient_bound`` finds the limit's exact minimum at zeta2 = 0
-or at a breakpoint.  The allocator minimizes s.  ``convergence_slope_limit``
+From gap_0 = F(g_0) - F(g*) it unrolls to B^t * gap_0 + A * (1 - B^t) / (1 - B)
+(gap_0 + t * A when B = 1), which tends to A / (mu/L - 4 mu zeta2 s / (L K))
+when B < 1.  ``bound_series`` evaluates the recursion itself, in IEEE
+multiplies and adds alone.  The smallest valid zeta1 is convex and
+piecewise linear in zeta2 and the limit monotone on each piece, so
+``fit_gradient_bound`` finds the limit's exact minimum at zeta2 = 0 or at a
+breakpoint.  The allocator minimizes s.  ``convergence_slope_limit``
 gives the largest zeta2 that keeps B < 1 for every feasible allocation of a topology.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import assignment, phy, training
-from .assignment import wireless_error_sum
 
 __all__ = [
     "CurvatureEstimate",
@@ -33,7 +35,6 @@ __all__ = [
     "BoundSeries",
     "curvature",
     "fit_gradient_bound",
-    "wireless_error_sum",
     "bound_series",
     "worst_case_error_sum",
     "convergence_slope_limit",
@@ -173,15 +174,16 @@ def fit_gradient_bound(dataset, models, error_sum, curv):
     return GradientBoundFit(intercept=intercept, slope=slope)
 
 
-def _trajectory(t, factor, per_step, initial_gap):
-    """B^t * gap_0 + A * (1 - B^t) / (1 - B) at steps ``t``, B = ``factor``
-    and A = ``per_step``."""
-    t = np.asarray(t, dtype=float)
-    if factor == 1.0:
-        warnings.warn("contraction factor is 1: bound grows linearly", RuntimeWarning)
-        return initial_gap + t * per_step
-    decay = factor ** t
-    return decay * initial_gap + per_step * (1.0 - decay) / (1.0 - factor)
+def _trajectory(steps, factor, per_step, initial_gap):
+    """The recursion b(0) = gap_0, b(s + 1) = B * b(s) + A, B = ``factor`` and
+    A = ``per_step``, run to the largest of ``steps`` and read at ``steps``."""
+    steps = np.asarray(steps)
+    if np.any(steps < 0):
+        raise ValueError("steps must be non-negative integers")
+    bound = [float(initial_gap)]
+    for _ in range(int(np.max(steps, initial=0))):
+        bound.append(factor * bound[-1] + per_step)
+    return np.array(bound)[steps]
 
 
 @dataclass
@@ -193,14 +195,12 @@ class BoundSeries:
     asymptotic_gap: float
 
 
-def bound_series(steps, curv, fit, selection, error_rates, sample_counts, initial_gap):
-    """The theorem for one allocation under the gradient bound ``fit``: its
-    contraction factor B, the bound at each of ``steps`` (B = 1 degenerates
-    to linear growth, flagged with a warning) and the limit, inf when B >= 1."""
-    error_sum = wireless_error_sum(selection, error_rates, sample_counts)
-    factor, per_step, gap = _theorem(
-        error_sum, float(np.sum(sample_counts)), curv, fit.intercept, fit.slope
-    )
+def bound_series(steps, curv, fit, error_sum, total_samples, initial_gap):
+    """The theorem for an allocation with error sum s = ``error_sum`` over K =
+    ``total_samples`` samples under the gradient bound ``fit``: its
+    contraction factor B, the bound at each of the non-negative integer
+    ``steps`` and the limit, inf when B >= 1."""
+    factor, per_step, gap = _theorem(error_sum, total_samples, curv, fit.intercept, fit.slope)
     return BoundSeries(
         contraction=factor,
         per_step_bound=_trajectory(steps, factor, per_step, initial_gap),

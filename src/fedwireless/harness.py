@@ -50,7 +50,7 @@ _STREAM_DATA = 1
 _STREAM_ALLOCATION = 2
 _STREAM_TRANSMIT = 3
 
-CSV_HEADER = "algorithm,seed,round,loss,bound,allocation_digest"
+CSV_HEADER = "algorithm,seed,round,loss,allocation_digest"
 
 
 def place_users(rng, count, radius_m):
@@ -283,9 +283,8 @@ def sweep(config: ExperimentConfig, axis: str, values):
 def export_csv(records, path) -> None:
     """Plot-ready long-format CSV: one row per (record, round >= 1).
 
-    The bound column is always empty: the bound series lives in
-    ``fedwireless bound``'s bound.csv.  Floats are written with repr so
-    re-importing is lossless.  The rows are written one record at a time.
+    Floats are written with repr so re-importing is lossless.  The rows are
+    written one record at a time.
     """
     if not records:
         raise ValueError("records must be non-empty")
@@ -295,7 +294,7 @@ def export_csv(records, path) -> None:
             for record in records:
                 digest = record.allocation_digest()
                 handle.write("".join(
-                    f"{record.algorithm},{record.seed},{step},{loss!r},,{digest}\n"
+                    f"{record.algorithm},{record.seed},{step},{loss!r},{digest}\n"
                     for step, loss in enumerate(record.losses[1:], 1)
                 ))
     except OSError as exc:
@@ -303,24 +302,20 @@ def export_csv(records, path) -> None:
 
 
 def read_csv_rows(path):
-    """Read back an exported CSV as a list of typed row dicts.
-
-    A filled bound column is parsed too: the file may come from elsewhere.
-    """
+    """Read back an exported CSV as a list of typed row dicts."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected header {CSV_HEADER!r}")
     rows = []
     for line in lines[1:]:
-        algorithm, seed, step, loss, bound, digest = line.split(",")
+        algorithm, seed, step, loss, digest = line.split(",")
         rows.append(
             {
                 "algorithm": algorithm,
                 "seed": int(seed),
                 "round": int(step),
                 "loss": float(loss),
-                "bound": float(bound) if bound else None,
                 "allocation_digest": digest,
             }
         )
@@ -383,7 +378,8 @@ def bound_report(config: ExperimentConfig):
     contributes one training run that differs only in its packet-loss draws,
     matching the analysis where the expectation runs over packet errors.
     The runs train as one ``training._train_cells`` batch, and every
-    trajectory model feeds the gradient-bound fit.
+    trajectory model feeds the gradient-bound fit.  The bound series starts
+    from the measured mean excess at step 0.
     """
     seed0 = config.seeds[0]
     users, dataset = build_topology(config, seed0)
@@ -404,11 +400,9 @@ def bound_report(config: ExperimentConfig):
     fit = bounds.fit_gradient_bound(
         dataset, models.reshape(-1, models.shape[-1]), error_sum=decision.objective, curv=curv
     )
-    initial_gap = losses[0, 0] - training.global_loss(dataset, g_star)
     steps = np.arange(config.rounds + 1)
     series = bounds.bound_series(
-        steps, curv, fit,
-        decision.selection, decision.error_rate, dataset.sample_counts, initial_gap,
+        steps, curv, fit, decision.objective, dataset.total_samples, mean_excess[0]
     )
     return {
         "steps": steps,

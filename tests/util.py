@@ -54,7 +54,8 @@ def allocation_bound(selection, q, counts, curv, intercept=0.0, slope=0.0, steps
     """``bounds.bound_series`` of one allocation under the gradient bound
     (``intercept``, ``slope``)."""
     fit = bounds.GradientBoundFit(intercept, slope)
-    return bounds.bound_series(steps, curv, fit, selection, q, counts, initial_gap)
+    error_sum = assignment.wireless_error_sum(selection, q, counts)
+    return bounds.bound_series(steps, curv, fit, error_sum, float(np.sum(counts)), initial_gap)
 
 
 def per_seed_allocation(algorithm, users, config, seed):
