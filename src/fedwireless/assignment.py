@@ -482,22 +482,33 @@ def _certificate_violation(cost, col_of_row, u, v):
     reduced = (cost - u[:, None]) - v
     worst = max(np.max(part, initial=0.0) for part in (
         -reduced, u, v, np.abs(reduced[rows, col_of_row[rows]]),
-        np.abs(u[col_of_row < 0]), np.abs(v[np.setdiff1d(np.arange(v.size), col_of_row)]),
+        np.abs(u[col_of_row < 0]), np.abs(np.delete(v, col_of_row[rows])),
     ))
     return worst / (sum(cost.shape) * _UNIT_ROUNDOFF * np.abs(cost).max()) if worst else 0.0
 
 
+def _candidate_rows(weight_matrix):
+    """The rows among some column's R lowest weights (ties to the lower row)."""
+    keep = np.zeros(len(weight_matrix), dtype=bool)
+    keep[np.argsort(weight_matrix, axis=0, kind="stable")[:weight_matrix.shape[1]]] = True
+    return np.flatnonzero(keep)
+
+
 def _solve_matching(weight_matrix):
     """Min-weight matching of a (U, R) matrix in which leaving a user
-    unassigned costs 0.
+    unassigned costs 0, solved on its ``_candidate_rows`` (all when U <= R).
+
+    No dropped row is needed: were column j on one, a free row among j's R
+    lower kept ones (R - 1 other columns) takes j at no higher cost.
 
     Returns ((rows, rbs), iterations): the matched edges of negative weight,
     in row order, and the solver's settle count.
     """
-    col_of_row, iterations, _, _ = _hungarian_square(weight_matrix)
+    keep = _candidate_rows(weight_matrix)
+    col_of_row, iterations, _, _ = _hungarian_square(weight_matrix[keep])
     rows = np.flatnonzero(col_of_row >= 0)
-    rows = rows[weight_matrix[rows, col_of_row[rows]] < 0.0]
-    return (rows, col_of_row[rows]), iterations
+    rows = rows[weight_matrix[keep[rows], col_of_row[rows]] < 0.0]
+    return (keep[rows], col_of_row[rows]), iterations
 
 
 def hungarian_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
@@ -564,8 +575,8 @@ def baseline_min_sum_per(edges) -> AllocationDecision:
 
     Identical machinery to the proposed allocator but with edge weights
     (error_rate - 1) instead of sample_count * (error_rate - 1): agnostic
-    to how much data each user
-    holds.  Unselected users count as an error rate of 1.
+    to how much data each user holds.  Unselected users count as an error
+    rate of 1.
     """
     per_weights = np.where(edges.feasible, edges.error_rate - 1.0, 0.0)
     match, iterations = _solve_matching(per_weights)

@@ -159,10 +159,14 @@ def _cmd_validate(args, config) -> int:
         for a, b in zip(pooled, alone) for name, values in vars(a).items()
     ))
 
-    col_of_row, _, u, v = assignment._hungarian_square(alone[0].weights)
-    violation = assignment._certificate_violation(alone[0].weights, col_of_row, u, v)
+    weights, keep = alone[0].weights, assignment._candidate_rows(alone[0].weights)
+    col_of_row, _, u, v = assignment._hungarian_square(weights[keep])
+    violation = assignment._certificate_violation(weights[keep], col_of_row, u, v)
+    kept_under = weights[keep, :, None] <= np.delete(weights, keep, axis=0).T
     check(f"matching optimality ({len(users)} users, {params.rb_count} RBs): dual certificate "
-          f"off by {violation:.2g} <= 4 units of 2**-53 (U + R) max|cost|", violation <= 4)
+          f"off by {violation:.2g} <= 4 units of 2**-53 (U + R) max|cost| on {keep.size} of "
+          f"{len(users)} rows, the rest at or above each RB's R-th lowest kept weight",
+          violation <= 4 and bool(np.all(kept_under.sum(axis=0) >= params.rb_count)))
 
     decision = assignment.hungarian_assign(alone[0])
     check("allocation satisfies every gate",

@@ -1052,6 +1052,89 @@ class TestHungarianSquare:
             assert matched == pytest.approx(min(optimum, 0.0), abs=1e-12)
 
 
+def exchange_holds(weights, keep):
+    """Whether every row outside ``keep`` weighs, in each column, at least
+    that column's R-th lowest kept weight: then each column matched to a
+    dropped row has R kept rows at or below it, one of them free, so some
+    optimal matching of all rows uses kept rows alone."""
+    n_rbs = weights.shape[1]
+    dropped = np.delete(weights, keep, axis=0)
+    if not dropped.size:
+        return True
+    return keep.size >= n_rbs and bool(
+        np.all(dropped >= np.sort(weights[keep], axis=0)[n_rbs - 1])
+    )
+
+
+@st.composite
+def tall_grid_weights(draw):
+    """A grid matrix with more rows than columns, up to 15 times as many,
+    with some rows and columns set to zero."""
+    n_rbs = draw(st.integers(1, 6))
+    n_users = draw(st.integers(n_rbs + 1, 15 * n_rbs))
+    cells = draw(st.lists(st.sampled_from(WEIGHT_GRID), min_size=n_users * n_rbs,
+                          max_size=n_users * n_rbs))
+    weights = np.array(cells).reshape(n_users, n_rbs)
+    weights[sorted(draw(st.sets(st.integers(0, n_users - 1), max_size=3))), :] = 0.0
+    weights[:, sorted(draw(st.sets(st.integers(0, n_rbs - 1), max_size=2)))] = 0.0
+    return weights
+
+
+class TestPrunedSolve:
+    """``_solve_matching`` solves only the ``_candidate_rows`` when U > R."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tall_grid_weights())
+    @example(np.zeros((30, 2)))
+    @example(np.full((40, 3), -1.0))
+    @example(np.array([[-1.0, -1.0], [-6.0, 0.0], [-6.0, 0.0], [-1.0, -1.0], [-2.5, 0.0]]))
+    @example(np.tile(np.array([[0.0, -1 / 3], [-1 / 3, 0.0], [-1.0, -1.0]]), (20, 1)))
+    def test_pruned_solve_reaches_the_full_optimum_with_its_certificate(self, weights):
+        n_users, n_rbs = weights.shape
+        keep = assignment._candidate_rows(weights)
+        assert np.array_equal(keep, np.unique(keep)) and n_rbs <= keep.size <= n_users
+        (rows, rbs), _ = assignment._solve_matching(weights)
+        assert len(set(rows.tolist())) == rows.size and len(set(rbs.tolist())) == rbs.size
+        assert np.all(np.isin(rows, keep)) and np.all(weights[rows, rbs] < 0)
+        full, _, _, _ = assignment._hungarian_square(weights)
+        matched = np.flatnonzero(full >= 0)
+        assert math.fsum(weights[rows, rbs]) == pytest.approx(
+            math.fsum(weights[matched, full[matched]]), rel=1e-12
+        )
+        col_of_row, _, u, v = assignment._hungarian_square(weights[keep])
+        assert assignment._certificate_violation(weights[keep], col_of_row, u, v) <= 4
+        assert exchange_holds(weights, keep)
+        # The kept rows hold each column's R lowest weights, whatever the ties.
+        dropped = np.delete(weights, keep, axis=0)
+        assert np.all(dropped >= np.sort(weights, axis=0)[n_rbs - 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_weights())
+    def test_nothing_is_pruned_when_rbs_are_not_fewer(self, weights):
+        if weights.shape[0] > weights.shape[1]:
+            weights = weights.T
+        keep = assignment._candidate_rows(weights)
+        assert keep.tolist() == list(range(weights.shape[0]))
+
+    def test_a_keep_set_missing_a_needed_row_fails_the_exchange_check(self):
+        weights = np.array([[-6.0, -1.0], [-2.5, -2.5], [-1.0, -6.0], [0.0, 0.0], [-1.0, 0.0]])
+        keep = assignment._candidate_rows(weights)
+        assert keep.tolist() == [0, 1, 2] and exchange_holds(weights, keep)
+        # Row 0 is the only -6 of column 0: without it the optimum -12 is lost.
+        assert not exchange_holds(weights, np.array([1, 2, 4]))
+        # Row 1 is second lowest in both columns.  The optimum survives
+        # without it, but no column then has R kept rows at or below it.
+        assert not exchange_holds(weights, np.array([0, 2, 3]))
+        assert not exchange_holds(weights, np.array([0, 2]))
+        # A dropped row tied with a column's R-th lowest kept weight is not
+        # needed; one tied with the R-th lowest of all rows may be: here rows
+        # 1 and 2 tie at -2, and keeping row 0 instead of row 2 loses -4.
+        tied = np.array([[-1.0], [-1.0], [0.0]])
+        assert exchange_holds(tied, np.array([0])) and exchange_holds(tied, np.array([1]))
+        assert not exchange_holds(np.array([[-1.0, 0.0], [-2.0, -2.0], [-2.0, -2.0]]),
+                                  np.array([0, 1]))
+
+
 class TestBruteForce:
     def test_two_by_two_by_hand(self):
         edges = synthetic_edges(np.random.default_rng(0), 2, 2, feasible_prob=1.0)

@@ -10,6 +10,7 @@ import json
 import os
 import pkgutil
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -58,7 +59,7 @@ GOLDEN_REFERENCE_BOUND_SHA256 = (
 # sha256 of the reference manifest.json after its first line (the
 # environment block), written under numpy's X86_V3-limited SIMD dispatch.
 GOLDEN_REFERENCE_MANIFEST_SHA256 = (
-    "56a1c06d27bfd15f4c83cde1b2f252c76533230163c9168e9558f9b574ae70ef"
+    "af075c5dacda61e8263c92a74cac2f19cd017025f7b0876660073a070db88351"
 )
 
 def _cpu_has(*features):
@@ -820,6 +821,27 @@ class TestCli:
         assert "  FAIL  matching optimality (15 users, 12 RBs): dual certificate off by 5 " in out
         assert out.endswith("\n1 validation failure(s)\n") and err == ""
 
+    def test_validate_fails_a_kept_set_missing_a_needed_row(self, tmp_path, monkeypatch, capsys):
+        # Swap the kept row with column 0's lowest weight for a dropped row:
+        # the reduced solve still certifies its own optimum, and only the
+        # exchange check catches the missing row.
+        candidate_rows = cli.assignment._candidate_rows
+
+        def missing_one(weights):
+            keep = candidate_rows(weights)
+            dropped = np.setdiff1d(np.arange(len(weights)), keep)
+            best = keep[np.argmin(weights[keep, 0])]
+            return np.sort(np.append(keep[keep != best], dropped[0]))
+
+        monkeypatch.setattr(cli.assignment, "_candidate_rows", missing_one)
+        assert cli.main(["validate", str(REFERENCE), "--outdir", str(tmp_path)]) == (
+            cli.EXIT_VALIDATION
+        )
+        out = capsys.readouterr().out
+        line = re.search(r"  FAIL  matching optimality \(15 users, 12 RBs\): dual certificate "
+                         r"off by (\S+) <= 4 .* on 12 of 15 rows, ", out)
+        assert float(line[1]) <= 4 and out.endswith("\n1 validation failure(s)\n")
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "diverging.cfg"
         cfg.write_text(_reference_with({
@@ -1015,3 +1037,15 @@ def test_reference_manifest_golden_digest(tmp_path):
     )
     body = (tmp_path / "manifest.json").read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == GOLDEN_REFERENCE_MANIFEST_SHA256
+
+
+def test_simulate_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique, np.setdiff1d and np.isin import numpy.ma, about 1.5 MB of
+    # resident memory on every simulate run; none of them belongs on its path.
+    script = (
+        "import sys\n"
+        "from fedwireless import cli\n"
+        f"assert cli.main(['simulate', {str(REFERENCE)!r}, '--outdir', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _run_with_kernel(None, ["-c", script]).stdout.endswith("\nFalse\n")
