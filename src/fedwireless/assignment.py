@@ -146,12 +146,13 @@ def _energy_error(energy, training_j, fexp):
     in P g / N and 1 in snr * o, which move log1p by at most their own
     relative size; 1.5 ulp (3 u) in ``log1p``, whose float64 accuracy data
     in numpy (``umath-validation-set-log1p.csv``) allows 1 ulp from the
-    rounded result; 1 in / ln 2 and 1 in the weight (Monte Carlo: the
-    mean's division); n - 1 in the sum of n positive terms; and 1 in the
-    bandwidth.  The delay's and the transmit energy's products and
-    quotients add 2, so T is off by (n + 10) u of itself, and tj + adds u
-    of the sum: eps = u (E + (n + 10) T), first order, doubled to cover the
-    second-order terms and the margin test's own roundings.
+    rounded result; 1 in / ln 2 and 1 in the product with the weight (the
+    stored float, rounded 1/n under Monte Carlo); n - 1 in the sum of n
+    positive terms; and 1 in the bandwidth.  The delay's and the transmit
+    energy's products and quotients add 2, so T is off by (n + 10) u of
+    itself, and tj + adds u of the sum: eps = u (E + (n + 10) T), first
+    order, doubled to cover the second-order terms and the margin test's
+    own roundings.
     """
     transmit = energy - training_j
     nodes = fexp.node_or_sample_count

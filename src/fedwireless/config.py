@@ -219,11 +219,6 @@ def loads_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError("; ".join(errors))
 
-    # One interference value applies to every RB.
-    network = kwargs["network"]
-    if len(network.get("uplink_interference_w", ())) == 1:
-        network["uplink_interference_w"] *= network.get("rb_count", NetworkParams.rb_count)
-
     parts = {}
     for owner, cls in (("network", NetworkParams), ("fading", FadingExpectation)):
         try:

@@ -66,10 +66,10 @@ class NetworkParams:
     """Cell-wide constants: bandwidths, powers, noise, interference, budgets.
 
     ``uplink_interference_w`` holds one background interference level per
-    resource block (other-cell users are static, not optimized here).
-    ``None`` means interference-free and expands to zeros.  An ``inf``
-    entry blocks its RB, but at least one entry must be finite, and so
-    must ``downlink_interference_w``.
+    resource block (other-cell users are static, not optimized here); one
+    value applies to every RB, so the default ``(0.0,)`` is
+    interference-free.  An ``inf`` entry blocks its RB, but at least one
+    entry must be finite, and so must ``downlink_interference_w``.
     """
 
     rb_count: int = 12
@@ -79,7 +79,7 @@ class NetworkParams:
     bs_power_w: float = 1.0
     max_user_power_w: float = 0.01
     waterfall_threshold: float = 0.023
-    uplink_interference_w: tuple[float, ...] | None = None
+    uplink_interference_w: tuple[float, ...] = (0.0,)
     downlink_interference_w: float = 0.0
     delay_budget_s: float = 0.5
     energy_budget_j: float = 0.003
@@ -102,13 +102,12 @@ class NetworkParams:
         for name in ("delay_budget_s", "energy_budget_j"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)!r}")
-        if self.uplink_interference_w is None:
-            interference = (0.0,) * self.rb_count
-        else:
-            interference = tuple(float(v) for v in self.uplink_interference_w)
+        interference = tuple(float(v) for v in self.uplink_interference_w)
+        if len(interference) == 1:
+            interference *= self.rb_count
         if len(interference) != self.rb_count:
             raise ValueError(
-                f"uplink_interference_w must have rb_count={self.rb_count} entries, "
+                f"uplink_interference_w must have 1 or rb_count={self.rb_count} entries, "
                 f"got {len(interference)}"
             )
         # Negated ``>= 0`` tests, so that NaN fails them too.  An infinite
@@ -173,7 +172,8 @@ class FadingExpectation:
     ``quadrature`` is the deterministic production path (fixed nodes, no
     seed dependence); ``monte_carlo`` draws ``node_or_sample_count`` fading
     realizations from a generator seeded fresh on every call, so repeated
-    evaluations are bit-identical.
+    evaluations are bit-identical.  Both are one weighted sum over their
+    nodes: the quadrature's fixed weights, or 1/n for each of n draws.
     """
 
     method: str = "quadrature"
@@ -203,7 +203,7 @@ class FadingExpectation:
         (edges x nodes) temporaries stay bounded for a cohort of any size;
         each edge's row is reduced on its own, so any slicing gives the same
         bits.  Monte Carlo draws one fresh-seeded standard exponential
-        sample per call, scaled per edge.
+        sample per call, scaled per edge, and weights each draw 1/n.
         """
         scale, *columns = np.broadcast_arrays(np.asarray(scale, dtype=float), *columns)
         if self.method == "quadrature":
@@ -212,6 +212,7 @@ class FadingExpectation:
             nodes = np.random.default_rng(self.seed).standard_exponential(
                 self.node_or_sample_count
             )
+            weights = 1.0 / nodes.size
         shape = scale.shape
         scale, columns = scale.reshape(-1, 1), [column.reshape(-1, 1) for column in columns]
         result = np.empty(scale.size)
@@ -222,12 +223,9 @@ class FadingExpectation:
                 integrand(scale[edges] * nodes, *(column[edges] for column in columns)),
                 dtype=float,
             ).reshape(-1, nodes.size)
-            if self.method == "quadrature":
-                # sum (not dot) reduces each edge's row in the same order
-                # whatever the batch, so scalar and cohort calls are bit-identical
-                result[edges] = np.sum(values * weights, axis=-1)
-            else:
-                result[edges] = values.mean(axis=-1)
+            # sum (not dot) reduces each edge's row in the same order
+            # whatever the batch, so scalar and cohort calls are bit-identical
+            result[edges] = np.sum(values * weights, axis=-1)
         return result.reshape(shape)
 
 
@@ -321,13 +319,6 @@ def _error_rate(users: _Users, power_w, params, fexp):
     return np.clip(values, 0.0, 1.0)
 
 
-def _nonnegative_power(power_w):
-    power = np.asarray(power_w, dtype=float)
-    if np.any(power < 0):
-        raise ValueError(f"power_w must be >= 0, got {power_w!r}")
-    return power
-
-
 def expected_uplink_rate(user, rb_index, power_w, params, fexp):
     """Expected uplink rate in bits/s on one RB at the given transmit power.
 
@@ -365,7 +356,9 @@ def packet_error_rate(user, rb_index, power_w, params, fexp):
     threshold-scaled inverse SNR.  Zero transmit power returns exactly 1
     (certain failure).  Non-increasing in power.
     """
-    power = _nonnegative_power(power_w)
+    power = np.asarray(power_w, dtype=float)
+    if np.any(power < 0):
+        raise ValueError(f"power_w must be >= 0, got {power_w!r}")
     return _as_result(_error_rate(_one(user, params).on(rb_index, params), power, params, fexp))
 
 
@@ -384,10 +377,8 @@ def user_energy(user, rb_index, power_w, params, fexp):
 
     Strictly increasing in power on (0, P_max].  Zero transmit power with a
     nonzero payload is treated as infeasible (infinite transmit energy);
-    a zero payload costs nothing at any power.
+    a zero payload costs nothing at any power in [0, P_max], whose bounds
+    are checked as for any payload.
     """
-    power = _nonnegative_power(power_w)
-    if user.payload_bits == 0:
-        return _as_result(np.zeros_like(power))
-    delay = uplink_delay(user, rb_index, power, params, fexp)
-    return _as_result(_energy(_one(user, params), power, delay))
+    delay = uplink_delay(user, rb_index, power_w, params, fexp)
+    return _as_result(_energy(_one(user, params), np.asarray(power_w, dtype=float), delay))

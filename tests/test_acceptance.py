@@ -6,7 +6,6 @@ summary lines and timings.
 
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +45,8 @@ from fedwireless.training import (
 )
 
 from util import (
+    QUAD,
+    REFERENCE,
     allocation_bound,
     brute_force_assign,
     manual_decision,
@@ -53,8 +54,6 @@ from util import (
     table_topology,
 )
 
-QUAD = FadingExpectation()
-REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 TABLE_COUNTS = [12, 10, 8, 4, 2] * 3
 
 

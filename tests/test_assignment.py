@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from fedwireless.assignment import (
 from fedwireless.phy import (
     FadingExpectation,
     NetworkParams,
-    UserProfile,
     expected_uplink_rate,
     packet_error_rate,
     training_energy,
@@ -36,19 +34,15 @@ from fedwireless.phy import (
 
 from util import (
     PointMassFading,
+    QUAD,
+    REFERENCE,
     brute_force_assign,
     oracle_min_matching_sum,
     record_integrand_sizes,
     synthetic_edges,
     table_topology,
+    user_at,
 )
-
-QUAD = FadingExpectation()
-REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
-
-
-def user_at(distance, samples=12, **kwargs):
-    return UserProfile(distance_m=distance, sample_count=samples, **kwargs)
 
 
 class TestOptimalPower:
@@ -993,13 +987,13 @@ class TestHungarianSquare:
         from fedwireless.harness import build_topology
 
         solved = []
-        solve = assignment._solve_matching
+        solve = assignment._hungarian_square
 
         def capture(weights):
             solved.append(weights.copy())
             return solve(weights)
 
-        monkeypatch.setattr(assignment, "_solve_matching", capture)
+        monkeypatch.setattr(assignment, "_hungarian_square", capture)
         config = load_config(REFERENCE)
         for seed in config.seeds:
             users, _ = build_topology(config, seed)
@@ -1008,7 +1002,9 @@ class TestHungarianSquare:
             baseline_min_sum_per(edges)
             # The worst-case error sum solves the same (U, R) shape.
             bounds.worst_case_error_sum(users, config.network, config.fading)
-        assert [w.shape for w in solved] == [(15, 12)] * 3 * len(config.seeds)
+        monkeypatch.undo()
+        # Each solve runs on the 12 of 15 users among some RB's 12 lowest weights.
+        assert [w.shape for w in solved] == [(12, 12)] * 3 * len(config.seeds)
         for weights in solved:
             assert_solver_matches_scalar_scan(weights)
 

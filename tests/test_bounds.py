@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from fedwireless.assignment import (
 )
 from fedwireless.config import load_config
 from fedwireless.harness import build_topology, resolve_learning_rate
-from fedwireless.phy import FadingExpectation, NetworkParams, UserProfile, packet_error_rate
+from fedwireless.phy import NetworkParams, UserProfile, packet_error_rate
 from fedwireless.training import (
     Dataset,
     generate_regression_data,
@@ -38,15 +37,15 @@ from fedwireless.training import (
 
 from util import (
     PointMassFading,
+    QUAD,
+    REFERENCE,
     allocation_bound,
     check_gradient_bound,
     manual_decision,
     table_topology,
 )
 
-QUAD = FadingExpectation()
 TABLE_COUNTS = [12, 10, 8, 4, 2] * 3
-REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
 
 def make_dataset(seed=7, counts=TABLE_COUNTS):

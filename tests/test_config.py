@@ -3,7 +3,6 @@
 import configparser
 import math
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,8 @@ from fedwireless.config import (
 from fedwireless.harness import place_users
 from fedwireless.phy import NOISE_DENSITY_W_PER_HZ, FadingExpectation, NetworkParams
 
-REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+from util import REFERENCE
+
 
 # Every key, each set to a value other than its default.
 ALL_KEYS = """
@@ -328,9 +328,7 @@ seeds = 11 12 13
         assert loads_config(serialize_config(config)) == config
 
     def test_reference_config_round_trips(self):
-        from pathlib import Path
-
-        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.cfg")
+        config = load_config(REFERENCE)
         assert loads_config(serialize_config(config)) == config
         assert config.user_count == 15
         assert config.network.rb_count == 12

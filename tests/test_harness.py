@@ -36,9 +36,8 @@ from fedwireless.harness import (
     write_manifest,
 )
 
-from util import per_seed_allocation, record_integrand_sizes
+from util import REFERENCE, per_seed_allocation, record_integrand_sizes
 
-REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
 # The reference run's runs.csv, whose sha256 is GOLDEN_REFERENCE_CSV_SHA256.
 REFERENCE_CSV = Path(__file__).resolve().parent / "data" / "reference_runs.csv"

@@ -22,15 +22,10 @@ from fedwireless.phy import (
     user_energy,
 )
 
-from util import PointMassFading
+from util import PointMassFading, QUAD, user_at
 
 PARAMS = NetworkParams()
-QUAD = FadingExpectation()
 MC_1M = FadingExpectation(method="monte_carlo", node_or_sample_count=10**6, seed=20240915)
-
-
-def user_at(distance, samples=12, **kwargs):
-    return UserProfile(distance_m=distance, sample_count=samples, **kwargs)
 
 
 def closed_form_rate(bandwidth, power, gain, noise_w):
@@ -233,6 +228,14 @@ class TestEnergy:
         for p in (0.0, 0.005, 0.01):
             assert user_energy(user, 0, p, PARAMS, QUAD) == 0.0
 
+    def test_zero_payload_checks_the_power_range(self):
+        # The power range is the rate's to check, whatever the payload.
+        for payload in (0.0, 5e4):
+            user = user_at(100.0, payload_bits=payload)
+            for p in (-1e-3, 2 * PARAMS.max_user_power_w):
+                with pytest.raises(ValueError, match="power_w"):
+                    user_energy(user, 0, p, PARAMS, QUAD)
+
     def test_training_term_exact(self):
         # coeff * cycles * freq^2 * bits = 1e-27 * 40 * (1e9)^2 * 5e4 = 2e-3 J
         assert training_energy(user_at(100.0)) == pytest.approx(2e-3, rel=1e-12)
@@ -312,6 +315,18 @@ class TestFadingExpectation:
         second = expected_uplink_rate(user_at(123.0), 2, 0.007, PARAMS, QUAD)
         assert first == second
 
+    @pytest.mark.parametrize("count", [100, 256])
+    def test_monte_carlo_is_a_weighted_sum(self, count):
+        fexp = FadingExpectation(method="monte_carlo", node_or_sample_count=count, seed=3)
+        nodes = np.random.default_rng(3).standard_exponential(count)
+        scale = np.array([0.5, 1.0, 3.0, 7e-3])
+        values = np.log1p(scale[:, None] * nodes)
+        got = fexp.expect(np.log1p, scale)
+        assert np.array_equal(got, np.sum(values * (1.0 / count), axis=-1))
+        if count == 256:
+            # Weighting by a power of two is exact, so the sum is the mean's bits.
+            assert np.array_equal(got, values.mean(axis=-1))
+
     def test_weights_integrate_the_density(self):
         # E[1] = 1 and E[o] = scale must be reproduced by the fixed rule.
         one = QUAD.expect(lambda o: np.ones_like(o), scale=2.5)
@@ -337,6 +352,10 @@ class TestNetworkParams:
     def test_interference_defaults_to_zero_per_rb(self):
         params = NetworkParams(rb_count=5)
         assert params.uplink_interference_w == (0.0,) * 5
+
+    def test_one_interference_value_applies_to_every_rb(self):
+        params = NetworkParams(rb_count=3, uplink_interference_w=(1e-9,))
+        assert params.uplink_interference_w == (1e-9,) * 3
 
     def test_interference_length_must_match(self):
         with pytest.raises(ValueError):

@@ -2,14 +2,14 @@
 and the proposed allocator stays ahead of baselines along the RB axis."""
 
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from fedwireless.config import load_config
 from fedwireless.harness import run_experiment
 
-REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+from util import REFERENCE
+
 N_SEEDS = 50
 
 

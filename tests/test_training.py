@@ -1,8 +1,6 @@
 """Training-loop tests: data generation, gradients, delivery, aggregation,
 and the lock-step kernel against a one-cell, one-round-at-a-time oracle."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -20,10 +18,9 @@ from fedwireless.training import (
     run_training,
 )
 
-from util import manual_decision, per_seed_allocation
+from util import REFERENCE, manual_decision, per_seed_allocation
 
 TABLE_COUNTS = [12, 10, 8, 4, 2] * 3
-REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
 
 # ---------------------------------------------------------------------------

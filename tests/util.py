@@ -1,12 +1,20 @@
 """Shared helpers for the test suite."""
 
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 
 from fedwireless import assignment, bounds, harness
 from fedwireless.assignment import AllocationDecision, EdgeWeightMatrix
 from fedwireless.phy import FadingExpectation, NetworkParams, UserProfile
+
+REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+QUAD = FadingExpectation()
+
+
+def user_at(distance, samples=12, **kwargs):
+    return UserProfile(distance_m=distance, sample_count=samples, **kwargs)
 
 
 class PointMassFading:
