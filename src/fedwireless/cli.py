@@ -4,15 +4,16 @@ Subcommands: simulate (full runs to CSV + manifest), assign (print the
 allocation table), bound (contraction-bound series vs measurement), sweep
 (one axis, aggregated CSV), validate (invariant self-test battery).
 
+simulate, bound and sweep write into ``--outdir`` (default ``out``), and
+assign and validate write nothing and take no ``--outdir``.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 validation
-failure, 5 training divergence.  The FEDWIRELESS_OUTDIR environment variable
-overrides the output directory.
+failure, 5 training divergence.  An I/O error names the file once.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,8 +23,6 @@ import numpy as np
 from . import assignment, bounds, harness, training
 from .config import ConfigError, load_config
 
-OUTDIR_ENV = "FEDWIRELESS_OUTDIR"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -32,7 +31,7 @@ EXIT_DIVERGED = 5
 
 
 def _outdir(args) -> Path:
-    path = Path(os.environ.get(OUTDIR_ENV, args.outdir))
+    path = Path(args.outdir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -60,9 +59,7 @@ def _cmd_assign(args, config) -> int:
         print(f"seed {seed}: objective={decision.objective:.6g} "
               f"selected={int(np.sum(decision.selection))}/{len(users)}")
         print("  user  samples  sel  rb    power_w      error_rate   delay_s      energy_j")
-        for i, user in enumerate(users):
-            rb_row = decision.rb_assignment[i]
-            rb = int(np.argmax(rb_row)) if rb_row.any() else -1
+        for i, (user, rb) in enumerate(zip(users, harness._rb_index(decision.rb_assignment))):
             print(
                 f"  {i:4d} {user.sample_count:4d}  {int(decision.selection[i]):2d} "
                 f"{rb:4d}  {decision.power_w[i]:<12.6g} {decision.error_rate[i]:<12.6g} "
@@ -74,15 +71,12 @@ def _cmd_assign(args, config) -> int:
 def _cmd_bound(args, config) -> int:
     report = harness.bound_report(config)
     series = report["series"]
-    outdir = _outdir(args)
-    path = outdir / "bound.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("step,bound,mean_excess_loss\n")
-        for step in report["steps"]:
-            handle.write(
-                f"{step},{repr(float(series.per_step_bound[step]))},"
-                f"{repr(float(report['mean_excess'][step]))}\n"
-            )
+    path = _outdir(args) / "bound.csv"
+    harness._write_text(path, ["step,bound,mean_excess_loss\n", *(
+        f"{step},{repr(float(series.per_step_bound[step]))},"
+        f"{repr(float(report['mean_excess'][step]))}\n"
+        for step in report["steps"]
+    )])
     curv = report["curvature"]
     fit = report["fit"]
     print(f"L={curv.lipschitz_l:.6g} mu={curv.strong_convexity_mu:.6g} "
@@ -109,18 +103,11 @@ def _sweep_values(text):
 def _cmd_sweep(args, config) -> int:
     values = _sweep_values(args.values)
     rows = harness.sweep(config, args.axis, values)
-    outdir = _outdir(args)
-    path = outdir / f"sweep_{args.axis}.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(
-            "axis,value,algorithm,mean_final_loss,std_final_loss,mean_solver_iterations\n"
-        )
-        for row in rows:
-            handle.write(
-                f"{row['axis']},{row['value']},{row['algorithm']},"
-                f"{repr(row['mean_final_loss'])},{repr(row['std_final_loss'])},"
-                f"{repr(row['mean_solver_iterations'])}\n"
-            )
+    path = _outdir(args) / f"sweep_{args.axis}.csv"
+    # The header is the row keys; a Python float's str is its repr.
+    harness._write_text(path, [",".join(rows[0]) + "\n", *(
+        ",".join(map(str, row.values())) + "\n" for row in rows
+    )])
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
@@ -220,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the experiment config file")
-        p.add_argument("--outdir", default="out", help="output directory (default: out)")
         p.set_defaults(func=func)
         return p
 
-    add("simulate", _cmd_simulate, "run all (algorithm, seed) cells, write CSV + manifest")
+    simulate = add("simulate", _cmd_simulate,
+                   "run all (algorithm, seed) cells, write CSV + manifest")
     add("assign", _cmd_assign, "print the optimized allocation table per seed")
-    add("bound", _cmd_bound, "contraction-bound series vs measured mean excess loss")
+    bound = add("bound", _cmd_bound, "contraction-bound series vs measured mean excess loss")
     sweep_parser = add("sweep", _cmd_sweep, "sweep one axis and aggregate final losses")
     sweep_parser.add_argument(
         "--axis", required=True, choices=["user_count", "rb_count", "samples_per_user"]
@@ -235,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", required=True, help="comma-separated positive integers"
     )
     add("validate", _cmd_validate, "run the invariant self-test battery")
+    for p in (simulate, bound, sweep_parser):    # the commands that write files
+        p.add_argument("--outdir", default="out", help="output directory (default: out)")
     return parser
 
 

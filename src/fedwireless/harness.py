@@ -151,15 +151,19 @@ class RunRecord:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
 
 
+def _rb_index(rb_assignment):
+    """Each user's assigned RB, -1 for a user who holds none."""
+    assigned = np.asarray(rb_assignment)
+    return np.where(assigned.any(axis=1), assigned.argmax(axis=1), -1).tolist()
+
+
 def _record_from_run(algorithm, seed, decision, losses, learning_rate):
-    assigned = np.asarray(decision.rb_assignment)
-    rb_index = np.where(assigned.any(axis=1), assigned.argmax(axis=1), -1).tolist()
     losses = losses.tolist()
     return RunRecord(
         algorithm=algorithm,
         seed=int(seed),
         selection=decision.selection.tolist(),
-        rb_index=rb_index,
+        rb_index=_rb_index(decision.rb_assignment),
         power_w=decision.power_w.tolist(),
         error_rate=decision.error_rate.tolist(),
         delay_s=decision.delay_s.tolist(),
@@ -280,6 +284,12 @@ def sweep(config: ExperimentConfig, axis: str, values):
     return rows
 
 
+def _write_text(path, chunks) -> None:
+    """Write the text chunks to ``path``, UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(chunks)
+
+
 def export_csv(records, path) -> None:
     """Plot-ready long-format CSV: one row per (record, round >= 1).
 
@@ -288,17 +298,15 @@ def export_csv(records, path) -> None:
     """
     if not records:
         raise ValueError("records must be non-empty")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(CSV_HEADER + "\n")
-            for record in records:
-                digest = record.allocation_digest()
-                handle.write("".join(
-                    f"{record.algorithm},{record.seed},{step},{loss!r},{digest}\n"
-                    for step, loss in enumerate(record.losses[1:], 1)
-                ))
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+
+    def chunks():
+        yield CSV_HEADER + "\n"
+        for record in records:
+            digest = record.allocation_digest()
+            yield "".join(f"{record.algorithm},{record.seed},{step},{loss!r},{digest}\n"
+                          for step, loss in enumerate(record.losses[1:], 1))
+
+    _write_text(path, chunks())
 
 
 def read_csv_rows(path):
@@ -358,10 +366,11 @@ def write_manifest(records, path, config: ExperimentConfig) -> None:
     One compact ``json.dumps`` per record, one record a line: unindented
     dumps run the C encoder, where ``indent`` falls back to pure Python.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{"environment": ' + json.dumps(_environment()) + ',\n"records": [\n')
-        handle.write(",\n".join(json.dumps(vars(record)) for record in records))
-        handle.write('\n],\n"config": ' + json.dumps(serialize_config(config)) + "}\n")
+    _write_text(path, [
+        '{"environment": ' + json.dumps(_environment()) + ',\n"records": [\n',
+        ",\n".join(json.dumps(vars(record)) for record in records),
+        '\n],\n"config": ' + json.dumps(serialize_config(config)) + "}\n",
+    ])
 
 
 def load_manifest(path):

@@ -334,8 +334,7 @@ class TestPersistence:
         with pytest.raises(TypeError, match=key):
             load_manifest(path)
 
-    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    def test_manifest_records_the_environment(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["simulate", str(REFERENCE), "--outdir", str(out)]) == cli.EXIT_OK
         environment = json.loads((out / "manifest.json").read_text())["environment"]
@@ -381,14 +380,13 @@ class TestPersistence:
         digest = _sha256(path)
         assert digest == GOLDEN_REFERENCE_CSV_SHA256, csv_drift_report(REFERENCE_CSV, path)
 
-    def test_reference_bound_golden_digest(self, tmp_path, monkeypatch):
+    def test_reference_bound_golden_digest(self, tmp_path):
         # Golden capture of the reference bound.csv: the bound series and
         # the measured mean excess loss at every step, as repr floats.  The
         # bound is the theorem's recursion in IEEE multiplies and adds, so
         # the bytes hold under numpy's AVX-512 and AVX2 dispatches alike (CI
         # runs this file under both).  A mismatch names the first differing
         # step and each column's largest distance in ulps.
-        monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
         assert _sha256(REFERENCE_BOUND_CSV) == GOLDEN_REFERENCE_BOUND_SHA256
         assert cli.main(["bound", str(REFERENCE), "--outdir", str(tmp_path)]) == cli.EXIT_OK
         path = tmp_path / "bound.csv"
@@ -576,7 +574,7 @@ def _run_with_kernel(kernel, args, cpu_features=None):
     """Run the package's Python with OPENBLAS_CORETYPE set (None: the
     default) and numpy's NPY_ENABLE_CPU_FEATURES set (None: this process's
     setting, so that the child dispatches as the in-process fixtures do)."""
-    env = {k: v for k, v in os.environ.items() if k not in (cli.OUTDIR_ENV, "OPENBLAS_CORETYPE")}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     src = str(Path(fedwireless.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     env["OPENBLAS_NUM_THREADS"] = "1"
@@ -616,9 +614,7 @@ def in_process_reference_outputs(tmp_path_factory):
 
     out = tmp_path_factory.mktemp("reference")
     export_csv(run_experiment(load_config(REFERENCE)), out / "runs.csv")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv(cli.OUTDIR_ENV, raising=False)
-        assert cli.main(["bound", str(REFERENCE), "--outdir", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bound", str(REFERENCE), "--outdir", str(out)]) == cli.EXIT_OK
     return out
 
 
@@ -712,6 +708,15 @@ class TestSweep:
         assert [r["value"] for r in rows] == [2, 4]
 
 
+# Each output file and the command that writes it.
+OUTPUT_COMMANDS = {
+    "runs.csv": ["simulate"],
+    "manifest.json": ["simulate"],
+    "bound.csv": ["bound"],
+    "sweep_rb_count.csv": ["sweep", "--axis", "rb_count", "--values", "2"],
+}
+
+
 class TestCli:
     def test_simulate_writes_outputs(self, tmp_path):
         cfg = tmp_path / "mini.cfg"
@@ -730,14 +735,21 @@ class TestCli:
         assert cli.main(["simulate", str(cfg), "--outdir", str(out_b)]) == 0
         assert (out_a / "runs.csv").read_bytes() == (out_b / "runs.csv").read_bytes()
 
-    def test_outdir_env_override(self, tmp_path, monkeypatch):
+    def test_outdir_is_not_overridden_by_the_environment(self, tmp_path, monkeypatch):
         cfg = tmp_path / "mini.cfg"
         cfg.write_text(MINI)
-        override = tmp_path / "env_out"
-        monkeypatch.setenv(cli.OUTDIR_ENV, str(override))
-        assert cli.main(["simulate", str(cfg), "--outdir", str(tmp_path / "ignored")]) == 0
-        assert (override / "runs.csv").exists()
-        assert not (tmp_path / "ignored").exists()
+        monkeypatch.setenv("FEDWIRELESS_OUTDIR", str(tmp_path / "env_out"))
+        assert cli.main(["simulate", str(cfg), "--outdir", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "runs.csv").exists()
+        assert not (tmp_path / "env_out").exists()
+
+    @pytest.mark.parametrize("command", ["assign", "validate"])
+    def test_commands_that_write_nothing_reject_outdir(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, str(REFERENCE), "--outdir", str(tmp_path / "out")])
+        assert exit_info.value.code == 2    # argparse's usage error
+        assert "unrecognized arguments: --outdir" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_assign_prints_table(self, tmp_path, capsys):
         cfg = tmp_path / "mini.cfg"
@@ -763,7 +775,13 @@ class TestCli:
             ["sweep", str(cfg), "--axis", "rb_count", "--values", "2,4", "--outdir", str(out)]
         )
         assert code == 0
-        assert (out / "sweep_rb_count.csv").exists()
+        header, *lines = (out / "sweep_rb_count.csv").read_text().splitlines()
+        assert header == (
+            "axis,value,algorithm,mean_final_loss,std_final_loss,mean_solver_iterations"
+        )
+        for line, row in zip(lines, sweep(mini_config(), "rb_count", [2, 4]), strict=True):
+            axis, value, algorithm, *floats = line.split(",")
+            assert (axis, int(value), algorithm, *map(float, floats)) == tuple(row.values())
 
     @pytest.mark.parametrize("values", ["0", "x", "3,-1", ""])
     def test_sweep_bad_values_exit_code(self, tmp_path, capsys, values):
@@ -803,24 +821,33 @@ class TestCli:
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["simulate", str(tmp_path / "nope.cfg")]) == cli.EXIT_CONFIG
 
-    def test_io_error_exit_code(self, tmp_path, monkeypatch, capsys):
+    def test_io_error_exit_code(self, tmp_path, capsys):
         outdir = tmp_path / "a_file"
         outdir.write_text("")
-        monkeypatch.setenv(cli.OUTDIR_ENV, str(outdir))
-        assert cli.main(["simulate", str(REFERENCE)]) == cli.EXIT_IO
+        assert cli.main(["simulate", str(REFERENCE), "--outdir", str(outdir)]) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error[io]: [Errno 17] File exists") and err.count("\n") == 1
 
-    def test_validation_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("name", OUTPUT_COMMANDS)
+    def test_write_failure_names_the_file_once(self, name, tmp_path, capsys):
+        cfg = tmp_path / "mini.cfg"
+        cfg.write_text(MINI + "\n[fading]\ncount = 64\n")
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        command = OUTPUT_COMMANDS[name]
+        assert cli.main([command[0], str(cfg), "--outdir", str(out), *command[1:]]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]: ") and err.count("\n") == 1
+        assert err.count(str(out / name)) == 1
+
+    def test_validation_failure_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.assignment, "_certificate_violation", lambda *args: 5)
-        assert cli.main(["validate", str(REFERENCE), "--outdir", str(tmp_path)]) == (
-            cli.EXIT_VALIDATION
-        )
+        assert cli.main(["validate", str(REFERENCE)]) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert "  FAIL  matching optimality (15 users, 12 RBs): dual certificate off by 5 " in out
         assert out.endswith("\n1 validation failure(s)\n") and err == ""
 
-    def test_validate_fails_a_kept_set_missing_a_needed_row(self, tmp_path, monkeypatch, capsys):
+    def test_validate_fails_a_kept_set_missing_a_needed_row(self, monkeypatch, capsys):
         # Swap the kept row with column 0's lowest weight for a dropped row:
         # the reduced solve still certifies its own optimum, and only the
         # exchange check catches the missing row.
@@ -833,9 +860,7 @@ class TestCli:
             return np.sort(np.append(keep[keep != best], dropped[0]))
 
         monkeypatch.setattr(cli.assignment, "_candidate_rows", missing_one)
-        assert cli.main(["validate", str(REFERENCE), "--outdir", str(tmp_path)]) == (
-            cli.EXIT_VALIDATION
-        )
+        assert cli.main(["validate", str(REFERENCE)]) == cli.EXIT_VALIDATION
         out = capsys.readouterr().out
         line = re.search(r"  FAIL  matching optimality \(15 users, 12 RBs\): dual certificate "
                          r"off by (\S+) <= 4 .* on 12 of 15 rows, ", out)
@@ -919,8 +944,10 @@ def test_every_command_on_the_edge_case_matrix(variant, command, tmp_path, capsy
     cfg = tmp_path / f"{variant}.cfg"
     cfg.write_text(_reference_with(EDGE_CASE_VARIANTS[variant]))
     out = tmp_path / "out"
-    code = cli.main([EDGE_CASE_COMMANDS[command][0], str(cfg), "--outdir", str(out),
-                     *EDGE_CASE_COMMANDS[command][1:]])
+    argv = [EDGE_CASE_COMMANDS[command][0], str(cfg), *EDGE_CASE_COMMANDS[command][1:]]
+    if argv[0] in ("simulate", "bound", "sweep"):
+        argv += ["--outdir", str(out)]
+    code = cli.main(argv)
     err = capsys.readouterr().err
     cause = EDGE_CASE_CONFIG_ERRORS.get((variant, command))
     if cause is None:
