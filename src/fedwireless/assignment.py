@@ -214,29 +214,27 @@ def feasible_power_interval(users, rb_index, params, fexp):
     """Per-user power interval [P_lo, P_hi] where both the delay and energy
     gates hold, on one RB or with user i on ``rb_index[i]``.
 
-    Returns (p_lo, p_hi, feasible) arrays over ``users``; both bounds are 0
-    where the edge is infeasible at any power.  P_lo is a power just above
-    the smallest one whose expected rate meets the delay budget: the upper
-    edge b of the search's certified band (a, b) around that root, where
-    the rate provably meets it, within 2(b - a) of the root.
+    Returns (p_lo, p_hi, feasible) arrays over ``users``: the
+    ``_delay_floor`` and the edge build's power and gate, both bounds 0
+    where the gate fails.
     """
-    cohort = phy._Users.of(users, params).on(rb_index, params)
-    return _power_interval(cohort, params, fexp)[:3]
+    pairs = phy._Users.of(users, params).on(rb_index, params)
+    rows, edges = np.arange(len(users)), _edge_weights([users], params, fexp)[0]
+    feasible, p_hi = edges.feasible[rows, rb_index], edges.power_w[rows, rb_index]
+    gated, p_lo = pairs.take(feasible), np.zeros(rows.size)
+    p_lo[feasible] = _delay_floor(gated, p_hi[feasible], phy._downlink_delay(gated, params, fexp),
+                                  params, fexp)
+    return p_lo, p_hi, feasible
 
 
-def _power_interval(cohort, params, fexp):
-    """feasible_power_interval over every edge of a placed ``phy._Users``
-    cohort: p_hi from ``_optimal_powers`` and p_lo the upper edge b of one
-    more ``_certified_band``.  Returns (p_lo, p_hi, feasible, downlink
-    delay).
-
-    The delay search's band, given every edge, estimates each root by
-    secant steps on the measured rate excess and certifies it with the
-    ``_rate_error`` bound eps = 2(n + 8)u R.  An edge with p_hi = 0 (rate 0)
-    or no delay slack (target rate +inf) is short at p_hi and answers 0.
+def _delay_floor(cohort, p_hi, down, params, fexp):
+    """Least power meeting the delay budget on each gated edge of a placed
+    ``phy._Users`` cohort with power cap ``p_hi`` and downlink delay
+    ``down``: the upper edge b of a ``_certified_band`` on [p_hi 1e-15,
+    p_hi] on the rate excess, with the ``_rate_error`` bound eps.  The gate
+    measured each edge's delay at p_hi within budget, so an edge whose rate
+    there still reads short by rounding answers p_hi.
     """
-    p_hi = _optimal_powers(cohort, params, fexp)
-    down = phy._downlink_delay(cohort, params, fexp)
     slack = params.delay_budget_s - down
     target = np.divide(cohort.payload_bits, slack, out=np.full_like(slack, np.inf),
                        where=slack > 0)
@@ -246,10 +244,7 @@ def _power_interval(cohort, params, fexp):
         return rate < target, rate - target, _rate_error(rate, fexp)
 
     # A zero payload has target rate 0, which the bottom of the range reaches.
-    _, hi, _, short_hi = _certified_band(p_hi * 1e-15, p_hi, (target, *cohort), measure)
-    p_lo = np.where(short_hi, 0.0, hi)
-    feasible = p_lo > 0
-    return p_lo, np.where(feasible, p_hi, 0.0), feasible, down
+    return _certified_band(p_hi * 1e-15, p_hi, (target, *cohort), measure)[1]
 
 
 def _every_edge(users, params):
@@ -523,36 +518,38 @@ def hungarian_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
     return _decide_on_edges(edges, match, iterations)
 
 
-def _random_all(rngs, user_lists, params, fexp):
-    """Baseline b for many seeds, each with its generator and users:
-    uniformly random user selection, RB matching, and powers.
+def _random_all(rngs, user_lists, edge_sets, params, fexp):
+    """Baseline b for many seeds, each with its generator, users and edge
+    build: uniformly random user selection, RB matching, and powers.
 
-    Powers are drawn uniformly from each edge's feasible interval; pairs
-    with no feasible power are dropped so the output always satisfies the
-    delay and energy gates.  Every seed draws its two permutations first;
-    one ``_power_interval`` then covers all seeds' chosen pairs as one
-    cohort, and each seed draws its powers from its own generator.  The
-    link stats reuse the interval search's downlink delays.
+    Every seed draws its two permutations first and keeps the drawn pairs
+    that its edge build's gate passed.  One ``_delay_floor`` covers all
+    seeds' kept pairs as one cohort, and each seed draws its powers from
+    its own generator, uniformly between each pair's floor and its edge
+    build power.
     """
     n_rbs = params.rb_count
     chosen = []
-    for rng, users in zip(rngs, user_lists):
+    for rng, users, edges in zip(rngs, user_lists, edge_sets):
         k = min(len(users), n_rbs)
-        chosen.append((rng.permutation(len(users))[:k], rng.permutation(n_rbs)[:k]))
+        rows, rbs = rng.permutation(len(users))[:k], rng.permutation(n_rbs)[:k]
+        kept = edges.feasible[rows, rbs]
+        chosen.append((rows[kept], rbs[kept], edges.power_w[rows[kept], rbs[kept]]))
     pairs = phy._Users.of(
-        [users[i] for users, (rows, _) in zip(user_lists, chosen) for i in rows], params
-    ).on(np.concatenate([rbs for _, rbs in chosen]), params)
-    p_lo, p_hi, ok, down = _power_interval(pairs, params, fexp)
+        [users[i] for users, (rows, *_) in zip(user_lists, chosen) for i in rows], params
+    ).on(np.concatenate([rbs for _, rbs, _ in chosen]), params)
+    p_hi = np.concatenate([caps for *_, caps in chosen])
+    down = phy._downlink_delay(pairs, params, fexp)
+    p_lo = _delay_floor(pairs, p_hi, down, params, fexp)
     decisions, start = [], 0
-    for rng, users, (rows, rbs) in zip(rngs, user_lists, chosen):
-        kept = np.flatnonzero(ok[start:start + rows.size])
-        index = start + kept
+    for rng, users, (rows, rbs, _) in zip(rngs, user_lists, chosen):
+        index = np.arange(start, start + rows.size)
         start += rows.size
-        # One draw per feasible pair, in pair order: the stream of per-pair draws.
+        # One draw per kept pair, in pair order: the stream of per-pair draws.
         power = rng.uniform(p_lo[index], p_hi[index])
         link = _link(pairs.take(index), power, down[index], params, fexp)
         decisions.append(_finalize_decision(
-            [u.sample_count for u in users], n_rbs, rows[kept], rbs[kept], (power, *link)
+            [u.sample_count for u in users], n_rbs, rows, rbs, (power, *link)
         ))
     return decisions
 

@@ -212,14 +212,17 @@ def worst_case_error_sum(users, params, fexp) -> float:
     """Largest sample-weighted error-rate sum over feasible allocations.
 
     The error rate is non-increasing in power, so each edge's worst case is
-    attained at its minimum feasible power; the worst assignment is then a
-    max-weight matching over those per-edge values.
+    attained at its minimum feasible power, the ``assignment._delay_floor``
+    of each edge that the edge build's gate passed; the worst assignment is
+    then a max-weight matching over those per-edge values.
     """
-    sample_counts = np.array([u.sample_count for u in users], dtype=float)
-    edges = assignment._every_edge(phy._Users.of(users, params), params)
-    p_lo, _, feasible, _ = assignment._power_interval(edges, params, fexp)
-    q_worst = phy._error_rate(edges, p_lo, params, fexp).reshape(len(users), params.rb_count)
-    gains = np.where(feasible.reshape(q_worst.shape), sample_counts[:, None] * q_worst, 0.0)
+    edges = assignment._edge_weights([users], params, fexp)[0]
+    rows, rbs = np.nonzero(edges.feasible)
+    pairs = phy._Users.of(users, params).take(rows).on(rbs, params)
+    p_lo = assignment._delay_floor(pairs, edges.power_w[rows, rbs],
+                                   phy._downlink_delay(pairs, params, fexp), params, fexp)
+    gains = np.zeros(edges.feasible.shape)
+    gains[rows, rbs] = edges.sample_counts[rows] * phy._error_rate(pairs, p_lo, params, fexp)
     # Pairs matched at gain 0 are dropped by the solver; they only added 0.0.
     (rows, rbs), _ = assignment._solve_matching(-gains)
     total = 0.0

@@ -83,7 +83,7 @@ def _cmd_bound(args, config) -> int:
           f"grad_bound_intercept={fit.intercept:.6g} grad_bound_slope={fit.slope:.6g}")
     print(f"contraction={series.contraction:.6g} "
           f"asymptotic_gap={series.asymptotic_gap:.6g}")
-    dominated = bool(np.all(report["mean_excess"] <= series.per_step_bound + 1e-9))
+    dominated = bool(np.all(report["mean_excess"] <= series.per_step_bound))
     print(f"bound dominates measurement at every step: {dominated}")
     print(f"wrote {path}")
     return EXIT_OK if dominated else EXIT_VALIDATION

@@ -92,12 +92,12 @@ def _allocation_rng(seed):
 
 
 def _allocate(algorithm, seeds, user_lists, edge_sets, config):
-    """One algorithm's decisions for every seed: baseline_b as one
-    ``assignment._random_all`` call, the others on each seed's edge build."""
+    """One algorithm's decisions for every seed, each on its seed's edge
+    build: baseline_b as one ``assignment._random_all`` call, which keeps
+    the pairs that the build's gate passed."""
     if algorithm == "baseline_b":
-        return assignment._random_all(
-            [_allocation_rng(seed) for seed in seeds], user_lists, config.network, config.fading
-        )
+        return assignment._random_all([_allocation_rng(seed) for seed in seeds], user_lists,
+                                      edge_sets, config.network, config.fading)
     if algorithm == "proposed":
         return [assignment.hungarian_assign(edges) for edges in edge_sets]
     if algorithm == "baseline_a":
@@ -200,12 +200,12 @@ def run_experiment(config: ExperimentConfig):
     """Run every (algorithm, seed) cell; deterministic order and content.
 
     One ``assignment._edge_weights`` call builds every (seed, user, RB)
-    edge, which proposed, baseline_a and baseline_c read.  Each algorithm
-    then allocates all seeds in one ``_allocate`` pass, and every
-    (algorithm, seed) cell trains in one ``training._train_cells`` batch,
-    algorithm by algorithm and seed by seed within each (the record
-    order), on per-seed data stacked once (every seed has the same sample
-    layout) that the algorithms share.  A topology where no user is
+    edge, which every algorithm reads.  Each algorithm then allocates all
+    seeds in one ``_allocate`` pass, and every (algorithm, seed) cell
+    trains in one ``training._train_cells`` batch, algorithm by algorithm
+    and seed by seed within each (the record order), on per-seed data
+    stacked once (every seed has the same sample layout) that the
+    algorithms share.  A topology where no user is
     schedulable still produces a record (the global model never moves); it
     is a degenerate run, not an error.
     """

@@ -229,7 +229,7 @@ def test_criterion_06_algorithm_ordering():
             "proposed": hungarian_assign(edges),
             "baseline_a": baseline_optselect_randomrb(alloc_rng, edges),
             "baseline_b": assignment._random_all(
-                [alloc_rng], [users], config.network, config.fading
+                [alloc_rng], [users], [edges], config.network, config.fading
             )[0],
             "baseline_c": baseline_min_sum_per(edges),
         }

@@ -436,15 +436,15 @@ class TestCertifiedBand:
     ], ids=["reference", "contested_1", "contested_2", "binding_quadrature",
             "binding_monte_carlo"])
     def test_both_searches_match_lockstep_oracle(self, topology, fexp, monkeypatch):
-        # The energy search and the delay search over every (user, RB) edge
-        # must answer their snapped bands, which contain the oracle's final
-        # bracket; every edge that the probes bracket must form a two-sided
-        # band, and each search's answer (a for the energy search, b for
-        # the delay search) must lie within 1e-9 of the oracle's, relative.
+        # The slope limit's energy search over every (user, RB) edge and
+        # its delay search over the gated ones must answer their snapped
+        # bands, which contain the oracle's final bracket; every edge that
+        # the probes bracket must form a two-sided band, and each search's
+        # answer (a for the energy search, b for the delay search) must lie
+        # within 1e-9 of the oracle's, relative.
         users, params = topology()
         searches = record_searches(monkeypatch, oracle=True)
-        edges = assignment._every_edge(phy._Users.of(users, params), params)
-        assignment._power_interval(edges, params, fexp)
+        bounds.worst_case_error_sum(users, params, fexp)
         assert len(searches) == 2
         assert all(np.all(np.isfinite(a[moving]) & np.isfinite(b[moving]))
                    for moving, a, b, *_ in searches)
@@ -488,11 +488,13 @@ class TestCertifiedBand:
     ):
         # The energy budget is the energy at a drawn power exactly, or a few
         # floats off it; the delay budget puts the delay root inside the
-        # bracket.  Both searches must answer their snapped bands, contain
-        # the oracle's bracket and lie within 1e-9 of it, relative, unless
-        # the excess's own rounding spans more: then the measured excess at
-        # both ends of the raw band must be within 32 eps of 0, a band as
-        # narrow as the rounding allows.  The energy search meets that
+        # bracket.  Both searches of ``feasible_power_interval`` (energy on
+        # every edge of the users' build, delay on the gated edges it asks
+        # for) must answer their snapped bands, contain the oracle's
+        # bracket and lie within 1e-9 of it, relative, unless the excess's
+        # own rounding spans more: then the measured excess at both ends of
+        # the raw band must be within 32 eps of 0, a band as narrow as the
+        # rounding allows.  The energy search meets that
         # where training dominates a tiny transmit energy (fraction 1e-6);
         # the second example's delay root lies 13 decades above the
         # bracket's lo, past the pass cap.
@@ -510,8 +512,7 @@ class TestCertifiedBand:
                                energy_budget_j=budget, delay_budget_s=delay)
         with pytest.MonkeyPatch.context() as patch:
             searches = record_searches(patch, oracle=True)
-            edges = phy._Users.of([user] * 4, params).on(np.arange(4), params)
-            assignment._power_interval(edges, params, QUAD)
+            feasible_power_interval([user] * 4, np.arange(4), params, QUAD)
         assert len(searches) == 2
         for (moving, _, _, margin, gaps), gap in zip(searches, (0, 1)):
             assert np.all((gaps[gap] <= 1e-9) | (margin[moving] <= 32.0))
@@ -1198,7 +1199,8 @@ def assert_baseline_b_matches_pair_loop(users, params, fexp, seeds):
     selected = []
     for seed in seeds:
         rng, ref_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
-        decision = assignment._random_all([rng], [users], params, fexp)[0]
+        edges = build_edge_weights(users, params, fexp)
+        decision = assignment._random_all([rng], [users], [edges], params, fexp)[0]
         rows = reference_baseline_b(ref_rng, users, params, fexp)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         want = {name: np.zeros(len(users))
@@ -1227,9 +1229,42 @@ def every_algorithm(users, params, fexp, seed):
     return [
         hungarian_assign(edges),
         baseline_optselect_randomrb(rng, edges),
-        assignment._random_all([rng], [users], params, fexp)[0],
+        assignment._random_all([rng], [users], [edges], params, fexp)[0],
         baseline_min_sum_per(edges),
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(20.0, 500.0), st.floats(1e3, 1e5), st.floats(1e-9, 1e-7),
+       st.floats(2.5e-3, 5e-3))
+# A 44.68 m edge on which the gate passes at a delay budget equal to its
+# delay, where the delay search alone called it infeasible; and one at
+# 1 ulp below, where the delay search alone called it feasible.
+@example(44.68016578194125, 1791.9093443517756, 1.7236211798490764e-08, 0.004099893818616616)
+@example(44.68392240109967, 1791.9113716938402, 1.7232935612580658e-08, 0.004099899805605492)
+def test_one_feasibility_rule_at_the_delay_budget(distance, payload, interference, energy):
+    # With the delay budget within 2 ulps of an edge's delay at its optimal
+    # power, the edge build's gate, feasible_power_interval and baseline b
+    # must agree on whether the edge is usable, and every baseline b
+    # decision must pass verify_allocation.
+    user = user_at(distance, payload_bits=payload)
+    params = NetworkParams(rb_count=1, uplink_interference_w=(interference,),
+                           energy_budget_j=energy, delay_budget_s=math.inf)
+    budget = float(build_edge_weights([user], params, QUAD).delay_s[0, 0])
+    if math.isinf(budget):
+        return                                  # the energy budget gates it out
+    below, above = np.nextafter(budget, 0.0), np.nextafter(budget, math.inf)
+    for delay_budget in (np.nextafter(below, 0.0), below, budget, above,
+                         np.nextafter(above, math.inf)):
+        params = replace(params, delay_budget_s=float(delay_budget))
+        edges = build_edge_weights([user], params, QUAD)
+        feasible = edges.feasible[0, 0]
+        assert feasible_power_interval([user], 0, params, QUAD)[2][0] == feasible
+        decision = assignment._random_all(
+            [np.random.default_rng(0)], [[user]], [edges], params, QUAD
+        )[0]
+        assert decision.selection[0] == feasible
+        assert verify_allocation(decision, [user], params, QUAD) == []
 
 
 class TestBaselines:
@@ -1277,7 +1312,7 @@ class TestBaselines:
         assert baseline_min_sum_per(edges).selection.tolist() == [1]
         a = baseline_optselect_randomrb(np.random.default_rng(0), edges)
         assert a.selection.tolist() == [1]
-        b = assignment._random_all([np.random.default_rng(0)], [users], params, QUAD)[0]
+        b = assignment._random_all([np.random.default_rng(0)], [users], [edges], params, QUAD)[0]
         assert b.selection.tolist() == [1]
 
     def test_all_infeasible_selects_nobody(self):
@@ -1288,7 +1323,7 @@ class TestBaselines:
         assert baseline_min_sum_per(edges).selection.sum() == 0
         a = baseline_optselect_randomrb(np.random.default_rng(1), edges)
         assert a.selection.sum() == 0
-        b = assignment._random_all([np.random.default_rng(1)], [users], params, QUAD)[0]
+        b = assignment._random_all([np.random.default_rng(1)], [users], [edges], params, QUAD)[0]
         assert b.selection.sum() == 0
 
     def test_all_satisfy_allocation_invariants(self):
@@ -1311,7 +1346,7 @@ class TestBaselines:
         proposed = hungarian_assign(edges)
         rng = np.random.default_rng([42, 2])
         a = baseline_optselect_randomrb(rng, edges)
-        b = assignment._random_all([rng], [users], params, QUAD)[0]
+        b = assignment._random_all([rng], [users], [edges], params, QUAD)[0]
         c = baseline_min_sum_per(edges)
         golden = GOLDEN_SEED42
         assert proposed.selection.tolist() == golden["proposed_selection"]

@@ -164,6 +164,25 @@ class TestRunExperiment:
             write_manifest(run_experiment(config), tmp_path / name, config=config)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_each_power_search_runs_once_per_run(self, monkeypatch):
+        # One energy search covers the pooled edge build of every seed, and
+        # one delay search covers baseline b's kept pairs of every seed:
+        # baseline b takes its gate and power caps from the edge build.
+        from fedwireless import assignment
+
+        searched, band = [], assignment._certified_band
+
+        def recorded(lo, hi, columns, measure):
+            searched.append(lo.size)
+            return band(lo, hi, columns, measure)
+
+        monkeypatch.setattr(assignment, "_certified_band", recorded)
+        config = load_config(REFERENCE)
+        records = run_experiment(config)
+        edges = len(config.seeds) * config.user_count * config.network.rb_count
+        kept = sum(sum(r.selection) for r in records if r.algorithm == "baseline_b")
+        assert searched == [edges, kept] and kept > 0
+
 
 POOLED = """
 [network]
@@ -865,6 +884,23 @@ class TestCli:
         line = re.search(r"  FAIL  matching optimality \(15 users, 12 RBs\): dual certificate "
                          r"off by (\S+) <= 4 .* on 12 of 15 rows, ", out)
         assert float(line[1]) <= 4 and out.endswith("\n1 validation failure(s)\n")
+
+    def test_bound_dominance_has_no_slack(self, monkeypatch, tmp_path, capsys):
+        # The bound must dominate the measured mean excess loss at every
+        # step exactly: an excess 5e-10 above it at one step fails the run.
+        from fedwireless import harness
+
+        report_of = harness.bound_report
+
+        def nudged(config):
+            report = report_of(config)
+            report["mean_excess"][3] = report["series"].per_step_bound[3] + 5e-10
+            return report
+
+        monkeypatch.setattr(harness, "bound_report", nudged)
+        assert cli.main(["bound", str(REFERENCE), "--outdir", str(tmp_path)]) == \
+            cli.EXIT_VALIDATION
+        assert "bound dominates measurement at every step: False\n" in capsys.readouterr().out
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "diverging.cfg"

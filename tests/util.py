@@ -71,9 +71,9 @@ def per_seed_allocation(algorithm, users, config, seed):
     pass: a one-topology edge build, and baseline b on the seed's generator."""
     params, fexp = config.network, config.fading
     rng = harness._allocation_rng(seed)
-    if algorithm == "baseline_b":
-        return assignment._random_all([rng], [users], params, fexp)[0]
     edges = assignment.build_edge_weights(users, params, fexp)
+    if algorithm == "baseline_b":
+        return assignment._random_all([rng], [users], [edges], params, fexp)[0]
     if algorithm == "proposed":
         return assignment.hungarian_assign(edges)
     if algorithm == "baseline_a":
