@@ -63,7 +63,7 @@ def curvature(dataset) -> CurvatureEstimate:
     are exact.  Rank-deficient data is rejected: strong convexity is a
     standing assumption of the analysis.
     """
-    hessian = training._gram(dataset.x) / dataset.total_samples
+    hessian = training._moments(dataset)[0] / dataset.total_samples
     eigenvalues = np.linalg.eigvalsh(hessian)
     lipschitz = float(eigenvalues[-1])
     mu = float(eigenvalues[0])
@@ -88,39 +88,40 @@ class GradientBoundFit:
             raise ValueError("intercept and slope must be >= 0")
 
 
-# Models per evaluation in _gradient_norm_profiles: bounds its (samples x
-# models) temporaries to a few MB however many trajectory points are fitted.
+# Models per pass of _gradient_norm_profiles: bounds its (samples x models)
+# residuals to a few MB however many trajectory points are fitted.
 _PROFILE_CHUNK = 4096
 
 
 def _gradient_norm_profiles(dataset, models):
     """Per-trajectory-point max per-sample gradient norm^2 and global gradient norm^2.
 
-    Residuals and gradients are fixed-order column sums, as in the training
-    loop, so the bits do not depend on the BLAS kernel.  Each model's values
-    depend on that model alone, so evaluating the models in chunks of
-    ``_PROFILE_CHUNK`` gives the same bits as one call over all of them, and
-    a model's values are the same alone as in a batch.
+    The maximum of r_k^2 ||x_k||^2, r_k = x_k.g - y_k, needs every residual;
+    the global gradient only the moments (``training._moments``): grad F_a =
+    (sum_b G[a, b] g_b - m[a]) / K, summed b = 0 first.  Near g* that cancels,
+    and the computed norm^2 is within 3e sum_a M_a (|grad F_a| + e M_a) of the
+    exact one, M = |X|^T (|X| |g| + |y|) / K, e = n u / (1 - n u), n = K + dim + 2
+    and u = 2^-53.  Every value is a fixed-order elementwise product or sum, so
+    no bit depends on the BLAS kernel, on ``_PROFILE_CHUNK`` or on the batch.
     """
     models = np.atleast_2d(np.asarray(models, dtype=float))
-    count = models.shape[0]
-    # numpy sums a (K, 1) block over samples pairwise, and a (K, T >= 2) one
-    # in sample order: a chunk of one model gets a copy of it as a second.
-    if count % _PROFILE_CHUNK == 1:
-        models = np.concatenate([models, models[-1:]])
     x, y = dataset.x, dataset.y
-    x_norm2 = np.sum(x * x, axis=1)                        # (K,)
+    gram, moment = training._moments(dataset)
+    x_norm2 = np.sum(x * x, axis=1)[:, None]               # (K, 1)
     columns = x.T[:, :, None]                              # (dim, K, 1)
-    per_sample_max = np.empty(models.shape[0])
-    grad_f_norm2 = np.empty(models.shape[0])
+    per_sample_max, grad_f_norm2 = np.empty((2, models.shape[0]))
     for start in range(0, models.shape[0], _PROFILE_CHUNK):
         chunk = slice(start, start + _PROFILE_CHUNK)
-        # (dim, K, 1) columns against (dim, 1, T) models predict every point at once.
-        residuals = training._predict(columns, models[chunk].T[:, None]) - y[:, None]   # (K, T)
-        per_sample_max[chunk] = np.max(residuals ** 2 * x_norm2[:, None], axis=0)
-        grad_f = np.array([np.sum(column * residuals, axis=0) for column in columns])
-        grad_f_norm2[chunk] = np.sum((grad_f / dataset.total_samples) ** 2, axis=0)
-    return per_sample_max[:count], grad_f_norm2[:count]
+        g = models[chunk].T                                # (dim, T)
+        # (dim, K, 1) columns against (dim, 1, T) models give every residual at once.
+        residuals = training._predict(columns, g[:, None]) - y[:, None]   # (K, T)
+        residuals *= residuals
+        residuals *= x_norm2
+        residuals.max(axis=0, out=per_sample_max[chunk])
+        grad_f = [(training._predict(row, g) - m) / dataset.total_samples
+                  for row, m in zip(gram, moment)]
+        grad_f_norm2[chunk] = training._predict(grad_f, grad_f)
+    return per_sample_max, grad_f_norm2
 
 
 def _theorem(error_sum, total, curv, intercept, slope):

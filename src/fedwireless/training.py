@@ -120,23 +120,20 @@ def global_loss(dataset, model):
     return float(_mean_loss(_predict(dataset.x.T, np.asarray(model, dtype=float)) - dataset.y))
 
 
-def _gram(x):
-    """x.T @ x with each entry one fixed-order sum of a column product, so
-    the bits do not depend on the BLAS kernel, as a matrix product's do."""
-    dim = x.shape[1]
+def _moments(dataset):
+    """G = x.T @ x and m = x.T @ y, each entry one fixed-order sum of a column
+    product, so the bits do not depend on the BLAS kernel, as a matrix product's do."""
+    x, dim = dataset.x, dataset.x.shape[1]
     gram = np.empty((dim, dim))
     for a in range(dim):
         for b in range(a, dim):
             gram[a, b] = gram[b, a] = np.sum(x[:, a] * x[:, b])
-    return gram
+    return gram, np.array([np.sum(x[:, a] * dataset.y) for a in range(dim)])
 
 
 def least_squares_model(dataset):
-    """Closed-form minimizer of the pooled loss via the normal equations,
-    built from fixed-order sums like the curvature constants."""
-    x = dataset.x
-    moment = np.array([np.sum(x[:, a] * dataset.y) for a in range(x.shape[1])])
-    return np.linalg.solve(_gram(x), moment)
+    """Closed-form minimizer of the pooled loss: the normal equations G g = m."""
+    return np.linalg.solve(*_moments(dataset))
 
 
 def _delivery_draws(error_rates, rounds, rng):

@@ -49,6 +49,7 @@ from util import (
     REFERENCE,
     allocation_bound,
     brute_force_assign,
+    check_gradient_bound,
     manual_decision,
     synthetic_edges,
     table_topology,
@@ -179,6 +180,9 @@ def test_criterion_04_bound_dominance():
     counts = dataset.sample_counts
     error_sum = wireless_error_sum(decision.selection, decision.error_rate, counts)
     fit = fit_gradient_bound(dataset, models, error_sum=error_sum, curv=curv)
+    # The fitted inequality holds at every trajectory point, re-checked
+    # against the residual-form oracle rather than the profile the fit read.
+    assert check_gradient_bound(dataset, models, fit)
     steps = np.arange(rounds + 1)
     # The series that `fedwireless bound` writes.
     series = bound_series(steps, curv, fit, error_sum, dataset.total_samples, mean_excess[0])

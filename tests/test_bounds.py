@@ -41,6 +41,7 @@ from util import (
     REFERENCE,
     allocation_bound,
     check_gradient_bound,
+    gradient_norm_profiles,
     manual_decision,
     table_topology,
 )
@@ -80,6 +81,31 @@ def lattice_model_sets(draw):
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
     error_sum = count * 10.0 ** draw(st.floats(-3.0, 0.0))
     return ds, np.array([pool[i] for i in picks]), error_sum
+
+
+@st.composite
+def profile_cases(draw):
+    """A full-rank data set of 1-4 features over 1-5 users with uneven sample
+    counts, and 1-50 models drawn with repeats from g*, from g* plus 2^-40 to
+    2^-20 times a free point, where the global gradient cancels, and from
+    free points."""
+    dim = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    total = sum(counts)
+    assume(total >= dim)
+    value = st.floats(-4.0, 4.0).map(lambda v: v if abs(v) >= 2.0**-10 else 0.0)
+    x = np.array(draw(st.lists(value, min_size=total * dim, max_size=total * dim)))
+    x = x.reshape(total, dim)
+    assume(np.linalg.matrix_rank(x) == dim and np.linalg.cond(x) < 1e6)
+    ds = Dataset(x, np.array(draw(st.lists(value, min_size=total, max_size=total))), counts)
+    g_star = least_squares_model(ds)
+    near = [g_star + 2.0 ** -draw(st.integers(20, 40)) * np.array(
+        draw(st.lists(value, min_size=dim, max_size=dim))) for _ in range(draw(st.integers(0, 4)))]
+    free = [np.array(draw(st.lists(value, min_size=dim, max_size=dim)))
+            for _ in range(draw(st.integers(0, 4)))]
+    pool = [g_star] + near + free
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=50))
+    return ds, np.array([pool[i] for i in picks])
 
 
 class TestCurvature:
@@ -132,8 +158,8 @@ class TestFitZeta:
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_each_model_alone_equals_its_row_in_a_batch(self, monkeypatch):
-        # A one-model block, alone or as the last chunk, must not change the
-        # summation order of the global gradient.
+        # Every value is elementwise over the models, so a one-model block,
+        # alone or as the last chunk, gives the bits of its row in a batch.
         ds = make_dataset()
         models = 3.0 * np.random.default_rng(6).standard_normal((7, 2))
         batch = bounds._gradient_norm_profiles(ds, models)
@@ -144,6 +170,35 @@ class TestFitZeta:
         for profiles in (alone, runs[-1]):
             for a, b in zip(profiles, batch):
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @settings(max_examples=120, deadline=None)
+    @given(profile_cases())
+    def test_profiles_match_the_residual_oracle_and_exact_gradients(self, case):
+        ds, models = case
+        per_sample_max, grad_f_norm2 = bounds._gradient_norm_profiles(ds, models)
+        oracle_max, _ = gradient_norm_profiles(ds, models)
+        assert np.array_equal(per_sample_max.view(np.int64), oracle_max.view(np.int64))
+        # The docstring's rounding bound against an exact evaluation: with
+        # M = |X|^T (|X| |g| + |y|) / K, |computed - exact| is at most
+        # 3e sum_a M_a (|grad F_a| + e M_a), e = n u / (1 - n u), n = K + dim + 2.
+        x = [[Fraction(v) for v in row] for row in ds.x]
+        y = [Fraction(v) for v in ds.y]
+        total, dim = ds.total_samples, ds.x.shape[1]
+        pairs = [(a, b) for a in range(dim) for b in range(dim)]
+        gram = {ab: sum(row[ab[0]] * row[ab[1]] for row in x) for ab in pairs}
+        size = {ab: sum(abs(row[ab[0]] * row[ab[1]]) for row in x) for ab in pairs}
+        moment = [sum(row[a] * t for row, t in zip(x, y)) for a in range(dim)]
+        moment_size = [sum(abs(row[a] * t) for row, t in zip(x, y)) for a in range(dim)]
+        n = total + dim + 2
+        e = Fraction(n, 2**53 - n)
+        for model, computed in zip(models, grad_f_norm2):
+            g = [Fraction(v) for v in model]
+            grad = [(sum(gram[a, b] * g[b] for b in range(dim)) - moment[a]) / total
+                    for a in range(dim)]
+            scale = [(sum(size[a, b] * abs(g[b]) for b in range(dim)) + moment_size[a]) / total
+                     for a in range(dim)]
+            bound = 3 * e * sum(m * (abs(d) + e * m) for m, d in zip(scale, grad))
+            assert abs(Fraction(computed) - sum(d * d for d in grad)) <= bound
 
     def test_all_gradients_zero(self):
         ds = Dataset(np.eye(2), np.zeros(2), [2])
