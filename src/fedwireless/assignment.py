@@ -388,9 +388,9 @@ def _hungarian_square(cost: np.ndarray):
 
     The dummies are implicit.  Reaching one ends an insertion, so none is
     settled and its potential stays 0; a row left on its dummy is never
-    reached again.  Rows are inserted one at a time from a virtual start
-    column; a settle of row i0, reached through column j0, is a fixed
-    sequence of operations:
+    reached again.  Rows go in one at a time, in the order the caller gave,
+    from a virtual start column; a settle of row i0, reached through column
+    j0, is a fixed sequence of operations:
 
     1. ``cur = (cost[i0] - u[i0]) - v`` over the R real columns, in that
        order, with +inf on the settled columns;
@@ -484,10 +484,12 @@ def _certificate_violation(cost, col_of_row, u, v):
 
 
 def _candidate_rows(weight_matrix):
-    """The rows among some column's R lowest weights (ties to the lower row)."""
+    """The rows among some column's R lowest weights (ties to the lower row),
+    strongest first: by lowest weight, ties in row order, to save settles."""
     keep = np.zeros(len(weight_matrix), dtype=bool)
     keep[np.argsort(weight_matrix, axis=0, kind="stable")[:weight_matrix.shape[1]]] = True
-    return np.flatnonzero(keep)
+    rows = np.flatnonzero(keep)
+    return rows[np.argsort(weight_matrix[rows].min(axis=1), kind="stable")]
 
 
 def _solve_matching(weight_matrix):
@@ -497,13 +499,14 @@ def _solve_matching(weight_matrix):
     No dropped row is needed: were column j on one, a free row among j's R
     lower kept ones (R - 1 other columns) takes j at no higher cost.
 
-    Returns ((rows, rbs), iterations): the matched edges of negative weight,
-    in row order, and the solver's settle count.
+    Returns ((rows, rbs), iterations): the matched negative-weight edges, back
+    in row order for ``bounds.worst_case_error_sum``'s sum, and the settle count.
     """
     keep = _candidate_rows(weight_matrix)
     col_of_row, iterations, _, _ = _hungarian_square(weight_matrix[keep])
     rows = np.flatnonzero(col_of_row >= 0)
     rows = rows[weight_matrix[keep[rows], col_of_row[rows]] < 0.0]
+    rows = rows[np.argsort(keep[rows], kind="stable")]
     return (keep[rows], col_of_row[rows]), iterations
 
 

@@ -1077,8 +1077,17 @@ def tall_grid_weights(draw):
     return weights
 
 
+def assert_strongest_first(weights, keep):
+    """``keep`` lists its rows by their lowest weight, non-decreasing, with
+    tied rows in ascending row order."""
+    lowest = weights[keep].min(axis=1)
+    assert np.all((lowest[:-1] < lowest[1:])
+                  | ((lowest[:-1] == lowest[1:]) & (keep[:-1] < keep[1:])))
+
+
 class TestPrunedSolve:
-    """``_solve_matching`` solves only the ``_candidate_rows`` when U > R."""
+    """``_solve_matching`` solves only the ``_candidate_rows`` when U > R,
+    strongest row first."""
 
     @settings(max_examples=200, deadline=None)
     @given(tall_grid_weights())
@@ -1089,7 +1098,8 @@ class TestPrunedSolve:
     def test_pruned_solve_reaches_the_full_optimum_with_its_certificate(self, weights):
         n_users, n_rbs = weights.shape
         keep = assignment._candidate_rows(weights)
-        assert np.array_equal(keep, np.unique(keep)) and n_rbs <= keep.size <= n_users
+        assert np.array_equal(np.sort(keep), np.unique(keep)) and n_rbs <= keep.size <= n_users
+        assert_strongest_first(weights, keep)
         (rows, rbs), _ = assignment._solve_matching(weights)
         assert len(set(rows.tolist())) == rows.size and len(set(rbs.tolist())) == rbs.size
         assert np.all(np.isin(rows, keep)) and np.all(weights[rows, rbs] < 0)
@@ -1111,12 +1121,14 @@ class TestPrunedSolve:
         if weights.shape[0] > weights.shape[1]:
             weights = weights.T
         keep = assignment._candidate_rows(weights)
-        assert keep.tolist() == list(range(weights.shape[0]))
+        assert np.sort(keep).tolist() == list(range(weights.shape[0]))
+        assert_strongest_first(weights, keep)
 
     def test_a_keep_set_missing_a_needed_row_fails_the_exchange_check(self):
         weights = np.array([[-6.0, -1.0], [-2.5, -2.5], [-1.0, -6.0], [0.0, 0.0], [-1.0, 0.0]])
         keep = assignment._candidate_rows(weights)
-        assert keep.tolist() == [0, 1, 2] and exchange_holds(weights, keep)
+        assert np.sort(keep).tolist() == [0, 1, 2] and exchange_holds(weights, keep)
+        assert_strongest_first(weights, keep)
         # Row 0 is the only -6 of column 0: without it the optimum -12 is lost.
         assert not exchange_holds(weights, np.array([1, 2, 4]))
         # Row 1 is second lowest in both columns.  The optimum survives
@@ -1130,6 +1142,34 @@ class TestPrunedSolve:
         assert exchange_holds(tied, np.array([0])) and exchange_holds(tied, np.array([1]))
         assert not exchange_holds(np.array([[-1.0, 0.0], [-2.0, -2.0], [-2.0, -2.0]]),
                                   np.array([0, 1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(tall_grid_weights(), grid_weights()))
+    def test_ordered_solve_returns_rows_ascending_at_the_index_order_optimum(self, weights):
+        n_users, n_rbs = weights.shape
+        (rows, rbs), iterations = assignment._solve_matching(weights)
+        assert np.all(np.diff(rows) > 0)
+        full, _, _, _ = assignment._hungarian_square(weights)
+        matched = np.flatnonzero(full >= 0)
+        assert math.fsum(weights[rows, rbs]) == pytest.approx(
+            math.fsum(weights[matched, full[matched]]), rel=1e-12
+        )
+        keep = assignment._candidate_rows(weights)
+        col_of_row, solved, u, v = assignment._hungarian_square(weights[keep])
+        assert solved == iterations <= n_users * (n_rbs + 1)
+        assert assignment._certificate_violation(weights[keep], col_of_row, u, v) <= 4
+
+    def test_strong_rows_inserted_first_take_fewer_settles(self):
+        # Rows 0-3 weigh -1 on every RB and rows 4-7 -6 on their own RB.
+        # Each RB keeps its -6 row and rows 0-2; in index order every -6 row
+        # comes in after the weak rows and takes an RB back from one of them.
+        weights = np.vstack([np.full((4, 4), -1.0), np.diag(np.full(4, -6.0))])
+        keep = assignment._candidate_rows(weights)
+        assert keep.tolist() == [4, 5, 6, 7, 0, 1, 2]
+        _, index_order, _, _ = assignment._hungarian_square(weights[np.sort(keep)])
+        (rows, rbs), iterations = assignment._solve_matching(weights)
+        assert (rows.tolist(), rbs.tolist()) == ([4, 5, 6, 7], [0, 1, 2, 3])
+        assert (iterations, index_order) == (11, 19)
 
 
 class TestBruteForce:

@@ -55,6 +55,15 @@ GOLDEN_REFERENCE_BOUND_SHA256 = (
     "56fa4a76695cb9b3621527f07d14756853ec23fca3ed9698a8c041d84ce0e481"
 )
 
+# tests/data/tall.cfg: the reference config with 40 users in a 1000 m cell
+# and a binding energy budget, so pruning keeps 25 of 40 rows and every
+# matching solves a rectangle in the order ``_candidate_rows`` gives.
+TALL = Path(__file__).resolve().parent / "data" / "tall.cfg"
+
+GOLDEN_TALL_CSV_SHA256 = (
+    "93c5a6d1cb0a0d035a69c58cea5cb2a7f483001c71c736b48025ec855dfe5f53"
+)
+
 # sha256 of the reference manifest.json after its first line (the
 # environment block), written under numpy's X86_V3-limited SIMD dispatch.
 GOLDEN_REFERENCE_MANIFEST_SHA256 = (
@@ -398,6 +407,21 @@ class TestPersistence:
         export_csv(run_experiment(config), path)
         digest = _sha256(path)
         assert digest == GOLDEN_REFERENCE_CSV_SHA256, csv_drift_report(REFERENCE_CSV, path)
+
+    def test_tall_run_golden_digest_and_settles(self, tmp_path):
+        # The one golden taken on rectangular kept-row solves.  The settle
+        # counts are the solver's work, summed over both seeds: strongest
+        # rows first, against 286 and 265 when rows went in index order.
+        from fedwireless.config import load_config
+
+        records = run_experiment(load_config(TALL))
+        path = tmp_path / "runs.csv"
+        export_csv(records, path)
+        assert _sha256(path) == GOLDEN_TALL_CSV_SHA256
+        settles = {}
+        for record in records:
+            settles[record.algorithm] = settles.get(record.algorithm, 0) + record.solver_iterations
+        assert settles == {"proposed": 170, "baseline_a": 0, "baseline_b": 0, "baseline_c": 178}
 
     def test_reference_bound_golden_digest(self, tmp_path):
         # Golden capture of the reference bound.csv: the bound series and
