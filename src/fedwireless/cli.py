@@ -46,7 +46,7 @@ def _cmd_simulate(args, config) -> int:
     for record in records:
         print(
             f"  {record.algorithm:12s} seed={record.seed:<6d} "
-            f"final_loss={record.final_loss:.6g} objective={record.objective:.6g}"
+            f"final_loss={record.losses[-1]:.6g} objective={record.objective:.6g}"
         )
     return EXIT_OK
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .phy import FadingExpectation, NetworkParams, UserProfile
@@ -87,6 +88,11 @@ class ExperimentConfig:
                     f"experiment.algorithms: unknown algorithm {name!r} "
                     f"(known: {', '.join(KNOWN_ALGORITHMS)})"
                 )
+        # Each (algorithm, seed) is one record, and one key of runs.csv.
+        for key in ("seeds", "algorithms"):
+            repeated = [entry for entry, n in Counter(getattr(self, key)).items() if n > 1]
+            if repeated:
+                raise ConfigError(f"experiment.{key} lists {repeated[0]!r} more than once")
         if self.learning_rate != "one_over_L" and not (
             isinstance(self.learning_rate, (int, float)) and self.learning_rate > 0
         ):

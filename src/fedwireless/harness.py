@@ -23,11 +23,12 @@ import hashlib
 import json
 import platform
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import assignment, bounds, training
-from .config import ConfigError, ExperimentConfig, serialize_config
+from .config import ConfigError, ExperimentConfig, loads_config, serialize_config
 
 __all__ = [
     "RunRecord",
@@ -126,7 +127,9 @@ def resolve_learning_rate(config: ExperimentConfig, dataset) -> float:
 
 @dataclass
 class RunRecord:
-    """One (algorithm, seed) cell: allocation summary plus the loss trajectory."""
+    """One (algorithm, seed) cell: allocation summary plus the loss
+    trajectory, whose last entry is the final loss.  ``export_csv`` writes
+    the losses, and ``write_manifest`` every other field."""
 
     algorithm: str
     seed: int
@@ -139,7 +142,6 @@ class RunRecord:
     objective: float
     solver_iterations: int
     losses: list              # length rounds+1, entry 0 is the initial loss
-    final_loss: float
     learning_rate: float
 
     def allocation_digest(self) -> str:
@@ -158,7 +160,6 @@ def _rb_index(rb_assignment):
 
 
 def _record_from_run(algorithm, seed, decision, losses, learning_rate):
-    losses = losses.tolist()
     return RunRecord(
         algorithm=algorithm,
         seed=int(seed),
@@ -170,8 +171,7 @@ def _record_from_run(algorithm, seed, decision, losses, learning_rate):
         energy_j=decision.energy_j.tolist(),
         objective=float(decision.objective),
         solver_iterations=int(decision.solver_iterations),
-        losses=losses,
-        final_loss=losses[-1],
+        losses=losses.tolist(),
         learning_rate=float(learning_rate),
     )
 
@@ -269,7 +269,7 @@ def sweep(config: ExperimentConfig, axis: str, values):
             )
         records = run_experiment(derived)
         for algorithm in derived.algorithms:
-            finals = [r.final_loss for r in records if r.algorithm == algorithm]
+            finals = [r.losses[-1] for r in records if r.algorithm == algorithm]
             iters = [r.solver_iterations for r in records if r.algorithm == algorithm]
             rows.append(
                 {
@@ -291,7 +291,8 @@ def _write_text(path, chunks) -> None:
 
 
 def export_csv(records, path) -> None:
-    """Plot-ready long-format CSV: one row per (record, round >= 1).
+    """Plot-ready long-format CSV: one row per (record, round), rounds from
+    0 (the initial loss), the one file that holds the losses.
 
     Floats are written with repr so re-importing is lossless.  The rows are
     written one record at a time.
@@ -304,29 +305,30 @@ def export_csv(records, path) -> None:
         for record in records:
             digest = record.allocation_digest()
             yield "".join(f"{record.algorithm},{record.seed},{step},{loss!r},{digest}\n"
-                          for step, loss in enumerate(record.losses[1:], 1))
+                          for step, loss in enumerate(record.losses))
 
     _write_text(path, chunks())
 
 
 def read_csv_rows(path):
-    """Read back an exported CSV as a list of typed row dicts."""
+    """Read back an exported CSV as a list of typed row dicts.
+
+    A row that does not parse raises a ValueError naming the file and the
+    row's 1-based line.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [(number, line.rstrip("\n")) for number, line in enumerate(handle, 1)
+                 if line.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected header {CSV_HEADER!r}")
     rows = []
-    for line in lines[1:]:
-        algorithm, seed, step, loss, digest = line.split(",")
-        rows.append(
-            {
-                "algorithm": algorithm,
-                "seed": int(seed),
-                "round": int(step),
-                "loss": float(loss),
-                "allocation_digest": digest,
-            }
-        )
+    for number, line in lines[1:]:
+        try:
+            algorithm, seed, step, loss, digest = line.split(",")
+            rows.append({"algorithm": algorithm, "seed": int(seed), "round": int(step),
+                         "loss": float(loss), "allocation_digest": digest})
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from exc
     return rows
 
 
@@ -360,24 +362,44 @@ def _environment() -> dict:
 
 
 def write_manifest(records, path, config: ExperimentConfig) -> None:
-    """Lossless JSON store of the run records and the config text, with the
-    environment that produced them.
+    """JSON store of every run record field but ``losses`` and of the config
+    text, with the environment that produced them; ``export_csv`` writes
+    the losses, and ``load_manifest`` joins the two files.
 
     One compact ``json.dumps`` per record, one record a line: unindented
     dumps run the C encoder, where ``indent`` falls back to pure Python.
     """
     _write_text(path, [
         '{"environment": ' + json.dumps(_environment()) + ',\n"records": [\n',
-        ",\n".join(json.dumps(vars(record)) for record in records),
+        ",\n".join(json.dumps({key: value for key, value in vars(record).items()
+                               if key != "losses"}) for record in records),
         '\n],\n"config": ' + json.dumps(serialize_config(config)) + "}\n",
     ])
 
 
 def load_manifest(path):
-    """The run records of a manifest; its environment block is not read."""
+    """The run records of a manifest, each with its losses from the
+    ``runs.csv`` beside it, matched on (algorithm, seed); the environment
+    block is not read.
+
+    A record whose rows are missing, or whose rounds are not 0 to the
+    config's rounds in order, raises a ValueError naming it.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    return [RunRecord(**item) for item in payload["records"]]
+    steps = list(range(loads_config(payload["config"]).rounds + 1))
+    csv_path = Path(path).with_name("runs.csv")
+    rows_of = {}
+    for row in read_csv_rows(csv_path):
+        rows_of.setdefault((row["algorithm"], row["seed"]), []).append(row)
+    records = []
+    for item in payload["records"]:
+        rows = rows_of.get((item["algorithm"], item["seed"]), [])
+        if [row["round"] for row in rows] != steps:
+            raise ValueError(f"{csv_path}: the {len(rows)} row(s) of {item['algorithm']} seed "
+                             f"{item['seed']} are not rounds 0 to {steps[-1]} in order")
+        records.append(RunRecord(**item, losses=[row["loss"] for row in rows]))
+    return records
 
 
 def bound_report(config: ExperimentConfig):

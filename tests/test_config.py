@@ -191,6 +191,9 @@ class TestValidation:
         ("task", "noise_std", "nan", "task.noise_std must be finite and >= 0"),
         ("task", "noise_std", "inf", "task.noise_std must be finite and >= 0"),
         ("experiment", "seeds", "3 -1", "experiment.seeds must be >= 0"),
+        ("experiment", "seeds", "7 8 7", "experiment.seeds lists 7 more than once"),
+        ("experiment", "algorithms", "proposed baseline_a proposed",
+         "experiment.algorithms lists 'proposed' more than once"),
         ("training", "initial_model", "nan 0",
          "training.initial_model entries must be finite, got nan 0.0"),
         ("training", "initial_model", "0 inf",

@@ -43,7 +43,7 @@ from util import REFERENCE, per_seed_allocation, record_integrand_sizes
 REFERENCE_CSV = Path(__file__).resolve().parent / "data" / "reference_runs.csv"
 
 GOLDEN_REFERENCE_CSV_SHA256 = (
-    "d1523923aa4076f1a0dd44f557d0353a73e9aecb9da0614d5284662c97a69e69"
+    "a560d06e5d3c9644a3a21ab1c6defafaee164fd020c069716c34446ee786cf7d"
 )
 
 # The bound.csv that `fedwireless bound` writes for the reference config,
@@ -61,13 +61,13 @@ GOLDEN_REFERENCE_BOUND_SHA256 = (
 TALL = Path(__file__).resolve().parent / "data" / "tall.cfg"
 
 GOLDEN_TALL_CSV_SHA256 = (
-    "93c5a6d1cb0a0d035a69c58cea5cb2a7f483001c71c736b48025ec855dfe5f53"
+    "1e006a3365dc799e52ea79ddb54eb92859303856b49b21f9c913e62e2d73d71b"
 )
 
 # sha256 of the reference manifest.json after its first line (the
 # environment block), written under numpy's X86_V3-limited SIMD dispatch.
 GOLDEN_REFERENCE_MANIFEST_SHA256 = (
-    "af075c5dacda61e8263c92a74cac2f19cd017025f7b0876660073a070db88351"
+    "f1fe3554fa183d14b0f0f3c108a57e25cedac5501b93c4a8975274a1a1aa35a0"
 )
 
 def _cpu_has(*features):
@@ -318,14 +318,15 @@ def decision_from_record(record, config):
 
 
 class TestPersistence:
-    def test_one_round_one_data_row(self, tmp_path):
+    def test_one_round_two_data_rows(self, tmp_path):
+        # Round 0 (the initial loss) and round 1.
         config = mini_config(algorithms=("proposed",), seeds=(3,), rounds=1)
         records = run_experiment(config)
         path = tmp_path / "runs.csv"
         export_csv(records, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER
-        assert len(lines) == 2
+        assert [line.split(",")[2] for line in lines[1:]] == ["0", "1"]
 
     def test_csv_round_trip(self, tmp_path):
         config = mini_config()
@@ -333,7 +334,7 @@ class TestPersistence:
         path = tmp_path / "runs.csv"
         export_csv(records, path)
         rows = read_csv_rows(path)
-        assert len(rows) == sum(len(r.losses) - 1 for r in records)
+        assert len(rows) == sum(len(r.losses) for r in records)
         by_key = {(r.algorithm, r.seed): r for r in records}
         for row in rows:
             record = by_key[(row["algorithm"], row["seed"])]
@@ -342,25 +343,68 @@ class TestPersistence:
             assert list(row) == CSV_HEADER.split(",")
 
     def test_manifest_lossless(self, tmp_path):
-        config = mini_config()
-        records = run_experiment(config)
-        path = tmp_path / "manifest.json"
-        write_manifest(records, path, config=config)
-        reloaded = load_manifest(path)
+        # The manifest holds every field but the losses, runs.csv the
+        # losses; load_manifest joins the two files back into the records.
+        records = self._write_both(tmp_path)
+        payload = json.loads((tmp_path / "manifest.json").read_text())
+        assert all("losses" not in item for item in payload["records"])
+        reloaded = load_manifest(tmp_path / "manifest.json")
         assert [vars(r) for r in reloaded] == [vars(r) for r in records]
 
-    @pytest.mark.parametrize("key", ["bound", "wall_clock_s"])
+    @staticmethod
+    def _write_both(tmp_path, **overrides):
+        """Write runs.csv and manifest.json of a small run; its records."""
+        config = mini_config(**overrides)
+        records = run_experiment(config)
+        export_csv(records, tmp_path / "runs.csv")
+        write_manifest(records, tmp_path / "manifest.json", config=config)
+        return records
+
+    @pytest.mark.parametrize("key", ["bound", "wall_clock_s", "losses", "final_loss"])
     def test_manifest_with_a_removed_record_field_is_rejected(self, tmp_path, key):
-        # A manifest written before RunRecord lost the field does not load;
-        # rerunning simulate rewrites it.
-        config = mini_config(algorithms=("proposed",), seeds=(3,), rounds=1)
+        # A manifest written before RunRecord lost the field, or before the
+        # losses moved to runs.csv alone, does not load; rerunning simulate
+        # rewrites it.
+        self._write_both(tmp_path, algorithms=("proposed",), seeds=(3,), rounds=1)
         path = tmp_path / "manifest.json"
-        write_manifest(run_experiment(config), path, config=config)
         payload = json.loads(path.read_text())
         payload["records"][0][key] = 0.0
         path.write_text(json.dumps(payload))
         with pytest.raises(TypeError, match=key):
             load_manifest(path)
+
+    @pytest.mark.parametrize("damage", ["drop_cell", "drop_last_round", "swap_rounds"])
+    def test_manifest_with_rows_not_rounds_0_to_t_is_rejected(self, tmp_path, damage):
+        self._write_both(tmp_path, seeds=(3, 4), rounds=3)
+        csv_path = tmp_path / "runs.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        cell = [n for n, line in enumerate(lines) if line.startswith("baseline_b,4,")]
+        if damage == "drop_cell":
+            del lines[cell[0]:cell[-1] + 1]
+        elif damage == "drop_last_round":
+            del lines[cell[-1]]
+        else:
+            lines[cell[1]], lines[cell[2]] = lines[cell[2]], lines[cell[1]]
+        csv_path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="baseline_b seed 4 are not rounds 0 to 3 in order"):
+            load_manifest(tmp_path / "manifest.json")
+
+    def test_manifest_without_its_runs_csv_names_the_file(self, tmp_path):
+        self._write_both(tmp_path, algorithms=("proposed",), seeds=(3,), rounds=1)
+        (tmp_path / "runs.csv").unlink()
+        with pytest.raises(OSError, match="runs.csv"):
+            load_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("row, cause", [
+        ("proposed,3,0,0.5", "not enough values to unpack"),
+        ("proposed,x,0,0.5,abcdef012345", "invalid literal for int"),
+        ("proposed,3,0,half,abcdef012345", "could not convert string to float"),
+    ])
+    def test_bad_csv_row_names_the_file_and_line(self, tmp_path, row, cause):
+        path = tmp_path / "runs.csv"
+        path.write_text(f"{CSV_HEADER}\nproposed,3,1,0.25,abcdef012345\n{row}\n")
+        with pytest.raises(ValueError, match=rf"runs\.csv line 3: {cause}"):
+            read_csv_rows(path)
 
     def test_manifest_records_the_environment(self, tmp_path):
         out = tmp_path / "out"
@@ -470,7 +514,7 @@ class TestPersistence:
         # The whole file built as one string, as a list of every row.
         lines = ["algorithm,seed,round,loss,allocation_digest"]
         for record in records:
-            for step in range(1, len(record.losses)):
+            for step in range(len(record.losses)):
                 lines.append(
                     f"{record.algorithm},{record.seed},{step},"
                     f"{repr(float(record.losses[step]))},{record.allocation_digest()}"
@@ -729,7 +773,7 @@ class TestSweep:
         records = run_experiment(config)
         for algorithm in config.algorithms:
             row = next(r for r in rows if r["algorithm"] == algorithm)
-            finals = [r.final_loss for r in records if r.algorithm == algorithm]
+            finals = [r.losses[-1] for r in records if r.algorithm == algorithm]
             assert row["mean_final_loss"] == pytest.approx(np.mean(finals), rel=1e-12)
 
     def test_axis_and_value_validation(self):

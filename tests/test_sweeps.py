@@ -20,7 +20,7 @@ def final_losses(config, algorithms):
         replace(config, algorithms=tuple(algorithms), seeds=tuple(range(N_SEEDS)))
     )
     return {
-        algorithm: np.array([r.final_loss for r in records if r.algorithm == algorithm])
+        algorithm: np.array([r.losses[-1] for r in records if r.algorithm == algorithm])
         for algorithm in algorithms
     }
 
