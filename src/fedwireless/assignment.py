@@ -215,25 +215,24 @@ def feasible_power_interval(users, rb_index, params, fexp):
     gates hold, on one RB or with user i on ``rb_index[i]``.
 
     Returns (p_lo, p_hi, feasible) arrays over ``users``: the
-    ``_delay_floor`` and the edge build's power and gate, both bounds 0
-    where the gate fails.
+    ``_delay_floor`` of every pair under the edge build's power, and its
+    gate; where the gate fails the power cap is 0, and so is the floor.
     """
     pairs = phy._Users.of(users, params).on(rb_index, params)
     rows, edges = np.arange(len(users)), _edge_weights([users], params, fexp)[0]
     feasible, p_hi = edges.feasible[rows, rb_index], edges.power_w[rows, rb_index]
-    gated, p_lo = pairs.take(feasible), np.zeros(rows.size)
-    p_lo[feasible] = _delay_floor(gated, p_hi[feasible], phy._downlink_delay(gated, params, fexp),
-                                  params, fexp)
+    p_lo = _delay_floor(pairs, p_hi, phy._downlink_delay(pairs, params, fexp), params, fexp)
     return p_lo, p_hi, feasible
 
 
 def _delay_floor(cohort, p_hi, down, params, fexp):
-    """Least power meeting the delay budget on each gated edge of a placed
+    """Least power meeting the delay budget on each edge of a placed
     ``phy._Users`` cohort with power cap ``p_hi`` and downlink delay
     ``down``: the upper edge b of a ``_certified_band`` on [p_hi 1e-15,
-    p_hi] on the rate excess, with the ``_rate_error`` bound eps.  The gate
-    measured each edge's delay at p_hi within budget, so an edge whose rate
-    there still reads short by rounding answers p_hi.
+    p_hi] on the rate excess, with the ``_rate_error`` bound eps.  Where the
+    gate passed, it measured the delay at p_hi within budget, so an edge
+    whose rate there still reads short by rounding answers p_hi; where it
+    failed, p_hi is 0, the band collapses onto [0, 0] and the answer is 0.
     """
     slack = params.delay_budget_s - down
     target = np.divide(cohort.payload_bits, slack, out=np.full_like(slack, np.inf),
@@ -527,9 +526,9 @@ def _random_all(rngs, user_lists, edge_sets, params, fexp):
 
     Every seed draws its two permutations first and keeps the drawn pairs
     that its edge build's gate passed.  One ``_delay_floor`` covers all
-    seeds' kept pairs as one cohort, and each seed draws its powers from
-    its own generator, uniformly between each pair's floor and its edge
-    build power.
+    seeds' kept pairs as one cohort, each seed draws its powers from its
+    own generator, uniformly between each pair's floor and its edge build
+    power, and one ``_link`` call evaluates every seed's pairs at them.
     """
     n_rbs = params.rb_count
     chosen = []
@@ -538,23 +537,21 @@ def _random_all(rngs, user_lists, edge_sets, params, fexp):
         rows, rbs = rng.permutation(len(users))[:k], rng.permutation(n_rbs)[:k]
         kept = edges.feasible[rows, rbs]
         chosen.append((rows[kept], rbs[kept], edges.power_w[rows[kept], rbs[kept]]))
+    stops = np.cumsum([rows.size for rows, *_ in chosen])[:-1]
     pairs = phy._Users.of(
         [users[i] for users, (rows, *_) in zip(user_lists, chosen) for i in rows], params
     ).on(np.concatenate([rbs for _, rbs, _ in chosen]), params)
     p_hi = np.concatenate([caps for *_, caps in chosen])
     down = phy._downlink_delay(pairs, params, fexp)
     p_lo = _delay_floor(pairs, p_hi, down, params, fexp)
-    decisions, start = [], 0
-    for rng, users, (rows, rbs, _) in zip(rngs, user_lists, chosen):
-        index = np.arange(start, start + rows.size)
-        start += rows.size
-        # One draw per kept pair, in pair order: the stream of per-pair draws.
-        power = rng.uniform(p_lo[index], p_hi[index])
-        link = _link(pairs.take(index), power, down[index], params, fexp)
-        decisions.append(_finalize_decision(
-            [u.sample_count for u in users], n_rbs, rows, rbs, (power, *link)
-        ))
-    return decisions
+    # One draw per kept pair, in pair order: each seed's stream of per-pair draws.
+    power = np.concatenate([rng.uniform(*bounds) for rng, bounds in
+                            zip(rngs, np.split(np.stack([p_lo, p_hi]), stops, axis=1))])
+    stats = np.split(np.stack([power, *_link(pairs, power, down, params, fexp)]), stops, axis=1)
+    return [
+        _finalize_decision(edges.sample_counts, n_rbs, rows, rbs, seed_stats)
+        for edges, (rows, rbs, _), seed_stats in zip(edge_sets, chosen, stats)
+    ]
 
 
 def baseline_optselect_randomrb(rng, edges) -> AllocationDecision:

@@ -243,14 +243,15 @@ def _with_rb_count(params, rb_count):
 def sweep(config: ExperimentConfig, axis: str, values):
     """Re-run the experiment along one axis; per-value per-algorithm stats.
 
-    Axes: user_count, rb_count, samples_per_user.  Returns rows of
-    {axis, value, algorithm, mean_final_loss, std_final_loss,
-    mean_solver_iterations}.
+    Axes: user_count, rb_count, samples_per_user, each value a positive
+    integer.  Returns rows of {axis, value, algorithm, mean_final_loss,
+    std_final_loss, mean_solver_iterations}.
     """
     if not values:
         raise ValueError("values must be non-empty")
-    if any(v <= 0 for v in values):
-        raise ValueError("values must be positive")
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+            raise ValueError(f"values must be positive integers, got {value!r}")
     rows = []
     for value in values:
         if axis == "user_count":

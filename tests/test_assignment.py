@@ -105,6 +105,19 @@ class TestFeasiblePowerInterval:
         lo, hi, feasible = feasible_power_interval([user_at(500.0)], 0, params, QUAD)
         assert not feasible[0] and lo[0] == 0.0 and hi[0] == 0.0
 
+    @pytest.mark.parametrize("payload_bits, spent", [(5e4, 0.0), (0.0, 0.0), (5e4, 1.0)],
+                             ids=["finite_target", "zero_payload", "no_delay_slack"])
+    def test_zero_cap_floor_is_zero(self, payload_bits, spent):
+        # feasible_power_interval hands the delay search a cap of 0 where
+        # the gate failed: the [0, 0] band answers +0.0 whatever the target
+        # rate (finite, 0 for no payload, inf when the downlink spends the
+        # whole delay budget).
+        params = NetworkParams()
+        pairs = phy._Users.of([user_at(300.0, payload_bits=payload_bits)], params).on(0, params)
+        down = np.array([spent * params.delay_budget_s])
+        (p_lo,) = assignment._delay_floor(pairs, np.zeros(1), down, params, QUAD)
+        assert p_lo == 0.0 and not np.signbit(p_lo)
+
     def test_batch_matches_scalar_reference(self, monkeypatch):
         # On the binding topology (user 3 sends nothing) and on budgets that
         # leave edges out of either search's range: an energy budget equal

@@ -177,20 +177,28 @@ class TestRunExperiment:
         # One energy search covers the pooled edge build of every seed, and
         # one delay search covers baseline b's kept pairs of every seed:
         # baseline b takes its gate and power caps from the edge build.
+        # Each search's edges then go through one link call.
         from fedwireless import assignment
 
-        searched, band = [], assignment._certified_band
+        searched, linked = [], []
+        band, link = assignment._certified_band, assignment._link
 
         def recorded(lo, hi, columns, measure):
             searched.append(lo.size)
             return band(lo, hi, columns, measure)
 
+        def recorded_link(users, power, down, params, fexp):
+            linked.append(power.size)
+            return link(users, power, down, params, fexp)
+
         monkeypatch.setattr(assignment, "_certified_band", recorded)
+        monkeypatch.setattr(assignment, "_link", recorded_link)
         config = load_config(REFERENCE)
         records = run_experiment(config)
         edges = len(config.seeds) * config.user_count * config.network.rb_count
         kept = sum(sum(r.selection) for r in records if r.algorithm == "baseline_b")
         assert searched == [edges, kept] and kept > 0
+        assert linked == searched
 
 
 POOLED = """
@@ -783,6 +791,11 @@ class TestSweep:
             sweep(mini_config(), "rb_count", [])
         with pytest.raises(ValueError):
             sweep(mini_config(), "rb_count", [0])
+        # 2.5 would run 2 RBs under the label 2.5, and True one user.
+        with pytest.raises(ValueError, match="2.5"):
+            sweep(mini_config(), "rb_count", [2.5])
+        with pytest.raises(ValueError, match="True"):
+            sweep(mini_config(), "user_count", [True])
 
     def test_samples_axis_overrides_cycle(self):
         config = mini_config(algorithms=("proposed",), seeds=(3,), rounds=3)
