@@ -258,7 +258,7 @@ def _every_edge(users, params):
 class EdgeWeightMatrix:
     """Per-edge quantities for all (user, RB) pairs at the optimal power."""
 
-    weights: np.ndarray          # (U, R), samples*(error-1) on feasible edges, else 0
+    weights: np.ndarray          # (U, R) samples*(error-1); 0 on gated-out edges (error 1)
     feasible: np.ndarray         # (U, R) bool
     power_w: np.ndarray          # (U, R) optimal power per edge
     error_rate: np.ndarray       # (U, R) packet error rate at the optimal power
@@ -300,11 +300,12 @@ def _edge_weights(user_lists, params, fexp):
                             for values in (p, q, total_delay, e))
     sample_counts = np.array([u.sample_count for u in users], dtype=float)
     ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
+    q = np.where(ok, q, 1.0)        # so a gated-out edge's weight is exactly +0.0
     merged = EdgeWeightMatrix(
-        weights=np.where(ok, sample_counts[:, None] * (q - 1.0), 0.0),
+        weights=sample_counts[:, None] * (q - 1.0),
         feasible=ok,
         power_w=np.where(ok, p, 0.0),
-        error_rate=np.where(ok, q, 1.0),
+        error_rate=q,
         delay_s=np.where(ok, total_delay, np.inf),
         energy_j=np.where(ok, e, np.inf),
         sample_counts=sample_counts,
@@ -574,10 +575,9 @@ def baseline_min_sum_per(edges) -> AllocationDecision:
     Identical machinery to the proposed allocator but with edge weights
     (error_rate - 1) instead of sample_count * (error_rate - 1): agnostic
     to how much data each user holds.  Unselected users count as an error
-    rate of 1.
+    rate of 1, as a gated-out edge reads in the edge build: its weight is 0.
     """
-    per_weights = np.where(edges.feasible, edges.error_rate - 1.0, 0.0)
-    match, iterations = _solve_matching(per_weights)
+    match, iterations = _solve_matching(edges.error_rate - 1.0)
     return _decide_on_edges(edges, match, iterations)
 
 

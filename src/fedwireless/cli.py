@@ -52,9 +52,9 @@ def _cmd_simulate(args, config) -> int:
 
 
 def _cmd_assign(args, config) -> int:
-    for seed in config.seeds:
-        users, _ = harness.build_topology(config, seed)
-        edges = assignment.build_edge_weights(users, config.network, config.fading)
+    user_lists = [harness.build_topology(config, seed)[0] for seed in config.seeds]
+    edge_sets = assignment._edge_weights(user_lists, config.network, config.fading)
+    for seed, users, edges in zip(config.seeds, user_lists, edge_sets):
         decision = assignment.hungarian_assign(edges)
         print(f"seed {seed}: objective={decision.objective:.6g} "
               f"selected={int(np.sum(decision.selection))}/{len(users)}")

@@ -51,6 +51,7 @@ from util import (
     brute_force_assign,
     check_gradient_bound,
     manual_decision,
+    paired_difference,
     synthetic_edges,
     table_topology,
 )
@@ -219,13 +220,22 @@ def test_criterion_05_error_free_contraction():
 
 
 def test_criterion_06_algorithm_ordering():
-    """Mean final loss over 50 seeds: proposed <= a <= b, and proposed <= c."""
+    """Mean final loss over 50 seeds: proposed <= a <= b, and proposed <= c,
+    within one pooled standard error and in the mean per-seed difference.
+
+    Every algorithm of one seed shares its topology and packet stream, and
+    so its irreducible loss, which dominates the pooled error: the paired
+    differences resolve the orderings that the pooled error cannot.  The
+    paper's c >= b is not resolved here (see the README), so not asserted.
+    """
     start = time.perf_counter()
     config = load_config(REFERENCE)
     config = replace(config, rounds=150)
     finals = {name: [] for name in ("proposed", "baseline_a", "baseline_b", "baseline_c")}
+    floors = []     # each seed's irreducible loss F*
     for seed in range(50):
         users, dataset = build_topology(config, seed)
+        floors.append(global_loss(dataset, least_squares_model(dataset)))
         edges = build_edge_weights(users, config.network, config.fading)
         lr = 1.0 / curvature(dataset).lipschitz_l
         alloc_rng = np.random.default_rng([seed, 2])
@@ -252,11 +262,23 @@ def test_criterion_06_algorithm_ordering():
     assert means["proposed"] <= means["baseline_a"] + pooled_se("proposed", "baseline_a")
     assert means["baseline_a"] <= means["baseline_b"] + pooled_se("baseline_a", "baseline_b")
     assert means["proposed"] <= means["baseline_c"] + pooled_se("proposed", "baseline_c")
+    paired = {
+        f"{x}-{y}": paired_difference(finals[x], finals[y])
+        for x, y in (("baseline_a", "proposed"), ("baseline_b", "baseline_a"),
+                     ("baseline_c", "proposed"))
+    }
+    for pair, (mean, se) in paired.items():
+        assert mean >= 0, (pair, mean, se)
+    excess = {name: means[name] - float(np.mean(floors)) for name in means}
     elapsed = time.perf_counter() - start
     report(
         "criterion 6 (algorithm ordering)",
         "mean final loss "
         + " ".join(f"{k}={v:.5f}" for k, v in means.items())
+        + ", paired " + " ".join(f"{k}={m:.3g}+-{se:.3g}" for k, (m, se) in paired.items())
+        + f", excess over F* proposed={excess['proposed']:.3g} ("
+        + " ".join(f"{k}={v / excess['proposed']:.3g}x" for k, v in excess.items()
+                   if k != "proposed") + ")"
         + f", {elapsed:.1f}s",
     )
 

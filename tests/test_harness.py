@@ -859,6 +859,27 @@ class TestCli:
         assert "user" in out and "power_w" in out
         assert "seed 3" in out
 
+    def test_assign_makes_one_power_search(self, monkeypatch, capsys):
+        # Every seed's edges go through one pooled edge build, as in
+        # run_experiment: one energy search over all of them.
+        from fedwireless import assignment
+
+        searched, band = [], assignment._certified_band
+
+        def recorded(lo, hi, columns, measure):
+            searched.append(lo.size)
+            return band(lo, hi, columns, measure)
+
+        monkeypatch.setattr(assignment, "_certified_band", recorded)
+        config = load_config(REFERENCE)
+        code = cli.main(["assign", str(REFERENCE)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (cli.EXIT_OK, "")
+        # 2 seeds x 15 users x 12 RBs: 360 edges.
+        assert searched == [len(config.seeds) * config.user_count * config.network.rb_count]
+        headers = [line.split(":")[0] for line in out.splitlines() if line.startswith("seed ")]
+        assert headers == [f"seed {seed}" for seed in config.seeds]
+
     def test_bound_subcommand(self, tmp_path):
         cfg = tmp_path / "mini.cfg"
         cfg.write_text(MINI + "\n[fading]\ncount = 64\n")

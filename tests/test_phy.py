@@ -1,5 +1,6 @@
 """Link-level model tests: closed forms, Monte Carlo oracles, monotonicity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -309,6 +310,32 @@ class TestFadingExpectation:
         first = packet_error_rate(user_at(300.0), 0, 0.002, PARAMS, fexp)
         second = packet_error_rate(user_at(300.0), 0, 0.002, PARAMS, fexp)
         assert first == second
+
+    def test_monte_carlo_draws_once_per_instance(self, monkeypatch):
+        # The rule is drawn on first use and cached by value, so an equal
+        # instance reuses the draw; it is not a field, so equality, hashing
+        # and replace see only the three fields.
+        FadingExpectation._rule.cache_clear()
+        generators, default_rng = [], np.random.default_rng
+
+        def counted(*args):
+            generators.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        fexp = FadingExpectation(method="monte_carlo", node_or_sample_count=100, seed=3)
+        scale = np.array([0.5, 2.0])
+        first, second = fexp.expect(np.log1p, scale), fexp.expect(np.log1p, scale)
+        equal = dataclasses.replace(fexp).expect(np.log1p, scale)
+        assert generators == [(3,)]
+        assert first.tobytes() == second.tobytes() == equal.tobytes()
+        built = FadingExpectation()
+        built.expect(np.log1p, scale)
+        for used, fresh in ((fexp, dataclasses.replace(fexp)), (built, FadingExpectation())):
+            assert used == fresh and hash(used) == hash(fresh)
+        other = dataclasses.replace(fexp, seed=4)
+        assert not np.array_equal(other.expect(np.log1p, scale), first)
+        assert generators == [(3,), (4,)]
 
     def test_quadrature_bit_identical_across_calls(self):
         first = expected_uplink_rate(user_at(123.0), 2, 0.007, PARAMS, QUAD)

@@ -33,6 +33,12 @@ class PointMassFading:
         return np.asarray(integrand(fading, *(c[..., None] for c in columns)), dtype=float)[..., 0]
 
 
+def paired_difference(x, y):
+    """Mean and standard error of the per-seed differences x - y."""
+    diff = np.asarray(x) - np.asarray(y)
+    return float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(diff.size))
+
+
 def record_integrand_sizes(monkeypatch):
     """The element count of every integrand call that
     ``FadingExpectation.expect`` makes from now on, as a growing list."""
