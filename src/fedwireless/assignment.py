@@ -206,7 +206,7 @@ def optimal_power(user, rb_index, params, fexp) -> float:
     (see ``_certified_band``).  Returns 0.0 when even a vanishing transmit
     power (or training alone) exceeds the budget.
     """
-    cohort = phy._Users.of([user], params).on(rb_index, params)
+    cohort = phy._Users.of([user], params, fexp).on(rb_index, params)
     return float(_optimal_powers(cohort, params, fexp)[0])
 
 
@@ -218,23 +218,23 @@ def feasible_power_interval(users, rb_index, params, fexp):
     ``_delay_floor`` of every pair under the edge build's power, and its
     gate; where the gate fails the power cap is 0, and so is the floor.
     """
-    pairs = phy._Users.of(users, params).on(rb_index, params)
+    pairs = phy._Users.of(users, params, fexp).on(rb_index, params)
     rows, edges = np.arange(len(users)), _edge_weights([users], params, fexp)[0]
     feasible, p_hi = edges.feasible[rows, rb_index], edges.power_w[rows, rb_index]
-    p_lo = _delay_floor(pairs, p_hi, phy._downlink_delay(pairs, params, fexp), params, fexp)
+    p_lo = _delay_floor(pairs, p_hi, params, fexp)
     return p_lo, p_hi, feasible
 
 
-def _delay_floor(cohort, p_hi, down, params, fexp):
-    """Least power meeting the delay budget on each edge of a placed
-    ``phy._Users`` cohort with power cap ``p_hi`` and downlink delay
-    ``down``: the upper edge b of a ``_certified_band`` on [p_hi 1e-15,
+def _delay_floor(cohort, p_hi, params, fexp):
+    """Least power meeting the delay budget, less the cohort's downlink
+    delay, on each edge of a placed ``phy._Users`` cohort with power cap
+    ``p_hi``: the upper edge b of a ``_certified_band`` on [p_hi 1e-15,
     p_hi] on the rate excess, with the ``_rate_error`` bound eps.  Where the
     gate passed, it measured the delay at p_hi within budget, so an edge
     whose rate there still reads short by rounding answers p_hi; where it
     failed, p_hi is 0, the band collapses onto [0, 0] and the answer is 0.
     """
-    slack = params.delay_budget_s - down
+    slack = params.delay_budget_s - cohort.downlink_s
     target = np.divide(cohort.payload_bits, slack, out=np.full_like(slack, np.inf),
                        where=slack > 0)
 
@@ -267,11 +267,12 @@ class EdgeWeightMatrix:
     sample_counts: np.ndarray    # (U,)
 
 
-def _link(users, power, down, params, fexp):
+def _link(users, power, params, fexp):
     """(error rate, uplink + downlink delay, energy) of each edge of a
-    ``phy._Users`` cohort at ``power``, given each edge's downlink delay."""
+    ``phy._Users`` cohort at ``power``."""
     up = phy._delay(users.payload_bits, phy._uplink_rate(users, power, params, fexp))
-    return phy._error_rate(users, power, params, fexp), up + down, phy._energy(users, power, up)
+    return (phy._error_rate(users, power, params, fexp), up + users.downlink_s,
+            phy._energy(users, power, up))
 
 
 def build_edge_weights(users, params, fexp) -> EdgeWeightMatrix:
@@ -291,11 +292,9 @@ def _edge_weights(user_lists, params, fexp):
     ``phy.FadingExpectation.expect`` bounds the temporaries of each call.
     """
     users = [user for user_list in user_lists for user in user_list]
-    cohort = phy._Users.of(users, params)
-    edges = _every_edge(cohort, params)
+    edges = _every_edge(phy._Users.of(users, params, fexp), params)
     p = _optimal_powers(edges, params, fexp)
-    down = phy._downlink_delay(cohort, params, fexp)
-    q, total_delay, e = _link(edges, p, np.repeat(down, params.rb_count), params, fexp)
+    q, total_delay, e = _link(edges, p, params, fexp)
     p, q, total_delay, e = (values.reshape(len(users), params.rb_count)
                             for values in (p, q, total_delay, e))
     sample_counts = np.array([u.sample_count for u in users], dtype=float)
@@ -540,15 +539,14 @@ def _random_all(rngs, user_lists, edge_sets, params, fexp):
         chosen.append((rows[kept], rbs[kept], edges.power_w[rows[kept], rbs[kept]]))
     stops = np.cumsum([rows.size for rows, *_ in chosen])[:-1]
     pairs = phy._Users.of(
-        [users[i] for users, (rows, *_) in zip(user_lists, chosen) for i in rows], params
+        [users[i] for users, (rows, *_) in zip(user_lists, chosen) for i in rows], params, fexp
     ).on(np.concatenate([rbs for _, rbs, _ in chosen]), params)
     p_hi = np.concatenate([caps for *_, caps in chosen])
-    down = phy._downlink_delay(pairs, params, fexp)
-    p_lo = _delay_floor(pairs, p_hi, down, params, fexp)
+    p_lo = _delay_floor(pairs, p_hi, params, fexp)
     # One draw per kept pair, in pair order: each seed's stream of per-pair draws.
     power = np.concatenate([rng.uniform(*bounds) for rng, bounds in
                             zip(rngs, np.split(np.stack([p_lo, p_hi]), stops, axis=1))])
-    stats = np.split(np.stack([power, *_link(pairs, power, down, params, fexp)]), stops, axis=1)
+    stats = np.split(np.stack([power, *_link(pairs, power, params, fexp)]), stops, axis=1)
     return [
         _finalize_decision(edges.sample_counts, n_rbs, rows, rbs, seed_stats)
         for edges, (rows, rbs, _), seed_stats in zip(edge_sets, chosen, stats)
@@ -614,11 +612,10 @@ def verify_allocation(decision, users, params, fexp):
     # A selected user without exactly one RB, or with a non-finite power,
     # has nothing to gate-check; the messages above report it.
     rows = np.flatnonzero((sel != 0) & (held == 1) & np.isfinite(power))
-    cohort = phy._Users.of([users[i] for i in rows], params)
-    down = phy._downlink_delay(cohort, params, fexp)
+    cohort = phy._Users.of([users[i] for i in rows], params, fexp)
     # A power <= 0 is reported as such; at 0 the kernel stays in its domain.
     _, delay, energy = _link(cohort.on(rb[rows].argmax(axis=1), params),
-                             np.maximum(power[rows], 0.0), down, params, fexp)
+                             np.maximum(power[rows], 0.0), params, fexp)
     for i, p, total_delay, e in zip(*(v.tolist() for v in (rows, power[rows], delay, energy))):
         if p <= 0:
             problems.append(f"user {i} selected with zero power")

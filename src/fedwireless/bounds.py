@@ -214,14 +214,14 @@ def worst_case_error_sum(users, params, fexp) -> float:
 
     The error rate is non-increasing in power, so each edge's worst case is
     attained at its minimum feasible power, the ``assignment._delay_floor``
-    of each edge that the edge build's gate passed; the worst assignment is
-    then a max-weight matching over those per-edge values.
+    of each edge that the edge build's gate passed, taken from one cohort of
+    the users (one downlink delay each); the worst assignment is then a
+    max-weight matching over those per-edge values.
     """
     edges = assignment._edge_weights([users], params, fexp)[0]
     rows, rbs = np.nonzero(edges.feasible)
-    pairs = phy._Users.of(users, params).take(rows).on(rbs, params)
-    p_lo = assignment._delay_floor(pairs, edges.power_w[rows, rbs],
-                                   phy._downlink_delay(pairs, params, fexp), params, fexp)
+    pairs = phy._Users.of(users, params, fexp).take(rows).on(rbs, params)
+    p_lo = assignment._delay_floor(pairs, edges.power_w[rows, rbs], params, fexp)
     gains = np.zeros(edges.feasible.shape)
     gains[rows, rbs] = edges.sample_counts[rows] * phy._error_rate(pairs, p_lo, params, fexp)
     # Pairs matched at gain 0 are dropped by the solver; they only added 0.0.

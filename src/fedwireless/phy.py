@@ -7,17 +7,18 @@ Everything is computed in linear SI units (W, Hz, s, J, bits).
 
 Array contract: one private kernel (``_Users``, ``_uplink_rate``,
 ``_downlink_rate``, ``_delay``, ``_energy``, ``_error_rate``) works on
-broadcast arrays of edges, so each edge's values depend on that edge alone,
-in one call or in any batch.  An edge is a (user, RB) pair: ``_Users`` holds
-per-user constants (gain d**-alpha, fading scale, payload, training energy,
-from Python float math once per user) and, once ``on`` has placed it, the
-uplink noise of each edge's RB.  A cohort is therefore any edge set: every
-(user, RB) edge of many topologies, or a list of chosen pairs.  Only
-``FadingExpectation.expect`` makes (edges x fading nodes) temporaries, and it
-makes them in slices of at most ``_COHORT_ELEMENTS`` elements (one edge at
-least), so callers pass cohorts of any size: unsliced, the edges of one
-120 x 60 or 300 x 20 topology raised peak RSS by about 10 MB.  The public
-scalar functions are one-element calls of the same kernel.
+broadcast arrays of edges, so each edge's values depend on that edge alone, in
+one call or in any batch.  An edge is a (user, RB) pair: ``_Users`` holds
+per-user constants (gain d**-alpha, fading scale, payload and training energy
+from float math, and the downlink delay from one fading expectation per user
+built) and, once ``on`` has placed it, the uplink noise of each edge's RB.  A
+cohort is therefore any edge set: every (user, RB) edge of many topologies, or
+a list of chosen pairs.  Only ``FadingExpectation.expect`` makes (edges x
+fading nodes) temporaries, and it makes them in slices of at most
+``_COHORT_ELEMENTS`` elements (one edge at least), so callers pass cohorts of
+any size: unsliced, the edges of one 120 x 60 or 300 x 20 topology raised peak
+RSS by about 10 MB.  The public scalar functions are one-element calls of the
+same kernel.
 """
 
 from __future__ import annotations
@@ -241,14 +242,17 @@ class _Users(NamedTuple):
     fading_scale: np.ndarray
     payload_bits: np.ndarray
     training_j: np.ndarray
+    downlink_s: np.ndarray      # downlink delay: one fading expectation per user built
     noise_w: np.ndarray | None = None   # uplink interference + noise of the edge's RB
 
     @classmethod
-    def of(cls, users, params: NetworkParams) -> "_Users":
+    def of(cls, users, params: NetworkParams, fexp) -> "_Users":
         alpha = params.pathloss_exponent
         rows = [(u.distance_m ** -alpha, u.fading_scale, u.payload_bits, training_energy(u))
                 for u in users]
-        return cls(*np.array(rows, dtype=float).reshape(-1, 4).T)
+        gain, fading_scale, payload_bits, training_j = np.array(rows, dtype=float).reshape(-1, 4).T
+        down = _delay(payload_bits, _downlink_rate(gain, fading_scale, params, fexp))
+        return cls(gain, fading_scale, payload_bits, training_j, down)
 
     def on(self, rb_index, params: NetworkParams) -> "_Users":
         """These users on one RB, or edge i on ``rb_index[i]``."""
@@ -264,8 +268,8 @@ class _Users(NamedTuple):
         return _Users(*(None if column is None else column[index] for column in self))
 
 
-def _one(user: UserProfile, params: NetworkParams) -> _Users:
-    return _Users.of([user], params).take(0)
+def _one(user: UserProfile, params: NetworkParams, fexp) -> _Users:
+    return _Users.of([user], params, fexp).take(0)
 
 
 def _expected_rate(bandwidth_hz, snr_scale, fading_scale, fexp):
@@ -281,23 +285,18 @@ def _uplink_rate(users: _Users, power_w, params, fexp):
     return _expected_rate(params.rb_bandwidth_hz, snr_scale, users.fading_scale, fexp)
 
 
-def _downlink_rate(users: _Users, params, fexp):
+def _downlink_rate(gain, fading_scale, params, fexp):
     noise_w = params.downlink_interference_w + (
         params.downlink_bandwidth_hz * params.noise_density_w_per_hz
     )
-    snr_scale = params.bs_power_w * users.gain / noise_w
-    return _expected_rate(params.downlink_bandwidth_hz, snr_scale, users.fading_scale, fexp)
+    snr_scale = params.bs_power_w * gain / noise_w
+    return _expected_rate(params.downlink_bandwidth_hz, snr_scale, fading_scale, fexp)
 
 
 def _delay(payload_bits, rate):
     """Seconds to send the payload at ``rate``: 0 for no payload, inf at rate 0."""
     safe = np.where(rate > 0, rate, 1.0)
     return np.where(payload_bits == 0, 0.0, np.where(rate > 0, payload_bits / safe, np.inf))
-
-
-def _downlink_delay(users: _Users, params, fexp):
-    """Seconds to broadcast each user's payload on the downlink."""
-    return _delay(users.payload_bits, _downlink_rate(users, params, fexp))
 
 
 def _energy(users: _Users, power_w, delay):
@@ -328,12 +327,14 @@ def expected_uplink_rate(user, rb_index, power_w, params, fexp):
         raise ValueError(
             f"power_w must lie in [0, {params.max_user_power_w}], got {power_w!r}"
         )
-    return _as_result(_uplink_rate(_one(user, params).on(rb_index, params), power, params, fexp))
+    edge = _one(user, params, fexp).on(rb_index, params)
+    return _as_result(_uplink_rate(edge, power, params, fexp))
 
 
 def expected_downlink_rate(user, params, fexp):
     """Expected downlink broadcast rate in bits/s for one user."""
-    return _as_result(_downlink_rate(_one(user, params), params, fexp))
+    users = _one(user, params, fexp)
+    return _as_result(_downlink_rate(users.gain, users.fading_scale, params, fexp))
 
 
 def uplink_delay(user, rb_index, power_w, params, fexp):
@@ -344,7 +345,7 @@ def uplink_delay(user, rb_index, power_w, params, fexp):
 
 def downlink_delay(user, params, fexp):
     """Downlink broadcast delay in seconds for one user."""
-    return _as_result(_downlink_delay(_one(user, params), params, fexp))
+    return _as_result(_one(user, params, fexp).downlink_s)
 
 
 def packet_error_rate(user, rb_index, power_w, params, fexp):
@@ -358,7 +359,8 @@ def packet_error_rate(user, rb_index, power_w, params, fexp):
     power = np.asarray(power_w, dtype=float)
     if np.any(power < 0):
         raise ValueError(f"power_w must be >= 0, got {power_w!r}")
-    return _as_result(_error_rate(_one(user, params).on(rb_index, params), power, params, fexp))
+    edge = _one(user, params, fexp).on(rb_index, params)
+    return _as_result(_error_rate(edge, power, params, fexp))
 
 
 def training_energy(user: UserProfile) -> float:
@@ -380,4 +382,4 @@ def user_energy(user, rb_index, power_w, params, fexp):
     are checked as for any payload.
     """
     delay = uplink_delay(user, rb_index, power_w, params, fexp)
-    return _as_result(_energy(_one(user, params), np.asarray(power_w, dtype=float), delay))
+    return _as_result(_energy(_one(user, params, fexp), np.asarray(power_w, dtype=float), delay))

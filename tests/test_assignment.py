@@ -113,9 +113,9 @@ class TestFeasiblePowerInterval:
         # rate (finite, 0 for no payload, inf when the downlink spends the
         # whole delay budget).
         params = NetworkParams()
-        pairs = phy._Users.of([user_at(300.0, payload_bits=payload_bits)], params).on(0, params)
-        down = np.array([spent * params.delay_budget_s])
-        (p_lo,) = assignment._delay_floor(pairs, np.zeros(1), down, params, QUAD)
+        pairs = phy._Users.of([user_at(300.0, payload_bits=payload_bits)], params, QUAD)
+        pairs = pairs._replace(downlink_s=np.array([spent * params.delay_budget_s])).on(0, params)
+        (p_lo,) = assignment._delay_floor(pairs, np.zeros(1), params, QUAD)
         assert p_lo == 0.0 and not np.signbit(p_lo)
 
     def test_batch_matches_scalar_reference(self, monkeypatch):
@@ -537,7 +537,7 @@ class TestCertifiedBand:
         # moving edge beyond the probes; they read 6.8 here (28 670 in
         # all).  A bisection takes about 54 per moving edge.
         users, params = contested_topology(1)
-        edges = assignment._every_edge(phy._Users.of(users, params), params)
+        edges = assignment._every_edge(phy._Users.of(users, params, QUAD), params)
         searches = record_searches(monkeypatch)
         sizes = record_integrand_sizes(monkeypatch)
         assignment._optimal_powers(edges, params, QUAD)
@@ -682,8 +682,7 @@ def assert_build_matches_scalar_calls(fexp):
 def column_by_column_build(users, params, fexp):
     """The edge build as one cohort per RB column: the reference for the
     flat (user, RB) edge build."""
-    cohort = phy._Users.of(users, params)
-    down = phy._downlink_delay(cohort, params, fexp)
+    cohort = phy._Users.of(users, params, fexp)
     counts = np.array([u.sample_count for u in users], dtype=float)
     shape = (len(users), params.rb_count)
     feasible = np.zeros(shape, dtype=bool)
@@ -691,7 +690,7 @@ def column_by_column_build(users, params, fexp):
     for n in range(params.rb_count):
         column = cohort.on(n, params)
         p = assignment._optimal_powers(column, params, fexp)
-        q, total_delay, e = assignment._link(column, p, down, params, fexp)
+        q, total_delay, e = assignment._link(column, p, params, fexp)
         ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
         feasible[:, n] = ok
         weights[:, n] = np.where(ok, counts * (q - 1.0), 0.0)

@@ -43,6 +43,7 @@ from util import (
     check_gradient_bound,
     gradient_norm_profiles,
     manual_decision,
+    record_downlink_sizes,
     table_topology,
 )
 
@@ -497,6 +498,15 @@ class TestZeta2Feasible:
         users = [UserProfile(distance_m=100.0, sample_count=4)]
         assert convergence_slope_limit(users, params, QUAD) == math.inf
         assert 1e12 < convergence_slope_limit(users, params, QUAD)
+
+    def test_slope_limit_evaluates_the_downlink_once_per_user(self, monkeypatch):
+        # The edge build's cohort and the delay floor's each carry one
+        # downlink delay per user of the topology, not one per feasible edge.
+        config = load_config(REFERENCE)
+        users, _ = build_topology(config, config.seeds[0])
+        sizes = record_downlink_sizes(monkeypatch)
+        worst_case_error_sum(users, config.network, config.fading)
+        assert sizes == [len(users), len(users)]
 
     def test_worst_case_matches_exhaustive_enumeration(self):
         users, params_full = table_topology(seed=3, n_users=5)

@@ -36,7 +36,7 @@ from fedwireless.harness import (
     write_manifest,
 )
 
-from util import REFERENCE, per_seed_allocation, record_integrand_sizes
+from util import REFERENCE, per_seed_allocation, record_downlink_sizes, record_integrand_sizes
 
 
 # The reference run's runs.csv, whose sha256 is GOLDEN_REFERENCE_CSV_SHA256.
@@ -177,7 +177,8 @@ class TestRunExperiment:
         # One energy search covers the pooled edge build of every seed, and
         # one delay search covers baseline b's kept pairs of every seed:
         # baseline b takes its gate and power caps from the edge build.
-        # Each search's edges then go through one link call.
+        # Each search's edges then go through one link call, and each
+        # search's cohort evaluates one downlink per user or kept pair.
         from fedwireless import assignment
 
         searched, linked = [], []
@@ -187,18 +188,20 @@ class TestRunExperiment:
             searched.append(lo.size)
             return band(lo, hi, columns, measure)
 
-        def recorded_link(users, power, down, params, fexp):
+        def recorded_link(users, power, params, fexp):
             linked.append(power.size)
-            return link(users, power, down, params, fexp)
+            return link(users, power, params, fexp)
 
         monkeypatch.setattr(assignment, "_certified_band", recorded)
         monkeypatch.setattr(assignment, "_link", recorded_link)
+        downlinks = record_downlink_sizes(monkeypatch)
         config = load_config(REFERENCE)
         records = run_experiment(config)
         edges = len(config.seeds) * config.user_count * config.network.rb_count
         kept = sum(sum(r.selection) for r in records if r.algorithm == "baseline_b")
         assert searched == [edges, kept] and kept > 0
         assert linked == searched
+        assert downlinks == [len(config.seeds) * config.user_count, kept]
 
 
 POOLED = """

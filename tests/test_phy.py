@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from fedwireless import phy
 from fedwireless.phy import (
     NOISE_DENSITY_W_PER_HZ,
     FadingExpectation,
@@ -289,6 +290,31 @@ class TestMonotoneInPower:
         assert np.all(np.diff(rate) > 0), rate
         assert np.all(np.diff(error) <= 0), error
         assert np.all(np.diff(energy) >= 0), energy
+
+
+class TestUserCohort:
+    @pytest.mark.parametrize("fexp", [
+        QUAD, FadingExpectation(method="monte_carlo", node_or_sample_count=200, seed=5)
+    ], ids=["quadrature", "monte_carlo"])
+    def test_downlink_column_is_the_public_rate_delay(self, fexp):
+        # The cohort's downlink column is what every edge build, delay
+        # floor and verify_allocation reads, so it is checked here against
+        # the public rate, which reaches _downlink_rate without the column.
+        users = [user_at(d) for d in (30.0, 200.0, 500.0, 1000.0)]
+        users.append(user_at(300.0, payload_bits=0.0))
+        cohort = phy._Users.of(users, PARAMS, fexp)
+        for user, got in zip(users, cohort.downlink_s):
+            want = phy._delay(user.payload_bits, expected_downlink_rate(user, PARAMS, fexp))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert cohort.downlink_s[-1] == 0.0
+        # Taking repeated rows of one cohort gives the bytes of a cohort
+        # built from the repeated users: the slope limit's delay floor
+        # takes its feasible edges from one cohort of the topology's users.
+        rows, rbs = [4, 0, 2, 0, 4, 1], [0, 3, 3, 11, 5, 0]
+        taken = cohort.take(rows).on(rbs, PARAMS)
+        built = phy._Users.of([users[i] for i in rows], PARAMS, fexp).on(rbs, PARAMS)
+        for name, got, want in zip(phy._Users._fields, taken, built):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 class TestFadingExpectation:

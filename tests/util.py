@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedwireless import assignment, bounds, harness
+from fedwireless import assignment, bounds, harness, phy
 from fedwireless.assignment import AllocationDecision, EdgeWeightMatrix
 from fedwireless.phy import FadingExpectation, NetworkParams, UserProfile
 
@@ -53,6 +53,20 @@ def record_integrand_sizes(monkeypatch):
         return expect(self, measured, scale, *columns)
 
     monkeypatch.setattr(FadingExpectation, "expect", recorded)
+    return sizes
+
+
+def record_downlink_sizes(monkeypatch):
+    """The element count of every ``phy._downlink_rate`` result from now
+    on, as a growing list: one per user of each cohort built."""
+    sizes, rate = [], phy._downlink_rate
+
+    def recorded(*args):
+        values = rate(*args)
+        sizes.append(np.size(values))
+        return values
+
+    monkeypatch.setattr(phy, "_downlink_rate", recorded)
     return sizes
 
 
