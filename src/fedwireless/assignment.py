@@ -42,8 +42,10 @@ def _certified_band(lo, hi, columns, measure):
     predicate that holds below the root and fails above it, and whose exact
     excess is increasing in x: the power searches' one search and answer.
 
-    ``columns`` is a tuple of per-edge arrays, and ``measure(x, *columns)``
-    returns (holds, excess, eps) at points ``x`` of the edges they describe:
+    ``columns`` is a tuple of per-edge arrays, or None for a column that
+    ``measure`` does not read and no probe gathers, and ``measure(x,
+    *columns)`` returns (holds, excess, eps) at points ``x`` of the edges
+    they describe:
     the predicate, its computed excess (quantity minus limit) and a bound
     eps on the excess's rounding error.  A point x is certified where the
     excess clears 0 by 2 eps.  Below -2 eps, the exact excess is below -eps
@@ -80,7 +82,8 @@ def _certified_band(lo, hi, columns, measure):
     a, b = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
 
     def certify(x, index):
-        holds, value, eps = measure(x, *(column[index] for column in columns))
+        holds, value, eps = measure(x, *(None if column is None else column[index]
+                                         for column in columns))
         sure_hold, sure_fail = value < -2.0 * eps, value > 2.0 * eps
         a[index[sure_hold]] = np.maximum(a[index[sure_hold]], x[sure_hold])
         b[index[sure_fail]] = np.minimum(b[index[sure_fail]], x[sure_fail])
@@ -190,7 +193,7 @@ def _optimal_powers(cohort, params, fexp):
                 _energy_error(energy, edges.training_j, fexp))
 
     lo, _, fits_lo, fits_hi = _certified_band(
-        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort, measure
+        np.full(n, p_max * 1e-12), np.full(n, p_max), cohort._replace(downlink_s=None), measure
     )
     # Where transmit energy per bit does not vanish with P, not even lo fits.
     return np.where(fits_lo | fits_hi, lo, 0.0)
@@ -243,7 +246,8 @@ def _delay_floor(cohort, p_hi, params, fexp):
         return rate < target, rate - target, _rate_error(rate, fexp)
 
     # A zero payload has target rate 0, which the bottom of the range reaches.
-    return _certified_band(p_hi * 1e-15, p_hi, (target, *cohort), measure)[1]
+    link = cohort._replace(payload_bits=None, training_j=None, downlink_s=None)
+    return _certified_band(p_hi * 1e-15, p_hi, (target, *link), measure)[1]
 
 
 def _every_edge(users, params):

@@ -2,13 +2,15 @@
 
 Subcommands: simulate (full runs to CSV + manifest), assign (print the
 allocation table), bound (contraction-bound series vs measurement), sweep
-(one axis, aggregated CSV), validate (invariant self-test battery).
+(one axis, aggregated CSV), validate (invariant self-test battery), diff
+(where two output directories' runs.csv and bound.csv differ).
 
 simulate, bound and sweep write into ``--outdir`` (default ``out``), and
-assign and validate write nothing and take no ``--outdir``.
+assign, validate and diff write nothing and take no ``--outdir``.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 validation
-failure, 5 training divergence.  An I/O error names the file once.
+failure (for diff: the outputs differ), 5 training divergence.  An I/O
+error names the file once.
 """
 
 from __future__ import annotations
@@ -197,6 +199,34 @@ def _cmd_validate(args, config) -> int:
     return EXIT_OK
 
 
+def _cmd_diff(args) -> int:
+    """Compare the runs.csv and bound.csv that both output directories
+    hold: per file, identical bytes or the drift report."""
+    dirs = [Path(args.a), Path(args.b)]
+    for path in dirs:
+        if not path.is_dir():
+            raise NotADirectoryError(f"no output directory {path}")
+    compared = differs = False
+    for name, report in (("runs.csv", harness.csv_drift_report),
+                         ("bound.csv", harness.bound_drift_report)):
+        expected, actual = (path / name for path in dirs)
+        if not (expected.is_file() and actual.is_file()):
+            continue
+        compared = True
+        if expected.read_bytes() == actual.read_bytes():
+            print(f"{name}: identical")
+            continue
+        differs = True
+        try:
+            text = report(expected, actual)
+        except ValueError as exc:   # a row that does not parse, named by file and line
+            text = str(exc)
+        print(f"{name} differs:\n" + "".join(f"  {line}\n" for line in text.splitlines()), end="")
+    if not compared:
+        print(f"no runs.csv or bound.csv is in both {dirs[0]} and {dirs[1]}")
+    return EXIT_OK if compared and not differs else EXIT_VALIDATION
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedwireless",
@@ -207,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the experiment config file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args: func(args, load_config(args.config)))
         return p
 
     simulate = add("simulate", _cmd_simulate,
@@ -222,6 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", required=True, help="comma-separated positive integers"
     )
     add("validate", _cmd_validate, "run the invariant self-test battery")
+    diff = sub.add_parser("diff", help="where two output directories' runs.csv and bound.csv "
+                                       "differ: first differing row, largest ulps, moved digests")
+    diff.add_argument("a", help="expected output directory")
+    diff.add_argument("b", help="actual output directory")
+    diff.set_defaults(func=_cmd_diff)
     for p in (simulate, bound, sweep_parser):    # the commands that write files
         p.add_argument("--outdir", default="out", help="output directory (default: out)")
     return parser
@@ -231,7 +266,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, load_config(args.config))
+        return args.func(args)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG

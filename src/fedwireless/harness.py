@@ -40,6 +40,8 @@ __all__ = [
     "sweep",
     "export_csv",
     "read_csv_rows",
+    "csv_drift_report",
+    "bound_drift_report",
     "write_manifest",
     "load_manifest",
     "bound_report",
@@ -331,6 +333,63 @@ def read_csv_rows(path):
         except ValueError as exc:
             raise ValueError(f"{path} line {number}: {exc}") from exc
     return rows
+
+
+def _ulp_distance(a, b):
+    """How many float64 steps apart a and b are: 0 when equal, counted
+    across zero for values of opposite sign."""
+    ordered = [int(np.float64(value).view(np.int64)) for value in (a, b)]
+    ordered = [bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF) for bits in ordered]
+    return abs(ordered[0] - ordered[1])
+
+
+def csv_drift_report(expected_path, actual_path):
+    """Where a runs.csv departs from the expected one: the first differing
+    (algorithm, seed, round), the largest loss distance in ulps per
+    (algorithm, seed), and the cells whose allocation_digest moved."""
+    expected, actual = read_csv_rows(expected_path), read_csv_rows(actual_path)
+    keys = [[(r["algorithm"], r["seed"], r["round"]) for r in rows] for rows in (expected, actual)]
+    if keys[0] != keys[1]:
+        return f"(algorithm, seed, round) rows differ: {len(expected)} expected, got {len(actual)}"
+    first, worst, moved = None, {}, []
+    for key, e, a in zip(keys[0], expected, actual):
+        cell = f"{key[0]}/{key[1]}"
+        ulps = _ulp_distance(e["loss"], a["loss"])
+        worst[cell] = max(worst.get(cell, 0), ulps)
+        digest_moved = e["allocation_digest"] != a["allocation_digest"]
+        if first is None and (ulps > 0 or digest_moved):
+            first = f"({key[0]}, {key[1]}, {key[2]})"
+        if digest_moved and cell not in moved:
+            moved.append(cell)
+    return "\n".join([
+        f"first differing row: {first or 'none (only the bytes differ)'}",
+        "largest loss distance per (algorithm, seed): "
+        + ", ".join(f"{cell}: {ulps} ulps" for cell, ulps in worst.items()),
+        f"allocation_digest moved: {', '.join(moved) or 'none'}",
+    ])
+
+
+def bound_drift_report(expected_path, actual_path):
+    """Where a bound.csv departs from the expected one: the first differing
+    step and the largest distance in ulps of each value column."""
+    expected, actual = (
+        [line.split(",") for line in Path(path).read_text(encoding="utf-8").splitlines()]
+        for path in (expected_path, actual_path)
+    )
+    if expected[0] != actual[0] or len(expected) != len(actual):
+        return f"header or steps differ: {len(expected) - 1} steps expected, got {len(actual) - 1}"
+    columns = expected[0][1:]
+    first, worst = None, dict.fromkeys(columns, 0)
+    for e, a in zip(expected[1:], actual[1:]):
+        if first is None and e != a:
+            first = e[0]
+        for column, x, y in zip(columns, e[1:], a[1:]):
+            worst[column] = max(worst[column], _ulp_distance(float(x), float(y)))
+    return "\n".join([
+        f"first differing step: {first or 'none (only the bytes differ)'}",
+        "largest distance per column: "
+        + ", ".join(f"{column}: {ulps} ulps" for column, ulps in worst.items()),
+    ])
 
 
 def _blas_kernel():

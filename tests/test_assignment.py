@@ -465,6 +465,26 @@ class TestCertifiedBand:
         assert np.all(energy_gap <= 1e-9) and np.all(delay_gap <= 1e-9)
         assert searches[0][0].any()
 
+    def test_each_search_gathers_only_the_columns_it_measures(self, monkeypatch):
+        # A probe gathers every column it is given: the energy search is
+        # not given the downlink delay, and the delay search only its
+        # target rate and the uplink rate's columns.
+        gathered, band = [], assignment._certified_band
+
+        def recorded(lo, hi, columns, measure):
+            names = phy._Users._fields
+            names = names if len(columns) == len(names) else ("target", *names)
+            gathered.append([name for name, column in zip(names, columns) if column is not None])
+            return band(lo, hi, columns, measure)
+
+        monkeypatch.setattr(assignment, "_certified_band", recorded)
+        users, params = reference_topology()
+        bounds.worst_case_error_sum(users, params, QUAD)
+        assert gathered == [
+            ["gain", "fading_scale", "payload_bits", "training_j", "noise_w"],
+            ["target", "gain", "fading_scale", "noise_w"],
+        ]
+
     @settings(max_examples=300, deadline=None)
     @given(synthetic_excess_edges())
     def test_band_on_synthetic_excesses_matches_lockstep_oracle(self, edges):

@@ -7,11 +7,11 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import pkgutil
 import platform
 import re
-import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedwireless
 from fedwireless import cli
@@ -27,7 +29,10 @@ from fedwireless.config import load_config, loads_config
 from fedwireless.harness import (
     CSV_HEADER,
     RunRecord,
+    _ulp_distance,
+    bound_drift_report,
     build_topology,
+    csv_drift_report,
     export_csv,
     load_manifest,
     read_csv_rows,
@@ -35,6 +40,7 @@ from fedwireless.harness import (
     sweep,
     write_manifest,
 )
+from fedwireless.phy import downlink_delay, training_energy, uplink_delay, user_energy
 
 from util import REFERENCE, per_seed_allocation, record_downlink_sizes, record_integrand_sizes
 
@@ -43,7 +49,7 @@ from util import REFERENCE, per_seed_allocation, record_downlink_sizes, record_i
 REFERENCE_CSV = Path(__file__).resolve().parent / "data" / "reference_runs.csv"
 
 GOLDEN_REFERENCE_CSV_SHA256 = (
-    "a560d06e5d3c9644a3a21ab1c6defafaee164fd020c069716c34446ee786cf7d"
+    "1f8346c560f977806ab522b7cf8dae3c569aa84ad1da5126867e76594dc1dbaf"
 )
 
 # The bound.csv that `fedwireless bound` writes for the reference config,
@@ -52,7 +58,7 @@ GOLDEN_REFERENCE_CSV_SHA256 = (
 REFERENCE_BOUND_CSV = Path(__file__).resolve().parent / "data" / "reference_bound.csv"
 
 GOLDEN_REFERENCE_BOUND_SHA256 = (
-    "56fa4a76695cb9b3621527f07d14756853ec23fca3ed9698a8c041d84ce0e481"
+    "35a1549b58e2837dd06f605c3cba4c54484617313508220c1dd5c46568e3e27f"
 )
 
 # tests/data/tall.cfg: the reference config with 40 users in a 1000 m cell
@@ -61,7 +67,7 @@ GOLDEN_REFERENCE_BOUND_SHA256 = (
 TALL = Path(__file__).resolve().parent / "data" / "tall.cfg"
 
 GOLDEN_TALL_CSV_SHA256 = (
-    "1e006a3365dc799e52ea79ddb54eb92859303856b49b21f9c913e62e2d73d71b"
+    "931bf7c63c957d8092514b53159e43f22a3c8f3d620aa97cbb2982bc44f956bb"
 )
 
 # sha256 of the reference manifest.json after its first line (the
@@ -505,6 +511,11 @@ class TestPersistence:
         unchanged = bound_drift_report(REFERENCE_BOUND_CSV, REFERENCE_BOUND_CSV)
         assert unchanged.startswith("first differing step: none")
 
+    def test_ulp_distance_counts_across_zero(self):
+        pairs = [(1.0, float(np.nextafter(1.0, 2.0))), (-0.0, 0.0), (-5e-324, 5e-324),
+                 (-1.0, float(np.nextafter(-1.0, 0.0)))]
+        assert [_ulp_distance(a, b) for a, b in pairs] == [1, 0, 2, 1]
+
     def test_drift_report_names_row_ulps_and_moved_allocations(self, tmp_path):
         lines = REFERENCE_CSV.read_text().splitlines(keepends=True)
         algorithm, seed, step, loss, digest = lines[150].rstrip("\n").split(",")
@@ -571,60 +582,6 @@ class TestBoundReport:
 
 def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _ulp_distance(a, b):
-    as_int = [struct.unpack("<q", struct.pack("<d", v))[0] for v in (a, b)]
-    return abs(as_int[0] - as_int[1])
-
-
-def csv_drift_report(expected_path, actual_path):
-    """Where a runs.csv departs from the expected one: the first differing
-    (algorithm, seed, round), the largest loss distance in ulps per
-    (algorithm, seed), and the cells whose allocation_digest moved."""
-    expected, actual = read_csv_rows(expected_path), read_csv_rows(actual_path)
-    keys = [[(r["algorithm"], r["seed"], r["round"]) for r in rows] for rows in (expected, actual)]
-    if keys[0] != keys[1]:
-        return f"(algorithm, seed, round) rows differ: {len(expected)} expected, got {len(actual)}"
-    first, worst, moved = None, {}, []
-    for key, e, a in zip(keys[0], expected, actual):
-        cell = f"{key[0]}/{key[1]}"
-        ulps = _ulp_distance(e["loss"], a["loss"])
-        worst[cell] = max(worst.get(cell, 0), ulps)
-        digest_moved = e["allocation_digest"] != a["allocation_digest"]
-        if first is None and (ulps > 0 or digest_moved):
-            first = f"({key[0]}, {key[1]}, {key[2]})"
-        if digest_moved and cell not in moved:
-            moved.append(cell)
-    return "\n".join([
-        f"first differing row: {first or 'none (only the bytes differ)'}",
-        "largest loss distance per (algorithm, seed): "
-        + ", ".join(f"{cell}: {ulps} ulps" for cell, ulps in worst.items()),
-        f"allocation_digest moved: {', '.join(moved) or 'none'}",
-    ])
-
-
-def bound_drift_report(expected_path, actual_path):
-    """Where a bound.csv departs from the expected one: the first differing
-    step and the largest distance in ulps of each value column."""
-    expected, actual = (
-        [line.split(",") for line in Path(path).read_text().splitlines()]
-        for path in (expected_path, actual_path)
-    )
-    if expected[0] != actual[0] or len(expected) != len(actual):
-        return f"header or steps differ: {len(expected) - 1} steps expected, got {len(actual) - 1}"
-    columns = expected[0][1:]
-    first, worst = None, dict.fromkeys(columns, 0)
-    for e, a in zip(expected[1:], actual[1:]):
-        if first is None and e != a:
-            first = e[0]
-        for column, x, y in zip(columns, e[1:], a[1:]):
-            worst[column] = max(worst[column], _ulp_distance(float(x), float(y)))
-    return "\n".join([
-        f"first differing step: {first or 'none (only the bytes differ)'}",
-        "largest distance per column: "
-        + ", ".join(f"{column}: {ulps} ulps" for column, ulps in worst.items()),
-    ])
 
 
 def _openblas_dynamic_arch():
@@ -918,6 +875,58 @@ class TestCli:
         assert err.startswith("error[config]: --values ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _golden_outdir(path, nudge=None):
+        """An output directory holding the reference runs.csv and bound.csv,
+        with ``nudge(lines)`` applied to the runs.csv lines."""
+        path.mkdir()
+        lines = REFERENCE_CSV.read_text().splitlines(keepends=True)
+        (path / "runs.csv").write_text("".join(nudge(lines) if nudge else lines))
+        (path / "bound.csv").write_bytes(REFERENCE_BOUND_CSV.read_bytes())
+        return str(path)
+
+    def test_diff_of_a_run_and_itself_reports_nothing(self, tmp_path, capsys):
+        out = self._golden_outdir(tmp_path / "a")
+        assert cli.main(["diff", out, out]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "runs.csv: identical\nbound.csv: identical\n"
+
+    def test_diff_prints_the_drift_report(self, tmp_path, capsys):
+        def nudge(lines):
+            algorithm, seed, step, loss, digest = lines[150].rstrip("\n").split(",")
+            lines[150] = f"{algorithm},{seed},{step},{float(np.nextafter(float(loss), 1.0))!r},{digest}\n"
+            return lines
+
+        a, b = self._golden_outdir(tmp_path / "a"), self._golden_outdir(tmp_path / "b", nudge)
+        assert cli.main(["diff", a, b]) == cli.EXIT_VALIDATION
+        report = csv_drift_report(Path(a) / "runs.csv", Path(b) / "runs.csv")
+        assert capsys.readouterr().out == (
+            "runs.csv differs:\n" + "".join(f"  {line}\n" for line in report.splitlines())
+            + "bound.csv: identical\n"
+        )
+        assert ": 1 ulps" in report
+
+    def test_diff_compares_the_files_both_directories_hold(self, tmp_path, capsys):
+        a, b = self._golden_outdir(tmp_path / "a"), self._golden_outdir(tmp_path / "b")
+        (Path(b) / "bound.csv").unlink()
+        assert cli.main(["diff", a, b]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "runs.csv: identical\n"
+        (Path(a) / "runs.csv").unlink()
+        assert cli.main(["diff", a, b]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().out == f"no runs.csv or bound.csv is in both {a} and {b}\n"
+
+    def test_diff_of_a_missing_directory_is_an_io_error(self, tmp_path, capsys):
+        a = self._golden_outdir(tmp_path / "a")
+        assert cli.main(["diff", a, str(tmp_path / "none")]) == cli.EXIT_IO
+        assert capsys.readouterr().err == f"error[io]: no output directory {tmp_path / 'none'}\n"
+
+    def test_diff_writes_nothing_and_rejects_outdir(self, tmp_path, capsys):
+        a = self._golden_outdir(tmp_path / "a")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["diff", a, a, "--outdir", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --outdir" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "bound.csv", "runs.csv"]
+
     def test_validate_passes_on_reference(self, tmp_path):
         assert cli.main(["validate", str(REFERENCE)]) == 0
 
@@ -1102,6 +1111,84 @@ def test_every_command_on_the_edge_case_matrix(variant, command, tmp_path, capsy
             users = build_topology(config, record.seed)[0]
             decision = decision_from_record(record, config)
             assert verify_allocation(decision, users, config.network, config.fading) == []
+
+
+@st.composite
+def generated_configs(draw, case):
+    """A small random config of ``case``: every algorithm, two rounds, one
+    or two seeds, per-RB interference with blocked (inf) RBs, and energy and
+    delay budgets over two decades.  ``budgets_on_the_edge`` then sets both
+    budgets to one edge's delay and energy at the power cap, so that edge
+    meets them exactly; ``nothing_schedulable`` sets the energy budget
+    below the training energy."""
+    tall = case == "more_users_than_rbs"
+    rbs = draw(st.integers(1, 6 if tall else 10))
+    levels = st.sampled_from([1e-10, 1e-9, 1e-8, 1e-7, 1e-6, math.inf])
+    interference = draw(st.lists(levels, min_size=rbs, max_size=rbs)
+                        .filter(lambda values: min(values) < math.inf))
+    overrides = {
+        ("network", "rb_count"): str(rbs),
+        ("network", "uplink_interference_w"): " ".join(map(repr, interference)),
+        ("network", "energy_budget_j"): repr(10.0 ** draw(st.floats(-3.0, -1.0))),
+        ("network", "delay_budget_s"): repr(10.0 ** draw(st.floats(-2.0, 0.0))),
+        ("users", "count"): str(draw(st.integers(rbs + 1, 3 * rbs) if tall
+                                     else st.integers(1, 16))),
+        ("users", "cell_radius_m"): repr(draw(st.floats(100.0, 1500.0))),
+        ("users", "sample_count_cycle"): " ".join(
+            map(str, draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)))),
+        ("training", "rounds"): "2",
+        ("experiment", "seeds"): " ".join(
+            map(str, draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=2, unique=True)))),
+    }
+    if case == "zero_payload":
+        overrides["users", "payload_bits"] = "0"
+    if case == "monte_carlo":
+        overrides["fading", "method"] = "monte_carlo"
+        overrides["fading", "count"] = str(draw(st.integers(16, 100)))
+        overrides["fading", "seed"] = str(draw(st.integers(0, 100)))
+    config = loads_config(_reference_with(overrides))
+    params, fexp = config.network, config.fading
+    if case == "nothing_schedulable":
+        training_j = training_energy(config.user_profile(1.0, 1))
+        params = replace(params, energy_budget_j=training_j * draw(st.floats(0.01, 0.99)))
+    if case == "budgets_on_the_edge":
+        users = build_topology(config, config.seeds[0])[0]
+        user = users[draw(st.integers(0, len(users) - 1))]
+        rb = draw(st.sampled_from([n for n, level in enumerate(interference) if level < math.inf]))
+        p_max = params.max_user_power_w
+        params = replace(
+            params,
+            delay_budget_s=uplink_delay(user, rb, p_max, params, fexp)
+            + downlink_delay(user, params, fexp),
+            energy_budget_j=user_energy(user, rb, p_max, params, fexp),
+        )
+    return replace(config, network=params)
+
+
+@pytest.mark.parametrize("case", ["budgets_on_the_edge", "zero_payload", "nothing_schedulable",
+                                  "more_users_than_rbs", "monte_carlo"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generated_configs_through_the_whole_pipeline(case, data, tmp_path_factory):
+    # Two runs are equal, every allocation passes verify_allocation, the
+    # proposed matching's objective is the least of each seed's, and the
+    # written runs.csv and manifest.json load back every record.
+    config = data.draw(generated_configs(case))
+    records = run_experiment(config)
+    assert run_experiment(config) == records
+    least = {record.seed: record.objective for record in records
+             if record.algorithm == "proposed"}
+    for record in records:
+        users = build_topology(config, record.seed)[0]
+        decision = decision_from_record(record, config)
+        assert verify_allocation(decision, users, config.network, config.fading) == []
+        assert least[record.seed] <= record.objective + 1e-12
+        if case == "nothing_schedulable":
+            assert not any(record.selection)
+    out = tmp_path_factory.mktemp(case)
+    export_csv(records, out / "runs.csv")
+    write_manifest(records, out / "manifest.json", config=config)
+    assert load_manifest(out / "manifest.json") == records
 
 
 @blas_kernels

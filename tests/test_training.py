@@ -110,19 +110,21 @@ def sequential_training(dataset, decision, learning_rate, rounds, rng, initial_m
     selection = np.asarray(decision.selection)
     error_rates = np.asarray(decision.error_rate, dtype=float)
 
-    # The pooled samples let each round run as one prediction plus a segment
-    # reduction.  The residual behind round t's loss is the one round t+1's
-    # gradient needs, so each round predicts once.
+    # Each user's moments, sample-major: G_i = X_i^T X_i as (U, dim, dim)
+    # and m_i = X_i^T y_i as (U, dim), every entry one segment sum of a
+    # column product over the user's samples.  User i's gradient at g is
+    # then G_i g - m_i, which _predict sums column by column.
     x_pool, y_pool = dataset.x, dataset.y
     counts = dataset.sample_counts
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    gram = np.add.reduceat(x_pool[:, :, None] * x_pool[:, None, :], offsets, axis=0)
+    moment = np.add.reduceat(x_pool * y_pool[:, None], offsets, axis=0)
 
     g = np.zeros(dim) if initial_model is None else np.asarray(initial_model, dtype=float).copy()
-    residual = _predict(x_pool, g) - y_pool
-    losses, models, delivered_rounds = [_mean_loss(residual)], [g.copy()], []
+    losses, models, delivered_rounds = [_mean_loss(_predict(x_pool, g) - y_pool)], [g.copy()], []
     selected_idx = np.flatnonzero(selection == 1)
     for step in range(1, rounds + 1):
-        per_user_grad = np.add.reduceat(x_pool * residual[:, None], offsets, axis=0)
+        per_user_grad = _predict(gram, g) - moment
         locals_ = np.tile(g, (n_users, 1))
         if selected_idx.size:
             locals_[selected_idx] -= (
@@ -131,8 +133,7 @@ def sequential_training(dataset, decision, learning_rate, rounds, rng, initial_m
         delivered = transmit(selection, error_rates, rng)
         g = aggregate(locals_, delivered, counts, g)
         with np.errstate(over="ignore"):   # overflow to inf is the divergence signal
-            residual = _predict(x_pool, g) - y_pool
-            loss = _mean_loss(residual)
+            loss = _mean_loss(_predict(x_pool, g) - y_pool)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"loss became non-finite at step {step} (learning_rate={learning_rate})"
@@ -612,7 +613,7 @@ class TestTrainCells:
 
 # 18 users, 12 of them with more than 8 samples: the user sum of a cell
 # has more than 8 terms, which numpy would sum pairwise, not in user order,
-# if it reduced a (U, 1) array; each user's gradient sums over more than 8
+# if it reduced a (U, 1) array; each user's moments sum over more than 8
 # samples too.
 WIDE_COUNTS = [12, 10, 9, 4, 2, 11] * 3
 
