@@ -217,15 +217,13 @@ def feasible_power_interval(users, rb_index, params, fexp):
     """Per-user power interval [P_lo, P_hi] where both the delay and energy
     gates hold, on one RB or with user i on ``rb_index[i]``.
 
-    Returns (p_lo, p_hi, feasible) arrays over ``users``: the
-    ``_delay_floor`` of every pair under the edge build's power, and its
-    gate; where the gate fails the power cap is 0, and so is the floor.
+    Returns (p_lo, p_hi, feasible) arrays over ``users``: the edge build's
+    ``_gate`` on these pairs alone, and each pair's ``_delay_floor`` under
+    its power; where the gate fails the power cap is 0, and so is the floor.
     """
     pairs = phy._Users.of(users, params, fexp).on(rb_index, params)
-    rows, edges = np.arange(len(users)), _edge_weights([users], params, fexp)[0]
-    feasible, p_hi = edges.feasible[rows, rb_index], edges.power_w[rows, rb_index]
-    p_lo = _delay_floor(pairs, p_hi, params, fexp)
-    return p_lo, p_hi, feasible
+    feasible, p_hi, *_ = _gate(pairs, params, fexp)
+    return _delay_floor(pairs, p_hi, params, fexp), p_hi, feasible
 
 
 def _delay_floor(cohort, p_hi, params, fexp):
@@ -260,7 +258,8 @@ def _every_edge(users, params):
 
 @dataclass
 class EdgeWeightMatrix:
-    """Per-edge quantities for all (user, RB) pairs at the optimal power."""
+    """Per-edge quantities for all (user, RB) pairs at the optimal power, and the
+    users' cohort: edges (rows, rbs) are ``users.take(rows).on(rbs, params)``."""
 
     weights: np.ndarray          # (U, R) samples*(error-1); 0 on gated-out edges (error 1)
     feasible: np.ndarray         # (U, R) bool
@@ -269,6 +268,7 @@ class EdgeWeightMatrix:
     delay_s: np.ndarray          # (U, R) uplink + downlink delay at the optimal power
     energy_j: np.ndarray         # (U, R) energy at the optimal power
     sample_counts: np.ndarray    # (U,)
+    users: phy._Users            # (U,) unplaced cohort the edges were built from
 
 
 def _link(users, power, params, fexp):
@@ -277,6 +277,17 @@ def _link(users, power, params, fexp):
     up = phy._delay(users.payload_bits, phy._uplink_rate(users, power, params, fexp))
     return (phy._error_rate(users, power, params, fexp), up + users.downlink_s,
             phy._energy(users, power, up))
+
+
+def _gate(cohort, params, fexp):
+    """(feasible, power, error rate, delay, energy) of each edge of a placed
+    ``phy._Users`` cohort at its optimal power, gated on both budgets: a gated-out
+    edge reads power 0, error rate 1 (weight exactly +0.0), delay and energy inf."""
+    p = _optimal_powers(cohort, params, fexp)
+    q, total_delay, e = _link(cohort, p, params, fexp)
+    ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
+    return (ok, np.where(ok, p, 0.0), np.where(ok, q, 1.0),
+            np.where(ok, total_delay, np.inf), np.where(ok, e, np.inf))
 
 
 def build_edge_weights(users, params, fexp) -> EdgeWeightMatrix:
@@ -290,36 +301,22 @@ def build_edge_weights(users, params, fexp) -> EdgeWeightMatrix:
 def _edge_weights(user_lists, params, fexp):
     """build_edge_weights over many topologies, one EdgeWeightMatrix each.
 
-    Every (topology, user, RB) edge is one cohort from ``_every_edge``: one
-    power search and one ``_link`` call cover them all, with one downlink
-    delay per user, and the (users, RBs) results are split per topology.
+    The one place that builds a user cohort from ``UserProfile`` lists: one
+    ``phy._Users`` cohort of every topology's users (one downlink delay each)
+    whose ``_every_edge`` goes through one ``_gate``; the (users, RBs)
+    results and the cohort's rows are split per topology.
     ``phy.FadingExpectation.expect`` bounds the temporaries of each call.
     """
     users = [user for user_list in user_lists for user in user_list]
-    edges = _every_edge(phy._Users.of(users, params, fexp), params)
-    p = _optimal_powers(edges, params, fexp)
-    q, total_delay, e = _link(edges, p, params, fexp)
-    p, q, total_delay, e = (values.reshape(len(users), params.rb_count)
-                            for values in (p, q, total_delay, e))
+    cohort = phy._Users.of(users, params, fexp)
+    ok, p, q, total_delay, e = (values.reshape(len(users), params.rb_count)
+                                for values in _gate(_every_edge(cohort, params), params, fexp))
     sample_counts = np.array([u.sample_count for u in users], dtype=float)
-    ok = (p > 0) & (total_delay <= params.delay_budget_s) & (e <= params.energy_budget_j)
-    q = np.where(ok, q, 1.0)        # so a gated-out edge's weight is exactly +0.0
-    merged = EdgeWeightMatrix(
-        weights=sample_counts[:, None] * (q - 1.0),
-        feasible=ok,
-        power_w=np.where(ok, p, 0.0),
-        error_rate=q,
-        delay_s=np.where(ok, total_delay, np.inf),
-        energy_j=np.where(ok, e, np.inf),
-        sample_counts=sample_counts,
-    )
-    stops = np.cumsum([len(user_list) for user_list in user_lists])
-    return [
-        EdgeWeightMatrix(**{
-            name: values[stop - len(user_list):stop] for name, values in vars(merged).items()
-        })
-        for user_list, stop in zip(user_lists, stops)
-    ]
+    # EdgeWeightMatrix's fields in order, before users.
+    fields = (sample_counts[:, None] * (q - 1.0), ok, p, q, total_delay, e, sample_counts)
+    bounds = np.cumsum([0, *map(len, user_lists)])
+    return [EdgeWeightMatrix(*(values[part] for values in fields), cohort.take(part))
+            for part in map(slice, bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -524,27 +521,28 @@ def hungarian_assign(edges: EdgeWeightMatrix) -> AllocationDecision:
     return _decide_on_edges(edges, match, iterations)
 
 
-def _random_all(rngs, user_lists, edge_sets, params, fexp):
-    """Baseline b for many seeds, each with its generator, users and edge
-    build: uniformly random user selection, RB matching, and powers.
+def _random_all(rngs, edge_sets, params, fexp):
+    """Baseline b for many seeds, each with its generator, and its users and
+    edge build: uniformly random user selection, RB matching, and powers.
 
-    Every seed draws its two permutations first and keeps the drawn pairs
-    that its edge build's gate passed.  One ``_delay_floor`` covers all
-    seeds' kept pairs as one cohort, each seed draws its powers from its
-    own generator, uniformly between each pair's floor and its edge build
-    power, and one ``_link`` call evaluates every seed's pairs at them.
+    Every seed draws its two permutations first and takes the drawn pairs
+    that its edge build's gate passed from the build's user cohort.  One
+    ``_delay_floor`` covers all seeds' pairs as one cohort, each seed draws
+    its powers from its own generator, uniformly between each pair's floor
+    and its edge build power, and one ``_link`` call evaluates them all.
     """
     n_rbs = params.rb_count
-    chosen = []
-    for rng, users, edges in zip(rngs, user_lists, edge_sets):
-        k = min(len(users), n_rbs)
-        rows, rbs = rng.permutation(len(users))[:k], rng.permutation(n_rbs)[:k]
+    chosen, cohorts = [], []
+    for rng, edges in zip(rngs, edge_sets):
+        n_users = edges.sample_counts.size
+        k = min(n_users, n_rbs)
+        rows, rbs = rng.permutation(n_users)[:k], rng.permutation(n_rbs)[:k]
         kept = edges.feasible[rows, rbs]
-        chosen.append((rows[kept], rbs[kept], edges.power_w[rows[kept], rbs[kept]]))
+        rows, rbs = rows[kept], rbs[kept]
+        chosen.append((rows, rbs, edges.power_w[rows, rbs]))
+        cohorts.append(edges.users.take(rows).on(rbs, params))
     stops = np.cumsum([rows.size for rows, *_ in chosen])[:-1]
-    pairs = phy._Users.of(
-        [users[i] for users, (rows, *_) in zip(user_lists, chosen) for i in rows], params, fexp
-    ).on(np.concatenate([rbs for _, rbs, _ in chosen]), params)
+    pairs = phy._Users(*map(np.concatenate, zip(*cohorts)))
     p_hi = np.concatenate([caps for *_, caps in chosen])
     p_lo = _delay_floor(pairs, p_hi, params, fexp)
     # One draw per kept pair, in pair order: each seed's stream of per-pair draws.

@@ -214,20 +214,20 @@ def worst_case_error_sum(users, params, fexp) -> float:
 
     The error rate is non-increasing in power, so each edge's worst case is
     attained at its minimum feasible power, the ``assignment._delay_floor``
-    of each edge that the edge build's gate passed, taken from one cohort of
-    the users (one downlink delay each); the worst assignment is then a
-    max-weight matching over those per-edge values.
+    of each edge that the edge build's gate passed, taken from the edge
+    build's user cohort (one downlink delay each); the worst assignment is
+    then a max-weight matching over those per-edge values.
     """
     edges = assignment._edge_weights([users], params, fexp)[0]
     rows, rbs = np.nonzero(edges.feasible)
-    pairs = phy._Users.of(users, params, fexp).take(rows).on(rbs, params)
+    pairs = edges.users.take(rows).on(rbs, params)
     p_lo = assignment._delay_floor(pairs, edges.power_w[rows, rbs], params, fexp)
     gains = np.zeros(edges.feasible.shape)
     gains[rows, rbs] = edges.sample_counts[rows] * phy._error_rate(pairs, p_lo, params, fexp)
     # Pairs matched at gain 0 are dropped by the solver; they only added 0.0.
     (rows, rbs), _ = assignment._solve_matching(-gains)
     total = 0.0
-    for gain in gains[rows, rbs]:
+    for gain in gains[rows, rbs].tolist():
         total += gain
     return total
 

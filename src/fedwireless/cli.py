@@ -138,14 +138,15 @@ def _cmd_validate(args, config) -> int:
     else:
         check("energy is zero at every power without a payload", bool(np.all(e == 0)))
 
-    # The power searches of two topologies pooled into one search must
-    # give each topology the edges it gets alone, bit for bit.
+    # The power searches of two topologies pooled into one search must give
+    # each topology the edges and user cohort it gets alone, bit for bit.
     other = harness.build_topology(config, config.seeds[0] + 1)[0]
     pooled = assignment._edge_weights([users, other], params, fexp)
     alone = [assignment.build_edge_weights(one, params, fexp) for one in (users, other)]
     check("a pooled edge build of two topologies equals two single builds bit for bit", all(
-        values.tobytes() == vars(b)[name].tobytes()
-        for a, b in zip(pooled, alone) for name, values in vars(a).items()
+        x.tobytes() == y.tobytes() for a, b in zip(pooled, alone)
+        for x, y in zip((*vars(a).values(), *a.users), (*vars(b).values(), *b.users))
+        if isinstance(x, np.ndarray)
     ))
 
     weights, keep = alone[0].weights, assignment._candidate_rows(alone[0].weights)

@@ -94,13 +94,13 @@ def _allocation_rng(seed):
     return np.random.default_rng([seed, _STREAM_ALLOCATION])
 
 
-def _allocate(algorithm, seeds, user_lists, edge_sets, config):
+def _allocate(algorithm, seeds, edge_sets, config):
     """One algorithm's decisions for every seed, each on its seed's edge
     build: baseline_b as one ``assignment._random_all`` call, which keeps
     the pairs that the build's gate passed."""
     if algorithm == "baseline_b":
-        return assignment._random_all([_allocation_rng(seed) for seed in seeds], user_lists,
-                                      edge_sets, config.network, config.fading)
+        return assignment._random_all([_allocation_rng(seed) for seed in seeds], edge_sets,
+                                      config.network, config.fading)
     if algorithm == "proposed":
         return [assignment.hungarian_assign(edges) for edges in edge_sets]
     if algorithm == "baseline_a":
@@ -220,7 +220,7 @@ def run_experiment(config: ExperimentConfig):
 
     cells = []
     for algorithm in config.algorithms:
-        decisions = _allocate(algorithm, seeds, user_lists, edge_sets, config)
+        decisions = _allocate(algorithm, seeds, edge_sets, config)
         cells += [(algorithm, seed, decision) for seed, decision in zip(seeds, decisions)]
     learning_rates *= len(config.algorithms)
     _, cell_seeds, cell_decisions = zip(*cells)

@@ -243,7 +243,7 @@ def test_criterion_06_algorithm_ordering():
             "proposed": hungarian_assign(edges),
             "baseline_a": baseline_optselect_randomrb(alloc_rng, edges),
             "baseline_b": assignment._random_all(
-                [alloc_rng], [users], [edges], config.network, config.fading
+                [alloc_rng], [edges], config.network, config.fading
             )[0],
             "baseline_c": baseline_min_sum_per(edges),
         }

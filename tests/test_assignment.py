@@ -94,6 +94,34 @@ class TestFeasiblePowerInterval:
         assert uplink_delay(user, 0, lo, params, QUAD) + down <= params.delay_budget_s * (1 + 1e-9)
         assert user_energy(user, 0, hi, params, QUAD) <= params.energy_budget_j + 1e-9
 
+    def test_searches_only_the_pairs_it_answers(self, monkeypatch):
+        # Each search covers the 12 pairs asked for, not every edge of the
+        # users' build, and the answers equal the edge build's gather with
+        # the delay floor of its cohort's pairs, bit for bit.
+        from fedwireless import harness
+        from fedwireless.config import load_config
+
+        config = load_config(REFERENCE)
+        params, fexp = config.network, config.fading
+        users = harness.build_topology(config, config.seeds[0])[0][:12]
+        rows = rbs = np.arange(12)
+        edges = build_edge_weights(users, params, fexp)
+        p_hi = edges.power_w[rows, rbs]
+        pairs = edges.users.take(rows).on(rbs, params)
+        p_lo = assignment._delay_floor(pairs, p_hi, params, fexp)
+        want = (p_lo, p_hi, edges.feasible[rows, rbs])
+        sizes, band = [], assignment._certified_band
+
+        def recorded(lo, hi, columns, measure):
+            sizes.append(lo.size)
+            return band(lo, hi, columns, measure)
+
+        monkeypatch.setattr(assignment, "_certified_band", recorded)
+        got = feasible_power_interval(users, rbs, params, fexp)
+        assert sizes == [12, 12]
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
     def test_returns_none_when_energy_infeasible(self):
         user = user_at(100.0)
         params = NetworkParams(energy_budget_j=training_energy(user) * 0.5)
@@ -521,9 +549,9 @@ class TestCertifiedBand:
     ):
         # The energy budget is the energy at a drawn power exactly, or a few
         # floats off it; the delay budget puts the delay root inside the
-        # bracket.  Both searches of ``feasible_power_interval`` (energy on
-        # every edge of the users' build, delay on the gated edges it asks
-        # for) must answer their snapped bands, contain the oracle's
+        # bracket.  Both searches of ``feasible_power_interval`` (energy,
+        # then delay on the gated ones, on the pairs it asks for) must
+        # answer their snapped bands, contain the oracle's
         # bracket and lie within 1e-9 of it, relative, unless the excess's
         # own rounding spans more: then the measured excess at both ends of
         # the raw band must be within 32 eps of 0, a band as narrow as the
@@ -811,6 +839,29 @@ class TestEdgeWeight:
         assert user_energy(user, 0, power, below, QUAD) <= below.energy_budget_j
         assert one_user_edge(user, below, QUAD)["power_w"] == power
 
+    def test_cohort_is_each_topologys_own(self):
+        # A pooled build hands each topology its own rows of the one user
+        # cohort, and a single build its whole cohort: every column equals
+        # the topology's own phy._Users.of, bit for bit.
+        from fedwireless import harness
+        from fedwireless.config import load_config
+
+        config = load_config(REFERENCE)
+        params, fexp = config.network, config.fading
+        a, b = (harness.build_topology(config, seed)[0] for seed in config.seeds[:2])
+        b = b[:7]                       # topologies of different sizes
+        built = [*assignment._edge_weights([a, b], params, fexp),
+                 build_edge_weights(b, params, fexp)]
+        for edges, users in zip(built, (a, b, b), strict=True):
+            want = phy._Users.of(users, params, fexp)
+            for name, got_column, want_column in zip(phy._Users._fields, edges.users, want):
+                if want_column is None:
+                    assert got_column is None, name
+                    continue
+                assert got_column.dtype == want_column.dtype, name
+                assert got_column.shape == want_column.shape == (len(users),), name
+                assert got_column.tobytes() == want_column.tobytes(), name
+
     def test_weights_bounded_by_sample_count(self):
         users, params = table_topology(seed=9)
         edges = build_edge_weights(users, params, QUAD)
@@ -873,6 +924,7 @@ class TestHungarian:
             delay_s=np.where(feasible, 0.1, np.inf),
             energy_j=np.where(feasible, 1e-3, np.inf),
             sample_counts=counts,
+            users=None,
         )
         assert hungarian_assign(edges).objective == pytest.approx(
             brute_force_assign(edges).objective, rel=1e-12
@@ -1272,7 +1324,7 @@ def assert_baseline_b_matches_pair_loop(users, params, fexp, seeds):
     for seed in seeds:
         rng, ref_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
         edges = build_edge_weights(users, params, fexp)
-        decision = assignment._random_all([rng], [users], [edges], params, fexp)[0]
+        decision = assignment._random_all([rng], [edges], params, fexp)[0]
         rows = reference_baseline_b(ref_rng, users, params, fexp)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         want = {name: np.zeros(len(users))
@@ -1301,7 +1353,7 @@ def every_algorithm(users, params, fexp, seed):
     return [
         hungarian_assign(edges),
         baseline_optselect_randomrb(rng, edges),
-        assignment._random_all([rng], [users], [edges], params, fexp)[0],
+        assignment._random_all([rng], [edges], params, fexp)[0],
         baseline_min_sum_per(edges),
     ]
 
@@ -1333,7 +1385,7 @@ def test_one_feasibility_rule_at_the_delay_budget(distance, payload, interferenc
         feasible = edges.feasible[0, 0]
         assert feasible_power_interval([user], 0, params, QUAD)[2][0] == feasible
         decision = assignment._random_all(
-            [np.random.default_rng(0)], [[user]], [edges], params, QUAD
+            [np.random.default_rng(0)], [edges], params, QUAD
         )[0]
         assert decision.selection[0] == feasible
         assert verify_allocation(decision, [user], params, QUAD) == []
@@ -1384,7 +1436,7 @@ class TestBaselines:
         assert baseline_min_sum_per(edges).selection.tolist() == [1]
         a = baseline_optselect_randomrb(np.random.default_rng(0), edges)
         assert a.selection.tolist() == [1]
-        b = assignment._random_all([np.random.default_rng(0)], [users], [edges], params, QUAD)[0]
+        b = assignment._random_all([np.random.default_rng(0)], [edges], params, QUAD)[0]
         assert b.selection.tolist() == [1]
 
     def test_all_infeasible_selects_nobody(self):
@@ -1395,7 +1447,7 @@ class TestBaselines:
         assert baseline_min_sum_per(edges).selection.sum() == 0
         a = baseline_optselect_randomrb(np.random.default_rng(1), edges)
         assert a.selection.sum() == 0
-        b = assignment._random_all([np.random.default_rng(1)], [users], [edges], params, QUAD)[0]
+        b = assignment._random_all([np.random.default_rng(1)], [edges], params, QUAD)[0]
         assert b.selection.sum() == 0
 
     def test_all_satisfy_allocation_invariants(self):
@@ -1418,7 +1470,7 @@ class TestBaselines:
         proposed = hungarian_assign(edges)
         rng = np.random.default_rng([42, 2])
         a = baseline_optselect_randomrb(rng, edges)
-        b = assignment._random_all([rng], [users], [edges], params, QUAD)[0]
+        b = assignment._random_all([rng], [edges], params, QUAD)[0]
         c = baseline_min_sum_per(edges)
         golden = GOLDEN_SEED42
         assert proposed.selection.tolist() == golden["proposed_selection"]

@@ -499,14 +499,28 @@ class TestZeta2Feasible:
         assert convergence_slope_limit(users, params, QUAD) == math.inf
         assert 1e12 < convergence_slope_limit(users, params, QUAD)
 
+    def test_slope_limit_returns_python_floats(self):
+        # Both functions return a Python float, not a numpy scalar, on a
+        # finite topology and on one whose error rates underflow to 0.
+        config = load_config(REFERENCE)
+        users, _ = build_topology(config, config.seeds[0])
+        zero = ([UserProfile(distance_m=100.0, sample_count=4)],
+                NetworkParams(rb_count=2, waterfall_threshold=1e-320), QUAD)
+        limits = []
+        for case in ((users, config.network, config.fading), zero):
+            worst, limit = worst_case_error_sum(*case), convergence_slope_limit(*case)
+            assert type(worst) is float and type(limit) is float
+            limits.append(limit)
+        assert math.isfinite(limits[0]) and limits[1] == math.inf
+
     def test_slope_limit_evaluates_the_downlink_once_per_user(self, monkeypatch):
-        # The edge build's cohort and the delay floor's each carry one
-        # downlink delay per user of the topology, not one per feasible edge.
+        # The edge build's cohort carries one downlink delay per user of the
+        # topology, and the delay floor's pairs are taken from it.
         config = load_config(REFERENCE)
         users, _ = build_topology(config, config.seeds[0])
         sizes = record_downlink_sizes(monkeypatch)
         worst_case_error_sum(users, config.network, config.fading)
-        assert sizes == [len(users), len(users)]
+        assert sizes == [len(users)]
 
     def test_worst_case_matches_exhaustive_enumeration(self):
         users, params_full = table_topology(seed=3, n_users=5)

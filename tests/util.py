@@ -111,7 +111,7 @@ def per_seed_allocation(algorithm, users, config, seed):
     rng = harness._allocation_rng(seed)
     edges = assignment.build_edge_weights(users, params, fexp)
     if algorithm == "baseline_b":
-        return assignment._random_all([rng], [users], [edges], params, fexp)[0]
+        return assignment._random_all([rng], [edges], params, fexp)[0]
     if algorithm == "proposed":
         return assignment.hungarian_assign(edges)
     if algorithm == "baseline_a":
@@ -136,6 +136,7 @@ def synthetic_edges(rng, n_users, n_rbs, feasible_prob=0.85, p_max=0.01):
         delay_s=np.where(feasible, 0.1, np.inf),
         energy_j=np.where(feasible, 1e-3, np.inf),
         sample_counts=counts,
+        users=None,
     )
 
 
